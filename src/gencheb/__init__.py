@@ -7,8 +7,8 @@ powers, and the two-variable Chebyshev / third-order Hermite bridge.
 """
 
 from .scalars import BigRational, GaussianRational
-from .poly import MultiPoly, PolyParseError, gens, parse_poly, poly_derivative
-from .series import SingularSeriesError, TruncatedSeries, series_inverse
+from .poly import MultiPoly, PolyParseError, gens, parse_poly
+from .series import SingularSeriesError, TruncatedSeries
 from .matrices import Mat2, Mat3
 from .gcn import (
     ConjugateRoots,
@@ -19,9 +19,9 @@ from .gcn import (
     companion_matrix,
     companion_power,
     conjugate_roots,
-    gcn_mul,
     power_coeff_sequence,
     power_coeffs,
+    unit_powers,
 )
 from .euler import (
     EulerPair,
@@ -109,7 +109,6 @@ __all__ = [
     "euler_closed_form",
     "euler_series",
     "gaussian_mat",
-    "gcn_mul",
     "gens",
     "hermite3",
     "mat_power",
@@ -117,13 +116,12 @@ __all__ = [
     "parse_poly",
     "pauli_decompose",
     "pauli_recompose",
-    "poly_derivative",
     "power_coeff_sequence",
     "power_coeffs",
     "quadratic_residual",
-    "series_inverse",
     "u2_by_laplace",
     "u2_by_recurrence",
     "u2_by_series",
     "u_ode_residual",
+    "unit_powers",
 ]

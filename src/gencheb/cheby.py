@@ -5,6 +5,13 @@ Chebyshev polynomials: B_n = U_{n-1} and A_n = -U_{n-2} once U is extended
 backward with U_{-1} = 0, U_{-2} = -1.  First-kind polynomials come from
 T_n = A_n + x*B_n.  All identities here are checked in exact polynomial
 arithmetic; numeric helpers exist only for the square-root branch x > 1.
+
+Two recurrences here deliberately do not go through the generic
+:func:`gencheb.gcn.unit_powers`.  ``_u`` is the three-term recurrence
+U_{n+1} = 2x*U_n - U_{n-1}, kept as the independent reference that the
+verification suite checks the unit's coefficients against.  ``cheb_AB``
+keeps its own memoised step A' = -B, B' = A + 2x*B because negating is much
+cheaper than the generic step's product with the constant polynomial -1.
 """
 
 from __future__ import annotations
@@ -28,10 +35,8 @@ __all__ = [
     "cheb_unit",
     "ode_apply",
     "root_values",
-    "t_value",
     "u_from_roots",
     "u_ode_residual",
-    "u_value",
 ]
 
 _XVARS = ("x",)
@@ -144,32 +149,6 @@ def u_ode_residual(n: int) -> MultiPoly:
     if n < 0:
         raise ValueError("index must be non-negative")
     return ode_apply(_u(n), n * (n + 2))
-
-
-def u_value(n: int, x):
-    """U_n evaluated by the value recurrence; exact for Fraction input."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    prev = x * 0 + 1
-    if n == 0:
-        return prev
-    curr = 2 * x
-    for _ in range(n - 1):
-        prev, curr = curr, 2 * x * curr - prev
-    return curr
-
-
-def t_value(n: int, x):
-    """T_n evaluated by the value recurrence; exact for Fraction input."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    prev = x * 0 + 1
-    if n == 0:
-        return prev
-    curr = x
-    for _ in range(n - 1):
-        prev, curr = curr, 2 * x * curr - prev
-    return curr
 
 
 def root_values(x: float) -> tuple[float, float]:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 at least one verification failure, 2 usage or
-parse error.  Text output carries no timing so identical invocations are
+parse error or a request the library refuses (a ValueError and the like,
+printed as ``error:`` without a traceback).  Text output carries no timing so identical invocations are
 byte-identical; JSON verification reports include a ``millis`` field (the
 one intentionally non-deterministic value, required by the report schema).
 """
@@ -9,7 +10,9 @@ one intentionally non-deterministic value, required by the report schema).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -35,6 +38,16 @@ def _positive_int(text: str) -> int:
     value = _nonneg_int(text)
     if value == 0:
         raise argparse.ArgumentTypeError("value must be positive")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("tolerance must be finite and positive")
     return value
 
 
@@ -249,7 +262,14 @@ def _cmd_mat(args: argparse.Namespace) -> int:
     if args.action == "bench":
         sizes = [int(part) for part in args.n_list.split(",") if part]
         records = pauli.bench_power(sizes, args.trials)
-        if args.format == "csv":
+        if args.format == "json":
+            payload = {
+                "schema": SCHEMA,
+                "op": "mat-bench",
+                "records": [dataclasses.asdict(record) for record in records],
+            }
+            print(json.dumps(payload))
+        elif args.format == "csv":
             print("method,n,median_ns,max_coeff_bits")
             for record in records:
                 print(
@@ -382,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = euler_sub.add_parser(action)
         sp.add_argument("--a", required=True)
         sp.add_argument("--b", required=True)
-        sp.add_argument("--tol", type=float, default=euler.DEFAULT_TOL)
+        sp.add_argument("--tol", type=_tolerance, default=euler.DEFAULT_TOL)
         _add_format(sp)
         if action == "ode":
             sp.add_argument("--lo", type=float, default=-2.0)
@@ -450,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = verify_sub.add_parser("all")
     sp.add_argument("--nmax", type=_positive_int, default=verify.DEFAULT_NMAX)
     sp.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=_tolerance, default=None)
     _add_format(sp, "csv")
     sp.set_defaults(func=_cmd_verify)
 

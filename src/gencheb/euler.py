@@ -110,7 +110,10 @@ def _series_sums(
             ds += t_n * b_next
         n += 1
         if n > _MAX_TERMS:
-            raise RuntimeError("series failed to converge (unreachable for finite input)")
+            raise ValueError(
+                f"the series did not reach tol={tol} within the term budget "
+                f"of {_MAX_TERMS} terms"
+            )
         a_n, b_n = a_next, b_next
         t_n *= phi / n
         major *= abs(phi) * rho / n
@@ -131,6 +134,14 @@ def euler_series(unit: GcnUnit, phi: float, tol: float = DEFAULT_TOL) -> EulerPa
     return EulerPair(unit, float(phi), c, s, terms)
 
 
+def _exp(exp, z):
+    """``exp(z)``, refused with ValueError where it overflows a float."""
+    try:
+        return exp(z)
+    except OverflowError as exc:
+        raise ValueError(f"exp({z}) overflows a float") from exc
+
+
 def euler_closed_form(unit: GcnUnit, phi: float) -> EulerPair:
     """Evaluate C and S through the conjugate roots (series-free)."""
     if not math.isfinite(phi):
@@ -139,14 +150,14 @@ def euler_closed_form(unit: GcnUnit, phi: float) -> EulerPair:
     phi = float(phi)
     if unit.discriminant == 0:
         half_b = b / 2.0
-        scale = math.exp(half_b * phi)
+        scale = _exp(math.exp, half_b * phi)
         return EulerPair(unit, phi, (1.0 - half_b * phi) * scale, phi * scale)
     delta = b * b + 4.0 * a
     sq = cmath.sqrt(complex(delta))
     h_plus = (b + sq) / 2.0
     h_minus = (b - sq) / 2.0
-    e_plus = cmath.exp(h_plus * phi)
-    e_minus = cmath.exp(h_minus * phi)
+    e_plus = _exp(cmath.exp, h_plus * phi)
+    e_minus = _exp(cmath.exp, h_minus * phi)
     s = (e_plus - e_minus) / sq
     c = (h_plus * e_minus - h_minus * e_plus) / sq
     return EulerPair(unit, phi, c.real, s.real)

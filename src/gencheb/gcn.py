@@ -13,6 +13,13 @@ must always agree:
                             b_n = (h+^n - h-^n) / (h+ - h-)
                             a_n = (h+ * h-^n - h- * h+^n) / (h+ - h-)
 
+The recurrence is written once, for a unit of any order k, as the generator
+:func:`unit_powers`: multiplying h^n by h shifts its coefficients up one
+place and feeds the top one back through h^k = c_0 + ... + c_{k-1}*h^{k-1}.
+``power_coeffs`` and ``power_coeff_sequence`` read it with (a, b), the cubic
+unit of :mod:`gencheb.higher` with (1, -v, u), and the matrix powers of
+:mod:`gencheb.pauli` with (-det M, 2*alpha).
+
 The closed form is evaluated exactly in the quadratic extension Q[sqrt(D)]
 (class :class:`Surd`), which remains valid when D = 0: writing
 h^n = p_n + q_n*sqrt(D) gives b_n = 2*q_n and a_n = p_n - b*q_n identically,
@@ -28,9 +35,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from itertools import islice
+from typing import Any, Iterator, Sequence
 
 from .matrices import Mat2
+from .scalars import power, zero_of
 
 __all__ = [
     "ConjugateRoots",
@@ -41,9 +50,9 @@ __all__ = [
     "companion_matrix",
     "companion_power",
     "conjugate_roots",
-    "gcn_mul",
     "power_coeff_sequence",
     "power_coeffs",
+    "unit_powers",
 ]
 
 POWER_METHODS = ("recurrence", "matrix", "binet", "binet_float")
@@ -67,12 +76,6 @@ class GcnUnit:
     @property
     def is_degenerate(self) -> bool:
         return self.discriminant == 0
-
-    def ring_zero(self):
-        return self.a * 0 + self.b * 0
-
-    def ring_one(self):
-        return self.ring_zero() + 1
 
 
 @dataclass(frozen=True)
@@ -120,27 +123,31 @@ class GcnElement:
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative element powers are out of scope")
-        result = GcnElement(self.unit, self.unit.ring_one(), self.unit.ring_zero())
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        zero = zero_of(self.unit.a, self.unit.b)
+        return power(self, exponent, GcnElement(self.unit, zero + 1, zero))
 
 
-def gcn_mul(x: GcnElement, y: GcnElement) -> GcnElement:
-    """Product of two elements over the same unit."""
-    return x * y
+def unit_powers(coeffs: Sequence[Any]) -> Iterator[tuple[Any, ...]]:
+    """Power coefficients of the unit h^k = c_0 + c_1*h + ... + c_{k-1}*h^{k-1}.
+
+    ``coeffs`` is (c_0, ..., c_{k-1}).  The n-th tuple yielded is
+    (x_0, ..., x_{k-1}) with h^n = x_0 + x_1*h + ... + x_{k-1}*h^{k-1}; the
+    next one is x_0' = c_0*x_{k-1} and x_i' = x_{i-1} + c_i*x_{k-1}.  The
+    sequence is endless; callers slice it.
+    """
+    c_0, *c_rest = coeffs
+    zero = zero_of(*coeffs)
+    powers = (zero + 1,) + (zero,) * len(c_rest)
+    while True:
+        yield powers
+        top = powers[-1]
+        powers = (c_0 * top, *[x + c * top for x, c in zip(powers, c_rest)])
 
 
 def companion_matrix(unit: GcnUnit) -> Mat2:
     """The matrix [[0, a], [1, b]] advancing (a_n, b_n) to (a_{n+1}, b_{n+1})."""
-    zero = unit.ring_zero()
-    one = unit.ring_one()
-    return Mat2(zero, unit.a, one, unit.b)
+    zero = zero_of(unit.a, unit.b)
+    return Mat2(zero, unit.a, zero + 1, unit.b)
 
 
 def companion_power(unit: GcnUnit, n: int) -> Mat2:
@@ -196,15 +203,8 @@ class Surd:
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative surd powers are not needed here")
-        result = Surd(self.p * 0 + 1, self.q * 0, self.delta)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        zero = zero_of(self.p, self.q)
+        return power(self, exponent, Surd(zero + 1, zero, self.delta))
 
     def conjugate(self) -> "Surd":
         return Surd(self.p, -self.q, self.delta)
@@ -285,9 +285,9 @@ def _binet_exact(unit: GcnUnit, n: int) -> tuple[Fraction, Fraction]:
     a, b = _require_rational_unit(unit)
     delta = b * b + 4 * a
     root = Surd(b / 2, Fraction(1, 2), delta)
-    power = root ** n
-    b_n = 2 * power.q
-    a_n = power.p - b * power.q
+    root_n = root ** n
+    b_n = 2 * root_n.q
+    a_n = root_n.p - b * root_n.q
     return (a_n, b_n)
 
 
@@ -324,13 +324,10 @@ def power_coeffs(unit: GcnUnit, n: int, method: str = "recurrence"):
     if n < 0:
         raise ValueError("power index must be non-negative")
     if method == "recurrence":
-        a_n, b_n = unit.ring_one(), unit.ring_zero()
-        for _ in range(n):
-            a_n, b_n = unit.a * b_n, a_n + unit.b * b_n
-        return (a_n, b_n)
+        return next(islice(unit_powers((unit.a, unit.b)), n, None))
     if method == "matrix":
-        power = companion_power(unit, n)
-        return (power.m11, power.m21)
+        matrix = companion_power(unit, n)
+        return (matrix.m11, matrix.m21)
     if method == "binet":
         return _binet_exact(unit, n)
     if method == "binet_float":
@@ -343,9 +340,4 @@ def power_coeff_sequence(unit: GcnUnit, n_max: int) -> list[tuple[Any, Any]]:
     """[(a_0, b_0), ..., (a_{n_max}, b_{n_max})] by the recurrence."""
     if n_max < 0:
         raise ValueError("power index must be non-negative")
-    a_n, b_n = unit.ring_one(), unit.ring_zero()
-    out = [(a_n, b_n)]
-    for _ in range(n_max):
-        a_n, b_n = unit.a * b_n, a_n + unit.b * b_n
-        out.append((a_n, b_n))
-    return out
+    return list(islice(unit_powers((unit.a, unit.b)), n_max + 1))

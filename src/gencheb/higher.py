@@ -7,6 +7,7 @@ with the recurrence (obtained by multiplying by Y and reducing)
     beta_{n+1}  = alpha_n - v*gamma_n
     gamma_{n+1} = beta_n + u*gamma_n
 
+which is :func:`gencheb.gcn.unit_powers` with coefficients (1, -v, u),
 and gamma_n equals the two-variable Chebyshev polynomial of index n - 1.
 The family U2_n(u, v) is produced by three independent exact routes that all
 must agree:
@@ -29,10 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Any
 
+from .gcn import unit_powers
 from .matrices import Mat3
 from .poly import MultiPoly, gens
+from .scalars import zero_of
 from .series import TruncatedSeries
 
 __all__ = [
@@ -88,16 +92,10 @@ class CubicUnit:
     u: Any
     v: Any
 
-    def ring_zero(self):
-        return self.u * 0 + self.v * 0
-
-    def ring_one(self):
-        return self.ring_zero() + 1
-
     def companion(self) -> Mat3:
         """Matrix advancing the coefficient column (alpha, beta, gamma)."""
-        zero = self.ring_zero()
-        one = self.ring_one()
+        zero = zero_of(self.u, self.v)
+        one = zero + 1
         return Mat3(
             (
                 (zero, zero, one),
@@ -111,13 +109,8 @@ def cubic_power_sequence(u, v, n_max: int) -> list[CubicPowerCoeffs]:
     """Coefficients of Y^0 .. Y^{n_max} by repeated reduction."""
     if n_max < 0:
         raise ValueError("power index must be non-negative")
-    unit = CubicUnit(u, v)
-    alpha, beta, gamma = unit.ring_one(), unit.ring_zero(), unit.ring_zero()
-    out = [CubicPowerCoeffs(0, alpha, beta, gamma)]
-    for n in range(1, n_max + 1):
-        alpha, beta, gamma = gamma, alpha - v * gamma, beta + u * gamma
-        out.append(CubicPowerCoeffs(n, alpha, beta, gamma))
-    return out
+    powers = islice(unit_powers((1, -v, u)), n_max + 1)
+    return [CubicPowerCoeffs(n, *coeffs) for n, coeffs in enumerate(powers)]
 
 
 def cubic_power(u, v, n: int, method: str = "reduction") -> CubicPowerCoeffs:

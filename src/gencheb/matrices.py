@@ -1,14 +1,17 @@
 """Dense 2x2 and 3x3 matrices over any exact commutative ring.
 
 Entries only need ``+``, ``-`` and ``*`` among themselves and with ints;
-Fraction, GaussianRational and MultiPoly all qualify.  Powers use
-exponentiation by squaring.
+Fraction, GaussianRational and MultiPoly all qualify.  Powers go through
+the shared square-and-multiply helper :func:`gencheb.scalars.power`, and
+identities are built on :func:`gencheb.scalars.zero_of` of the entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
+
+from .scalars import power, zero_of
 
 __all__ = ["Mat2", "Mat3"]
 
@@ -20,11 +23,8 @@ class Mat2:
     m21: Any
     m22: Any
 
-    def _zero(self):
-        return self.m11 * 0 + self.m12 * 0 + self.m21 * 0 + self.m22 * 0
-
     def identity_like(self) -> "Mat2":
-        zero = self._zero()
+        zero = zero_of(*self.entries())
         one = zero + 1
         return Mat2(one, zero, zero, one)
 
@@ -77,15 +77,7 @@ class Mat2:
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative matrix powers are not defined here")
-        result = self.identity_like()
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, exponent, self.identity_like())
 
     def apply(self, vector: tuple[Any, Any]) -> tuple[Any, Any]:
         v0, v1 = vector
@@ -111,15 +103,8 @@ class Mat3:
             raise ValueError("Mat3 needs a 3x3 entry grid")
         object.__setattr__(self, "rows", rows)
 
-    def _zero(self):
-        acc = self.rows[0][0] * 0
-        for row in self.rows:
-            for entry in row:
-                acc = acc + entry * 0
-        return acc
-
     def identity_like(self) -> "Mat3":
-        zero = self._zero()
+        zero = zero_of(*(entry for row in self.rows for entry in row))
         one = zero + 1
         return Mat3(
             (
@@ -151,15 +136,11 @@ class Mat3:
 
     def __mul__(self, other: object) -> "Mat3":
         if isinstance(other, Mat3):
-            zero = self._zero()
             cols = tuple(zip(*other.rows))
             return Mat3(
                 tuple(
-                    tuple(
-                        sum((a * b for a, b in zip(row, col)), start=zero)
-                        for col in cols
-                    )
-                    for row in self.rows
+                    tuple(r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in cols)
+                    for r0, r1, r2 in self.rows
                 )
             )
         return Mat3(
@@ -173,21 +154,11 @@ class Mat3:
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative matrix powers are not defined here")
-        result = self.identity_like()
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, exponent, self.identity_like())
 
     def apply(self, vector: tuple[Any, Any, Any]) -> tuple[Any, Any, Any]:
-        return tuple(
-            sum((a * b for a, b in zip(row, vector)), start=self._zero())
-            for row in self.rows
-        )
+        v0, v1, v2 = vector
+        return tuple(r0 * v0 + r1 * v1 + r2 * v2 for r0, r1, r2 in self.rows)
 
     def column(self, j: int) -> tuple[Any, Any, Any]:
         return tuple(row[j] for row in self.rows)

@@ -4,13 +4,15 @@ Any 2x2 matrix splits over the Pauli basis as
 ``M = alpha*I + beta1*s1 + beta2*s2 + beta3*s3`` and then satisfies the
 quadratic ``M^2 = gamma*I + 2*alpha*M`` with
 ``gamma = -alpha^2 + beta1^2 + beta2^2 + beta3^2 = -det(M)`` (this is
-Cayley-Hamilton).  For unimodular matrices (det = 1, gamma = -1) the powers
-close over second-kind Chebyshev values:
+Cayley-Hamilton).  So M is a generalized complex unit (gamma, 2*alpha), and
+its power coefficients from :func:`gencheb.gcn.unit_powers` give
 
-    M^n = U_{n-1}(alpha) * M - U_{n-2}(alpha) * I
+    M^n = a_n * I + b_n * M
 
-while for general gamma the scalar recurrence p_{n+1} = 2*alpha*p_n +
-gamma*p_{n-1} (p_0 = 0, p_1 = 1) gives M^n = p_n*M + gamma*p_{n-1}*I.
+for any determinant.  For unimodular matrices (det = 1, gamma = -1) these
+are second-kind Chebyshev values, b_n = U_{n-1}(alpha) and
+a_n = -U_{n-2}(alpha), which is the closed form
+M^n = U_{n-1}(alpha) * M - U_{n-2}(alpha) * I.
 
 Entries are Gaussian rationals so the beta2 component of a real matrix is
 exact (s2 itself has imaginary entries).
@@ -22,8 +24,10 @@ import statistics
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
+from .gcn import unit_powers
 from .matrices import Mat2
 from .scalars import GaussianRational
 
@@ -107,48 +111,26 @@ def anticommutator(a: Mat2, b: Mat2) -> Mat2:
     return a * b + b * a
 
 
-def _u_value(n: int, alpha: GaussianRational) -> GaussianRational:
-    """U_n(alpha) by the value recurrence, n >= -2 (U_{-2} = -1, U_{-1} = 0)."""
-    if n == -2:
-        return _g(-1)
-    if n == -1:
-        return _g(0)
-    prev = _g(0)  # U_{-1}
-    curr = _g(1)  # U_0
-    for _ in range(n):
-        prev, curr = curr, 2 * alpha * curr - prev
-    return curr
-
-
 def mat_power(m: Mat2, n: int, method: str = "squaring") -> Mat2:
     """M^n by the chosen method; all applicable methods agree exactly.
 
-    ``chebyshev`` requires det(M) = 1 and uses the closed form
+    ``chebyshev`` requires det(M) = 1 and is the closed form
     U_{n-1}(alpha)*M - U_{n-2}(alpha)*I; ``general_recurrence`` handles any
-    determinant; ``squaring`` is plain exponentiation by squaring.
+    determinant through the unit (-det M, 2*alpha); ``squaring`` is plain
+    exponentiation by squaring.
     """
     if n < 0:
         raise ValueError("power index must be non-negative")
     if method == "squaring":
         return m ** n
+    if method not in POWER_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {POWER_METHODS}")
+    det = m.det()
+    if method == "chebyshev" and det != 1:
+        raise ValueError(f"the Chebyshev closed form needs determinant 1, got {det}")
     alpha = (m.m11 + m.m22) * Fraction(1, 2)
-    if method == "chebyshev":
-        det = m.det()
-        if det != 1:
-            raise ValueError(
-                f"the Chebyshev closed form needs determinant 1, got {det}"
-            )
-        return m * _u_value(n - 1, alpha) - IDENTITY * _u_value(n - 2, alpha)
-    if method == "general_recurrence":
-        if n == 0:
-            return m.identity_like()
-        gamma = -m.det()
-        p_prev = _g(0)
-        p_curr = _g(1)
-        for _ in range(n - 1):
-            p_prev, p_curr = p_curr, 2 * alpha * p_curr + gamma * p_prev
-        return m * p_curr + IDENTITY * (gamma * p_prev)
-    raise ValueError(f"unknown method {method!r}; expected one of {POWER_METHODS}")
+    a_n, b_n = next(islice(unit_powers((-det, 2 * alpha)), n, None))
+    return IDENTITY * a_n + m * b_n
 
 
 def coeff_bits(m: Mat2) -> int:

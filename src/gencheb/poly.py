@@ -34,9 +34,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .scalars import GaussianRational
+from .scalars import GaussianRational, power
 
-__all__ = ["MultiPoly", "PolyParseError", "gens", "parse_poly", "poly_derivative"]
+__all__ = ["MultiPoly", "PolyParseError", "gens", "parse_poly"]
 
 Exponents = tuple[int, ...]
 
@@ -237,15 +237,7 @@ class MultiPoly:
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = MultiPoly.one(self._variables)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, exponent, MultiPoly.one(self._variables))
 
     # -- calculus and rebasing ----------------------------------------------
 
@@ -435,11 +427,6 @@ def _format_fraction(value: Fraction) -> str:
 def gens(*names: str) -> tuple[MultiPoly, ...]:
     """Generator polynomials for the given variable tuple, in order."""
     return tuple(MultiPoly.variable(name, names) for name in names)
-
-
-def poly_derivative(poly: MultiPoly, name: str) -> MultiPoly:
-    """Free-function alias for :meth:`MultiPoly.derivative`."""
-    return poly.derivative(name)
 
 
 class _Parser:

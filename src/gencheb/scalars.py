@@ -8,6 +8,10 @@ polynomial and matrix layers; purely real values simply carry ``im = 0``.
 
 Floats are deliberately rejected everywhere in this module.  Numeric
 evaluation happens in the consumers, never in the exact core.
+
+Two ring-generic helpers live here, at the bottom layer, so that every
+other type uses them: :func:`power` is the library's one square-and-multiply
+loop and :func:`zero_of` the zero of whatever ring some values live in.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["BigRational", "GaussianRational", "as_fraction"]
+__all__ = ["BigRational", "GaussianRational", "as_fraction", "power", "zero_of"]
 
 BigRational = Fraction
 
@@ -27,6 +31,31 @@ def as_fraction(value: int | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+def power(base, n: int, one):
+    """``base`` to the power ``n >= 0`` by square-and-multiply from ``one``.
+
+    Works in any ring whose elements multiply with ``*``; ``one`` is its
+    identity and is what ``n = 0`` returns.
+    """
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def zero_of(*values):
+    """The zero of the ring that ``values`` live in.
+
+    Mixed inputs promote as ``+`` does: a Fraction beside a MultiPoly gives
+    the zero polynomial, and plain ints give 0.
+    """
+    return sum(value * 0 for value in values)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -131,17 +160,8 @@ class GaussianRational:
     def __pow__(self, exponent: int) -> "GaussianRational":
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = GaussianRational(Fraction(1))
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        base = self.inverse() if exponent < 0 else self
+        return power(base, abs(exponent), GaussianRational(Fraction(1)))
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))

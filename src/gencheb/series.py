@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .poly import MultiPoly, ScalarLike
 
-__all__ = ["SingularSeriesError", "TruncatedSeries", "series_inverse"]
+__all__ = ["SingularSeriesError", "TruncatedSeries"]
 
 
 class SingularSeriesError(ValueError):
@@ -204,8 +204,3 @@ class TruncatedSeries:
             f"TruncatedSeries({self._variables!r}, order={self._order}, "
             f"coeffs={[str(c) for c in self._coeffs]!r})"
         )
-
-
-def series_inverse(series: TruncatedSeries) -> TruncatedSeries:
-    """Free-function alias for :meth:`TruncatedSeries.inverse`."""
-    return series.inverse()

@@ -13,10 +13,8 @@ from gencheb.cheby import (
     cheb_unit,
     ode_apply,
     root_values,
-    t_value,
     u_from_roots,
     u_ode_residual,
-    u_value,
 )
 from gencheb.gcn import companion_matrix, companion_power, power_coeff_sequence
 from gencheb.matrices import Mat2
@@ -145,13 +143,6 @@ def test_sine_quotient_numeric():
     assert abs(u3 * math.sin(theta) - math.sin(4 * theta)) < 1e-12
     t5 = float(cheb_T(5).poly.evaluate_exact({"x": Fraction(math.cos(0.7))}).re)
     assert abs(t5 - math.cos(3.5)) < 1e-12
-
-
-def test_value_recurrences_match_polynomials():
-    for n in (0, 1, 2, 5, 11):
-        for x in (Fraction(1, 3), Fraction(-7, 4)):
-            assert u_value(n, x) == cheb_U(n).poly.evaluate_exact({"x": x}).re
-            assert t_value(n, x) == cheb_T(n).poly.evaluate_exact({"x": x}).re
 
 
 def test_root_derivative_numeric():

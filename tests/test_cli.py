@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CMD = [sys.executable, "-m", "gencheb"]
 
 
@@ -140,3 +142,38 @@ def test_bench_csv_header():
     lines = result.stdout.splitlines()
     assert lines[0] == "method,n,median_ns,max_coeff_bits"
     assert len(lines) == 5
+
+
+def test_bench_json_records():
+    result = run_cli(
+        "mat", "bench", "--n-list", "4,8", "--trials", "1", "--format", "json"
+    )
+    assert result.returncode == 0
+    payload = json.loads(result.stdout)
+    assert payload["schema"] == 1
+    assert payload["op"] == "mat-bench"
+    assert [(r["method"], r["n"]) for r in payload["records"]] == [
+        ("chebyshev", 4), ("squaring", 4), ("chebyshev", 8), ("squaring", 8)
+    ]
+    assert all(
+        set(r) == {"method", "n", "median_ns", "max_coeff_bits"}
+        for r in payload["records"]
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("euler", "series", "--a", "-1", "--b", "0", "--phi", "1000"),
+        ("euler", "series", "--a", "1e6", "--b", "0", "--phi", "1"),
+        ("euler", "ode", "--a", "-1", "--b", "0", "--tol", "nan"),
+        ("euler", "closed", "--a", "1", "--b", "0", "--phi", "800"),
+        ("verify", "all", "--tol", "nan"),
+        ("verify", "all", "--tol", "-1"),
+    ],
+)
+def test_unanswerable_requests_are_refused(args):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.stderr

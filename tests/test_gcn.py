@@ -11,7 +11,6 @@ from gencheb.gcn import (
     companion_matrix,
     companion_power,
     conjugate_roots,
-    gcn_mul,
     power_coeff_sequence,
     power_coeffs,
 )
@@ -23,7 +22,7 @@ X, = gens("x")
 def test_imaginary_unit_multiplication():
     unit = GcnUnit(Fraction(-1), Fraction(0))
     h = GcnElement(unit, Fraction(0), Fraction(1))
-    square = gcn_mul(h, h)
+    square = h * h
     assert (square.re, square.im) == (-1, 0)
 
 

@@ -1,9 +1,14 @@
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from gencheb.gcn import GcnElement, GcnUnit, Surd
+from gencheb.matrices import Mat2, Mat3
+from gencheb.poly import MultiPoly, gens
 from gencheb.scalars import BigRational, GaussianRational
 
 
@@ -66,3 +71,49 @@ def test_floats_rejected():
         GaussianRational(0.5)  # type: ignore[arg-type]
     with pytest.raises(ValueError):
         float(GaussianRational(Fraction(1), Fraction(1)))
+
+
+_UV = ("u", "v")
+_U, _V = gens(*_UV)
+_P1, _P0 = MultiPoly.one(_UV), MultiPoly.zero(_UV)
+_UNIT = GcnUnit(Fraction(1), Fraction(1))
+
+# (value, identity of its type): every __pow__ goes through the one
+# square-and-multiply loop in gencheb.scalars.power.
+POWER_CASES = [
+    (GaussianRational(Fraction(1, 2), Fraction(-2)), GaussianRational(Fraction(1))),
+    (_U - 2 * _V + 1, _P1),
+    (
+        Mat2(Fraction(2), Fraction(1), Fraction(-1), Fraction(1, 3)),
+        Mat2(Fraction(1), Fraction(0), Fraction(0), Fraction(1)),
+    ),
+    (
+        Mat3(((_P0, _P0, _P1), (_P1, _P0, -_V), (_P0, _P1, _U))),
+        Mat3(((_P1, _P0, _P0), (_P0, _P1, _P0), (_P0, _P0, _P1))),
+    ),
+    (
+        GcnElement(_UNIT, Fraction(1, 2), Fraction(2)),
+        GcnElement(_UNIT, Fraction(1), Fraction(0)),
+    ),
+    (
+        Surd(Fraction(1, 2), Fraction(-3), Fraction(5)),
+        Surd(Fraction(1), Fraction(0), Fraction(5)),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "x, identity", POWER_CASES, ids=[type(x).__name__ for x, _ in POWER_CASES]
+)
+def test_power_is_repeated_product(x, identity):
+    assert x ** 0 == identity
+    assert type(x ** 0) is type(x)
+    for n in range(1, 7):
+        assert x ** n == functools.reduce(operator.mul, [x] * n)
+    if isinstance(x, GaussianRational):
+        for n in range(1, 4):
+            assert x ** -n == x.inverse() ** n
+            assert x ** -n * x ** n == identity
+    else:
+        with pytest.raises(ValueError):
+            x ** -1
