@@ -4,7 +4,9 @@ The unit's power coefficients H^n = A_n + H*B_n coincide with second-kind
 Chebyshev polynomials: B_n = U_{n-1} and A_n = -U_{n-2} once U is extended
 backward with U_{-1} = 0, U_{-2} = -1.  First-kind polynomials come from
 T_n = A_n + x*B_n.  All identities here are checked in exact polynomial
-arithmetic; numeric helpers exist only for the square-root branch x > 1.
+arithmetic; numeric helpers exist only for the square-root branch x > 1,
+where ``u_from_roots`` reads U_n = B_{n+1} off the floating closed form
+:func:`gencheb.gcn.at_roots` of the unit (-1, 2x).
 
 Two recurrences here deliberately do not go through the generic
 :func:`gencheb.gcn.unit_powers`.  ``_u`` is the three-term recurrence
@@ -162,9 +164,9 @@ def root_values(x: float) -> tuple[float, float]:
 def u_from_roots(n: int, x: float) -> float:
     """U_n(x) = (H+^{n+1} - H-^{n+1}) / (2 sqrt(x^2 - 1)) for x > 1.
 
-    Real-branch normalization of the root-difference form; equal to B_{n+1}.
+    Real-branch normalization of the root-difference form: the coefficient
+    B_{n+1} of the unit (-1, 2x), by the ``binet_float`` closed form.
     """
     if x <= 1.0:
         raise ValueError("the root-difference form needs x > 1")
-    h_plus, h_minus = root_values(x)
-    return (h_plus ** (n + 1) - h_minus ** (n + 1)) / (2.0 * math.sqrt(x * x - 1.0))
+    return gcn.power_coeffs(gcn.GcnUnit(-1, 2 * x), n + 1, "binet_float")[1]

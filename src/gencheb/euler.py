@@ -21,6 +21,9 @@ and in the degenerate double-root case (b^2 + 4a = 0)
 
     S(phi) = phi * exp(b phi / 2)
     C(phi) = (1 - b phi / 2) * exp(b phi / 2).
+
+Both are :func:`gencheb.gcn.at_roots` with f(z) = exp(z*phi), the floating
+closed form shared by every function of the unit.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .gcn import GcnUnit
+from .gcn import GcnElement, GcnUnit, at_roots, conjugate_roots, float_unit
 
 __all__ = [
     "EulerPair",
@@ -67,15 +70,9 @@ class OdeResidualReport:
     max_s_residual: float
 
 
-def _scalar_unit(unit: GcnUnit) -> tuple[float, float]:
-    a, b = unit.a, unit.b
-    try:
-        return float(a), float(b)
-    except (TypeError, ValueError) as exc:
-        raise TypeError(
-            "Euler evaluation needs a real scalar unit; fix polynomial "
-            "units at a numeric point first"
-        ) from exc
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
 
 
 def _growth_bound(a: float, b: float) -> float:
@@ -125,42 +122,23 @@ def _series_sums(
 
 def euler_series(unit: GcnUnit, phi: float, tol: float = DEFAULT_TOL) -> EulerPair:
     """Evaluate C and S by their defining series with remainder below tol."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _require_tol(tol)
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
-    a, b = _scalar_unit(unit)
+    a, b = float_unit(unit)
     c, s, _, _, terms = _series_sums(a, b, float(phi), tol, False)
     return EulerPair(unit, float(phi), c, s, terms)
-
-
-def _exp(exp, z):
-    """``exp(z)``, refused with ValueError where it overflows a float."""
-    try:
-        return exp(z)
-    except OverflowError as exc:
-        raise ValueError(f"exp({z}) overflows a float") from exc
 
 
 def euler_closed_form(unit: GcnUnit, phi: float) -> EulerPair:
     """Evaluate C and S through the conjugate roots (series-free)."""
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
-    a, b = _scalar_unit(unit)
     phi = float(phi)
-    if unit.discriminant == 0:
-        half_b = b / 2.0
-        scale = _exp(math.exp, half_b * phi)
-        return EulerPair(unit, phi, (1.0 - half_b * phi) * scale, phi * scale)
-    delta = b * b + 4.0 * a
-    sq = cmath.sqrt(complex(delta))
-    h_plus = (b + sq) / 2.0
-    h_minus = (b - sq) / 2.0
-    e_plus = _exp(cmath.exp, h_plus * phi)
-    e_minus = _exp(cmath.exp, h_minus * phi)
-    s = (e_plus - e_minus) / sq
-    c = (h_plus * e_minus - h_minus * e_plus) / sq
-    return EulerPair(unit, phi, c.real, s.real)
+    c, s = at_roots(
+        unit, lambda z: cmath.exp(z * phi), lambda z: phi * cmath.exp(z * phi)
+    )
+    return EulerPair(unit, phi, c, s)
 
 
 def ode_residual(
@@ -171,10 +149,13 @@ def ode_residual(
     Derivatives come from term-wise differentiation of the series (an index
     shift of the coefficients), not from finite differences.
     """
+    _require_tol(tol)
     grid = [float(p) for p in phi_grid]
     if len(grid) < 3:
         raise ValueError("need at least 3 grid points")
-    a, b = _scalar_unit(unit)
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("grid points must be finite")
+    a, b = float_unit(unit)
     max_c = max_s = 0.0
     for phi in grid:
         c, s, dc, ds, _ = _series_sums(a, b, phi, tol, True)
@@ -192,22 +173,17 @@ def addition_residuals(
         C(phi+psi) = C(phi)C(psi) + a S(phi)S(psi)
         S(phi+psi) = C(phi)S(psi) + S(phi)C(psi) + b S(phi)S(psi).
     """
-    a, b = _scalar_unit(unit)
     first = euler_series(unit, phi, tol)
     second = euler_series(unit, psi, tol)
     combined = euler_series(unit, phi + psi, tol)
-    c_law = first.c * second.c + a * first.s * second.s
-    s_law = first.c * second.s + first.s * second.c + b * first.s * second.s
-    return (abs(combined.c - c_law), abs(combined.s - s_law))
+    law = GcnElement(unit, first.c, first.s) * GcnElement(unit, second.c, second.s)
+    return (abs(combined.c - law.re), abs(combined.s - law.im))
 
 
 def defining_identity_residual(unit: GcnUnit, phi: float, c: float, s: float) -> float:
     """Max over both roots of |exp(h± phi) - (c + h± s)|."""
-    a, b = _scalar_unit(unit)
-    delta = b * b + 4.0 * a
-    sq = cmath.sqrt(complex(delta))
     worst = 0.0
-    for root in ((b + sq) / 2.0, (b - sq) / 2.0):
+    for root in conjugate_roots(unit).numeric():
         residual = abs(cmath.exp(root * phi) - (c + root * s))
         worst = max(worst, residual)
     return worst

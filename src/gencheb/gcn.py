@@ -23,7 +23,8 @@ unit of :mod:`gencheb.higher` with (1, -v, u), and the matrix powers of
 The closed form is evaluated exactly in the quadratic extension Q[sqrt(D)]
 (class :class:`Surd`), which remains valid when D = 0: writing
 h^n = p_n + q_n*sqrt(D) gives b_n = 2*q_n and a_n = p_n - b*q_n identically,
-with no division by h+ - h-.  A floating variant is provided for comparison.
+with no division by h+ - h-.  The floating closed form, of h^n and of every
+other function of the unit, is :func:`at_roots`.
 
 The scalars a and b may be Fractions or polynomials; the recurrence and
 matrix routes are ring-generic.
@@ -47,9 +48,11 @@ __all__ = [
     "GcnUnit",
     "Surd",
     "UnitMismatchError",
+    "at_roots",
     "companion_matrix",
     "companion_power",
     "conjugate_roots",
+    "float_unit",
     "power_coeff_sequence",
     "power_coeffs",
     "unit_powers",
@@ -224,10 +227,13 @@ class Surd:
 
     def numeric(self) -> float | complex:
         """Floating value; complex when delta < 0."""
-        d = float(self.delta)
+        try:
+            p, q, d = float(self.p), float(self.q), float(self.delta)
+        except OverflowError:
+            raise ValueError("the surd lies beyond the float range") from None
         if d >= 0:
-            return float(self.p) + float(self.q) * math.sqrt(d)
-        return complex(float(self.p), float(self.q) * math.sqrt(-d))
+            return p + q * math.sqrt(d)
+        return complex(p, q * math.sqrt(-d))
 
     def __str__(self) -> str:
         if self.q == 0:
@@ -282,44 +288,56 @@ def _require_rational_unit(unit: GcnUnit) -> tuple[Fraction, Fraction]:
 
 
 def _binet_exact(unit: GcnUnit, n: int) -> tuple[Fraction, Fraction]:
-    a, b = _require_rational_unit(unit)
-    delta = b * b + 4 * a
-    root = Surd(b / 2, Fraction(1, 2), delta)
-    root_n = root ** n
+    _, b = _require_rational_unit(unit)
+    root_n = conjugate_roots(unit).h_plus ** n
     b_n = 2 * root_n.q
     a_n = root_n.p - b * root_n.q
     return (a_n, b_n)
 
 
-def _binet_float(unit: GcnUnit, n: int) -> tuple[float, float]:
-    a = float(unit.a)
-    b = float(unit.b)
-    delta = b * b + 4.0 * a
-    if n == 0:
-        return (1.0, 0.0)
-    if n == 1:
-        return (0.0, 1.0)
-    if delta == 0.0:
-        half_b = b / 2.0
-        b_n = n * half_b ** (n - 1)
-        b_prev = (n - 1) * half_b ** (n - 2)
-        return (a * b_prev, b_n)
-    sq = cmath.sqrt(complex(delta))
-    h_plus = (b + sq) / 2.0
-    h_minus = (b - sq) / 2.0
-    hp_n = h_plus ** n
-    hm_n = h_minus ** n
-    b_n = (hp_n - hm_n) / sq
-    a_n = (h_plus * hm_n - h_minus * hp_n) / sq
-    return (a_n.real, b_n.real)
+def float_unit(unit: GcnUnit) -> tuple[float, float]:
+    """The unit (a, b) as floats, for the floating closed forms."""
+    try:
+        return float(unit.a), float(unit.b)
+    except OverflowError:
+        raise ValueError("the unit lies beyond the float range") from None
+    except (TypeError, ValueError) as exc:
+        raise TypeError("a floating closed form needs a real scalar unit") from exc
+
+
+def at_roots(unit: GcnUnit, f, df) -> tuple[float, float]:
+    """The floats (C, S) with f(h) = C + S*h; ``df`` is the derivative of f.
+
+    Distinct roots h± give S = (f(h+) - f(h-))/(h+ - h-) and
+    C = (h+ f(h-) - h- f(h+))/(h+ - h-).  A double root r, decided exactly,
+    or roots no float tells apart, give S = f'(r) and C = f(r) - r f'(r).
+    Overflow and a non-finite C or S raise ValueError.
+    """
+    a, b = float_unit(unit)
+    try:
+        sq = 0.0 if unit.discriminant == 0 else cmath.sqrt(b * b + 4 * a)
+        h_plus, h_minus = (b + sq) / 2, (b - sq) / 2
+        if h_plus == h_minus:
+            s = df(h_plus)
+            c = f(h_plus) - h_plus * s
+        else:
+            f_plus, f_minus = f(h_plus), f(h_minus)
+            width = h_plus - h_minus  # makes S exactly 1 for f(z) = z
+            s = (f_plus - f_minus) / width
+            c = (h_plus * f_minus - h_minus * f_plus) / width
+    except OverflowError as exc:
+        raise ValueError("the closed form overflows a float") from exc
+    if not (cmath.isfinite(c) and cmath.isfinite(s)):
+        raise ValueError("the closed form is not finite in floating point")
+    return (c.real, s.real)
 
 
 def power_coeffs(unit: GcnUnit, n: int, method: str = "recurrence"):
     """The pair (a_n, b_n) with h^n = a_n + b_n*h.
 
     ``method`` is one of ``recurrence``, ``matrix``, ``binet`` (exact surd
-    arithmetic, rational units only) or ``binet_float`` (floating
-    approximation, flagged by its float return type).
+    arithmetic, rational units only) or ``binet_float`` (:func:`at_roots`
+    with f(z) = z^n, flagged by its float return type).
     """
     if n < 0:
         raise ValueError("power index must be non-negative")
@@ -331,8 +349,9 @@ def power_coeffs(unit: GcnUnit, n: int, method: str = "recurrence"):
     if method == "binet":
         return _binet_exact(unit, n)
     if method == "binet_float":
-        _require_rational_unit(unit)
-        return _binet_float(unit, n)
+        if n == 0:  # n * z**(n - 1) divides by zero at the double root of (0, 0)
+            return (1.0, 0.0)
+        return at_roots(unit, lambda z: z ** n, lambda z: n * z ** (n - 1))
     raise ValueError(f"unknown method {method!r}; expected one of {POWER_METHODS}")
 
 

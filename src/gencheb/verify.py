@@ -8,7 +8,6 @@ invocations produce identical reports.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 import time
@@ -108,12 +107,9 @@ def suite_gcn(
     for i in range(units):
         unit = _random_unit(rng)
         tag = f"unit{i}({unit.a},{unit.b})"
-        delta = unit.discriminant
-        root = gcn.Surd(Fraction(unit.b, 2), Fraction(1, 2), delta)
-        sq = cmath.sqrt(complex(float(delta)))
-        rho = max(
-            abs((float(unit.b) + sq) / 2), abs((float(unit.b) - sq) / 2), 1.0
-        )
+        roots = gcn.conjugate_roots(unit)
+        root = roots.h_plus
+        rho = max(*map(abs, roots.numeric()), 1.0)
         matrix_power = None
         companion = gcn.companion_matrix(unit)
         surd_power = root ** 0

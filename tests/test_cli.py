@@ -1,8 +1,12 @@
+import cmath
+import itertools
 import json
 import subprocess
 import sys
 
 import pytest
+
+from gencheb import cli, gcn
 
 CMD = [sys.executable, "-m", "gencheb"]
 
@@ -170,6 +174,13 @@ def test_bench_json_records():
         ("euler", "closed", "--a", "1", "--b", "0", "--phi", "800"),
         ("verify", "all", "--tol", "nan"),
         ("verify", "all", "--tol", "-1"),
+        ("gcn", "power", "--a", "5", "--b", "5", "--n", "100000", "--method", "binet_float"),
+        ("gcn", "power", "--a", "1e200", "--b", "0", "--n", "3", "--method", "binet_float"),
+        ("euler", "closed", "--a", "1e300", "--b", "1e300", "--phi", "1"),
+        ("euler", "series", "--a", "1e400", "--b", "0", "--phi", "1"),
+        ("euler", "closed", "--a", "1e400", "--b", "0", "--phi", "1"),
+        ("euler", "ode", "--a", "1e400", "--b", "0"),
+        ("gcn", "roots", "--a", "1e400", "--b", "0", "--numeric"),
     ],
 )
 def test_unanswerable_requests_are_refused(args):
@@ -177,3 +188,38 @@ def test_unanswerable_requests_are_refused(args):
     assert result.returncode == 2
     assert "error:" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+_EXTREMES = ("0", "-1", "1e-400", "1e300", "1e400", "-1e400")
+_FLOAT_FIELDS = {
+    "c", "s", "max_c_residual", "max_s_residual", "h_plus_numeric", "h_minus_numeric"
+}
+
+
+def _extreme_requests():
+    for a, b in itertools.product(_EXTREMES, repeat=2):
+        unit = (f"--a={a}", f"--b={b}")
+        yield ("gcn", "roots", *unit, "--numeric")
+        for method in gcn.POWER_METHODS:
+            yield ("gcn", "power", *unit, "--n", "3", "--method", method)
+        yield ("euler", "ode", *unit, "--points", "3")
+        for phi in ("0", "1", "1e300"):
+            yield ("euler", "closed", *unit, f"--phi={phi}")
+            if phi != "1e300":
+                yield ("euler", "series", *unit, f"--phi={phi}")
+
+
+def test_extreme_scalars_are_answered_finite_or_refused(capsys):
+    # Exit 0 with finite floats or exit 2 with a message; accuracy is not checked.
+    for args in _extreme_requests():
+        code = cli.main([*args, "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code in (0, 2), args
+        if code == 2:
+            assert err.startswith("error:"), args
+            continue
+        payload = json.loads(out)
+        floats = [v for k, v in payload.items() if k in _FLOAT_FIELDS]
+        if payload.get("method") == "binet_float":
+            floats += [payload["a_n"], payload["b_n"]]
+        assert all(cmath.isfinite(complex(v)) for v in floats), (args, payload)

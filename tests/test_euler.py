@@ -132,6 +132,12 @@ def test_input_validation():
         euler_series(CIRCLE, 1.0, 0.0)
     with pytest.raises(ValueError):
         euler_series(CIRCLE, math.inf)
+    with pytest.raises(ValueError, match="tolerance"):
+        euler_series(CIRCLE, 1.0, math.nan)
+    with pytest.raises(ValueError, match="tolerance"):
+        ode_residual(CIRCLE, [-1.0, 0.0, 1.0], -1.0)
+    with pytest.raises(ValueError, match="grid"):
+        ode_residual(CIRCLE, [math.nan, 0.0, 1.0])
     x, = gens("x")
     with pytest.raises(TypeError):
         euler_series(GcnUnit(x, x), 1.0)
