@@ -81,6 +81,13 @@ def _growth_bound(a: float, b: float) -> float:
     return max(abs(a), 1.0 + abs(b), 1.0)
 
 
+def _budget_exhausted(tol: float) -> ValueError:
+    return ValueError(
+        f"the series did not reach tol={tol} within the term budget "
+        f"of {_MAX_TERMS} terms"
+    )
+
+
 def _series_sums(
     a: float, b: float, phi: float, tol: float, with_derivatives: bool
 ) -> tuple[float, float, float, float, int]:
@@ -90,6 +97,11 @@ def _series_sums(
     the geometric bound on the remaining tail drops below ``tol``.
     """
     rho = _growth_bound(a, b)
+    # The loop below stops only once |phi|*rho/(n+1) < 0.5, and it gives up
+    # after n = _MAX_TERMS; this ratio only falls as n grows, so when it is
+    # not below 0.5 at the last n the loop cannot stop.
+    if abs(phi) * rho / (_MAX_TERMS + 1) >= 0.5:
+        raise _budget_exhausted(tol)
     # The derivative series shift coefficients by one index, costing one
     # extra factor of rho in the majorant.
     kappa = rho if with_derivatives else 1.0
@@ -107,10 +119,7 @@ def _series_sums(
             ds += t_n * b_next
         n += 1
         if n > _MAX_TERMS:
-            raise ValueError(
-                f"the series did not reach tol={tol} within the term budget "
-                f"of {_MAX_TERMS} terms"
-            )
+            raise _budget_exhausted(tol)
         a_n, b_n = a_next, b_next
         t_n *= phi / n
         major *= abs(phi) * rho / n

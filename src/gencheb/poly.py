@@ -1,12 +1,23 @@
-"""Sparse multivariate polynomials over exact Gaussian-rational coefficients.
+"""Sparse multivariate polynomials over exact rationals and Gaussian rationals.
 
 Representation
 --------------
 A :class:`MultiPoly` fixes an ordered tuple of variable names at construction
-and stores a mapping ``{exponent tuple -> GaussianRational}``.  Zero
-coefficients are never stored, so the zero polynomial has an empty term map
-and equality is plain structural comparison.  Values are immutable after
+and stores a mapping ``{exponent tuple -> coefficient}``.  Each coefficient
+is stored in one canonical form: an ``int`` when the value is integral, a
+``Fraction`` when it is rational but not integral, and a
+``GaussianRational`` only when its imaginary part is nonzero.  Every
+polynomial of the paper has rational coefficients, so the ring operations
+run on native ``int``/``Fraction`` arithmetic; the accessors ``terms``,
+``coefficient``, ``constant_value`` and ``evaluate_exact`` still return
+``GaussianRational`` values.  Zero coefficients are never stored, so the
+zero polynomial has an empty term map, and since the form is canonical,
+equality is plain structural comparison.  Values are immutable after
 construction; every operation returns a new polynomial.
+
+The public constructor validates its input; the ring operations build
+their results through an unchecked internal constructor instead, since
+their terms are canonical by construction.
 
 Two polynomials only combine when their variable tuples are identical.
 Mixing different variable lists raises instead of silently capturing symbols;
@@ -32,6 +43,7 @@ renderable; the grammar has no imaginary literal.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .scalars import GaussianRational, power
@@ -52,11 +64,43 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-def _as_coeff(value: ScalarLike) -> GaussianRational:
-    coerced = GaussianRational._coerce(value)
-    if coerced is None:
+def _canonical(value: ScalarLike) -> ScalarLike:
+    """The stored form of an exact scalar: int, else Fraction, else GaussianRational."""
+    if type(value) is int:
+        return value
+    if isinstance(value, GaussianRational):
+        if value.im:
+            return value
+        value = value.re
+    return value.numerator if value.denominator == 1 else value
+
+
+def _as_coeff(value: ScalarLike) -> ScalarLike:
+    """Check a scalar from outside and return its stored form."""
+    if not isinstance(value, _SCALARS):
         raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
-    return coerced
+    return _canonical(value)
+
+
+def _gaussian(value: ScalarLike) -> GaussianRational:
+    if isinstance(value, GaussianRational):
+        return value
+    return GaussianRational(value)
+
+
+def _unchecked(
+    variables: tuple[str, ...], terms: dict[Exponents, ScalarLike]
+) -> "MultiPoly":
+    """A polynomial from nonzero canonical terms, skipping the constructor's checks."""
+    poly = object.__new__(MultiPoly)
+    poly._variables = variables
+    poly._terms = terms
+    poly._hash = None
+    return poly
+
+
+def _constant(variables: tuple[str, ...], value: ScalarLike) -> "MultiPoly":
+    return _unchecked(variables, {(0,) * len(variables): value} if value else {})
 
 
 class MultiPoly:
@@ -75,7 +119,7 @@ class MultiPoly:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
         width = len(names)
-        cleaned: dict[Exponents, GaussianRational] = {}
+        cleaned: dict[Exponents, ScalarLike] = {}
         for exps, raw in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != width:
@@ -122,7 +166,7 @@ class MultiPoly:
 
     @property
     def terms(self) -> dict[Exponents, GaussianRational]:
-        return dict(self._terms)
+        return {exps: _gaussian(c) for exps, c in self._terms.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -136,10 +180,10 @@ class MultiPoly:
 
     def constant_value(self) -> GaussianRational:
         """The coefficient of the empty monomial (the value, if constant)."""
-        return self._terms.get((0,) * len(self._variables), GaussianRational())
+        return self.coefficient((0,) * len(self._variables))
 
     def coefficient(self, exps: Exponents) -> GaussianRational:
-        return self._terms.get(tuple(exps), GaussianRational())
+        return _gaussian(self._terms.get(tuple(exps), 0))
 
     def total_degree(self) -> int:
         """Maximum total degree, or -1 for the zero polynomial."""
@@ -148,7 +192,9 @@ class MultiPoly:
         return max(sum(exps) for exps in self._terms)
 
     def is_real_valued(self) -> bool:
-        return all(c.im == 0 for c in self._terms.values())
+        return not any(
+            isinstance(c, GaussianRational) for c in self._terms.values()
+        )
 
     # -- ring operations ---------------------------------------------------
 
@@ -161,7 +207,7 @@ class MultiPoly:
                 )
             return other
         if isinstance(other, _SCALARS):
-            return MultiPoly.constant(self._variables, other)
+            return _constant(self._variables, _canonical(other))
         return None
 
     def __eq__(self, other: object) -> bool:
@@ -189,12 +235,12 @@ class MultiPoly:
             return NotImplemented
         out = dict(self._terms)
         for exps, coeff in rhs._terms.items():
-            total = out.get(exps, GaussianRational()) + coeff
+            total = _canonical(out.get(exps, 0) + coeff)
             if total:
                 out[exps] = total
             else:
                 out.pop(exps, None)
-        return MultiPoly(self._variables, out)
+        return _unchecked(self._variables, out)
 
     __radd__ = __add__
 
@@ -211,33 +257,44 @@ class MultiPoly:
         return rhs + (-self)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(
-            self._variables, {e: -c for e, c in self._terms.items()}
-        )
+        return _unchecked(self._variables, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other: object) -> "MultiPoly":
+        if isinstance(other, _SCALARS):
+            return self._scaled(_canonical(other))
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        out: dict[Exponents, GaussianRational] = {}
+        out: dict[Exponents, ScalarLike] = {}
+        get = out.get
         for e1, c1 in self._terms.items():
             for e2, c2 in rhs._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                total = out.get(exps, GaussianRational()) + c1 * c2
-                if total:
-                    out[exps] = total
-                else:
-                    out.pop(exps, None)
-        return MultiPoly(self._variables, out)
+                exps = tuple(map(add, e1, e2))
+                out[exps] = get(exps, 0) + c1 * c2
+        return _unchecked(
+            self._variables, {e: _canonical(c) for e, c in out.items() if c}
+        )
 
     __rmul__ = __mul__
+
+    def _scaled(self, factor: ScalarLike) -> "MultiPoly":
+        """Every coefficient times a canonical scalar, in one pass."""
+        if factor == 1:
+            return self
+        if not factor:
+            return _unchecked(self._variables, {})
+        # A product of nonzero Gaussian rationals is nonzero.
+        return _unchecked(
+            self._variables,
+            {e: _canonical(c * factor) for e, c in self._terms.items()},
+        )
 
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative polynomial powers are not defined")
-        return power(self, exponent, MultiPoly.one(self._variables))
+        return power(self, exponent, _constant(self._variables, 1))
 
     # -- calculus and rebasing ----------------------------------------------
 
@@ -246,16 +303,15 @@ class MultiPoly:
         if name not in self._variables:
             raise ValueError(f"unknown variable {name!r}; have {self._variables}")
         idx = self._variables.index(name)
-        out: dict[Exponents, GaussianRational] = {}
+        # Lowering one positive exponent maps distinct monomials to distinct
+        # monomials, so no two terms meet and none cancels.
+        out: dict[Exponents, ScalarLike] = {}
         for exps, coeff in self._terms.items():
             e = exps[idx]
-            if e == 0:
-                continue
-            lowered = exps[:idx] + (e - 1,) + exps[idx + 1 :]
-            total = out.get(lowered, GaussianRational()) + coeff * e
-            if total:
-                out[lowered] = total
-        return MultiPoly(self._variables, out)
+            if e:
+                lowered = exps[:idx] + (e - 1,) + exps[idx + 1 :]
+                out[lowered] = _canonical(coeff * e)
+        return _unchecked(self._variables, out)
 
     def aligned(self, variables: Iterable[str]) -> "MultiPoly":
         """Embed into a larger variable tuple (must contain all current names)."""
@@ -264,7 +320,7 @@ class MultiPoly:
         if missing:
             raise ValueError(f"target variables {names} do not contain {missing}")
         index = {v: names.index(v) for v in self._variables}
-        out: dict[Exponents, GaussianRational] = {}
+        out: dict[Exponents, ScalarLike] = {}
         for exps, coeff in self._terms.items():
             widened = [0] * len(names)
             for v, e in zip(self._variables, exps):
@@ -306,13 +362,13 @@ class MultiPoly:
         tables: dict[str, list[MultiPoly]] = {}
         for i, v in enumerate(self._variables):
             top = max((exps[i] for exps in self._terms), default=0)
-            table = [MultiPoly.one(target)]
+            table = [_constant(target, 1)]
             for _ in range(top):
                 table.append(table[-1] * values[v])
             tables[v] = table
-        acc = MultiPoly.zero(target)
+        acc = _constant(target, 0)
         for exps, coeff in self._terms.items():
-            term = MultiPoly.constant(target, coeff)
+            term = _constant(target, coeff)
             for v, e in zip(self._variables, exps):
                 if e:
                     term = term * tables[v][e]
@@ -328,37 +384,34 @@ class MultiPoly:
         missing = [v for v in self._variables if v not in values]
         if missing:
             raise ValueError(f"evaluation is missing variables {missing}")
-        tables: list[list[GaussianRational]] = []
+        tables: list[list[ScalarLike]] = []
         for i, v in enumerate(self._variables):
             point = _as_coeff(values[v])
             top = max((exps[i] for exps in self._terms), default=0)
-            table = [GaussianRational(Fraction(1))]
+            table: list[ScalarLike] = [1]
             for _ in range(top):
                 table.append(table[-1] * point)
             tables.append(table)
-        acc = GaussianRational()
+        acc: ScalarLike = 0
         for exps, coeff in self._terms.items():
             term = coeff
             for i, e in enumerate(exps):
                 if e:
                     term = term * tables[i][e]
             acc = acc + term
-        return acc
+        return _gaussian(acc)
 
     def evaluate_float(self, values: Mapping[str, float | complex]):
         """Evaluate at floating-point values (complex when needed)."""
         missing = [v for v in self._variables if v not in values]
         if missing:
             raise ValueError(f"evaluation is missing variables {missing}")
-        use_complex = any(c.im != 0 for c in self._terms.values()) or any(
+        use_complex = not self.is_real_valued() or any(
             isinstance(values[v], complex) for v in self._variables
         )
         acc = 0j if use_complex else 0.0
         for exps, coeff in self._terms.items():
-            if use_complex:
-                term = complex(coeff)
-            else:
-                term = float(coeff.re)
+            term = complex(coeff) if use_complex else float(coeff)
             for v, e in zip(self._variables, exps):
                 if e:
                     term *= values[v] ** e
@@ -375,12 +428,11 @@ class MultiPoly:
             self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True
         )
         pieces: list[str] = []
-        for i, (exps, coeff) in enumerate(ordered):
-            if coeff.im != 0:
+        for i, (exps, value) in enumerate(ordered):
+            if isinstance(value, GaussianRational):
                 raise ValueError(
                     "cannot render a polynomial with imaginary coefficients"
                 )
-            value = coeff.re
             factors = []
             for v, e in zip(self._variables, exps):
                 if e == 1:
@@ -418,7 +470,7 @@ class MultiPoly:
         return f"MultiPoly({self._variables!r}, {self._terms!r})"
 
 
-def _format_fraction(value: Fraction) -> str:
+def _format_fraction(value: int | Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

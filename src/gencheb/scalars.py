@@ -3,8 +3,10 @@
 The rational carrier is :class:`fractions.Fraction` (re-exported as
 ``BigRational``): it is always reduced to lowest terms, keeps a positive
 denominator, and has the canonical zero 0/1.  ``GaussianRational`` layers an
-exact imaginary part on top and is the coefficient type used by the
-polynomial and matrix layers; purely real values simply carry ``im = 0``.
+exact imaginary part on top.  It is the entry type of the Gaussian matrices
+(purely real values simply carry ``im = 0``); a polynomial stores one only
+for a coefficient whose imaginary part is nonzero, and ``int``/``Fraction``
+otherwise.
 
 Floats are deliberately rejected everywhere in this module.  Numeric
 evaluation happens in the consumers, never in the exact core.

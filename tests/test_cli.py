@@ -181,6 +181,8 @@ def test_bench_json_records():
         ("euler", "closed", "--a", "1e400", "--b", "0", "--phi", "1"),
         ("euler", "ode", "--a", "1e400", "--b", "0"),
         ("gcn", "roots", "--a", "1e400", "--b", "0", "--numeric"),
+        ("euler", "series", "--a", "1e300", "--b", "0", "--phi", "1"),
+        ("euler", "ode", "--a", "1e300", "--b", "0", "--points", "3"),
     ],
 )
 def test_unanswerable_requests_are_refused(args):
@@ -223,3 +225,53 @@ def test_extreme_scalars_are_answered_finite_or_refused(capsys):
         if payload.get("method") == "binet_float":
             floats += [payload["a_n"], payload["b_n"]]
         assert all(cmath.isfinite(complex(v)) for v in floats), (args, payload)
+
+
+_BAD_COUNTS = ("-1", "abc", "1.5", "", "1e3", "nan", "0x10")
+_MATRICES = (
+    "1,1;0,1", "0,0;0,0", "2,1;1,1", "0:1,0;0,0:-1", "1e400,0;0,1", "-1e400,1;-1,0",
+    "1e-400,1;-1,0", "1e300:1e300,0;0,1", "1,2;3", "1,2,3;4,5", "1,2;3,4;5,6", "",
+    ";", "nan,0;0,1", "inf,0;0,1", "1/0,0;0,1", "1:2:3,0;0,1", ":,0;0,1", "x,0;0,1",
+)
+
+
+def _sweep_requests():
+    for count in ("0", "1", "5", *_BAD_COUNTS):
+        for action in ("u", "t", "ab"):
+            yield ("cheb", action, "--n", count)
+    for count in ("1", "2", "0", *_BAD_COUNTS):
+        yield ("u2", "series", "--nmax", count)
+        yield ("u2", "rec", "--nmax", count)
+        yield ("u2", "laplace", "--n", count)
+        yield ("cheb", "verify", "--nmax", count)
+        yield ("u2", "verify", "--nmax", count)
+    for entries in _MATRICES:
+        yield ("mat", "decompose", f"--entries={entries}")
+        for method in ("squaring", "chebyshev", "general_recurrence", "bogus"):
+            for n in ("0", "3", "-1"):
+                yield ("mat", "pow", f"--entries={entries}", "--n", n,
+                       "--method", method)
+    for seed in ("-1", str(2**70)):
+        yield ("verify", "all", "--nmax", "1", "--seed", seed)
+    yield ("verify", "all", "--nmax", "1", "--tol", "1e300")
+    for nmax in ("0", "-3", "abc"):
+        yield ("verify", "all", "--nmax", nmax)
+    for tol in ("0", "inf", "nan", "-1", "abc"):
+        yield ("verify", "all", "--nmax", "1", "--tol", tol)
+    yield ("verify", "all", "--nmax", "1", "--seed", "x")
+    yield ("verify", "bogus")
+    yield ("verify",)
+
+
+def test_sweep_exits_zero_or_refuses(capsys):
+    # Usage errors from argparse raise SystemExit(2); anything else escaping
+    # cli.main is a traceback and fails the test.
+    for args in _sweep_requests():
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        _, err = capsys.readouterr()
+        assert code in (0, 2), args
+        if code == 2:
+            assert "error:" in err, args

@@ -133,3 +133,162 @@ def test_scalar_equality_and_pow():
     assert (X + 1) ** 2 == X * X + 2 * X + 1
     with pytest.raises(ValueError):
         X ** -1
+
+
+# -- fast coefficient path against a plain GaussianRational reference ----------
+
+_G0 = GaussianRational()
+_G1 = GaussianRational(Fraction(1))
+
+
+def random_coeff(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice([-3, -2, -1, 1, 2, 5])
+    if kind == 1:
+        return Fraction(rng.choice([-5, -1, 1, 3, 7]), rng.choice([2, 3, 4]))
+    return GaussianRational(
+        Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+        Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3)),
+    )
+
+
+def random_mixed_poly(rng, variables, max_degree=3, max_terms=5):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exps = tuple(rng.randint(0, max_degree) for _ in variables)
+        terms[exps] = random_coeff(rng)
+    return MultiPoly(variables, terms)
+
+
+def ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, _G0) + c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, _G0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(a, n, width):
+    out = {(0,) * width: _G1}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_derivative(a, idx):
+    out = {}
+    for e, c in a.items():
+        if e[idx]:
+            lowered = e[:idx] + (e[idx] - 1,) + e[idx + 1 :]
+            out[lowered] = out.get(lowered, _G0) + c * e[idx]
+    return ref_clean(out)
+
+
+def ref_evaluate(a, point):
+    acc = _G0
+    for e, c in a.items():
+        term = c
+        for value, k in zip(point, e):
+            term = term * GaussianRational._coerce(value) ** k
+        acc = acc + term
+    return acc
+
+
+def ref_substitute(a, images, width):
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * width: c}
+        for image, k in zip(images, e):
+            term = ref_mul(term, ref_pow(image, k, width))
+        out = ref_add(out, term)
+    return out
+
+
+def assert_canonical(p):
+    for coeff in p._terms.values():
+        assert type(coeff) in (int, Fraction, GaussianRational)
+        assert coeff
+        if type(coeff) is Fraction:
+            assert coeff.denominator != 1
+        if type(coeff) is GaussianRational:
+            assert coeff.im != 0
+    assert all(type(c) is GaussianRational for c in p.terms.values())
+
+
+def test_fast_coefficients_match_gaussian_reference():
+    rng = random.Random(20261018)
+    names = ("u", "v")
+    for _ in range(80):
+        p = random_mixed_poly(rng, names)
+        q = random_mixed_poly(rng, names)
+        a, b = p.terms, q.terms
+        scalar = random_coeff(rng)
+        lifted = {(0, 0): GaussianRational._coerce(scalar)}
+        results = {
+            "add": (p + q, ref_add(a, b)),
+            "sub": (p - q, ref_add(a, {e: -c for e, c in b.items()})),
+            "neg": (-p, {e: -c for e, c in a.items()}),
+            "mul": (p * q, ref_mul(a, b)),
+            "scale": (p * scalar, ref_mul(a, lifted)),
+            "rscale": (scalar * p, ref_mul(a, lifted)),
+            "pow": (p ** 3, ref_pow(a, 3, 2)),
+            "du": (p.derivative("u"), ref_derivative(a, 0)),
+            "dv": (p.derivative("v"), ref_derivative(a, 1)),
+        }
+        for op, (fast, slow) in results.items():
+            assert fast.terms == slow, op
+            assert_canonical(fast)
+        point = (random_coeff(rng), random_coeff(rng))
+        value = p.evaluate_exact(dict(zip(names, point)))
+        assert type(value) is GaussianRational
+        assert value == ref_evaluate(a, point)
+        images = [random_mixed_poly(rng, ("s", "t"), 2, 3) for _ in names]
+        substituted = p.substitute(dict(zip(names, images)))
+        assert substituted.terms == ref_substitute(a, [i.terms for i in images], 2)
+        assert_canonical(substituted)
+        exps = (rng.randint(0, 3), rng.randint(0, 3))
+        assert type(p.coefficient(exps)) is GaussianRational
+        assert p.coefficient(exps) == a.get(exps, _G0)
+        assert type(p.constant_value()) is GaussianRational
+        assert p.constant_value() == a.get((0, 0), _G0)
+
+
+def test_canonical_forms_and_identity_scaling():
+    p = MultiPoly(
+        ("x",),
+        {
+            (0,): Fraction(4, 2),
+            (1,): GaussianRational(Fraction(3, 3), Fraction(0)),
+            (2,): GaussianRational(Fraction(1, 2), Fraction(-1)),
+            (3,): Fraction(1, 3),
+        },
+    )
+    assert_canonical(p)
+    assert type(p._terms[(0,)]) is int and type(p._terms[(1,)]) is int
+    assert p * 1 is p and 1 * p is p
+    assert (p * 0).is_zero and (p * Fraction(0)).is_zero
+    three = {(0,): GaussianRational(Fraction(3))}
+    assert (p * Fraction(3)).terms == ref_mul(p.terms, three)
+    assert (p * Fraction(3, 2) * Fraction(2, 3)) == p
+    assert not p.is_real_valued()
+    conj = MultiPoly(("x",), {e: c.conjugate() for e, c in p.terms.items()})
+    norm = p * conj
+    assert norm.is_real_valued()
+    assert all(type(c) in (int, Fraction) for c in norm._terms.values())
+    assert_canonical(norm)
+    assert parse_poly(norm.render(), ("x",)) == norm
+    i_x = MultiPoly(("x",), {(1,): GaussianRational(Fraction(0), Fraction(1))})
+    assert i_x ** 2 == -X ** 2
