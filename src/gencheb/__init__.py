@@ -21,6 +21,7 @@ from .gcn import (
     conjugate_roots,
     power_coeff_sequence,
     power_coeffs,
+    unit_power,
     unit_powers,
 )
 from .euler import (
@@ -123,5 +124,6 @@ __all__ = [
     "u2_by_recurrence",
     "u2_by_series",
     "u_ode_residual",
+    "unit_power",
     "unit_powers",
 ]

@@ -4,8 +4,9 @@ A unit is the scalar pair (a, b); elements x + y*h multiply by reducing
 h^2 back to a + b*h.  Powers h^n = a_n + b_n*h are computed three ways and
 must always agree:
 
-* recurrence            a_{n+1} = a*b_n,  b_{n+1} = a_n + b*b_n
-                        (seeds a_0 = 1, b_0 = 0)
+* recurrence            h^n in the quotient ring R[h]/(h^2 - b*h - a), by
+                        squaring: each product of two pairs is reduced
+                        through h^2 = a + b*h
 * companion matrix      powers of [[0, a], [1, b]] by squaring; the first
                         column of the n-th power is (a_n, b_n)
 * root closed form      through the conjugate roots h± = (b ± sqrt(D))/2
@@ -13,12 +14,21 @@ must always agree:
                             b_n = (h+^n - h-^n) / (h+ - h-)
                             a_n = (h+ * h-^n - h- * h+^n) / (h+ - h-)
 
-The recurrence is written once, for a unit of any order k, as the generator
-:func:`unit_powers`: multiplying h^n by h shifts its coefficients up one
-place and feeds the top one back through h^k = c_0 + ... + c_{k-1}*h^{k-1}.
-``power_coeffs`` and ``power_coeff_sequence`` read it with (a, b), the cubic
-unit of :mod:`gencheb.higher` with (1, -v, u), and the matrix powers of
-:mod:`gencheb.pauli` with (-det M, 2*alpha).
+Both recurrence forms are written once, for a unit of any order k,
+h^k = c_0 + ... + c_{k-1}*h^{k-1}.  The generator :func:`unit_powers` is the
+walk a_{n+1} = a*b_n, b_{n+1} = a_n + b*b_n (seeds a_0 = 1, b_0 = 0): it
+multiplies h^n by h, shifting the coefficients up one place and feeding the
+top one back through the unit.  Readers of a whole sequence use it:
+``power_coeff_sequence`` (and so ``verify.suite_gcn``) with (a, b) and the
+cubic unit of :mod:`gencheb.higher` with (1, -v, u).  :func:`unit_power` is
+one h^n on its own, reduced by squaring (Fiduccia, SIAM J. Comput. 14,
+1985) in O(k^2 log n) scalar products instead of the walk's O(k n); it is
+the ``recurrence`` route of ``power_coeffs`` and the closed form of the
+matrix powers of :mod:`gencheb.pauli` with (-det M, 2*alpha).  A sequence
+reader needs every term, and on bivariate polynomial coefficients such as
+the cubic unit's the walk wins even for one power: each of its steps
+multiplies by the small unit coefficients, while a squaring multiplies two
+large ones.
 
 The closed form is evaluated exactly in the quadratic extension Q[sqrt(D)]
 (class :class:`Surd`), which remains valid when D = 0: writing
@@ -55,6 +65,7 @@ __all__ = [
     "float_unit",
     "power_coeff_sequence",
     "power_coeffs",
+    "unit_power",
     "unit_powers",
 ]
 
@@ -145,6 +156,46 @@ def unit_powers(coeffs: Sequence[Any]) -> Iterator[tuple[Any, ...]]:
         yield powers
         top = powers[-1]
         powers = (c_0 * top, *[x + c * top for x, c in zip(powers, c_rest)])
+
+
+class _Residue:
+    """x_0 + ... + x_{k-1}*h^{k-1} modulo h^k = c_0 + ... + c_{k-1}*h^{k-1}."""
+
+    __slots__ = ("coeffs", "zero", "xs")
+
+    def __init__(self, coeffs: Sequence[Any], zero: Any, full: list[Any]):
+        # Fold each x_m*h^m with m >= k back through h^m = h^{m-k} * h^k.
+        k = len(coeffs)
+        for m in range(len(full) - 1, k - 1, -1):
+            top = full[m]
+            for i, c in enumerate(coeffs):
+                full[m - k + i] += c * top
+        self.coeffs = coeffs
+        self.zero = zero
+        self.xs = tuple(full[:k])
+
+    def __mul__(self, other: "_Residue") -> "_Residue":
+        full = [self.zero] * (2 * len(self.coeffs) - 1)
+        for i, x in enumerate(self.xs):
+            for j, y in enumerate(other.xs):
+                full[i + j] += x * y
+        return _Residue(self.coeffs, self.zero, full)
+
+
+def unit_power(coeffs: Sequence[Any], n: int) -> tuple[Any, ...]:
+    """The n-th tuple of :func:`unit_powers`, by squaring in R[h]/(h^k - ... - c_0).
+
+    Each product multiplies two k-tuples and reduces the top k - 1
+    coefficients, so h^n costs O(k^2 log n) scalar products instead of the
+    O(k n) of the walk.
+    """
+    if n < 0:
+        raise ValueError("power index must be non-negative")
+    k = len(coeffs)
+    zero = zero_of(*coeffs)
+    h = _Residue(coeffs, zero, [zero, zero + 1] + [zero] * (k - 2))  # (c_0,) if k = 1
+    one = _Residue(coeffs, zero, [zero + 1] + [zero] * (k - 1))
+    return power(h, n, one).xs
 
 
 def companion_matrix(unit: GcnUnit) -> Mat2:
@@ -342,7 +393,7 @@ def power_coeffs(unit: GcnUnit, n: int, method: str = "recurrence"):
     if n < 0:
         raise ValueError("power index must be non-negative")
     if method == "recurrence":
-        return next(islice(unit_powers((unit.a, unit.b)), n, None))
+        return unit_power((unit.a, unit.b), n)
     if method == "matrix":
         matrix = companion_power(unit, n)
         return (matrix.m11, matrix.m21)

@@ -35,7 +35,7 @@ from typing import Any
 
 from .gcn import unit_powers
 from .matrices import Mat3
-from .poly import MultiPoly, gens
+from .poly import MultiPoly, _canonical, _unchecked, gens
 from .scalars import zero_of
 from .series import TruncatedSeries
 
@@ -196,7 +196,9 @@ def u2_by_laplace(n: int) -> TwoVarCheb:
     uvs = ("u", "v", "s")
     u, v, s = gens(*uvs)
     substituted = hermite3(n).poly.substitute({"x": u * s, "y": -(v * s), "z": s})
-    acc = MultiPoly.zero(UV)
-    for (eu, ev, es), coeff in substituted.terms.items():
-        acc = acc + MultiPoly(UV, {(eu, ev): coeff * math.factorial(es)})
-    return TwoVarCheb(n + 1, acc * Fraction(1, math.factorial(n)))
+    sums: dict[tuple[int, int], Any] = {}
+    for (eu, ev, es), coeff in substituted._terms.items():
+        sums[eu, ev] = sums.get((eu, ev), 0) + coeff * math.factorial(es)
+    scale = Fraction(1, math.factorial(n))
+    terms = {e: _canonical(c * scale) for e, c in sums.items() if c}
+    return TwoVarCheb(n + 1, _unchecked(UV, terms))

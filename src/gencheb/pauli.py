@@ -5,14 +5,16 @@ Any 2x2 matrix splits over the Pauli basis as
 quadratic ``M^2 = gamma*I + 2*alpha*M`` with
 ``gamma = -alpha^2 + beta1^2 + beta2^2 + beta3^2 = -det(M)`` (this is
 Cayley-Hamilton).  So M is a generalized complex unit (gamma, 2*alpha), and
-its power coefficients from :func:`gencheb.gcn.unit_powers` give
+its power coefficients from :func:`gencheb.gcn.unit_power` give
 
     M^n = a_n * I + b_n * M
 
 for any determinant.  For unimodular matrices (det = 1, gamma = -1) these
 are second-kind Chebyshev values, b_n = U_{n-1}(alpha) and
 a_n = -U_{n-2}(alpha), which is the closed form
-M^n = U_{n-1}(alpha) * M - U_{n-2}(alpha) * I.
+M^n = U_{n-1}(alpha) * M - U_{n-2}(alpha) * I.  The pair (a_n, b_n) is
+h^n in R[h]/(h^2 - 2*alpha*h + det M), computed by squaring there, so the
+closed form takes O(log n) scalar products, as plain squaring of M does.
 
 Entries are Gaussian rationals so the beta2 component of a real matrix is
 exact (s2 itself has imaginary entries).
@@ -24,10 +26,9 @@ import statistics
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable, Sequence
 
-from .gcn import unit_powers
+from .gcn import unit_power
 from .matrices import Mat2
 from .scalars import GaussianRational
 
@@ -129,7 +130,7 @@ def mat_power(m: Mat2, n: int, method: str = "squaring") -> Mat2:
     if method == "chebyshev" and det != 1:
         raise ValueError(f"the Chebyshev closed form needs determinant 1, got {det}")
     alpha = (m.m11 + m.m22) * Fraction(1, 2)
-    a_n, b_n = next(islice(unit_powers((-det, 2 * alpha)), n, None))
+    a_n, b_n = unit_power((-det, 2 * alpha), n)
     return IDENTITY * a_n + m * b_n
 
 

@@ -36,18 +36,20 @@ def as_fraction(value: int | Fraction) -> Fraction:
 
 
 def power(base, n: int, one):
-    """``base`` to the power ``n >= 0`` by square-and-multiply from ``one``.
+    """``base`` to the power ``n >= 0`` by square-and-multiply.
 
     Works in any ring whose elements multiply with ``*``; ``one`` is its
-    identity and is what ``n = 0`` returns.
+    identity and is what ``n = 0`` returns.  The bits of ``n`` are read
+    from the top down, so every multiply is by ``base`` itself, which is
+    usually far smaller than the running result.
     """
-    result = one
-    while n:
-        if n & 1:
+    if n == 0:
+        return one
+    result = base
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
             result = result * base
-        n >>= 1
-        if n:
-            base = base * base
     return result
 
 

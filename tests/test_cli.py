@@ -275,3 +275,22 @@ def test_sweep_exits_zero_or_refuses(capsys):
         assert code in (0, 2), args
         if code == 2:
             assert "error:" in err, args
+
+
+def _in_process(capsys, *args):
+    assert cli.main(list(args)) == 0
+    out, _ = capsys.readouterr()
+    return [line for line in out.splitlines() if not line.startswith("method =")]
+
+
+def test_fast_closed_forms_print_what_the_slow_routes_print(capsys):
+    # At n = 4096 the numbers pass the 4300-digit limit of int-to-text
+    # conversion, and both routes refuse to print them.
+    unit = ("gcn", "power", "--a", "11/13", "--b", "7/5", "--n", "2048")
+    recurrence = _in_process(capsys, *unit, "--method", "recurrence")
+    assert any(line.startswith("b_n = ") for line in recurrence)
+    assert recurrence == _in_process(capsys, *unit, "--method", "matrix")
+    matrix = ("mat", "pow", "--entries", "2:1,1;1,4/5:-2/5", "--n", "1024")
+    chebyshev = _in_process(capsys, *matrix, "--method", "chebyshev")
+    assert any(line.startswith("m22 = ") for line in chebyshev)
+    assert chebyshev == _in_process(capsys, *matrix, "--method", "squaring")

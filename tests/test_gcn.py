@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -13,8 +14,11 @@ from gencheb.gcn import (
     conjugate_roots,
     power_coeff_sequence,
     power_coeffs,
+    unit_power,
+    unit_powers,
 )
 from gencheb.poly import MultiPoly, gens
+from gencheb.scalars import GaussianRational
 
 X, = gens("x")
 
@@ -176,3 +180,41 @@ def test_degenerate_unit_binet_stays_exact():
         float_a, float_b = power_coeffs(unit, n, "binet_float")
         assert abs(float_a - seq[n][0]) < 1e-9
         assert abs(float_b - seq[n][1]) < 1e-9
+
+
+def _g(re, im):
+    return GaussianRational(Fraction(re), Fraction(im))
+
+
+# Units h^k = c_0 + ... + c_{k-1}*h^{k-1} for k = 1..4 over each coefficient
+# ring; the polynomial ones mix int and MultiPoly coefficients, as the cubic
+# unit (1, -v, u) does.
+UNIT_COEFFS = [
+    (3,), (2, -1), (1, 0, -2), (1, -1, 2, 1),
+    (Fraction(-3, 2),), (Fraction(11, 13), Fraction(7, 5)),
+    (Fraction(1, 3), Fraction(-2, 5), Fraction(3, 4)),
+    (Fraction(1, 2), Fraction(2), Fraction(-3, 7), Fraction(1, 5)),
+    (_g(1, 1),), (_g(-1, 0), _g(Fraction(3, 2), Fraction(1, 3))),
+    (_g(1, -1), _g(0, 1), _g(Fraction(1, 2), 0)),
+    (_g(0, 1), _g(1, 0), _g(-1, 1), _g(Fraction(1, 3), 2)),
+    (2 * X,), (-1, 2 * X), (1, -X, X + 1), (X, 0, -1, 1 - X),
+]
+
+
+@pytest.mark.parametrize("coeffs", UNIT_COEFFS)
+def test_unit_power_matches_walk(coeffs):
+    walk = list(islice(unit_powers(coeffs), 71))
+    for n, expected in enumerate(walk):
+        assert unit_power(coeffs, n) == expected, n
+
+
+def test_unit_power_rejects_negative_index():
+    with pytest.raises(ValueError):
+        unit_power((1, 1), -1)
+
+
+def test_recurrence_route_at_large_index():
+    unit = GcnUnit(Fraction(11, 13), Fraction(7, 5))
+    by_recurrence = power_coeffs(unit, 4096, "recurrence")
+    assert by_recurrence == power_coeffs(unit, 4096, "matrix")
+    assert by_recurrence == power_coeffs(unit, 4096, "binet")

@@ -160,3 +160,11 @@ def test_bench_input_validation():
         bench_power([], trials=3)
     with pytest.raises(ValueError):
         bench_power([4], trials=0)
+
+
+def test_closed_forms_match_squaring_at_large_index():
+    m = rand_unimodular(random.Random(1024))
+    assert m.det() == 1
+    squared = mat_power(m, 1024, "squaring")
+    assert mat_power(m, 1024, "chebyshev") == squared
+    assert mat_power(m, 1024, "general_recurrence") == squared
