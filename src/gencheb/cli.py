@@ -23,6 +23,12 @@ from .scalars import GaussianRational
 
 SCHEMA = 1
 
+# Exact results are printed in full.  The interpreter refuses to turn an int
+# of more than 4300 digits into text by default; a command may print up to
+# this many digits per number (50,000 digits convert in tens of ms), and
+# anything longer is refused with exit 2.
+MAX_DIGITS = 50_000
+
 
 def _nonneg_int(text: str) -> int:
     try:
@@ -480,11 +486,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    limited = hasattr(sys, "set_int_max_str_digits")  # Python 3.10.7+
+    if limited:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(MAX_DIGITS)
     try:
         return args.func(args)
     except (PolyParseError, ValueError, TypeError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if "set_int_max_str_digits" in message:
+            message = (
+                f"a number has more than {MAX_DIGITS} decimal digits, the most "
+                "this program reads or prints; choose a smaller --n"
+            )
+        print(f"error: {message}", file=sys.stderr)
         return 2
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -69,7 +69,7 @@ def _canonical(value: ScalarLike) -> ScalarLike:
     if type(value) is int:
         return value
     if isinstance(value, GaussianRational):
-        if value.im:
+        if not value.is_real:
             return value
         value = value.re
     return value.numerator if value.denominator == 1 else value
@@ -82,10 +82,9 @@ def _as_coeff(value: ScalarLike) -> ScalarLike:
     return _canonical(value)
 
 
-def _gaussian(value: ScalarLike) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    return GaussianRational(value)
+# A stored coefficient is already an exact scalar, so it is lifted without
+# the public constructor's checks.
+_gaussian = GaussianRational._coerce
 
 
 def _unchecked(

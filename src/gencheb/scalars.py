@@ -2,11 +2,16 @@
 
 The rational carrier is :class:`fractions.Fraction` (re-exported as
 ``BigRational``): it is always reduced to lowest terms, keeps a positive
-denominator, and has the canonical zero 0/1.  ``GaussianRational`` layers an
-exact imaginary part on top.  It is the entry type of the Gaussian matrices
-(purely real values simply carry ``im = 0``); a polynomial stores one only
-for a coefficient whose imaginary part is nonzero, and ``int``/``Fraction``
-otherwise.
+denominator, and has the canonical zero 0/1.  ``GaussianRational`` is an
+exact complex number stored as one triple of ints ``(p, q, d)`` meaning
+``(p + q*i)/d``, with ``d > 0`` and ``gcd(p, q, d) = 1``.  Ring operations
+work on the ints and build each result through one unchecked constructor
+that divides out a single ``math.gcd(p, q, d)``, where ``Fraction`` parts
+would reduce each part on its own; the public constructor ``(re, im)``
+keeps its checks.  ``re`` and ``im`` are ``Fraction`` views.  It is the
+entry type of the Gaussian matrices (purely real values carry ``q = 0``); a
+polynomial stores one only for a coefficient whose imaginary part is
+nonzero, and ``int``/``Fraction`` otherwise.
 
 Floats are deliberately rejected everywhere in this module.  Numeric
 evaluation happens in the consumers, never in the exact core.
@@ -18,8 +23,8 @@ loop and :func:`zero_of` the zero of whatever ring some values live in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 __all__ = ["BigRational", "GaussianRational", "as_fraction", "power", "zero_of"]
 
@@ -62,127 +67,214 @@ def zero_of(*values):
     return sum(value * 0 for value in values)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+def _triple(value: object) -> "tuple[int, int, int] | None":
+    """``(p, q, d)`` of an exact scalar, or None for anything else."""
+    if type(value) is GaussianRational:
+        return value._t
+    if isinstance(value, int):
+        return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    return None
+
+
+def _unchecked(p: int, q: int, d: int) -> "GaussianRational":
+    """``(p + q*i)/d`` for ``d > 0``, reduced by one gcd and not otherwise checked.
+
+    Every ring operation builds its result here.
+    """
+    g = gcd(p, q, d)
+    if g != 1:
+        p //= g
+        q //= g
+        d //= g
+    z = _new(GaussianRational)
+    _set_t(z, (p, q, d))
+    return z
+
+
+def _quotient(a: tuple[int, int, int], b: tuple[int, int, int]) -> "GaussianRational":
+    """``a / b`` as ``d_b (p_a + q_a i)(p_b - q_b i) / (d_a (p_b^2 + q_b^2))``."""
+    pa, qa, da = a
+    pb, qb, db = b
+    norm = pb * pb + qb * qb
+    if norm == 0:
+        raise ZeroDivisionError("division by zero GaussianRational")
+    return _unchecked(db * (pa * pb + qa * qb), db * (qa * pb - pa * qb), da * norm)
+
+
 class GaussianRational:
-    """An exact complex number ``re + im*i`` with rational parts."""
+    """An exact complex number ``re + im*i`` with rational parts.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    It is stored as one triple of ints ``(p, q, d)`` meaning ``(p + q*i)/d``,
+    with ``d > 0`` and ``gcd(p, q, d) = 1``, so every value has one stored
+    form and ``==`` compares triples.  ``GaussianRational(re, im)`` checks
+    its arguments (exact rationals only) and runs ``__post_init__``; ring
+    operations skip both and build each result with ``_unchecked``, which
+    divides out one gcd.  ``re`` and ``im`` are ``Fraction`` views built on
+    request.  Instances are immutable.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", as_fraction(self.re))
-        object.__setattr__(self, "im", as_fraction(self.im))
+    __slots__ = ("_t",)
+
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0) -> None:
+        self.__post_init__(re, im)
+
+    def __post_init__(self, re: int | Fraction, im: int | Fraction) -> None:
+        # The checked constructor's work.  Over d = lcm of the two reduced
+        # denominators the triple is already reduced: each prime of d divides
+        # one of the denominators as often as it divides d, so it does not
+        # divide that part's numerator.
+        re = as_fraction(re)
+        im = as_fraction(im)
+        d_re, d_im = re.denominator, im.denominator
+        d = d_re * d_im // gcd(d_re, d_im)
+        _set_t(self, (re.numerator * (d // d_re), im.numerator * (d // d_im), d))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"GaussianRational is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"GaussianRational is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
 
     @staticmethod
     def _coerce(value: object) -> "GaussianRational | None":
-        if isinstance(value, GaussianRational):
+        """``value`` as a GaussianRational, or None if it is not an exact scalar."""
+        if type(value) is GaussianRational:
             return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(Fraction(value))
-        return None
+        triple = _triple(value)
+        return None if triple is None else _unchecked(*triple)
+
+    @property
+    def re(self) -> Fraction:
+        p, _, d = self._t
+        return Fraction(p, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, q, d = self._t
+        return Fraction(q, d)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._t[1] == 0
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        p, q, _ = self._t
+        return p != 0 or q != 0
 
     def __eq__(self, other: object) -> bool:
-        coerced = self._coerce(other)
-        if coerced is None:
+        triple = _triple(other)
+        if triple is None:
             return NotImplemented
-        return self.re == coerced.re and self.im == coerced.im
+        return self._t == triple
 
     def __hash__(self) -> int:
         # Real values hash like their Fraction so 1, Fraction(1) and
         # GaussianRational(1) agree as dict keys.
-        if self.im == 0:
+        if self._t[1] == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __add__(self, other: object) -> "GaussianRational":
-        coerced = self._coerce(other)
-        if coerced is None:
+        triple = _triple(other)
+        if triple is None:
             return NotImplemented
-        return GaussianRational(self.re + coerced.re, self.im + coerced.im)
+        p1, q1, d1 = self._t
+        p2, q2, d2 = triple
+        if d1 == d2:
+            return _unchecked(p1 + p2, q1 + q2, d1)
+        return _unchecked(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "GaussianRational":
-        coerced = self._coerce(other)
-        if coerced is None:
+        triple = _triple(other)
+        if triple is None:
             return NotImplemented
-        return GaussianRational(self.re - coerced.re, self.im - coerced.im)
+        p1, q1, d1 = self._t
+        p2, q2, d2 = triple
+        if d1 == d2:
+            return _unchecked(p1 - p2, q1 - q2, d1)
+        return _unchecked(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2)
 
     def __rsub__(self, other: object) -> "GaussianRational":
-        coerced = self._coerce(other)
-        if coerced is None:
+        triple = _triple(other)
+        if triple is None:
             return NotImplemented
-        return coerced - self
+        return _unchecked(*triple) - self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        p, q, d = self._t
+        return _unchecked(-p, -q, d)
 
     def __mul__(self, other: object) -> "GaussianRational":
-        coerced = self._coerce(other)
-        if coerced is None:
+        triple = _triple(other)
+        if triple is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * coerced.re - self.im * coerced.im,
-            self.re * coerced.im + self.im * coerced.re,
-        )
+        p1, q1, d1 = self._t
+        p2, q2, d2 = triple
+        return _unchecked(p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        p, q, d = self._t
+        return _unchecked(p, -q, d)
 
     def squared_norm(self) -> Fraction:
         """``z * conj(z)`` as an exact rational (always real)."""
-        return self.re * self.re + self.im * self.im
+        p, q, d = self._t
+        return Fraction(p * p + q * q, d * d)
 
     def inverse(self) -> "GaussianRational":
-        norm = self.squared_norm()
-        if norm == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        conj = self.conjugate()
-        return GaussianRational(conj.re / norm, conj.im / norm)
+        return _quotient((1, 0, 1), self._t)
 
     def __truediv__(self, other: object) -> "GaussianRational":
-        coerced = self._coerce(other)
-        if coerced is None:
+        triple = _triple(other)
+        if triple is None:
             return NotImplemented
-        return self * coerced.inverse()
+        return _quotient(self._t, triple)
 
     def __rtruediv__(self, other: object) -> "GaussianRational":
-        coerced = self._coerce(other)
-        if coerced is None:
+        triple = _triple(other)
+        if triple is None:
             return NotImplemented
-        return coerced * self.inverse()
+        return _quotient(triple, self._t)
 
     def __pow__(self, exponent: int) -> "GaussianRational":
         if not isinstance(exponent, int):
             return NotImplemented
         base = self.inverse() if exponent < 0 else self
-        return power(base, abs(exponent), GaussianRational(Fraction(1)))
+        return power(base, abs(exponent), _ONE)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        p, q, d = self._t
+        return complex(p / d, q / d)
 
     def __float__(self) -> float:
-        if self.im != 0:
+        p, q, d = self._t
+        if q != 0:
             raise ValueError(f"{self} has a nonzero imaginary part")
-        return float(self.re)
+        return p / d
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        imag = "i" if abs(self.im) == 1 else f"{abs(self.im)}i"
-        sign = "-" if self.im < 0 else ("+" if self.re != 0 else "")
-        if self.re == 0:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        imag = "i" if abs(im) == 1 else f"{abs(im)}i"
+        sign = "-" if im < 0 else ("+" if re != 0 else "")
+        if re == 0:
             return f"{sign}{imag}"
-        return f"{self.re}{sign if sign else '+'}{imag}"
+        return f"{re}{sign if sign else '+'}{imag}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+_set_t = GaussianRational._t.__set__
+_ONE = _unchecked(1, 0, 1)

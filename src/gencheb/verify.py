@@ -243,8 +243,8 @@ def suite_cheb_numeric(
         worst_u = worst_t = 0.0
         for theta in thetas:
             x_exact = Fraction(math.cos(theta))
-            u_val = float(u_poly.evaluate_exact({"x": x_exact}).re)
-            t_val = float(t_poly.evaluate_exact({"x": x_exact}).re)
+            u_val = float(u_poly.evaluate_exact({"x": x_exact}))
+            t_val = float(t_poly.evaluate_exact({"x": x_exact}))
             worst_u = max(worst_u, abs(u_val * math.sin(theta) - math.sin((n + 1) * theta)))
             worst_t = max(worst_t, abs(t_val - math.cos(n * theta)))
         rec.close(f"u-sine/n{n}", worst_u, tol)

@@ -5,6 +5,7 @@ assertions themselves carry the failure detail.
 """
 
 import functools
+import hashlib
 import json
 import random
 import subprocess
@@ -139,6 +140,9 @@ def test_criterion_8_cli():
     assert first.returncode == 0, first.stdout.decode()
     assert second.returncode == 0
     assert first.stdout == second.stdout
+    assert hashlib.sha256(first.stdout).hexdigest() == (
+        "f2a517afe1c48a35cbe5d308da4049e10338b0f473a42948a46e3dbf081304d7"
+    )
     bad = subprocess.run(
         [sys.executable, "-m", "gencheb", "cheb", "u", "--n", "-1"],
         capture_output=True,

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import json
+import re
 import subprocess
 import sys
 
@@ -284,8 +285,8 @@ def _in_process(capsys, *args):
 
 
 def test_fast_closed_forms_print_what_the_slow_routes_print(capsys):
-    # At n = 4096 the numbers pass the 4300-digit limit of int-to-text
-    # conversion, and both routes refuse to print them.
+    # n = 2048 keeps this quick; test_results_past_the_default_digit_limit
+    # prints n = 4096, whose numbers pass Python's default 4300-digit limit.
     unit = ("gcn", "power", "--a", "11/13", "--b", "7/5", "--n", "2048")
     recurrence = _in_process(capsys, *unit, "--method", "recurrence")
     assert any(line.startswith("b_n = ") for line in recurrence)
@@ -294,3 +295,19 @@ def test_fast_closed_forms_print_what_the_slow_routes_print(capsys):
     chebyshev = _in_process(capsys, *matrix, "--method", "chebyshev")
     assert any(line.startswith("m22 = ") for line in chebyshev)
     assert chebyshev == _in_process(capsys, *matrix, "--method", "squaring")
+
+
+def test_results_past_the_default_digit_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    unit = ("gcn", "power", "--a", "11/13", "--b", "7/5")
+    recurrence = _in_process(capsys, *unit, "--n", "4096", "--method", "recurrence")
+    digits = re.findall(r"\d+", "\n".join(recurrence))
+    assert max(map(len, digits)) > 4300
+    assert recurrence == _in_process(capsys, *unit, "--n", "4096", "--method", "matrix")
+    # At n = 40000 the largest numerator has about 61,000 digits, over the cap.
+    code = cli.main([*unit, "--n", "40000", "--method", "recurrence"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"{cli.MAX_DIGITS} decimal digits" in err
+    assert "--n" in err and "set_int_max_str_digits" not in err
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

@@ -1,6 +1,9 @@
+import copy
 import functools
+import itertools
 import math
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -72,6 +75,151 @@ def test_floats_rejected():
     with pytest.raises(ValueError):
         float(GaussianRational(Fraction(1), Fraction(1)))
 
+
+# A plain pair-of-Fractions model of the Gaussian rationals: the reference
+# every GaussianRational operation is compared with.
+def ref_pair(value):
+    if isinstance(value, GaussianRational):
+        return value.re, value.im
+    return Fraction(value), Fraction(0)
+
+
+def ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def ref_div(x, y):
+    (a, b), (c, d) = x, y
+    norm = c * c + d * d
+    return (a * c + b * d) / norm, (b * c - a * d) / norm
+
+
+def ref_pow(x, n):
+    out = (Fraction(1), Fraction(0))
+    base = ref_div(out, x) if n < 0 else x
+    for _ in range(abs(n)):
+        out = ref_mul(out, base)
+    return out
+
+
+def random_part(rng):
+    # Small denominators that divide 6, so operands often share d exactly.
+    return Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 6]))
+
+
+def scalar_operands(rng):
+    values = [
+        GaussianRational(),
+        GaussianRational(Fraction(5, 6)),
+        GaussianRational(0, Fraction(-7, 3)),
+        GaussianRational(Fraction(1, 6), Fraction(-1, 6)),
+        GaussianRational(Fraction(1, 2), Fraction(1, 3)),
+        0, -3, Fraction(0), Fraction(-5, 6),
+    ]
+    for _ in range(24):
+        kind = rng.randrange(5)
+        if kind == 0:
+            values.append(rng.randint(-4, 4))
+        elif kind == 1:
+            values.append(random_part(rng))
+        else:
+            values.append(GaussianRational(random_part(rng), random_part(rng)))
+    return values
+
+
+def assert_matches(result, ref):
+    """``result`` is the reference value, in the one stored form."""
+    expected = GaussianRational(*ref)
+    assert type(result) is GaussianRational
+    assert (result.re, result.im) == ref
+    assert result == expected and expected == result
+    assert hash(result) == hash(expected)
+    assert result.is_real == (ref[1] == 0)
+    if ref[1] == 0:
+        assert result == ref[0] and ref[0] == result
+        assert hash(result) == hash(ref[0])
+
+
+def test_operations_match_fraction_pair_reference():
+    rng = random.Random(20261019)
+    values = scalar_operands(rng)
+    for x, y in itertools.product(values, repeat=2):
+        if not (isinstance(x, GaussianRational) or isinstance(y, GaussianRational)):
+            continue
+        rx, ry = ref_pair(x), ref_pair(y)
+        assert_matches(x + y, (rx[0] + ry[0], rx[1] + ry[1]))
+        assert_matches(x - y, (rx[0] - ry[0], rx[1] - ry[1]))
+        assert_matches(x * y, ref_mul(rx, ry))
+        if ry == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        else:
+            assert_matches(x / y, ref_div(rx, ry))
+        assert (x == y) == (rx == ry) and (y == x) == (rx == ry)
+        assert (x != y) == (rx != ry)
+        if rx == ry:
+            assert hash(x) == hash(y)
+    for x in values:
+        if not isinstance(x, GaussianRational):
+            continue
+        re, im = ref_pair(x)
+        assert_matches(-x, (-re, -im))
+        assert_matches(x.conjugate(), (re, -im))
+        assert x.squared_norm() == re * re + im * im
+        assert type(x.squared_norm()) is Fraction
+        assert bool(x) == (re != 0 or im != 0)
+        if x:
+            assert_matches(x.inverse(), ref_div((Fraction(1), Fraction(0)), (re, im)))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        for n in range(-3, 4):
+            if n < 0 and not x:
+                with pytest.raises(ZeroDivisionError):
+                    x ** n
+            else:
+                assert_matches(x ** n, ref_pow((re, im), n))
+
+
+def test_equal_values_by_different_routes():
+    half = GaussianRational(Fraction(1, 2))
+    sixth, third = GaussianRational(Fraction(1, 6)), GaussianRational(Fraction(1, 3))
+    routes = [
+        (sixth + third) + GaussianRational(0, 0),
+        sixth + sixth + sixth,
+        GaussianRational(Fraction(1, 4), Fraction(1, 4)) * GaussianRational(1, -1),
+        GaussianRational(Fraction(3, 4), Fraction(1, 2))
+        - GaussianRational(Fraction(1, 4), Fraction(1, 2)),
+        GaussianRational(2).inverse(),
+        GaussianRational(0, 2) ** -1 * GaussianRational(0, 1),
+        3 * sixth,
+        Fraction(1, 2) - GaussianRational(0, 0),
+        GaussianRational(Fraction(3, 2)) / 3,
+    ]
+    for value in routes:
+        assert value == half and value == Fraction(1, 2)
+        assert hash(value) == hash(half) == hash(Fraction(1, 2))
+        assert repr(value) == repr(half) and str(value) == "1/2"
+    assert len({half, Fraction(1, 2), *routes}) == 1
+    z = GaussianRational(Fraction(1, 6), Fraction(1, 6)) + GaussianRational(
+        Fraction(1, 6), Fraction(1, 2)
+    )
+    assert z == GaussianRational(Fraction(1, 3), Fraction(2, 3))
+    assert hash(z) == hash(GaussianRational(Fraction(1, 3), Fraction(2, 3)))
+    assert GaussianRational(0, 3) ** 2 == -9
+    assert hash(GaussianRational(0, 3) ** 2) == hash(-9)
+
+
+def test_instances_are_immutable():
+    z = GaussianRational(Fraction(1, 2), Fraction(-3))
+    for name in ("re", "im", "is_real", "_t", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(z, name, Fraction(1))
+        with pytest.raises(AttributeError):
+            delattr(z, name)
+    assert z == GaussianRational(Fraction(1, 2), Fraction(-3))
+    assert copy.deepcopy(z) == z and pickle.loads(pickle.dumps(z)) == z
 
 _UV = ("u", "v")
 _U, _V = gens(*_UV)
