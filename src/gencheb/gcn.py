@@ -1,12 +1,18 @@
-"""Generalized complex units h^2 = a + b*h and their power coefficients.
+"""Generalized complex units, their elements and their power coefficients.
 
-A unit is the scalar pair (a, b); elements x + y*h multiply by reducing
-h^2 back to a + b*h.  Powers h^n = a_n + b_n*h are computed three ways and
-must always agree:
+A unit of order k is the relation h^k = c_0 + c_1*h + ... + c_{k-1}*h^{k-1}
+(:class:`Unit`).  Its elements x_0 + x_1*h + ... + x_{k-1}*h^{k-1} form the
+quotient ring R[h]/(h^k - c_{k-1}*h^{k-1} - ... - c_0) (:class:`Element`),
+and its companion matrix advances the coefficient column of h^n to that of
+h^{n+1}.  The paper's unit h^2 = a + b*h is :class:`GcnUnit`, with the view
+x + y*h :class:`GcnElement`; the surd p + q*sqrt(delta) is the view
+:class:`Surd` over the unit (delta, 0); the cubic unit of
+:mod:`gencheb.higher` is (1, -v, u).  Views add names, not arithmetic.
 
-* recurrence            h^n in the quotient ring R[h]/(h^2 - b*h - a), by
-                        squaring: each product of two pairs is reduced
-                        through h^2 = a + b*h
+Powers h^n = a_n + b_n*h of a unit (a, b) are computed three ways and must
+always agree:
+
+* recurrence            h^n in the quotient ring, by squaring
 * companion matrix      powers of [[0, a], [1, b]] by squaring; the first
                         column of the n-th power is (a_n, b_n)
 * root closed form      through the conjugate roots h± = (b ± sqrt(D))/2
@@ -14,30 +20,24 @@ must always agree:
                             b_n = (h+^n - h-^n) / (h+ - h-)
                             a_n = (h+ * h-^n - h- * h+^n) / (h+ - h-)
 
-Both recurrence forms are written once, for a unit of any order k,
-h^k = c_0 + ... + c_{k-1}*h^{k-1}.  The generator :func:`unit_powers` is the
-walk a_{n+1} = a*b_n, b_{n+1} = a_n + b*b_n (seeds a_0 = 1, b_0 = 0): it
-multiplies h^n by h, shifting the coefficients up one place and feeding the
-top one back through the unit.  Readers of a whole sequence use it:
-``power_coeff_sequence`` (and so ``verify.suite_gcn``) with (a, b) and the
-cubic unit of :mod:`gencheb.higher` with (1, -v, u).  :func:`unit_power` is
-one h^n on its own, reduced by squaring (Fiduccia, SIAM J. Comput. 14,
+Both recurrence forms are written once, for a unit of any order.
+:func:`unit_powers` is the walk: it multiplies h^n by h, shifting the
+coefficients up one place and feeding the top one back through the unit.
+Readers of a whole sequence use it: ``power_coeff_sequence`` (and so
+``verify.suite_gcn``) and the cubic unit.  :func:`unit_power` is one h^n on
+its own, the element h raised by squaring (Fiduccia, SIAM J. Comput. 14,
 1985) in O(k^2 log n) scalar products instead of the walk's O(k n); it is
 the ``recurrence`` route of ``power_coeffs`` and the closed form of the
-matrix powers of :mod:`gencheb.pauli` with (-det M, 2*alpha).  A sequence
-reader needs every term, and on bivariate polynomial coefficients such as
-the cubic unit's the walk wins even for one power: each of its steps
-multiplies by the small unit coefficients, while a squaring multiplies two
-large ones.
+matrix powers of :mod:`gencheb.pauli`.  On bivariate polynomial
+coefficients such as the cubic unit's the walk wins even for one power:
+each of its steps multiplies by the small unit coefficients, while a
+squaring multiplies two large ones.
 
-The closed form is evaluated exactly in the quadratic extension Q[sqrt(D)]
-(class :class:`Surd`), which remains valid when D = 0: writing
-h^n = p_n + q_n*sqrt(D) gives b_n = 2*q_n and a_n = p_n - b*q_n identically,
-with no division by h+ - h-.  The floating closed form, of h^n and of every
-other function of the unit, is :func:`at_roots`.
-
-The scalars a and b may be Fractions or polynomials; the recurrence and
-matrix routes are ring-generic.
+The closed form is evaluated exactly over the unit (D, 0), which remains
+valid when D = 0: writing h^n = p_n + q_n*sqrt(D) gives b_n = 2*q_n and
+a_n = p_n - b*q_n identically, with no division by h+ - h-.  The floating
+closed form, of h^n and of every other function of the unit, is
+:func:`at_roots`.  The recurrence and matrix routes are ring-generic.
 """
 
 from __future__ import annotations
@@ -46,17 +46,21 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from functools import cached_property
+from itertools import islice, repeat
+from operator import add, mul, neg
 from typing import Any, Iterator, Sequence
 
-from .matrices import Mat2
+from .matrices import Mat2, Mat3
 from .scalars import power, zero_of
 
 __all__ = [
     "ConjugateRoots",
+    "Element",
     "GcnElement",
     "GcnUnit",
     "Surd",
+    "Unit",
     "UnitMismatchError",
     "at_roots",
     "companion_matrix",
@@ -77,11 +81,43 @@ class UnitMismatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class GcnUnit:
+class Unit:
+    """The relation h^k = c_0 + c_1*h + ... + c_{k-1}*h^{k-1}, as (c_0, ..., c_{k-1})."""
+
+    coeffs: tuple
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+
+    @cached_property
+    def _fold(self) -> tuple:
+        """The nonzero (i, c_i): reducing h^m, m >= k, adds c_i*h^{m-k+i}."""
+        return tuple((i, c) for i, c in enumerate(self.coeffs) if c != 0)
+
+    def companion(self) -> Mat2 | Mat3:
+        """The matrix advancing the coefficient column of h^n to that of h^{n+1}.
+
+        Row i has 1 left of the diagonal and c_i last; it is a :class:`Mat2`
+        for k = 2 and a k x k :class:`Mat3` otherwise.
+        """
+        k = len(self.coeffs)
+        zero = zero_of(*self.coeffs)
+        one = zero + 1
+        rows = tuple(
+            tuple(one if j == i - 1 else zero for j in range(k - 1)) + (c,)
+            for i, c in enumerate(self.coeffs)
+        )
+        return Mat2(*rows[0], *rows[1]) if k == 2 else Mat3(rows)
+
+
+class GcnUnit(Unit):
     """The defining pair (a, b) of the relation h^2 = a + b*h."""
 
-    a: Any
-    b: Any
+    def __init__(self, a: Any, b: Any):
+        super().__init__((a, b))
+
+    a = property(lambda self: self.coeffs[0])
+    b = property(lambda self: self.coeffs[1])
 
     @property
     def discriminant(self):
@@ -92,53 +128,134 @@ class GcnUnit:
         return self.discriminant == 0
 
 
-@dataclass(frozen=True)
-class GcnElement:
-    """Element x + y*h over a fixed unit, stored as the pair (x, y)."""
+def _product(xs: tuple, ys: tuple, fold: tuple) -> tuple:
+    """The coefficients of (sum x_i h^i)(sum y_j h^j), reduced through ``fold``.
 
-    unit: GcnUnit
-    re: Any
-    im: Any
+    Each x_m*h^m with m >= k is folded back, top down, through
+    h^m = h^{m-k} * h^k.  Every coefficient starts from its first term,
+    never from an added zero, and the fold skips the unit's zero
+    coefficients, so no time goes to adding zeros or multiplying by them;
+    on polynomial coefficients each such step is a pass over a polynomial.
+    """
+    k = len(xs)
+    full = list(map(mul, repeat(xs[0]), ys))
+    y_init, y_last = ys[:-1], ys[-1]
+    for i in range(1, k):
+        x = xs[i]
+        m = i
+        for y in y_init:
+            full[m] += x * y
+            m += 1
+        full.append(x * y_last)
+    for m in range(k - 2, -1, -1):
+        top = full.pop()
+        for i, c in fold:
+            full[m + i] += c * top
+    return tuple(full)
 
-    def _require_same_unit(self, other: "GcnElement") -> None:
-        if self.unit != other.unit:
+
+@dataclass(eq=False, slots=True)
+class Element:
+    """x_0 + x_1*h + ... + x_{k-1}*h^{k-1} over a unit of order k, as (x_0, ..., x_{k-1}).
+
+    The other operand of ``+``, ``-`` and ``*`` is an element over the same
+    unit or a scalar, on either side; results keep the element's type, so a
+    view stays a view.  An element whose higher coefficients are all zero
+    equals, and hashes like, its constant coefficient, over any unit.
+    """
+
+    unit: Unit
+    coeffs: tuple
+
+    def __post_init__(self) -> None:
+        self.coeffs = tuple(self.coeffs)
+        if len(self.coeffs) != len(self.unit.coeffs):
+            raise ValueError("an element has one coefficient per power of h below h^k")
+
+    def _new(self, coeffs: tuple) -> "Element":
+        out = object.__new__(type(self))
+        out.unit = self.unit
+        out.coeffs = coeffs
+        return out
+
+    def _coeffs_of(self, other: object) -> tuple | None:
+        """The coefficients of an element over this unit; None for a scalar."""
+        if not isinstance(other, Element):
+            return None
+        if other.unit is not self.unit and other.unit != self.unit:
             raise UnitMismatchError(
                 f"elements use different units {self.unit} and {other.unit}"
             )
+        return other.coeffs
 
-    def __add__(self, other: "GcnElement") -> "GcnElement":
-        if not isinstance(other, GcnElement):
-            return NotImplemented
-        self._require_same_unit(other)
-        return GcnElement(self.unit, self.re + other.re, self.im + other.im)
+    def __add__(self, other: object) -> "Element":
+        ys = self._coeffs_of(other)
+        if ys is None:
+            return self._new((self.coeffs[0] + other, *self.coeffs[1:]))
+        return self._new(tuple(map(add, self.coeffs, ys)))
 
-    def __sub__(self, other: "GcnElement") -> "GcnElement":
-        if not isinstance(other, GcnElement):
-            return NotImplemented
-        self._require_same_unit(other)
-        return GcnElement(self.unit, self.re - other.re, self.im - other.im)
+    __radd__ = __add__
 
-    def __mul__(self, other: "GcnElement") -> "GcnElement":
-        if not isinstance(other, GcnElement):
-            return NotImplemented
-        self._require_same_unit(other)
-        a, b = self.unit.a, self.unit.b
-        x0, x1 = self.re, self.im
-        y0, y1 = other.re, other.im
-        cross = x1 * y1
-        return GcnElement(
-            self.unit,
-            x0 * y0 + a * cross,
-            x0 * y1 + x1 * y0 + b * cross,
-        )
+    def __sub__(self, other: object) -> "Element":
+        return self + -other
 
-    def __pow__(self, exponent: int) -> "GcnElement":
+    def __rsub__(self, other: object) -> "Element":
+        return -self + other
+
+    def __neg__(self) -> "Element":
+        return self._new(tuple(map(neg, self.coeffs)))
+
+    def __mul__(self, other: object) -> "Element":
+        ys = self._coeffs_of(other)
+        if ys is None:
+            return self._new(tuple(x * other for x in self.coeffs))
+        return self._new(_product(self.coeffs, ys, self.unit._fold))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> "Element":
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative element powers are out of scope")
-        zero = zero_of(self.unit.a, self.unit.b)
-        return power(self, exponent, GcnElement(self.unit, zero + 1, zero))
+        zero = zero_of(*self.unit.coeffs, *self.coeffs)
+        one = (zero + 1,) + (zero,) * (len(self.coeffs) - 1)
+        return power(self, exponent, self._new(one))
+
+    def conjugate(self) -> "Element":
+        """x + y*h' for x + y*h, where h' = b - h is the other root of h^2 = a + b*h."""
+        if len(self.coeffs) != 2:
+            raise ValueError("conjugation is defined for units of order 2 only")
+        x, y = self.coeffs
+        return self._new((x + self.unit.coeffs[1] * y, -y))
+
+    def _constant(self):
+        """x_0 when every higher coefficient is zero, else None."""
+        return None if any(self.coeffs[1:]) else self.coeffs[0]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Element) and self.unit == other.unit:
+            return self.coeffs == other.coeffs
+        # Against an element over another unit, ``constant == other`` falls
+        # back to ``other == constant``: equal only if both are that constant.
+        constant = self._constant()
+        return constant is not None and constant == other
+
+    def __hash__(self) -> int:
+        constant = self._constant()
+        return hash((self.unit, self.coeffs) if constant is None else constant)
+
+
+class GcnElement(Element):
+    """Element x + y*h over a unit (a, b), with re = x and im = y."""
+
+    __slots__ = ()
+
+    def __init__(self, unit: GcnUnit, re: Any, im: Any):
+        super().__init__(unit, (re, im))
+
+    re = property(lambda self: self.coeffs[0])
+    im = property(lambda self: self.coeffs[1])
 
 
 def unit_powers(coeffs: Sequence[Any]) -> Iterator[tuple[Any, ...]]:
@@ -158,32 +275,8 @@ def unit_powers(coeffs: Sequence[Any]) -> Iterator[tuple[Any, ...]]:
         powers = (c_0 * top, *[x + c * top for x, c in zip(powers, c_rest)])
 
 
-class _Residue:
-    """x_0 + ... + x_{k-1}*h^{k-1} modulo h^k = c_0 + ... + c_{k-1}*h^{k-1}."""
-
-    __slots__ = ("coeffs", "zero", "xs")
-
-    def __init__(self, coeffs: Sequence[Any], zero: Any, full: list[Any]):
-        # Fold each x_m*h^m with m >= k back through h^m = h^{m-k} * h^k.
-        k = len(coeffs)
-        for m in range(len(full) - 1, k - 1, -1):
-            top = full[m]
-            for i, c in enumerate(coeffs):
-                full[m - k + i] += c * top
-        self.coeffs = coeffs
-        self.zero = zero
-        self.xs = tuple(full[:k])
-
-    def __mul__(self, other: "_Residue") -> "_Residue":
-        full = [self.zero] * (2 * len(self.coeffs) - 1)
-        for i, x in enumerate(self.xs):
-            for j, y in enumerate(other.xs):
-                full[i + j] += x * y
-        return _Residue(self.coeffs, self.zero, full)
-
-
 def unit_power(coeffs: Sequence[Any], n: int) -> tuple[Any, ...]:
-    """The n-th tuple of :func:`unit_powers`, by squaring in R[h]/(h^k - ... - c_0).
+    """The n-th tuple of :func:`unit_powers`, as the element h of ``Unit(coeffs)`` to the n.
 
     Each product multiplies two k-tuples and reduces the top k - 1
     coefficients, so h^n costs O(k^2 log n) scalar products instead of the
@@ -191,90 +284,34 @@ def unit_power(coeffs: Sequence[Any], n: int) -> tuple[Any, ...]:
     """
     if n < 0:
         raise ValueError("power index must be non-negative")
-    k = len(coeffs)
+    unit = Unit(coeffs)
     zero = zero_of(*coeffs)
-    h = _Residue(coeffs, zero, [zero, zero + 1] + [zero] * (k - 2))  # (c_0,) if k = 1
-    one = _Residue(coeffs, zero, [zero + 1] + [zero] * (k - 1))
-    return power(h, n, one).xs
+    one = (zero + 1,) + (zero,) * (len(coeffs) - 1)
+    h = (zero,) + one[:-1] if len(coeffs) > 1 else unit.coeffs  # h = c_0 if k = 1
+    return power(Element(unit, h), n, Element(unit, one)).coeffs
 
 
 def companion_matrix(unit: GcnUnit) -> Mat2:
     """The matrix [[0, a], [1, b]] advancing (a_n, b_n) to (a_{n+1}, b_{n+1})."""
-    zero = zero_of(unit.a, unit.b)
-    return Mat2(zero, unit.a, zero + 1, unit.b)
+    return unit.companion()
 
 
 def companion_power(unit: GcnUnit, n: int) -> Mat2:
     """n-th power of the companion matrix, by exponentiation by squaring."""
-    if n < 0:
-        raise ValueError("power index must be non-negative")
-    return companion_matrix(unit) ** n
+    return unit.companion() ** n
 
 
-@dataclass(frozen=True)
-class Surd:
-    """Exact element p + q*sqrt(delta) of a fixed quadratic extension."""
+class Surd(Element):
+    """Exact element p + q*sqrt(delta): the element view over the unit (delta, 0)."""
 
-    p: Any
-    q: Any
-    delta: Any
+    __slots__ = ()
 
-    def _check(self, other: "Surd") -> None:
-        if self.delta != other.delta:
-            raise ValueError("surds live in different quadratic extensions")
+    def __init__(self, p: Any, q: Any, delta: Any):
+        super().__init__(Unit((delta, 0)), (p, q))
 
-    def __add__(self, other: object) -> "Surd":
-        if isinstance(other, Surd):
-            self._check(other)
-            return Surd(self.p + other.p, self.q + other.q, self.delta)
-        return Surd(self.p + other, self.q, self.delta)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "Surd":
-        if isinstance(other, Surd):
-            self._check(other)
-            return Surd(self.p - other.p, self.q - other.q, self.delta)
-        return Surd(self.p - other, self.q, self.delta)
-
-    def __neg__(self) -> "Surd":
-        return Surd(-self.p, -self.q, self.delta)
-
-    def __mul__(self, other: object) -> "Surd":
-        if isinstance(other, Surd):
-            self._check(other)
-            return Surd(
-                self.p * other.p + self.q * other.q * self.delta,
-                self.p * other.q + self.q * other.p,
-                self.delta,
-            )
-        return Surd(self.p * other, self.q * other, self.delta)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Surd":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            raise ValueError("negative surd powers are not needed here")
-        zero = zero_of(self.p, self.q)
-        return power(self, exponent, Surd(zero + 1, zero, self.delta))
-
-    def conjugate(self) -> "Surd":
-        return Surd(self.p, -self.q, self.delta)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Surd):
-            if self.p != other.p or self.q != other.q:
-                return False
-            return self.delta == other.delta or (self.q == 0 and other.q == 0)
-        # Scalar comparison: only radical-free surds equal plain scalars.
-        return self.q == 0 and self.p == other
-
-    def __hash__(self) -> int:
-        if self.q == 0:
-            return hash(self.p)
-        return hash((self.p, self.q, self.delta))
+    p = property(lambda self: self.coeffs[0])
+    q = property(lambda self: self.coeffs[1])
+    delta = property(lambda self: self.unit.coeffs[0])
 
     def numeric(self) -> float | complex:
         """Floating value; complex when delta < 0."""
@@ -327,23 +364,14 @@ def conjugate_roots(unit: GcnUnit) -> ConjugateRoots:
     )
 
 
-def _require_rational_unit(unit: GcnUnit) -> tuple[Fraction, Fraction]:
-    if not isinstance(unit.a, (int, Fraction)) or not isinstance(
-        unit.b, (int, Fraction)
-    ):
+def _binet_exact(unit: GcnUnit, n: int) -> tuple[Fraction, Fraction]:
+    if not all(isinstance(c, (int, Fraction)) for c in unit.coeffs):
         raise TypeError(
             "this method needs a rational scalar unit; use 'recurrence' or "
             "'matrix' for polynomial-valued units"
         )
-    return Fraction(unit.a), Fraction(unit.b)
-
-
-def _binet_exact(unit: GcnUnit, n: int) -> tuple[Fraction, Fraction]:
-    _, b = _require_rational_unit(unit)
     root_n = conjugate_roots(unit).h_plus ** n
-    b_n = 2 * root_n.q
-    a_n = root_n.p - b * root_n.q
-    return (a_n, b_n)
+    return (root_n.p - unit.b * root_n.q, 2 * root_n.q)
 
 
 def float_unit(unit: GcnUnit) -> tuple[float, float]:
@@ -393,7 +421,7 @@ def power_coeffs(unit: GcnUnit, n: int, method: str = "recurrence"):
     if n < 0:
         raise ValueError("power index must be non-negative")
     if method == "recurrence":
-        return unit_power((unit.a, unit.b), n)
+        return unit_power(unit.coeffs, n)
     if method == "matrix":
         matrix = companion_power(unit, n)
         return (matrix.m11, matrix.m21)
@@ -410,4 +438,4 @@ def power_coeff_sequence(unit: GcnUnit, n_max: int) -> list[tuple[Any, Any]]:
     """[(a_0, b_0), ..., (a_{n_max}, b_{n_max})] by the recurrence."""
     if n_max < 0:
         raise ValueError("power index must be non-negative")
-    return list(islice(unit_powers((unit.a, unit.b)), n_max + 1))
+    return list(islice(unit_powers(unit.coeffs), n_max + 1))

@@ -7,8 +7,10 @@ with the recurrence (obtained by multiplying by Y and reducing)
     beta_{n+1}  = alpha_n - v*gamma_n
     gamma_{n+1} = beta_n + u*gamma_n
 
-which is :func:`gencheb.gcn.unit_powers` with coefficients (1, -v, u),
-and gamma_n equals the two-variable Chebyshev polynomial of index n - 1.
+which is :func:`gencheb.gcn.unit_powers` of :class:`CubicUnit`, the order-3
+:class:`gencheb.gcn.Unit` (1, -v, u); the ``matrix`` route of
+:func:`cubic_power` raises that unit's 3x3 companion instead.  gamma_n
+equals the two-variable Chebyshev polynomial of index n - 1.
 The family U2_n(u, v) is produced by three independent exact routes that all
 must agree:
 
@@ -33,10 +35,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Any
 
-from .gcn import unit_powers
-from .matrices import Mat3
+from .gcn import Unit, unit_powers
 from .poly import MultiPoly, _canonical, _unchecked, gens
-from .scalars import zero_of
 from .series import TruncatedSeries
 
 __all__ = [
@@ -85,31 +85,24 @@ class CubicPowerCoeffs:
     gamma: Any
 
 
-@dataclass(frozen=True)
-class CubicUnit:
-    """The relation Y^3 = u*Y^2 - v*Y + 1 over a fixed coefficient ring."""
+class CubicUnit(Unit):
+    """The relation Y^3 = u*Y^2 - v*Y + 1: the unit (1, -v, u).
 
-    u: Any
-    v: Any
+    Its ``companion()`` advances the coefficient column (alpha, beta, gamma).
+    """
 
-    def companion(self) -> Mat3:
-        """Matrix advancing the coefficient column (alpha, beta, gamma)."""
-        zero = zero_of(self.u, self.v)
-        one = zero + 1
-        return Mat3(
-            (
-                (zero, zero, one),
-                (one, zero, -self.v),
-                (zero, one, self.u),
-            )
-        )
+    def __init__(self, u: Any, v: Any):
+        super().__init__((1, -v, u))
+
+    u = property(lambda self: self.coeffs[2])
+    v = property(lambda self: -self.coeffs[1])
 
 
 def cubic_power_sequence(u, v, n_max: int) -> list[CubicPowerCoeffs]:
     """Coefficients of Y^0 .. Y^{n_max} by repeated reduction."""
     if n_max < 0:
         raise ValueError("power index must be non-negative")
-    powers = islice(unit_powers((1, -v, u)), n_max + 1)
+    powers = islice(unit_powers(CubicUnit(u, v).coeffs), n_max + 1)
     return [CubicPowerCoeffs(n, *coeffs) for n, coeffs in enumerate(powers)]
 
 

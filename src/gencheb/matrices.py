@@ -1,14 +1,17 @@
-"""Dense 2x2 and 3x3 matrices over any exact commutative ring.
+"""Dense square matrices over any exact commutative ring.
 
-Entries only need ``+``, ``-`` and ``*`` among themselves and with ints;
-Fraction, GaussianRational and MultiPoly all qualify.  Powers go through
-the shared square-and-multiply helper :func:`gencheb.scalars.power`, and
-identities are built on :func:`gencheb.scalars.zero_of` of the entries.
+:class:`Mat2` is the 2x2 matrix with named entries; :class:`Mat3`, named for
+the cubic companion, is the k x k matrix of any size.  Entries only need
+``+``, ``-`` and ``*`` among themselves and with ints; Fraction,
+GaussianRational and MultiPoly all qualify.  Powers go through the shared
+square-and-multiply helper :func:`gencheb.scalars.power`, and identities are
+built on :func:`gencheb.scalars.zero_of` of the entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul, sub
 from typing import Any
 
 from .scalars import power, zero_of
@@ -93,55 +96,49 @@ class Mat2:
         return (self.m11, self.m12, self.m21, self.m22)
 
 
+def _dot(row: tuple, col: tuple):
+    """The sum of row[i] * col[i], started from the first product, not from 0."""
+    return sum(map(mul, row[1:], col[1:]), row[0] * col[0])
+
+
 @dataclass(frozen=True)
 class Mat3:
-    rows: tuple[tuple[Any, Any, Any], ...]
+    """A dense k x k matrix for any k >= 1, stored as a tuple of rows."""
+
+    rows: tuple[tuple[Any, ...], ...]
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(r) for r in self.rows)
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("Mat3 needs a 3x3 entry grid")
+        if not rows or any(len(r) != len(rows) for r in rows):
+            raise ValueError("Mat3 needs a square, nonempty entry grid")
         object.__setattr__(self, "rows", rows)
 
     def identity_like(self) -> "Mat3":
         zero = zero_of(*(entry for row in self.rows for entry in row))
         one = zero + 1
+        k = len(self.rows)
         return Mat3(
-            (
-                (one, zero, zero),
-                (zero, one, zero),
-                (zero, zero, one),
-            )
+            tuple(tuple(one if i == j else zero for j in range(k)) for i in range(k))
+        )
+
+    def _entrywise(self, op, other: object) -> "Mat3":
+        if not isinstance(other, Mat3):
+            return NotImplemented
+        return Mat3(
+            tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.rows, other.rows))
         )
 
     def __add__(self, other: "Mat3") -> "Mat3":
-        if not isinstance(other, Mat3):
-            return NotImplemented
-        return Mat3(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "Mat3") -> "Mat3":
-        if not isinstance(other, Mat3):
-            return NotImplemented
-        return Mat3(
-            tuple(
-                tuple(a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
+        return self._entrywise(sub, other)
 
     def __mul__(self, other: object) -> "Mat3":
         if isinstance(other, Mat3):
             cols = tuple(zip(*other.rows))
             return Mat3(
-                tuple(
-                    tuple(r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in cols)
-                    for r0, r1, r2 in self.rows
-                )
+                tuple(tuple(_dot(row, col) for col in cols) for row in self.rows)
             )
         return Mat3(
             tuple(tuple(entry * other for entry in row) for row in self.rows)
@@ -156,9 +153,8 @@ class Mat3:
             raise ValueError("negative matrix powers are not defined here")
         return power(self, exponent, self.identity_like())
 
-    def apply(self, vector: tuple[Any, Any, Any]) -> tuple[Any, Any, Any]:
-        v0, v1, v2 = vector
-        return tuple(r0 * v0 + r1 * v1 + r2 * v2 for r0, r1, r2 in self.rows)
+    def apply(self, vector: tuple[Any, ...]) -> tuple[Any, ...]:
+        return tuple(_dot(row, vector) for row in self.rows)
 
-    def column(self, j: int) -> tuple[Any, Any, Any]:
+    def column(self, j: int) -> tuple[Any, ...]:
         return tuple(row[j] for row in self.rows)

@@ -5,9 +5,11 @@ from itertools import islice
 import pytest
 
 from gencheb.gcn import (
+    Element,
     GcnElement,
     GcnUnit,
     Surd,
+    Unit,
     UnitMismatchError,
     companion_matrix,
     companion_power,
@@ -49,6 +51,10 @@ def test_unit_mismatch_rejected():
     b = GcnElement(GcnUnit(Fraction(-1), Fraction(0)), Fraction(1), Fraction(0))
     with pytest.raises(UnitMismatchError):
         a * b
+    with pytest.raises(UnitMismatchError):
+        Surd(Fraction(1), Fraction(1), Fraction(2)) * Surd(
+            Fraction(1), Fraction(1), Fraction(3)
+        )
 
 
 def test_powers_of_i():
@@ -204,8 +210,11 @@ UNIT_COEFFS = [
 @pytest.mark.parametrize("coeffs", UNIT_COEFFS)
 def test_unit_power_matches_walk(coeffs):
     walk = list(islice(unit_powers(coeffs), 71))
+    companion = Unit(coeffs).companion()
+    e_0 = (1,) + (0,) * (len(coeffs) - 1)
     for n, expected in enumerate(walk):
         assert unit_power(coeffs, n) == expected, n
+        assert (companion ** n).apply(e_0) == expected, n
 
 
 def test_unit_power_rejects_negative_index():
@@ -218,3 +227,62 @@ def test_recurrence_route_at_large_index():
     by_recurrence = power_coeffs(unit, 4096, "recurrence")
     assert by_recurrence == power_coeffs(unit, 4096, "matrix")
     assert by_recurrence == power_coeffs(unit, 4096, "binet")
+
+
+def _pair_mul(unit, x, y):
+    """(x0 + x1*h)(y0 + y1*h) with h^2 = a + b*h, written out."""
+    a, b = unit
+    cross = x[1] * y[1]
+    return (x[0] * y[0] + a * cross, x[0] * y[1] + x[1] * y[0] + b * cross)
+
+
+def test_views_match_pair_formula_reference():
+    rng = random.Random(20261018)
+
+    def fraction():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    for _ in range(40):
+        a, b = fraction(), fraction()
+        delta = fraction()
+        views = [
+            (lambda x, y: GcnElement(GcnUnit(a, b), x, y), (a, b), lambda e: (e.re, e.im)),
+            (lambda x, y: Surd(x, y, delta), (delta, 0), lambda e: (e.p, e.q)),
+        ]
+        for make, unit, pair in views:
+            x, y = (fraction(), fraction()), (fraction(), fraction())
+            ex, ey, s = make(*x), make(*y), fraction()
+            results = {
+                "add": (ex + ey, (x[0] + y[0], x[1] + y[1])),
+                "sub": (ex - ey, (x[0] - y[0], x[1] - y[1])),
+                "neg": (-ex, (-x[0], -x[1])),
+                "mul": (ex * ey, _pair_mul(unit, x, y)),
+                "add-scalar": (ex + s, (x[0] + s, x[1])),
+                "scalar-add": (s + ex, (s + x[0], x[1])),
+                "sub-scalar": (ex - s, (x[0] - s, x[1])),
+                "scalar-sub": (s - ex, (s - x[0], -x[1])),
+                "mul-scalar": (ex * s, (x[0] * s, x[1] * s)),
+                "scalar-mul": (s * ex, (s * x[0], s * x[1])),
+                "conjugate": (ex.conjugate(), (x[0] + unit[1] * x[1], -x[1])),
+            }
+            expected = (Fraction(1), Fraction(0))
+            for n in range(7):
+                results[f"pow{n}"] = (ex ** n, expected)
+                expected = _pair_mul(unit, expected, x)
+            for name, (value, want) in results.items():
+                assert type(value) is type(ex), name
+                assert pair(value) == want, name
+            # Zero higher coefficients: the element equals its constant.
+            constant = make(s, Fraction(0))
+            assert constant == s and s == constant and hash(constant) == hash(s)
+            assert (ex == x[0]) == (x[1] == 0)
+    for coeffs in ((3,), (1, 2, -1), (Fraction(1, 2), 0, 1, 2)):
+        k = len(coeffs)
+        constant = Element(Unit(coeffs), (Fraction(5, 7),) + (0,) * (k - 1))
+        assert constant == Fraction(5, 7) and hash(constant) == hash(Fraction(5, 7))
+        from_lists = Element(Unit(list(coeffs)), [1] * k)
+        assert from_lists == Element(Unit(coeffs), (1,) * k)
+        assert hash(from_lists) == hash(Element(Unit(coeffs), (1,) * k))
+        assert constant == Surd(Fraction(5, 7), 0, Fraction(2))
+        with pytest.raises(ValueError):
+            Element(Unit(coeffs), (1,) + (0,) * (k - 1)).conjugate()
