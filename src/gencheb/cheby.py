@@ -8,12 +8,10 @@ arithmetic; numeric helpers exist only for the square-root branch x > 1,
 where ``u_from_roots`` reads U_n = B_{n+1} off the floating closed form
 :func:`gencheb.gcn.at_roots` of the unit (-1, 2x).
 
-Two recurrences here deliberately do not go through the generic
-:func:`gencheb.gcn.unit_powers`.  ``_u`` is the three-term recurrence
+``cheb_AB`` memoises one :func:`gencheb.gcn.unit_powers` walk over the
+unit.  Only ``_u`` stays off the walk: it is the three-term recurrence
 U_{n+1} = 2x*U_n - U_{n-1}, kept as the independent reference that the
-verification suite checks the unit's coefficients against.  ``cheb_AB``
-keeps its own memoised step A' = -B, B' = A + 2x*B because negating is much
-cheaper than the generic step's product with the constant polynomial -1.
+verification suite checks the unit's coefficients against.
 """
 
 from __future__ import annotations
@@ -93,16 +91,16 @@ def cheb_U(n: int) -> ChebPoly:
     return ChebPoly("second", n, _u(n))
 
 
-_AB_CACHE: list[tuple[MultiPoly, MultiPoly]] = [(_ONE, _ZERO)]
+_AB_WALK = gcn.unit_powers(_CHEB_UNIT.coeffs)
+_AB_CACHE: list[tuple[MultiPoly, MultiPoly]] = []
 
 
 def cheb_AB(n: int) -> ChebCoeffPair:
-    """(A_n, B_n) by the companion-column recurrence of the unit (-1, 2x)."""
+    """(A_n, B_n), read off the power walk of the unit (-1, 2x)."""
     if n < 0:
         raise ValueError("index must be non-negative")
     while len(_AB_CACHE) <= n:
-        a_prev, b_prev = _AB_CACHE[-1]
-        _AB_CACHE.append((-b_prev, a_prev + 2 * X * b_prev))
+        _AB_CACHE.append(next(_AB_WALK))
     a_n, b_n = _AB_CACHE[n]
     return ChebCoeffPair(n, a_n, b_n)
 

@@ -7,7 +7,9 @@ and its companion matrix advances the coefficient column of h^n to that of
 h^{n+1}.  The paper's unit h^2 = a + b*h is :class:`GcnUnit`, with the view
 x + y*h :class:`GcnElement`; the surd p + q*sqrt(delta) is the view
 :class:`Surd` over the unit (delta, 0); the cubic unit of
-:mod:`gencheb.higher` is (1, -v, u).  Views add names, not arithmetic.
+:mod:`gencheb.higher` is (1, -v, u); a power series truncated after t^N
+(:mod:`gencheb.series`) is an element over the nilpotent unit t^(N+1) = 0.
+Views add names, not arithmetic.
 
 Powers h^n = a_n + b_n*h of a unit (a, b) are computed three ways and must
 always agree:
@@ -24,14 +26,14 @@ Both recurrence forms are written once, for a unit of any order.
 :func:`unit_powers` is the walk: it multiplies h^n by h, shifting the
 coefficients up one place and feeding the top one back through the unit.
 Readers of a whole sequence use it: ``power_coeff_sequence`` (and so
-``verify.suite_gcn``) and the cubic unit.  :func:`unit_power` is one h^n on
-its own, the element h raised by squaring (Fiduccia, SIAM J. Comput. 14,
-1985) in O(k^2 log n) scalar products instead of the walk's O(k n); it is
-the ``recurrence`` route of ``power_coeffs`` and the closed form of the
-matrix powers of :mod:`gencheb.pauli`.  On bivariate polynomial
-coefficients such as the cubic unit's the walk wins even for one power:
-each of its steps multiplies by the small unit coefficients, while a
-squaring multiplies two large ones.
+``verify.suite_gcn``), ``cheby.cheb_AB`` and the cubic unit.
+:func:`unit_power` is one h^n on its own, the element h raised by squaring
+(Fiduccia, SIAM J. Comput. 14, 1985) in O(k^2 log n) scalar products
+instead of the walk's O(k n); it is the ``recurrence`` route of
+``power_coeffs`` and the closed form of the matrix powers of
+:mod:`gencheb.pauli`.  On bivariate polynomial coefficients such as the
+cubic unit's the walk wins even for one power: each of its steps multiplies
+by the small unit coefficients, while a squaring multiplies two large ones.
 
 The closed form is evaluated exactly over the unit (D, 0), which remains
 valid when D = 0: writing h^n = p_n + q_n*sqrt(D) gives b_n = 2*q_n and

@@ -86,9 +86,6 @@ class Mat2:
         v0, v1 = vector
         return (self.m11 * v0 + self.m12 * v1, self.m21 * v0 + self.m22 * v1)
 
-    def trace(self):
-        return self.m11 + self.m22
-
     def det(self):
         return self.m11 * self.m22 - self.m12 * self.m21
 

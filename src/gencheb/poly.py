@@ -33,11 +33,13 @@ Text format
     factor   := rational | symbol ('^' uint)? | '(' expr ')'
     rational := int ('/' uint)?
 
-with insignificant whitespace.  Rendering emits terms in graded-lexicographic
-order (higher total degree first; ties broken by the exponent tuple, so the
-first-listed variable is the most significant) and always stays inside the
-grammar, so output re-parses bit-exactly.  Only real coefficients are
-renderable; the grammar has no imaginary literal.
+with insignificant whitespace and parentheses nested at most
+``MAX_NESTING`` deep, so that no input exhausts the parser's recursion.
+Rendering emits terms in graded-lexicographic order (higher total degree
+first; ties broken by the exponent tuple, so the first-listed variable is
+the most significant) and always stays inside the grammar, so output
+re-parses bit-exactly.  Only real coefficients are renderable; the grammar
+has no imaginary literal.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ from .scalars import GaussianRational, power
 __all__ = ["MultiPoly", "PolyParseError", "gens", "parse_poly"]
 
 Exponents = tuple[int, ...]
+
+MAX_NESTING = 100
 
 _SCALARS = (int, Fraction, GaussianRational)
 ScalarLike = int | Fraction | GaussianRational
@@ -175,7 +179,8 @@ class MultiPoly:
         return bool(self._terms)
 
     def is_constant(self) -> bool:
-        return all(not any(exps) for exps in self._terms)
+        # Stored terms are nonzero and distinct, so a constant has at most one.
+        return len(self._terms) < 2 and not any(next(iter(self._terms), ()))
 
     def constant_value(self) -> GaussianRational:
         """The coefficient of the empty monomial (the value, if constant)."""
@@ -264,6 +269,11 @@ class MultiPoly:
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
+        # A constant operand scales the other in one pass over its terms.
+        if rhs.is_constant():
+            return self._scaled(next(iter(rhs._terms.values()), 0))
+        if self.is_constant():
+            return rhs._scaled(next(iter(self._terms.values()), 0))
         out: dict[Exponents, ScalarLike] = {}
         get = out.get
         for e1, c1 in self._terms.items():
@@ -280,6 +290,8 @@ class MultiPoly:
         """Every coefficient times a canonical scalar, in one pass."""
         if factor == 1:
             return self
+        if factor == -1:
+            return -self
         if not factor:
             return _unchecked(self._variables, {})
         # A product of nonzero Gaussian rationals is nonzero.
@@ -484,6 +496,7 @@ class _Parser:
     def __init__(self, text: str, variables: tuple[str, ...]):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.variables = variables
         self.generators = {
             name: MultiPoly.variable(name, variables) for name in variables
@@ -536,12 +549,16 @@ class _Parser:
         self.skip_ws()
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING}")
+            self.depth += 1
             self.pos += 1
             value = self.expr()
             self.skip_ws()
             if self.peek() != ")":
                 self.fail("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return value
         if ch == "-" or ch.isdigit():
             return MultiPoly.constant(self.variables, self.rational())

@@ -1,16 +1,22 @@
 """Truncated power series in one formal variable t with polynomial coefficients.
 
 A :class:`TruncatedSeries` of order N holds coefficients c_0..c_N (each a
-:class:`MultiPoly` over a shared variable tuple) and does exact arithmetic
-modulo t^(N+1).  The generating-function checks in this package are all
-coefficient-extraction exercises on these series.
+:class:`MultiPoly` over a shared variable tuple).  It is an element over the
+nilpotent unit t^(N+1) = 0, ``gcn.Unit((0,) * (N + 1))``: the quotient ring
+R[t]/(t^(N+1)), whose element product drops every power above t^N.  For
+N = 1 this is the dual-number unit h^2 = 0.  Like ``Surd`` and
+``GcnElement`` it is a view of :class:`gencheb.gcn.Element`, so ``+``,
+``-``, ``*``, ``==`` and ``hash`` are the element's; the view adds the
+checked constructor, inversion and ``exp``.  The generating-function checks
+in this package are all coefficient-extraction exercises on these series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
+from .gcn import Element, Unit
 from .poly import MultiPoly, ScalarLike
 
 __all__ = ["SingularSeriesError", "TruncatedSeries"]
@@ -20,10 +26,10 @@ class SingularSeriesError(ValueError):
     """Raised when inverting a series whose constant term is not a unit."""
 
 
-class TruncatedSeries:
+class TruncatedSeries(Element):
     """Exact power-series prefix c_0 + c_1 t + ... + c_N t^N."""
 
-    __slots__ = ("_variables", "_order", "_coeffs")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -46,15 +52,8 @@ class TruncatedSeries:
                 lifted.append(c)
             else:
                 lifted.append(MultiPoly.constant(names, c))
-        while len(lifted) < order + 1:
-            lifted.append(MultiPoly.zero(names))
-        self._variables = names
-        self._order = order
-        self._coeffs = tuple(lifted)
-
-    @classmethod
-    def zero(cls, variables: Iterable[str], order: int) -> "TruncatedSeries":
-        return cls(variables, [], order)
+        lifted += [MultiPoly.zero(names)] * (order + 1 - len(lifted))
+        super().__init__(Unit((0,) * (order + 1)), lifted)
 
     @classmethod
     def one(cls, variables: Iterable[str], order: int) -> "TruncatedSeries":
@@ -62,138 +61,68 @@ class TruncatedSeries:
 
     @property
     def variables(self) -> tuple[str, ...]:
-        return self._variables
+        return self.coeffs[0].variables
 
     @property
     def order(self) -> int:
-        return self._order
+        return len(self.coeffs) - 1
 
     def coefficient(self, n: int) -> MultiPoly:
-        if n < 0 or n > self._order:
-            raise IndexError(f"coefficient index {n} outside 0..{self._order}")
-        return self._coeffs[n]
+        if n < 0 or n > self.order:
+            raise IndexError(f"coefficient index {n} outside 0..{self.order}")
+        return self.coeffs[n]
 
     def coefficients(self) -> tuple[MultiPoly, ...]:
-        return self._coeffs
+        return self.coeffs
 
-    def _check_compatible(self, other: "TruncatedSeries") -> None:
-        if self._variables != other._variables:
-            raise ValueError("series variables differ")
-        if self._order != other._order:
-            raise ValueError(
-                f"series orders differ ({self._order} vs {other._order})"
-            )
-
-    def _lift(self, other: object) -> "TruncatedSeries | None":
-        if isinstance(other, TruncatedSeries):
-            self._check_compatible(other)
-            return other
-        if isinstance(other, (int, Fraction)) or isinstance(other, MultiPoly):
-            return TruncatedSeries(self._variables, [other], self._order)
-        return None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self._variables == other._variables
-            and self._order == other._order
-            and self._coeffs == other._coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._variables, self._order, self._coeffs))
-
-    def __add__(self, other: object) -> "TruncatedSeries":
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return TruncatedSeries(
-            self._variables,
-            [a + b for a, b in zip(self._coeffs, rhs._coeffs)],
-            self._order,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self._variables, [-c for c in self._coeffs], self._order
-        )
-
-    def __sub__(self, other: object) -> "TruncatedSeries":
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: object) -> "TruncatedSeries":
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
-    def __mul__(self, other: object) -> "TruncatedSeries":
-        rhs = self._lift(other)
-        if rhs is None:
-            return NotImplemented
-        zero = MultiPoly.zero(self._variables)
-        out = [zero] * (self._order + 1)
-        for i, a in enumerate(self._coeffs):
-            if a.is_zero:
-                continue
-            for j in range(self._order + 1 - i):
-                b = rhs._coeffs[j]
-                if b.is_zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self._variables, out, self._order)
-
-    __rmul__ = __mul__
-
-    def scale(self, value: ScalarLike) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self._variables, [c * value for c in self._coeffs], self._order
-        )
+    def _solve(
+        self,
+        weights: Sequence[MultiPoly],
+        head: ScalarLike,
+        scale: Callable[[int], ScalarLike],
+    ) -> "TruncatedSeries":
+        """The series e_0 = head, e_n = scale(n) * (w_1 e_{n-1} + ... + w_n e_0)."""
+        terms = [(k, w) for k, w in enumerate(weights) if k and not w.is_zero]
+        out = [MultiPoly.constant(self.variables, head)]
+        for n in range(1, len(weights)):
+            acc = MultiPoly.zero(self.variables)
+            for k, w in terms:
+                if k > n:
+                    break
+                acc = acc + w * out[n - k]
+            out.append(acc * scale(n))
+        return self._new(tuple(out))
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse modulo t^(order+1).
 
         Requires the constant coefficient to be a nonzero scalar (a unit of
         the coefficient ring); otherwise raises :class:`SingularSeriesError`.
+        Solves c_0 e_n = -(c_1 e_{n-1} + ... + c_n e_0) term by term.
         """
-        head = self._coeffs[0]
+        head = self.coeffs[0]
         if not head.is_constant() or head.is_zero:
             raise SingularSeriesError(
                 "series inverse needs a nonzero scalar constant term, "
                 f"got {head!s}"
             )
         inv_head = head.constant_value().inverse()
-        out = [MultiPoly.constant(self._variables, inv_head)]
-        for n in range(1, self._order + 1):
-            acc = MultiPoly.zero(self._variables)
-            for k in range(1, n + 1):
-                sk = self._coeffs[k]
-                if sk.is_zero:
-                    continue
-                acc = acc + sk * out[n - k]
-            out.append(acc * (-inv_head))
-        return TruncatedSeries(self._variables, out, self._order)
+        return self._solve(self.coeffs, inv_head, lambda n: -inv_head)
 
     def exp(self) -> "TruncatedSeries":
-        """exp of a series with zero constant term, exactly truncated."""
-        if not self._coeffs[0].is_zero:
+        """exp of a series with zero constant term, exactly truncated.
+
+        E = exp(A) solves E' = A'E, so n e_n = 1 a_1 e_{n-1} + ... + n a_n e_0
+        with e_0 = 1.
+        """
+        if not self.coeffs[0].is_zero:
             raise ValueError("exp needs a zero constant term")
-        acc = TruncatedSeries.one(self._variables, self._order)
-        power = TruncatedSeries.one(self._variables, self._order)
-        for k in range(1, self._order + 1):
-            power = (power * self).scale(Fraction(1, k))
-            acc = acc + power
-        return acc
+        weights = [c * k for k, c in enumerate(self.coeffs)]
+        return self._solve(weights, 1, lambda n: Fraction(1, n))
 
     def __str__(self) -> str:
         parts = []
-        for n, c in enumerate(self._coeffs):
+        for n, c in enumerate(self.coeffs):
             if c.is_zero:
                 continue
             parts.append(f"({c})*t^{n}" if n else f"({c})")
@@ -201,6 +130,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return (
-            f"TruncatedSeries({self._variables!r}, order={self._order}, "
-            f"coeffs={[str(c) for c in self._coeffs]!r})"
+            f"TruncatedSeries({self.variables!r}, order={self.order}, "
+            f"coeffs={[str(c) for c in self.coeffs]!r})"
         )

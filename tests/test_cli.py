@@ -184,6 +184,7 @@ def test_bench_json_records():
         ("gcn", "roots", "--a", "1e400", "--b", "0", "--numeric"),
         ("euler", "series", "--a", "1e300", "--b", "0", "--phi", "1"),
         ("euler", "ode", "--a", "1e300", "--b", "0", "--points", "3"),
+        ("gcn", "power", "--a", "(" * 1000 + "x" + ")" * 1000, "--b", "1", "--n", "2"),
     ],
 )
 def test_unanswerable_requests_are_refused(args):

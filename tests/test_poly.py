@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gencheb.poly import MultiPoly, PolyParseError, gens, parse_poly
+from gencheb.poly import MAX_NESTING, MultiPoly, PolyParseError, gens, parse_poly
 from gencheb.scalars import GaussianRational
 
 X, = gens("x")
@@ -87,6 +87,9 @@ def test_parse_error_positions():
         parse_poly("(x+1)^2", ("x",))  # '^' binds to symbols only
     with pytest.raises(PolyParseError):
         parse_poly("(x", ("x",))
+    with pytest.raises(PolyParseError) as info:
+        parse_poly("(" * 1000 + "x" + ")" * 1000, ("x",))
+    assert info.value.position == MAX_NESTING
 
 
 def test_parse_accepts_insignificant_whitespace_and_parens():
@@ -237,6 +240,7 @@ def test_fast_coefficients_match_gaussian_reference():
         a, b = p.terms, q.terms
         scalar = random_coeff(rng)
         lifted = {(0, 0): GaussianRational._coerce(scalar)}
+        constant = MultiPoly.constant(names, scalar)
         results = {
             "add": (p + q, ref_add(a, b)),
             "sub": (p - q, ref_add(a, {e: -c for e, c in b.items()})),
@@ -244,6 +248,9 @@ def test_fast_coefficients_match_gaussian_reference():
             "mul": (p * q, ref_mul(a, b)),
             "scale": (p * scalar, ref_mul(a, lifted)),
             "rscale": (scalar * p, ref_mul(a, lifted)),
+            "const": (p * constant, ref_mul(a, lifted)),
+            "rconst": (constant * p, ref_mul(a, lifted)),
+            "const2": (constant * constant, ref_mul(lifted, lifted)),
             "pow": (p ** 3, ref_pow(a, 3, 2)),
             "du": (p.derivative("u"), ref_derivative(a, 0)),
             "dv": (p.derivative("v"), ref_derivative(a, 1)),

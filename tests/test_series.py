@@ -54,6 +54,8 @@ def test_arithmetic_and_order_checks():
     assert (a + b).coefficient(1) == 3
     assert (a - b).coefficient(1) == 1
     assert (a * b).coefficients() == TruncatedSeries(("x",), [0, 1, 2], 2).coefficients()
+    for result in (a + b, a - b, a * b, a * Fraction(1, 2), -a):
+        assert isinstance(result, TruncatedSeries)
     with pytest.raises(ValueError):
         a + TruncatedSeries(("x",), [1], 5)
     with pytest.raises(ValueError):
@@ -70,3 +72,24 @@ def test_exp_of_t():
         assert e.coefficient(n) == Fraction(1, fact)
     with pytest.raises(ValueError):
         TruncatedSeries(("x",), [1, 1], 3).exp()
+
+
+def test_exp_matches_power_sum_random():
+    # exp(A) against sum_{k <= N} A^k/k!, built from series products.
+    rng = random.Random(8675309)
+    names = ("x", "y")
+    x, y = gens(*names)
+    nonzero = [c for c in range(-4, 5) if c]
+    for order in [n for n in range(1, 9) for _ in range(3)]:
+        coeffs = [0] + [
+            rng.choice(nonzero) * x
+            + Fraction(rng.choice(nonzero), rng.randint(1, 4)) * y
+            + rng.choice(nonzero)
+            for _ in range(order)
+        ]
+        series = TruncatedSeries(names, coeffs)
+        total = term = TruncatedSeries.one(names, order)
+        for k in range(1, order + 1):
+            term = term * series * Fraction(1, k)
+            total = total + term
+        assert series.exp() == total
