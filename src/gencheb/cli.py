@@ -207,8 +207,9 @@ def _cmd_euler(args: argparse.Namespace) -> int:
             args.format,
         )
         return 0
+    # A one-point grid divides by 1, not 0, and ode_residual refuses it.
     grid = [
-        args.lo + (args.hi - args.lo) * k / (args.points - 1)
+        args.lo + (args.hi - args.lo) * k / max(args.points - 1, 1)
         for k in range(args.points)
     ]
     report = euler.ode_residual(unit, grid, args.tol)

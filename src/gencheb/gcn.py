@@ -82,14 +82,23 @@ class UnitMismatchError(ValueError):
     """Raised when combining elements over different units."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Unit:
-    """The relation h^k = c_0 + c_1*h + ... + c_{k-1}*h^{k-1}, as (c_0, ..., c_{k-1})."""
+    """The relation h^k = c_0 + c_1*h + ... + c_{k-1}*h^{k-1}, as (c_0, ..., c_{k-1}).
+
+    Units of any type, views included, are equal when their coefficients are.
+    """
 
     coeffs: tuple
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Unit) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @cached_property
     def _fold(self) -> tuple:
@@ -99,8 +108,8 @@ class Unit:
     def companion(self) -> Mat2 | Mat3:
         """The matrix advancing the coefficient column of h^n to that of h^{n+1}.
 
-        Row i has 1 left of the diagonal and c_i last; it is a :class:`Mat2`
-        for k = 2 and a k x k :class:`Mat3` otherwise.
+        Row i has 1 left of the diagonal and c_i last; it is a k x k
+        :class:`Mat3`, seen as a :class:`Mat2` for k = 2.
         """
         k = len(self.coeffs)
         zero = zero_of(*self.coeffs)
@@ -425,8 +434,7 @@ def power_coeffs(unit: GcnUnit, n: int, method: str = "recurrence"):
     if method == "recurrence":
         return unit_power(unit.coeffs, n)
     if method == "matrix":
-        matrix = companion_power(unit, n)
-        return (matrix.m11, matrix.m21)
+        return companion_power(unit, n).column(0)
     if method == "binet":
         return _binet_exact(unit, n)
     if method == "binet_float":

@@ -7,9 +7,10 @@ quadratic ``M^2 = gamma*I + 2*alpha*M`` with
 Cayley-Hamilton).  So M is a generalized complex unit (gamma, 2*alpha), and
 its power coefficients from :func:`gencheb.gcn.unit_power` give
 
-    M^n = a_n * I + b_n * M
+    M^n = b_n*M + a_n
 
-for any determinant.  For unimodular matrices (det = 1, gamma = -1) these
+for any determinant, the scalar a_n standing for a_n*I as it does in
+:mod:`gencheb.matrices`.  For unimodular matrices (det = 1, gamma = -1) these
 are second-kind Chebyshev values, b_n = U_{n-1}(alpha) and
 a_n = -U_{n-2}(alpha), which is the closed form
 M^n = U_{n-1}(alpha) * M - U_{n-2}(alpha) * I.  The pair (a_n, b_n) is
@@ -95,17 +96,17 @@ def pauli_decompose(m: Mat2) -> PauliCoords:
 
 def pauli_recompose(coords: PauliCoords) -> Mat2:
     return (
-        IDENTITY * coords.alpha
-        + PAULI[0] * coords.beta1
+        PAULI[0] * coords.beta1
         + PAULI[1] * coords.beta2
         + PAULI[2] * coords.beta3
+        + coords.alpha
     )
 
 
 def quadratic_residual(m: Mat2) -> Mat2:
     """M^2 - gamma*I - 2*alpha*M; identically zero by Cayley-Hamilton."""
     coords = pauli_decompose(m)
-    return m * m - IDENTITY * coords.gamma - m * (2 * coords.alpha)
+    return m * m - m * (2 * coords.alpha) - coords.gamma
 
 
 def anticommutator(a: Mat2, b: Mat2) -> Mat2:
@@ -129,9 +130,8 @@ def mat_power(m: Mat2, n: int, method: str = "squaring") -> Mat2:
     det = m.det()
     if method == "chebyshev" and det != 1:
         raise ValueError(f"the Chebyshev closed form needs determinant 1, got {det}")
-    alpha = (m.m11 + m.m22) * Fraction(1, 2)
-    a_n, b_n = unit_power((-det, 2 * alpha), n)
-    return IDENTITY * a_n + m * b_n
+    a_n, b_n = unit_power((-det, m.m11 + m.m22), n)  # 2*alpha is the trace
+    return m * b_n + a_n
 
 
 def coeff_bits(m: Mat2) -> int:

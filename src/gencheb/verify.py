@@ -110,19 +110,17 @@ def suite_gcn(
         roots = gcn.conjugate_roots(unit)
         root = roots.h_plus
         rho = max(*map(abs, roots.numeric()), 1.0)
-        matrix_power = None
         companion = gcn.companion_matrix(unit)
+        matrix_power = companion.identity_like()
         surd_power = root ** 0
         seq = gcn.power_coeff_sequence(unit, nmax)
         scale = 1.0
         for n, (a_n, b_n) in enumerate(seq):
-            if n == 0:
-                matrix_power = companion.identity_like()
-            else:
+            if n:
                 matrix_power = matrix_power * companion
                 surd_power = surd_power * root
                 scale *= rho
-            rec.equal(f"{tag}/n{n}/matrix", (a_n, b_n), (matrix_power.m11, matrix_power.m21))
+            rec.equal(f"{tag}/n{n}/matrix", (a_n, b_n), matrix_power.column(0))
             binet_b = 2 * surd_power.q
             binet_a = surd_power.p - unit.b * surd_power.q
             rec.equal(f"{tag}/n{n}/surd", (a_n, b_n), (binet_a, binet_b))
@@ -349,7 +347,7 @@ def suite_u2(nmax: int = DEFAULT_NMAX) -> VerificationReport:
     rec.equal(
         "companion-cubic",
         companion ** 3,
-        companion * companion * u - companion * v + companion.identity_like(),
+        companion * companion * u - companion * v + 1,
     )
     return _finish("u2-triple", rec, started)
 
@@ -440,10 +438,8 @@ def suite_corrections() -> VerificationReport:
     )
 
     m = pauli.gaussian_mat(((2, 1), (1, 1)))
-    alpha = (m.m11 + m.m22) * Fraction(1, 2)
-    u1_alpha = 2 * alpha
-    u0_alpha = GaussianRational(Fraction(1))
-    plus_variant = m * u1_alpha + pauli.IDENTITY * u0_alpha
+    u1_alpha = m.m11 + m.m22  # U_1(alpha) = 2*alpha, the trace
+    plus_variant = m * u1_alpha + 1  # + U_0(alpha)*I, with U_0 = 1
     rec.check(
         "power-sign/variant-fails", plus_variant != m * m, "mismatch", "equal"
     )

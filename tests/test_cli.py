@@ -185,6 +185,7 @@ def test_bench_json_records():
         ("euler", "series", "--a", "1e300", "--b", "0", "--phi", "1"),
         ("euler", "ode", "--a", "1e300", "--b", "0", "--points", "3"),
         ("gcn", "power", "--a", "(" * 1000 + "x" + ")" * 1000, "--b", "1", "--n", "2"),
+        ("euler", "ode", "--a", "-1", "--b", "0", "--points", "1"),
     ],
 )
 def test_unanswerable_requests_are_refused(args):
@@ -192,6 +193,8 @@ def test_unanswerable_requests_are_refused(args):
     assert result.returncode == 2
     assert "error:" in result.stderr
     assert "Traceback" not in result.stderr
+    if "--points" in args and int(args[args.index("--points") + 1]) < 3:
+        assert "need at least 3 grid points" in result.stderr
 
 
 _EXTREMES = ("0", "-1", "1e-400", "1e300", "1e400", "-1e400")

@@ -19,6 +19,7 @@ from gencheb.gcn import (
     unit_power,
     unit_powers,
 )
+from gencheb.higher import CubicUnit
 from gencheb.poly import MultiPoly, gens
 from gencheb.scalars import GaussianRational
 
@@ -286,3 +287,14 @@ def test_views_match_pair_formula_reference():
         assert constant == Surd(Fraction(5, 7), 0, Fraction(2))
         with pytest.raises(ValueError):
             Element(Unit(coeffs), (1,) + (0,) * (k - 1)).conjugate()
+    # A view's unit is the relation itself: it equals, hashes like and
+    # combines with the plain unit of the same coefficients, on either side.
+    for view, plain in ((GcnUnit(1, 1), Unit((1, 1))), (CubicUnit(1, 2), Unit((1, -2, 1)))):
+        assert view == plain and plain == view and hash(view) == hash(plain)
+    assert GcnUnit(1, 1) != Unit((1, -1)) and CubicUnit(1, 2) != Unit((1, 2, 1))
+    view, plain = GcnElement(GcnUnit(1, 1), 1, 2), Element(Unit((1, 1)), (1, 2))
+    assert view == plain and plain == view and hash(view) == hash(plain)
+    want = _pair_mul((1, 1), (1, 2), (1, 2))
+    for product in (view * plain, plain * view):
+        assert product.coeffs == want
+    assert type(view * plain) is GcnElement and (view * plain) == (plain * view)

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 
-from gencheb.matrices import Mat2
+from gencheb.matrices import Mat2, Mat3
 from gencheb.pauli import (
     IDENTITY,
     PAULI,
@@ -168,3 +169,65 @@ def test_closed_forms_match_squaring_at_large_index():
     squared = mat_power(m, 1024, "squaring")
     assert mat_power(m, 1024, "chebyshev") == squared
     assert mat_power(m, 1024, "general_recurrence") == squared
+
+
+def _mul2(x, y):
+    """[[x0, x1], [x2, x3]] times [[y0, y1], [y2, y3]], written out on entry 4-tuples."""
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def test_mat2_view_matches_written_out_formulas():
+    rng = random.Random(20261019)
+
+    def fraction():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    for draw in (lambda: rand_gauss(rng), fraction):
+        for _ in range(25):
+            x, y, s = tuple(draw() for _ in range(4)), tuple(draw() for _ in range(4)), draw()
+            mx, my = Mat2(*x), Mat2(*y)
+            zero = s * 0
+            scalar = Mat2(s, zero, zero, s)
+            results = {
+                "mul": (mx * my, _mul2(x, y)),
+                "add": (mx + my, tuple(map(add, x, y))),
+                "sub": (mx - my, tuple(map(sub, x, y))),
+                "neg": (-mx, tuple(-v for v in x)),
+                "mul-scalar": (mx * s, tuple(v * s for v in x)),
+                "scalar-mul": (s * mx, tuple(s * v for v in x)),
+                "add-scalar": (mx + s, (x[0] + s, x[1], x[2], x[3] + s)),
+                "scalar-add": (s + mx, (s + x[0], x[1], x[2], s + x[3])),
+                "sub-scalar": (mx - s, (x[0] - s, x[1], x[2], x[3] - s)),
+                "scalar-sub": (s - mx, (s - x[0], -x[1], -x[2], s - x[3])),
+                "identity": (mx.identity_like(), (1, 0, 0, 1)),
+            }
+            expected = (1, 0, 0, 1)
+            for n in range(7):
+                results[f"pow{n}"] = (mx ** n, expected)
+                expected = _mul2(expected, x)
+            for name, (value, want) in results.items():
+                assert type(value) is Mat2, name
+                assert value.entries() == want, name
+                assert (value.m11, value.m12, value.m21, value.m22) == want, name
+            # A scalar operand of + and - is that multiple of the identity.
+            assert mx + s == mx + scalar and s + mx == scalar + mx
+            assert mx - s == mx - scalar and s - mx == scalar - mx
+            assert mx.det() == x[0] * x[3] - x[1] * x[2]
+            assert mx.apply(y[:2]) == (x[0] * y[0] + x[1] * y[1], x[2] * y[0] + x[3] * y[1])
+            as_mat3 = Mat3(((x[0], x[1]), (x[2], x[3])))
+            assert mx == as_mat3 and as_mat3 == mx and hash(mx) == hash(as_mat3)
+            assert mx != Mat3(((x[0], x[1]), (x[2], x[3] + 1)))
+    big, small = Mat3(((1, 2, 3), (4, 5, 6), (7, 8, 10))), Mat2(1, 2, 3, 4)
+    for combine in (add, sub, mul):
+        for left, right in ((big, small), (small, big)):
+            with pytest.raises(ValueError, match="3x3.*2x2|2x2.*3x3"):
+                combine(left, right)
+    with pytest.raises(ValueError, match="3x3.*length 2"):
+        big.apply((1, 1))
+    with pytest.raises(ValueError, match="2x2.*length 3"):
+        small.apply((1, 1, 1))

@@ -1,9 +1,10 @@
 """The benchmark in perfbench/ wraps and profiles named library functions.
 
 It finds each wrapped function as ``owner.__dict__[name]`` and keys its
-profile on ``Mat2.__mul__`` and ``Mat3.__mul__`` defined on their own
-classes, so a refactor that moves or removes one of them breaks the
-benchmark.  Its self-test catches that here rather than in a benchmark run.
+profile on ``Mat2.__mul__`` and ``Mat3.__mul__``, which both resolve to the
+one product defined on ``Mat3``, so a refactor that moves or removes it
+breaks the benchmark.  Its self-test catches that here rather than in a
+benchmark run.
 """
 
 import os
