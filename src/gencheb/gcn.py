@@ -31,9 +31,15 @@ Readers of a whole sequence use it: ``power_coeff_sequence`` (and so
 (Fiduccia, SIAM J. Comput. 14, 1985) in O(k^2 log n) scalar products
 instead of the walk's O(k n); it is the ``recurrence`` route of
 ``power_coeffs`` and the closed form of the matrix powers of
-:mod:`gencheb.pauli`.  On bivariate polynomial coefficients such as the
-cubic unit's the walk wins even for one power: each of its steps multiplies
-by the small unit coefficients, while a squaring multiplies two large ones.
+:mod:`gencheb.pauli`.  A unit of exact scalars (int, Fraction or
+GaussianRational) is raised on integer numerators: with d the lcm of its
+denominators, g = d*h is the root of a unit with Gaussian-integer
+coefficients, so the squarings run on int pairs with no gcd, and each
+coefficient of h^n is built once, in the walk's own type.  A unit with
+polynomial coefficients is raised as an :class:`Element`.  On bivariate
+polynomial coefficients such as the cubic unit's the walk wins even for one
+power: each of its steps multiplies by the small unit coefficients, while a
+squaring multiplies two large ones.
 
 The closed form is evaluated exactly over the unit (D, 0), which remains
 valid when D = 0: writing h^n = p_n + q_n*sqrt(D) gives b_n = 2*q_n and
@@ -54,7 +60,7 @@ from operator import add, mul, neg
 from typing import Any, Iterator, Sequence
 
 from .matrices import Mat2, Mat3
-from .scalars import power, zero_of
+from .scalars import GaussianRational, _triple, _unchecked, power, zero_of
 
 __all__ = [
     "ConjugateRoots",
@@ -229,9 +235,10 @@ class Element:
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative element powers are out of scope")
-        zero = zero_of(*self.unit.coeffs, *self.coeffs)
-        one = (zero + 1,) + (zero,) * (len(self.coeffs) - 1)
-        return power(self, exponent, self._new(one))
+        if not exponent:
+            zero = zero_of(*self.unit.coeffs, *self.coeffs)
+            return self._new((zero + 1,) + (zero,) * (len(self.coeffs) - 1))
+        return power(self, exponent, None)
 
     def conjugate(self) -> "Element":
         """x + y*h' for x + y*h, where h' = b - h is the other root of h^2 = a + b*h."""
@@ -291,15 +298,78 @@ def unit_power(coeffs: Sequence[Any], n: int) -> tuple[Any, ...]:
 
     Each product multiplies two k-tuples and reduces the top k - 1
     coefficients, so h^n costs O(k^2 log n) scalar products instead of the
-    O(k n) of the walk.
+    O(k n) of the walk.  A unit of exact scalars (int, Fraction or
+    GaussianRational) is raised on integer numerators, and its result has
+    the walk's type: int for an int unit, Fraction for a rational one and
+    GaussianRational otherwise.  A unit with any other coefficient, such as
+    a polynomial, is raised as an :class:`Element`.
     """
     if n < 0:
         raise ValueError("power index must be non-negative")
+    triples = [_triple(c) for c in coeffs]
+    if triples and None not in triples:  # an empty unit is refused below
+        return _scalar_unit_power(triples, n, type(zero_of(*coeffs)))
     unit = Unit(coeffs)
     zero = zero_of(*coeffs)
     one = (zero + 1,) + (zero,) * (len(coeffs) - 1)
     h = (zero,) + one[:-1] if len(coeffs) > 1 else unit.coeffs  # h = c_0 if k = 1
     return power(Element(unit, h), n, Element(unit, one)).coeffs
+
+
+def _pair_square(ys: tuple, fold: list) -> tuple:
+    """:func:`_product` of ``ys`` by itself on Gaussian integers, as (ps, qs) int lists."""
+    yps, yqs = ys
+    k = len(yps)
+    ps, qs = [0] * (2 * k - 1), [0] * (2 * k - 1)
+    for i, (xp, xq) in enumerate(zip(yps, yqs)):
+        m = i
+        for yp, yq in zip(yps, yqs):
+            ps[m] += xp * yp - xq * yq
+            qs[m] += xp * yq + xq * yp
+            m += 1
+    for m in range(2 * k - 2, k - 1, -1):
+        tp, tq = ps.pop(), qs.pop()
+        for i, cp, cq in fold:
+            ps[m - k + i] += cp * tp - cq * tq
+            qs[m - k + i] += cp * tq + cq * tp
+    return ps, qs
+
+
+def _scalar_unit_power(triples: list, n: int, kind: type) -> tuple[Any, ...]:
+    """h^n for the unit of exact scalars (p_i + q_i*i)/d_i, with results of type ``kind``.
+
+    With d the lcm of the d_i, g = d*h is the root of the unit
+    g^k = sum c_i d^(k-i) g^i, whose coefficients are Gaussian integers.
+    g^n = sum y_i g^i is computed on int pairs, squaring by
+    :func:`_pair_square` and multiplying by g with the walk's shift, and
+    h^n has x_i = y_i / d^(n-i); y_i is 0 for i > n.  Each x_i is built
+    once, with one gcd, as an int, Fraction or GaussianRational.
+    """
+    k = len(triples)
+    d = math.lcm(*(d_i for _, _, d_i in triples))
+    fold = []  # the nonzero (i, c_i d^(k-i)), as (i, p, q)
+    for i, (p, q, d_i) in enumerate(triples):
+        if p or q:
+            scale = d // d_i * d ** (k - 1 - i)
+            fold.append((i, p * scale, q * scale))
+    y = ([1] + [0] * (k - 1), [0] * k)
+    for bit in bin(n)[2:]:
+        y = _pair_square(y, fold)
+        if bit == "1":  # times g: shift up one place and fold the top back
+            ps, qs = y
+            tp, tq = ps[-1], qs[-1]
+            ps, qs = [0, *ps[:-1]], [0, *qs[:-1]]
+            for i, cp, cq in fold:
+                ps[i] += cp * tp - cq * tq
+                qs[i] += cp * tq + cq * tp
+            y = ps, qs
+    ps, qs = y
+    dens = [d ** max(n - i, 0) for i in range(k)]
+    if kind is GaussianRational:
+        return tuple(map(_unchecked, ps, qs, dens))
+    if kind is Fraction:
+        return tuple(map(Fraction, ps, dens))
+    return tuple(ps)  # an integer unit has d = 1
 
 
 def companion_matrix(unit: GcnUnit) -> Mat2:

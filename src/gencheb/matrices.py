@@ -102,7 +102,9 @@ class Mat3:
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative matrix powers are not defined here")
-        return power(self, exponent, self.identity_like())
+        if not exponent:
+            return self.identity_like()
+        return power(self, exponent, None)
 
     def apply(self, vector: tuple[Any, ...]) -> tuple[Any, ...]:
         self._check_size(len(vector), "a vector of length {j}")

@@ -10,9 +10,12 @@ is stored in one canonical form: an ``int`` when the value is integral, a
 polynomial of the paper has rational coefficients, so the ring operations
 run on native ``int``/``Fraction`` arithmetic; the accessors ``terms``,
 ``coefficient``, ``constant_value`` and ``evaluate_exact`` still return
-``GaussianRational`` values.  Zero coefficients are never stored, so the
-zero polynomial has an empty term map, and since the form is canonical,
-equality is plain structural comparison.  Values are immutable after
+``GaussianRational`` values.  ``evaluate_exact`` sums on integer
+numerators over one denominator fixed in advance, so a point with a large
+denominator, such as a binary64 ``cos theta``, costs one gcd in all.  Zero
+coefficients are never stored, so the zero polynomial has an empty term
+map, and since the form is canonical, equality is plain structural
+comparison.  Values are immutable after
 construction; every operation returns a new polynomial.
 
 The public constructor validates its input; the ring operations build
@@ -44,10 +47,12 @@ has no imaginary literal.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
+from . import scalars
 from .scalars import GaussianRational, power
 
 __all__ = ["MultiPoly", "PolyParseError", "gens", "parse_poly"]
@@ -391,26 +396,44 @@ class MultiPoly:
     def evaluate_exact(
         self, values: Mapping[str, ScalarLike]
     ) -> GaussianRational:
-        """Evaluate at exact scalars; the result is an exact GaussianRational."""
+        """Evaluate at exact scalars; the result is an exact GaussianRational.
+
+        The sum runs on Gaussian integers, as int pairs (p, q) for p + q*i,
+        over one denominator known in advance.  A point (p + q*i)/d of a
+        variable whose top exponent is D enters as the table of
+        (p + q*i)^e * d^(D-e), so every monomial lies over prod d^D, and the
+        coefficients are scaled to the lcm L of their denominators.  The
+        result is built once over L * prod d^D, with one gcd.
+        """
         missing = [v for v in self._variables if v not in values]
         if missing:
             raise ValueError(f"evaluation is missing variables {missing}")
-        tables: list[list[ScalarLike]] = []
+        denominator = 1
+        tables: list[list[tuple[int, int]]] = []
         for i, v in enumerate(self._variables):
-            point = _as_coeff(values[v])
+            p, q, d = scalars._triple(_as_coeff(values[v]))
             top = max((exps[i] for exps in self._terms), default=0)
-            table: list[ScalarLike] = [1]
+            z_powers, d_powers = [(1, 0)], [1]
             for _ in range(top):
-                table.append(table[-1] * point)
-            tables.append(table)
-        acc: ScalarLike = 0
-        for exps, coeff in self._terms.items():
-            term = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * tables[i][e]
-            acc = acc + term
-        return _gaussian(acc)
+                x, y = z_powers[-1]
+                z_powers.append((x * p - y * q, x * q + y * p))
+                d_powers.append(d_powers[-1] * d)
+            d_powers.reverse()
+            tables.append([(x * s, y * s) for (x, y), s in zip(z_powers, d_powers)])
+            denominator *= d_powers[0]
+        coeffs = [scalars._triple(c) for c in self._terms.values()]
+        lcm = math.lcm(*(d for _, _, d in coeffs))
+        re = im = 0
+        for exps, (x, y, d) in zip(self._terms, coeffs):
+            factor = lcm // d
+            x *= factor
+            y *= factor
+            for table, e in zip(tables, exps):
+                p, q = table[e]
+                x, y = x * p - y * q, x * q + y * p
+            re += x
+            im += y
+        return scalars._unchecked(re, im, lcm * denominator)
 
     def evaluate_float(self, values: Mapping[str, float | complex]):
         """Evaluate at floating-point values (complex when needed)."""

@@ -205,6 +205,7 @@ UNIT_COEFFS = [
     (_g(1, -1), _g(0, 1), _g(Fraction(1, 2), 0)),
     (_g(0, 1), _g(1, 0), _g(-1, 1), _g(Fraction(1, 3), 2)),
     (2 * X,), (-1, 2 * X), (1, -X, X + 1), (X, 0, -1, 1 - X),
+    (1, Fraction(1, 2)), (Fraction(1, 6), 0, _g(Fraction(-2, 9), Fraction(1, 4))),
 ]
 
 
@@ -214,7 +215,9 @@ def test_unit_power_matches_walk(coeffs):
     companion = Unit(coeffs).companion()
     e_0 = (1,) + (0,) * (len(coeffs) - 1)
     for n, expected in enumerate(walk):
-        assert unit_power(coeffs, n) == expected, n
+        power = unit_power(coeffs, n)
+        assert power == expected, n
+        assert list(map(type, power)) == list(map(type, expected)), n
         assert (companion ** n).apply(e_0) == expected, n
 
 

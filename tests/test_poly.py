@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -259,9 +261,7 @@ def test_fast_coefficients_match_gaussian_reference():
             assert fast.terms == slow, op
             assert_canonical(fast)
         point = (random_coeff(rng), random_coeff(rng))
-        value = p.evaluate_exact(dict(zip(names, point)))
-        assert type(value) is GaussianRational
-        assert value == ref_evaluate(a, point)
+        assert_evaluates_as_reference(p, names, point)
         images = [random_mixed_poly(rng, ("s", "t"), 2, 3) for _ in names]
         substituted = p.substitute(dict(zip(names, images)))
         assert substituted.terms == ref_substitute(a, [i.terms for i in images], 2)
@@ -271,6 +271,31 @@ def test_fast_coefficients_match_gaussian_reference():
         assert p.coefficient(exps) == a.get(exps, _G0)
         assert type(p.constant_value()) is GaussianRational
         assert p.constant_value() == a.get((0, 0), _G0)
+    # Binary64 points, zero and a Gaussian point over d > 1, at the zero
+    # polynomial, constants and polynomials missing a variable.
+    points = [Fraction(math.cos(t)) for t in (0.1, 1.3, 2.9)] + [
+        0,
+        GaussianRational(Fraction(-2, 3), Fraction(5, 6)),
+    ]
+    polys = [
+        MultiPoly.zero(names),
+        MultiPoly.constant(names, Fraction(-7, 3)),
+        MultiPoly.constant(names, GaussianRational(Fraction(1, 2), 3)),
+        U ** 7 * Fraction(2, 5) - U + Fraction(1, 3),
+        (U * Fraction(1, 2) - V + Fraction(1, 3)) ** 6,
+    ]
+    for p in polys:
+        for point in itertools.product(points, repeat=2):
+            assert_evaluates_as_reference(p, names, point)
+
+
+def assert_evaluates_as_reference(p, names, point):
+    value = p.evaluate_exact(dict(zip(names, point)))
+    assert type(value) is GaussianRational
+    numerator_re, numerator_im, denominator = value._t
+    assert denominator > 0
+    assert math.gcd(numerator_re, numerator_im, denominator) == 1
+    assert value == ref_evaluate(p.terms, point)
 
 
 def test_canonical_forms_and_identity_scaling():
