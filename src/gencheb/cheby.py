@@ -8,10 +8,10 @@ arithmetic; numeric helpers exist only for the square-root branch x > 1,
 where ``u_from_roots`` reads U_n = B_{n+1} off the floating closed form
 :func:`gencheb.gcn.at_roots` of the unit (-1, 2x).
 
-``cheb_AB`` memoises one :func:`gencheb.gcn.unit_powers` walk over the
-unit.  Only ``_u`` stays off the walk: it is the three-term recurrence
-U_{n+1} = 2x*U_n - U_{n-1}, kept as the independent reference that the
-verification suite checks the unit's coefficients against.
+``cheb_AB``, ``cheb_U`` and ``cheb_T`` read one memoised
+:func:`gencheb.gcn.unit_powers` walk over the unit; U_n is B_{n+1}.  The
+three-term recurrence U_{n+1} = 2x*U_n - U_{n-1} is written out only in
+:func:`gencheb.verify.suite_cheb`, as the reference independent of the walk.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ __all__ = [
 
 _XVARS = ("x",)
 X = MultiPoly.variable("x", _XVARS)
-_ONE = MultiPoly.one(_XVARS)
-_ZERO = MultiPoly.zero(_XVARS)
 
 _CHEB_UNIT = gcn.GcnUnit(MultiPoly.constant(_XVARS, -1), 2 * X)
 
@@ -68,49 +66,35 @@ def cheb_unit() -> gcn.GcnUnit:
     return _CHEB_UNIT
 
 
-_U_CACHE: list[MultiPoly] = [_ONE, 2 * X]
-
-
-def _u(n: int) -> MultiPoly:
-    """U_n for n >= -2 (backward seeds U_{-1} = 0, U_{-2} = -1)."""
-    if n == -1:
-        return _ZERO
-    if n == -2:
-        return -_ONE
-    if n < -2:
-        raise ValueError(f"index {n} below the backward seeds")
-    while len(_U_CACHE) <= n:
-        _U_CACHE.append(2 * X * _U_CACHE[-1] - _U_CACHE[-2])
-    return _U_CACHE[n]
-
-
-def cheb_U(n: int) -> ChebPoly:
-    """Second-kind Chebyshev polynomial U_n (U_0 = 1, U_1 = 2x)."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    return ChebPoly("second", n, _u(n))
-
-
 _AB_WALK = gcn.unit_powers(_CHEB_UNIT.coeffs)
 _AB_CACHE: list[tuple[MultiPoly, MultiPoly]] = []
 
 
-def cheb_AB(n: int) -> ChebCoeffPair:
-    """(A_n, B_n), read off the power walk of the unit (-1, 2x)."""
+def _ab(n: int) -> tuple[MultiPoly, MultiPoly]:
+    """(A_n, B_n) from the cached walk, extended as far as n."""
     if n < 0:
         raise ValueError("index must be non-negative")
     while len(_AB_CACHE) <= n:
         _AB_CACHE.append(next(_AB_WALK))
-    a_n, b_n = _AB_CACHE[n]
-    return ChebCoeffPair(n, a_n, b_n)
+    return _AB_CACHE[n]
+
+
+def cheb_U(n: int) -> ChebPoly:
+    """Second-kind Chebyshev polynomial U_n = B_{n+1} (U_0 = 1, U_1 = 2x)."""
+    if n < 0:
+        raise ValueError("index must be non-negative")
+    return ChebPoly("second", n, _ab(n + 1)[1])
+
+
+def cheb_AB(n: int) -> ChebCoeffPair:
+    """(A_n, B_n), read off the power walk of the unit (-1, 2x)."""
+    return ChebCoeffPair(n, *_ab(n))
 
 
 def cheb_T(n: int) -> ChebPoly:
     """First-kind Chebyshev polynomial T_n = A_n + x*B_n."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    pair = cheb_AB(n)
-    return ChebPoly("first", n, pair.a + X * pair.b)
+    a_n, b_n = _ab(n)
+    return ChebPoly("first", n, a_n + X * b_n)
 
 
 def cheb_companion_power(n: int) -> Mat2:
@@ -146,9 +130,7 @@ def b_ode_residual(n: int) -> MultiPoly:
 
 def u_ode_residual(n: int) -> MultiPoly:
     """Residual of [(1 - x^2) d^2 - 3x d + n(n + 2)] U_n; zero for n >= 0."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    return ode_apply(_u(n), n * (n + 2))
+    return ode_apply(cheb_U(n).poly, n * (n + 2))
 
 
 def root_values(x: float) -> tuple[float, float]:

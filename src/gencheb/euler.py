@@ -105,6 +105,10 @@ def _series_sums(
     # The derivative series shift coefficients by one index, costing one
     # extra factor of rho in the majorant.
     kappa = rho if with_derivatives else 1.0
+    # The (a_n, b_n) step is written out, not read off gcn.unit_powers: on
+    # floats the walk costs 0.8-0.9 us a step against 0.06-0.09 us inline
+    # (timeit, 60-step sums, CPython 3.11), 3x on euler_series.  ROADMAP
+    # item 2 replaces this loop.
     a_n, b_n = 1.0, 0.0
     t_n = 1.0  # phi^n / n!
     major = kappa  # kappa * (|phi| * rho)^n / n!

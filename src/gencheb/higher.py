@@ -17,7 +17,8 @@ must agree:
 * coefficient extraction from 1 / (1 - u*t + v*t^2 - t^3)
   (U2_{n+1} is the t^n coefficient; the seeds U2_0 = U2_{-1} = 0 are forced
   by that extraction),
-* the recurrence U2_{n+2} = u*U2_{n+1} - v*U2_n + U2_{n-1},
+* the recurrence U2_{n+2} = u*U2_{n+1} - v*U2_n + U2_{n-1}, which is the
+  cubic unit's walk read at U2_n = gamma_{n+1} (written out only in verify),
 * substitution (x, y, z) -> (u*s, -v*s, s) in the third-order Hermite
   polynomial H3_n followed by the term-wise Gamma integral
   (integral of s^m * exp(-s) over s >= 0 equals m!) and division by n!.
@@ -138,18 +139,15 @@ def u2_by_series(n_max: int) -> list[TwoVarCheb]:
 
 
 def u2_by_recurrence(n_max: int) -> list[TwoVarCheb]:
-    """[U2_0, ..., U2_{n_max}] from the third-order recurrence.
+    """[U2_0, ..., U2_{n_max}], read as gamma_{n+1} off the cubic unit's walk.
 
-    Seeds U2_{-1} = U2_0 = 0, U2_1 = 1 (the first series values).
+    The walk is the third-order recurrence, with seeds U2_{-1} = U2_0 = 0,
+    U2_1 = 1 (gamma_0 to gamma_2, the first series values).
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    minus1 = MultiPoly.zero(UV)
-    values = [MultiPoly.zero(UV), MultiPoly.one(UV)]
-    while len(values) <= n_max:
-        nxt = U * values[-1] - V * values[-2] + (values[-3] if len(values) >= 3 else minus1)
-        values.append(nxt)
-    return [TwoVarCheb(k, p) for k, p in enumerate(values[: n_max + 1])]
+    powers = islice(unit_powers(CubicUnit(U, V).coeffs), 1, n_max + 2)
+    return [TwoVarCheb(n, gamma) for n, (_, _, gamma) in enumerate(powers)]
 
 
 def hermite3(n: int) -> Hermite3:

@@ -1,0 +1,53 @@
+"""The verification suites' recurrences are references of their own.
+
+The library reads U_n and U2_n off the power walks of their units.  A
+library that is wrong in a consistent way, in both the unit's coefficients
+and the polynomials read off them, must still be caught by the suites'
+hand-written recurrences.
+"""
+
+from gencheb import cheby, higher, verify
+
+
+def _failed_cases(report):
+    return {failure.case for failure in report.failures}
+
+
+def test_cheb_reference_catches_consistent_b_and_u(monkeypatch):
+    cheb_ab, cheb_u = cheby.cheb_AB, cheby.cheb_U
+
+    def bad_ab(n):
+        pair = cheb_ab(n)
+        return cheby.ChebCoeffPair(n, pair.a, pair.b + 1) if n == 5 else pair
+
+    def bad_u(n):
+        u = cheb_u(n)
+        return cheby.ChebPoly(u.kind, n, u.poly + 1) if n == 4 else u
+
+    monkeypatch.setattr(cheby, "cheb_AB", bad_ab)
+    monkeypatch.setattr(cheby, "cheb_U", bad_u)
+    assert "b-is-u/n5" in _failed_cases(verify.suite_cheb(nmax=8))
+
+
+def test_u2_reference_catches_consistent_series_and_gamma(monkeypatch):
+    by_series, by_recurrence = higher.u2_by_series, higher.u2_by_recurrence
+    sequence = higher.cubic_power_sequence
+
+    def bad(route):
+        def wrong(n_max):
+            values = route(n_max)
+            values[5] = higher.TwoVarCheb(5, values[5].poly + 1)
+            return values
+
+        return wrong
+
+    def bad_sequence(u, v, n_max):
+        values = sequence(u, v, n_max)
+        c = values[6]
+        values[6] = higher.CubicPowerCoeffs(6, c.alpha, c.beta, c.gamma + 1)
+        return values
+
+    monkeypatch.setattr(higher, "u2_by_series", bad(by_series))
+    monkeypatch.setattr(higher, "u2_by_recurrence", bad(by_recurrence))
+    monkeypatch.setattr(higher, "cubic_power_sequence", bad_sequence)
+    assert "series-vs-rec/n5" in _failed_cases(verify.suite_u2(nmax=8))
