@@ -1,10 +1,16 @@
 """Command-line front end.
 
+Each command returns an :class:`Answer` and prints nothing.  ``main`` hands
+the answer to one function, which prints it as JSON, text or CSV.  Every
+number is turned into text before the first line is printed, so a refused
+request writes nothing to stdout.
+
 Exit codes: 0 success, 1 at least one verification failure, 2 usage or
 parse error or a request the library refuses (a ValueError and the like,
-printed as ``error:`` without a traceback).  Text output carries no timing so identical invocations are
-byte-identical; JSON verification reports include a ``millis`` field (the
-one intentionally non-deterministic value, required by the report schema).
+printed as ``error:`` without a traceback).  Text output carries no timing
+so identical invocations are byte-identical; JSON verification reports
+include a ``millis`` field (the one intentionally non-deterministic value,
+required by the report schema).
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import cheby, euler, gcn, higher, pauli, verify
 from .matrices import Mat2
@@ -96,75 +103,74 @@ def _show(value) -> str:
     return str(value)
 
 
-def _emit(payload: dict, fmt: str) -> None:
+class Answer(NamedTuple):
+    """A command's result, before any of it is printed."""
+
+    payload: dict  # the JSON fields that follow "schema", in output order
+    lines: list[str] | None = None  # text or CSV, if not "key = value" per field
+    code: int = 0
+
+
+def _print_answer(answer: Answer, fmt: str) -> int:
     if fmt == "json":
-        print(json.dumps(payload))
+        lines = [json.dumps({"schema": SCHEMA, **answer.payload})]
+    elif answer.lines is None:
+        lines = [f"{key} = {value}" for key, value in answer.payload.items()]
     else:
-        for key, value in payload.items():
-            if key == "schema":
-                continue
-            print(f"{key} = {value}")
+        lines = answer.lines
+    for line in lines:
+        print(line)
+    return answer.code
 
 
-def _report_payload(report: verify.VerificationReport) -> dict:
-    return {
-        "schema": SCHEMA,
-        "suite": report.suite,
-        "cases": report.cases,
-        "failures": [
-            {"case": f.case, "expected": f.expected, "actual": f.actual}
-            for f in report.failures
-        ],
-        "millis": report.millis,
-    }
-
-
-def _print_reports(reports: list[verify.VerificationReport], fmt: str) -> int:
+def _report(reports: list[verify.VerificationReport], fmt: str) -> Answer:
     merged = verify.merge_reports(reports)
-    if fmt == "json":
-        print(json.dumps(_report_payload(merged)))
-    elif fmt == "csv":
-        print("suite,cases,failures")
-        for report in reports:
-            print(f"{report.suite},{report.cases},{len(report.failures)}")
-        print(f"all,{merged.cases},{len(merged.failures)}")
+    if fmt == "csv":
+        lines = ["suite,cases,failures"] + [
+            f"{report.suite},{report.cases},{len(report.failures)}"
+            for report in (*reports, merged)
+        ]
     else:
+        lines = []
         for report in reports:
             status = "ok" if report.ok else "FAIL"
-            print(f"suite {report.suite:<22} cases {report.cases:>6}  {status}")
-            for failure in report.failures:
-                print(
-                    f"  FAIL {failure.case}: expected {failure.expected}, "
-                    f"got {failure.actual}"
-                )
-        print(
-            f"TOTAL {merged.cases} cases, {len(merged.failures)} failures"
-        )
-    return 0 if merged.ok else 1
+            lines.append(f"suite {report.suite:<22} cases {report.cases:>6}  {status}")
+            lines.extend(
+                f"  FAIL {failure.case}: expected {failure.expected}, "
+                f"got {failure.actual}"
+                for failure in report.failures
+            )
+        lines.append(f"TOTAL {merged.cases} cases, {len(merged.failures)} failures")
+    payload = {
+        "suite": merged.suite,
+        "cases": merged.cases,
+        "failures": [
+            {"case": f.case, "expected": f.expected, "actual": f.actual}
+            for f in merged.failures
+        ],
+        "millis": merged.millis,
+    }
+    return Answer(payload, lines, 0 if merged.ok else 1)
 
 
-def _cmd_gcn(args: argparse.Namespace) -> int:
+def _cmd_gcn(args: argparse.Namespace) -> Answer:
     variables = tuple(args.vars.split(","))
     a = _scalar_or_poly(args.a, variables)
     b = _scalar_or_poly(args.b, variables)
     unit = gcn.GcnUnit(a, b)
     if args.action == "power":
         a_n, b_n = gcn.power_coeffs(unit, args.n, args.method)
-        _emit(
+        return Answer(
             {
-                "schema": SCHEMA,
                 "op": "gcn-power",
                 "method": args.method,
                 "n": args.n,
                 "a_n": _show(a_n),
                 "b_n": _show(b_n),
-            },
-            args.format,
+            }
         )
-        return 0
     roots = gcn.conjugate_roots(unit)
     payload = {
-        "schema": SCHEMA,
         "op": "gcn-roots",
         "h_plus": str(roots.h_plus),
         "h_minus": str(roots.h_minus),
@@ -174,143 +180,107 @@ def _cmd_gcn(args: argparse.Namespace) -> int:
         plus, minus = roots.numeric()
         payload["h_plus_numeric"] = repr(plus)
         payload["h_minus_numeric"] = repr(minus)
-    _emit(payload, args.format)
-    return 0
+    return Answer(payload)
 
 
-def _cmd_euler(args: argparse.Namespace) -> int:
+def _cmd_euler(args: argparse.Namespace) -> Answer:
     unit = gcn.GcnUnit(Fraction(args.a), Fraction(args.b))
     if args.action == "series":
         pair = euler.euler_series(unit, args.phi, args.tol)
-        _emit(
+        return Answer(
             {
-                "schema": SCHEMA,
                 "op": "euler-series",
                 "phi": args.phi,
                 "c": repr(pair.c),
                 "s": repr(pair.s),
                 "terms": pair.terms,
-            },
-            args.format,
+            }
         )
-        return 0
     if args.action == "closed":
         pair = euler.euler_closed_form(unit, args.phi)
-        _emit(
+        return Answer(
             {
-                "schema": SCHEMA,
                 "op": "euler-closed",
                 "phi": args.phi,
                 "c": repr(pair.c),
                 "s": repr(pair.s),
-            },
-            args.format,
+            }
         )
-        return 0
     # A one-point grid divides by 1, not 0, and ode_residual refuses it.
     grid = [
         args.lo + (args.hi - args.lo) * k / max(args.points - 1, 1)
         for k in range(args.points)
     ]
     report = euler.ode_residual(unit, grid, args.tol)
-    _emit(
+    return Answer(
         {
-            "schema": SCHEMA,
             "op": "euler-ode",
             "points": report.points,
             "max_c_residual": repr(report.max_c_residual),
             "max_s_residual": repr(report.max_s_residual),
-        },
-        args.format,
+        }
     )
-    return 0
 
 
-def _cmd_cheb(args: argparse.Namespace) -> int:
+def _cmd_cheb(args: argparse.Namespace) -> Answer:
     if args.action == "verify":
-        return _print_reports(
+        return _report(
             [
                 verify.suite_cheb(nmax=args.nmax),
                 verify.suite_cheb_numeric(nmax=min(args.nmax, 32)),
             ],
             args.format,
         )
-    if args.action == "u":
-        poly = cheby.cheb_U(args.n).poly
-        _print_poly({"op": "cheb-u", "n": args.n}, poly, args.format)
-        return 0
-    if args.action == "t":
-        poly = cheby.cheb_T(args.n).poly
-        _print_poly({"op": "cheb-t", "n": args.n}, poly, args.format)
-        return 0
+    if args.action in ("u", "t"):
+        route = cheby.cheb_U if args.action == "u" else cheby.cheb_T
+        text = route(args.n).poly.render()
+        return Answer({"op": f"cheb-{args.action}", "n": args.n, "poly": text}, [text])
     pair = cheby.cheb_AB(args.n)
-    _emit(
+    return Answer(
         {
-            "schema": SCHEMA,
             "op": "cheb-ab",
             "n": args.n,
             "a_n": pair.a.render(),
             "b_n": pair.b.render(),
-        },
-        args.format,
+        }
     )
-    return 0
 
 
-def _print_poly(meta: dict, poly: MultiPoly, fmt: str) -> None:
-    if fmt == "json":
-        payload = {"schema": SCHEMA, **meta, "poly": poly.render()}
-        print(json.dumps(payload))
-    else:
-        print(poly.render())
-
-
-def _cmd_mat(args: argparse.Namespace) -> int:
+def _cmd_mat(args: argparse.Namespace) -> Answer:
     if args.action == "bench":
         sizes = [int(part) for part in args.n_list.split(",") if part]
         records = pauli.bench_power(sizes, args.trials)
-        if args.format == "json":
-            payload = {
-                "schema": SCHEMA,
-                "op": "mat-bench",
-                "records": [dataclasses.asdict(record) for record in records],
-            }
-            print(json.dumps(payload))
-        elif args.format == "csv":
-            print("method,n,median_ns,max_coeff_bits")
-            for record in records:
-                print(
-                    f"{record.method},{record.n},{record.median_ns},"
-                    f"{record.max_coeff_bits}"
-                )
+        if args.format == "csv":
+            lines = ["method,n,median_ns,max_coeff_bits"] + [
+                f"{r.method},{r.n},{r.median_ns},{r.max_coeff_bits}" for r in records
+            ]
         else:
-            for record in records:
-                print(
-                    f"{record.method:<10} n={record.n:<8} "
-                    f"median_ns={record.median_ns:<12} "
-                    f"bits={record.max_coeff_bits}"
-                )
-        return 0
+            lines = [
+                f"{r.method:<10} n={r.n:<8} median_ns={r.median_ns:<12} "
+                f"bits={r.max_coeff_bits}"
+                for r in records
+            ]
+        payload = {
+            "op": "mat-bench",
+            "records": [dataclasses.asdict(record) for record in records],
+        }
+        return Answer(payload, lines)
     matrix = _parse_matrix(args.entries)
     if args.action == "decompose":
         coords = pauli.pauli_decompose(matrix)
-        _emit(
+        return Answer(
             {
-                "schema": SCHEMA,
                 "op": "mat-decompose",
                 "alpha": str(coords.alpha),
                 "beta1": str(coords.beta1),
                 "beta2": str(coords.beta2),
                 "beta3": str(coords.beta3),
                 "gamma": str(coords.gamma),
-            },
-            args.format,
+            }
         )
-        return 0
     power = pauli.mat_power(matrix, args.n, args.method)
-    _emit(
+    return Answer(
         {
-            "schema": SCHEMA,
             "op": "mat-pow",
             "method": args.method,
             "n": args.n,
@@ -318,53 +288,38 @@ def _cmd_mat(args: argparse.Namespace) -> int:
             "m12": str(power.m12),
             "m21": str(power.m21),
             "m22": str(power.m22),
-        },
-        args.format,
+        }
     )
-    return 0
 
 
-def _cmd_u2(args: argparse.Namespace) -> int:
+def _cmd_u2(args: argparse.Namespace) -> Answer:
     if args.action == "verify":
-        return _print_reports(
+        return _report(
             [verify.suite_u2(nmax=args.nmax), verify.suite_hermite()], args.format
         )
     if args.action == "laplace":
         value = higher.u2_by_laplace(args.n)
-        _emit(
+        return Answer(
             {
-                "schema": SCHEMA,
                 "op": "u2-laplace",
                 "n": value.n,
                 "poly": value.poly.render(),
-            },
-            args.format,
+            }
         )
-        return 0
     route = higher.u2_by_series if args.action == "series" else higher.u2_by_recurrence
-    values = route(args.nmax)
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "op": f"u2-{args.action}",
-            "values": [{"n": v.n, "poly": v.poly.render()} for v in values],
-        }
-        print(json.dumps(payload))
-    else:
-        for value in values:
-            print(f"U2_{value.n} = {value.poly.render()}")
-    return 0
+    values = [{"n": v.n, "poly": v.poly.render()} for v in route(args.nmax)]
+    lines = [f"U2_{value['n']} = {value['poly']}" for value in values]
+    return Answer({"op": f"u2-{args.action}", "values": values}, lines)
 
 
-def _cmd_hermite3(args: argparse.Namespace) -> int:
-    value = higher.hermite3(args.n)
-    _print_poly({"op": "hermite3", "n": args.n}, value.poly, args.format)
-    return 0
+def _cmd_hermite3(args: argparse.Namespace) -> Answer:
+    text = higher.hermite3(args.n).poly.render()
+    return Answer({"op": "hermite3", "n": args.n, "poly": text}, [text])
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Answer:
     reports = verify.suite_all(nmax=args.nmax, seed=args.seed, tol=args.tol)
-    return _print_reports(reports, args.format)
+    return _report(reports, args.format)
 
 
 def _add_format(parser: argparse.ArgumentParser, *extra: str) -> None:
@@ -492,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(MAX_DIGITS)
     try:
-        return args.func(args)
+        return _print_answer(args.func(args), args.format)
     except (PolyParseError, ValueError, TypeError, ZeroDivisionError) as exc:
         message = str(exc)
         if "set_int_max_str_digits" in message:

@@ -130,6 +130,10 @@ def _series_sums(
         ratio = abs(phi) * rho / (n + 1)
         if ratio < 0.5 and 2.0 * major < tol:
             break
+    # A coefficient can overflow to inf while phi^n/n! underflows to 0, and
+    # inf * 0 is nan, though the majorant converged.
+    if not all(map(math.isfinite, (c, s, dc, ds))):
+        raise ValueError("a series sum is not a finite float (a term overflowed)")
     return c, s, dc, ds, n
 
 

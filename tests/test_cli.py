@@ -186,6 +186,8 @@ def test_bench_json_records():
         ("euler", "ode", "--a", "1e300", "--b", "0", "--points", "3"),
         ("gcn", "power", "--a", "(" * 1000 + "x" + ")" * 1000, "--b", "1", "--n", "2"),
         ("euler", "ode", "--a", "-1", "--b", "0", "--points", "1"),
+        ("euler", "ode", "--a", "1e300", "--b", "1e300", "--lo", "0", "--hi", "1e-300",
+         "--points", "3"),
     ],
 )
 def test_unanswerable_requests_are_refused(args):
@@ -210,7 +212,7 @@ def _extreme_requests():
         for method in gcn.POWER_METHODS:
             yield ("gcn", "power", *unit, "--n", "3", "--method", method)
         yield ("euler", "ode", *unit, "--points", "3")
-        for phi in ("0", "1", "1e300"):
+        for phi in ("0", "1", "1e300", "1e-300"):
             yield ("euler", "closed", *unit, f"--phi={phi}")
             if phi != "1e300":
                 yield ("euler", "series", *unit, f"--phi={phi}")
@@ -315,3 +317,263 @@ def test_results_past_the_default_digit_limit(capsys):
     assert err.startswith("error:") and f"{cli.MAX_DIGITS} decimal digits" in err
     assert "--n" in err and "set_int_max_str_digits" not in err
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+# Every command's whole stdout, once per format it offers.  The floats need
+# no libm transcendental (the series and closed form use + * / and exp(0),
+# the roots sqrt), so every supported Python prints them alike.  Timings are
+# masked.
+_WHOLE_OUTPUTS = [
+    (("gcn", "power", "--a", "-1", "--b", "2*x", "--n", "3"), {
+        "text": (
+            "op = gcn-power\n"
+            "method = recurrence\n"
+            "n = 3\n"
+            "a_n = -2*x\n"
+            "b_n = 4*x^2 - 1\n"
+        ),
+        "json": (
+            '{"schema": 1, "op": "gcn-power", "method": "recurrence", "n": 3, '
+            '"a_n": "-2*x", "b_n": "4*x^2 - 1"}\n'
+        ),
+    }),
+    (("gcn", "roots", "--a", "1", "--b", "1", "--numeric"), {
+        "text": (
+            "op = gcn-roots\n"
+            "h_plus = 1/2 + 1/2*sqrt(5)\n"
+            "h_minus = 1/2 - 1/2*sqrt(5)\n"
+            "degenerate = False\n"
+            "h_plus_numeric = 1.618033988749895\n"
+            "h_minus_numeric = -0.6180339887498949\n"
+        ),
+        "json": (
+            '{"schema": 1, "op": "gcn-roots", "h_plus": "1/2 + 1/2*sqrt(5)", '
+            '"h_minus": "1/2 - 1/2*sqrt(5)", "degenerate": false, '
+            '"h_plus_numeric": "1.618033988749895", "h_minus_numeric": '
+            '"-0.6180339887498949"}\n'
+        ),
+    }),
+    (("euler", "series", "--a", "-1", "--b", "0", "--phi", "1"), {
+        "text": (
+            "op = euler-series\n"
+            "phi = 1.0\n"
+            "c = 0.540302305868092\n"
+            "s = 0.8414709848078937\n"
+            "terms = 16\n"
+        ),
+        "json": (
+            '{"schema": 1, "op": "euler-series", "phi": 1.0, "c": '
+            '"0.540302305868092", "s": "0.8414709848078937", "terms": 16}\n'
+        ),
+    }),
+    (("euler", "closed", "--a", "-1", "--b", "0", "--phi", "0"), {
+        "text": (
+            "op = euler-closed\n"
+            "phi = 0.0\n"
+            "c = 1.0\n"
+            "s = 0.0\n"
+        ),
+        "json": (
+            '{"schema": 1, "op": "euler-closed", "phi": 0.0, "c": "1.0", "s": '
+            '"0.0"}\n'
+        ),
+    }),
+    (("euler", "ode", "--a", "-1", "--b", "0", "--points", "3"), {
+        "text": (
+            "op = euler-ode\n"
+            "points = 3\n"
+            "max_c_residual = 0.0\n"
+            "max_s_residual = 0.0\n"
+        ),
+        "json": (
+            '{"schema": 1, "op": "euler-ode", "points": 3, "max_c_residual": '
+            '"0.0", "max_s_residual": "0.0"}\n'
+        ),
+    }),
+    (("cheb", "u", "--n", "3"), {
+        "text": "8*x^3 - 4*x\n",
+        "json": (
+            '{"schema": 1, "op": "cheb-u", "n": 3, "poly": "8*x^3 - 4*x"}\n'
+        ),
+    }),
+    (("cheb", "t", "--n", "3"), {
+        "text": "4*x^3 - 3*x\n",
+        "json": (
+            '{"schema": 1, "op": "cheb-t", "n": 3, "poly": "4*x^3 - 3*x"}\n'
+        ),
+    }),
+    (("cheb", "ab", "--n", "3"), {
+        "text": (
+            "op = cheb-ab\n"
+            "n = 3\n"
+            "a_n = -2*x\n"
+            "b_n = 4*x^2 - 1\n"
+        ),
+        "json": (
+            '{"schema": 1, "op": "cheb-ab", "n": 3, "a_n": "-2*x", "b_n": '
+            '"4*x^2 - 1"}\n'
+        ),
+    }),
+    (("cheb", "verify", "--nmax", "2"), {
+        "text": (
+            "suite cheb-exact             cases     23  ok\n"
+            "suite cheb-numeric           cases      6  ok\n"
+            "TOTAL 29 cases, 0 failures\n"
+        ),
+        "json": (
+            '{"schema": 1, "suite": "all", "cases": 29, "failures": [], '
+            '"millis": 0}\n'
+        ),
+    }),
+    (("mat", "decompose", "--entries", "1,2:1;3,4"), {
+        "text": (
+            "op = mat-decompose\n"
+            "alpha = 5/2\n"
+            "beta1 = 5/2+1/2i\n"
+            "beta2 = -1/2-1/2i\n"
+            "beta3 = -3/2\n"
+            "gamma = 2+3i\n"
+        ),
+        "json": (
+            '{"schema": 1, "op": "mat-decompose", "alpha": "5/2", "beta1": '
+            '"5/2+1/2i", "beta2": "-1/2-1/2i", "beta3": "-3/2", "gamma": '
+            '"2+3i"}\n'
+        ),
+    }),
+    (("mat", "pow", "--entries", "2,1;1,1", "--n", "3"), {
+        "text": (
+            "op = mat-pow\n"
+            "method = squaring\n"
+            "n = 3\n"
+            "m11 = 13\n"
+            "m12 = 8\n"
+            "m21 = 8\n"
+            "m22 = 5\n"
+        ),
+        "json": (
+            '{"schema": 1, "op": "mat-pow", "method": "squaring", "n": 3, '
+            '"m11": "13", "m12": "8", "m21": "8", "m22": "5"}\n'
+        ),
+    }),
+    (("mat", "bench", "--n-list", "4,8", "--trials", "1"), {
+        "text": (
+            "chebyshev  n=4        median_ns=0 bits=6\n"
+            "squaring   n=4        median_ns=0 bits=6\n"
+            "chebyshev  n=8        median_ns=0 bits=11\n"
+            "squaring   n=8        median_ns=0 bits=11\n"
+        ),
+        "json": (
+            '{"schema": 1, "op": "mat-bench", "records": [{"method": '
+            '"chebyshev", "n": 4, "median_ns": 0, "max_coeff_bits": 6}, '
+            '{"method": "squaring", "n": 4, "median_ns": 0, "max_coeff_bits": '
+            '6}, {"method": "chebyshev", "n": 8, "median_ns": 0, '
+            '"max_coeff_bits": 11}, {"method": "squaring", "n": 8, '
+            '"median_ns": 0, "max_coeff_bits": 11}]}\n'
+        ),
+        "csv": (
+            "method,n,median_ns,max_coeff_bits\n"
+            "chebyshev,4,0,6\n"
+            "squaring,4,0,6\n"
+            "chebyshev,8,0,11\n"
+            "squaring,8,0,11\n"
+        ),
+    }),
+    (("u2", "series", "--nmax", "3"), {
+        "text": (
+            "U2_0 = 0\n"
+            "U2_1 = 1\n"
+            "U2_2 = u\n"
+            "U2_3 = u^2 - v\n"
+        ),
+        "json": (
+            '{"schema": 1, "op": "u2-series", "values": [{"n": 0, "poly": '
+            '"0"}, {"n": 1, "poly": "1"}, {"n": 2, "poly": "u"}, {"n": 3, '
+            '"poly": "u^2 - v"}]}\n'
+        ),
+    }),
+    (("u2", "rec", "--nmax", "3"), {
+        "text": (
+            "U2_0 = 0\n"
+            "U2_1 = 1\n"
+            "U2_2 = u\n"
+            "U2_3 = u^2 - v\n"
+        ),
+        "json": (
+            '{"schema": 1, "op": "u2-rec", "values": [{"n": 0, "poly": "0"}, '
+            '{"n": 1, "poly": "1"}, {"n": 2, "poly": "u"}, {"n": 3, "poly": '
+            '"u^2 - v"}]}\n'
+        ),
+    }),
+    (("u2", "laplace", "--n", "3"), {
+        "text": (
+            "op = u2-laplace\n"
+            "n = 4\n"
+            "poly = u^3 - 2*u*v + 1\n"
+        ),
+        "json": (
+            '{"schema": 1, "op": "u2-laplace", "n": 4, "poly": "u^3 - 2*u*v + '
+            '1"}\n'
+        ),
+    }),
+    (("u2", "verify", "--nmax", "2"), {
+        "text": (
+            "suite u2-triple              cases     14  ok\n"
+            "suite hermite3               cases     26  ok\n"
+            "TOTAL 40 cases, 0 failures\n"
+        ),
+        "json": (
+            '{"schema": 1, "suite": "all", "cases": 40, "failures": [], '
+            '"millis": 0}\n'
+        ),
+    }),
+    (("hermite3", "--n", "3"), {
+        "text": "x^3 + 6*x*y + 6*z\n",
+        "json": (
+            '{"schema": 1, "op": "hermite3", "n": 3, "poly": "x^3 + 6*x*y + '
+            '6*z"}\n'
+        ),
+    }),
+    (("verify", "all", "--nmax", "1"), {
+        "text": (
+            "suite gcn-power-methods      cases    550  ok\n"
+            "suite euler-pair             cases    540  ok\n"
+            "suite cheb-exact             cases     15  ok\n"
+            "suite cheb-numeric           cases      4  ok\n"
+            "suite mat-unit               cases    499  ok\n"
+            "suite u2-triple              cases     10  ok\n"
+            "suite hermite3               cases     26  ok\n"
+            "suite corrections            cases      8  ok\n"
+            "TOTAL 1652 cases, 0 failures\n"
+        ),
+        "json": (
+            '{"schema": 1, "suite": "all", "cases": 1652, "failures": [], '
+            '"millis": 0}\n'
+        ),
+        "csv": (
+            "suite,cases,failures\n"
+            "gcn-power-methods,550,0\n"
+            "euler-pair,540,0\n"
+            "cheb-exact,15,0\n"
+            "cheb-numeric,4,0\n"
+            "mat-unit,499,0\n"
+            "u2-triple,10,0\n"
+            "hermite3,26,0\n"
+            "corrections,8,0\n"
+            "all,1652,0\n"
+        ),
+    }),
+]
+
+
+def _untimed(text):
+    text = re.sub(r'("millis": |"median_ns": )\d+', r"\g<1>0", text)
+    text = re.sub(r"median_ns=\d+ +", "median_ns=0 ", text)
+    return re.sub(r"^(\w+,\d+,)\d+,", r"\g<1>0,", text, flags=re.M)
+
+
+def test_every_command_prints_its_whole_output(capsys):
+    for args, outputs in _WHOLE_OUTPUTS:
+        for fmt, expected in outputs.items():
+            code = cli.main([*args, "--format", fmt])
+            out, err = capsys.readouterr()
+            assert (code, _untimed(out), err) == (0, expected, ""), (args, fmt)
