@@ -11,12 +11,18 @@ printed as ``error:`` without a traceback).  Text output carries no timing
 so identical invocations are byte-identical; JSON verification reports
 include a ``millis`` field (the one intentionally non-deterministic value,
 required by the report schema).
+
+The argparse tree is built once per process, on the first call of
+``build_parser``, and shared by every later ``main`` call; callers must not
+mutate the parser it returns.  Parsing leaves it unchanged, so a request
+answers as it would from a fresh parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -331,7 +337,21 @@ def _add_format(parser: argparse.ArgumentParser, *extra: str) -> None:
     )
 
 
+def _add_unit(parser: argparse.ArgumentParser, kind: str) -> None:
+    # argparse reads "-1/4" or "-1e3" after "--a" as an option, not a value.
+    for name in ("--a", "--b"):
+        parser.add_argument(
+            name, required=True, help=f"{kind}; write a negative one as {name}=-1/4"
+        )
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then shared.
+
+    Every call returns the same parser, so callers must not mutate it.
+    ``main`` looks this function up by name on each request.
+    """
     parser = argparse.ArgumentParser(
         prog="gencheb",
         description=(
@@ -345,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     gcn_sub = p_gcn.add_subparsers(dest="action", required=True)
     for action in ("power", "roots"):
         sp = gcn_sub.add_parser(action)
-        sp.add_argument("--a", required=True, help="rational or polynomial text")
-        sp.add_argument("--b", required=True, help="rational or polynomial text")
+        _add_unit(sp, "rational or polynomial text")
         sp.add_argument("--vars", default="x", help="comma-separated symbols")
         _add_format(sp)
         if action == "power":
@@ -362,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     euler_sub = p_euler.add_subparsers(dest="action", required=True)
     for action in ("series", "closed", "ode"):
         sp = euler_sub.add_parser(action)
-        sp.add_argument("--a", required=True)
-        sp.add_argument("--b", required=True)
+        _add_unit(sp, "rational or decimal")
         sp.add_argument("--tol", type=_tolerance, default=euler.DEFAULT_TOL)
         _add_format(sp)
         if action == "ode":

@@ -425,6 +425,11 @@ class ConjugateRoots:
     degenerate: bool
 
     def numeric(self) -> tuple[float | complex, float | complex]:
+        if not _is_rational(self.unit):
+            raise TypeError(
+                "numeric roots need a rational scalar unit; the exact roots "
+                "hold for polynomial-valued units too"
+            )
         return (self.h_plus.numeric(), self.h_minus.numeric())
 
 
@@ -445,8 +450,12 @@ def conjugate_roots(unit: GcnUnit) -> ConjugateRoots:
     )
 
 
+def _is_rational(unit: Unit) -> bool:
+    return all(isinstance(c, (int, Fraction)) for c in unit.coeffs)
+
+
 def _binet_exact(unit: GcnUnit, n: int) -> tuple[Fraction, Fraction]:
-    if not all(isinstance(c, (int, Fraction)) for c in unit.coeffs):
+    if not _is_rational(unit):
         raise TypeError(
             "this method needs a rational scalar unit; use 'recurrence' or "
             "'matrix' for polynomial-valued units"

@@ -1,13 +1,15 @@
+import argparse
 import cmath
 import itertools
 import json
+import random
 import re
 import subprocess
 import sys
 
 import pytest
 
-from gencheb import cli, gcn
+from gencheb import cli, gcn, pauli
 
 CMD = [sys.executable, "-m", "gencheb"]
 
@@ -577,3 +579,147 @@ def test_every_command_prints_its_whole_output(capsys):
             code = cli.main([*args, "--format", fmt])
             out, err = capsys.readouterr()
             assert (code, _untimed(out), err) == (0, expected, ""), (args, fmt)
+
+
+# One parser is built per process and shared by every cli.main call; these
+# tests pin that a request answers as it would from a fresh parser.
+
+
+def _reply(capsys, args):
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+_ROOTS_TEXT = (
+    "op = gcn-roots\n"
+    "h_plus = 1/2 + 1/2*sqrt(5)\n"
+    "h_minus = 1/2 - 1/2*sqrt(5)\n"
+    "degenerate = False\n"
+)
+_ODE_TEXT = "op = euler-ode\npoints = {}\nmax_c_residual = 0.0\nmax_s_residual = 0.0\n"
+_USAGE_ERROR = (
+    "usage: gencheb cheb u [-h] --n N [--format {text,json}]\n"
+    "gencheb cheb u: error: argument --n: value must be non-negative\n"
+)
+
+
+def test_shared_parser_holds_no_state_between_requests(capsys):
+    roots = ("gcn", "roots", "--a", "1", "--b", "1")
+    numeric = _ROOTS_TEXT + (
+        "h_plus_numeric = 1.618033988749895\n"
+        "h_minus_numeric = -0.6180339887498949\n"
+    )
+    assert _reply(capsys, (*roots, "--numeric")) == (0, numeric, "")
+    assert _reply(capsys, roots) == (0, _ROOTS_TEXT, "")
+
+    ode = ("euler", "ode", "--a", "-1", "--b", "0")
+    assert _reply(capsys, (*ode, "--points", "3")) == (0, _ODE_TEXT.format(3), "")
+    assert _reply(capsys, ode) == (0, _ODE_TEXT.format(21), "")
+
+    cheb = ("cheb", "u", "--n", "3")
+    assert _reply(capsys, cheb) == (0, "8*x^3 - 4*x\n", "")
+    assert _reply(capsys, ("cheb", "u", "--n", "-3")) == (2, "", _USAGE_ERROR)
+    assert _reply(capsys, cheb) == (0, "8*x^3 - 4*x\n", "")
+
+    code, out, err = _reply(capsys, ("--help",))
+    assert (code, err) == (0, "") and out.startswith("usage: gencheb ")
+    assert _reply(capsys, ("--help",)) == (0, out, "")
+
+
+def test_numeric_roots_of_a_polynomial_unit_are_refused(capsys):
+    args = ("gcn", "roots", "--a", "x", "--b", "1", "--numeric")
+    assert _reply(capsys, args) == (
+        2,
+        "",
+        "error: numeric roots need a rational scalar unit; the exact roots "
+        "hold for polynomial-valued units too\n",
+    )
+
+
+_SCALARS = ("0", "1", "-1", "2/3", "-5/7", "1/4")
+
+
+def _mixed_request(rng):
+    a, b = (f"--{name}={rng.choice(_SCALARS)}" for name in ("a", "b"))
+    kind = rng.randrange(12)
+    n = str(rng.randint(0, 4))
+    if kind == 0:
+        request = ("cheb", rng.choice(("u", "t", "ab")), "--n", n)
+    elif kind == 1:
+        a = rng.choice((a, "--a=x", "--a=-1"))
+        method = rng.choice(gcn.POWER_METHODS)
+        request = ("gcn", "power", a, b, "--n", n, "--method", method)
+    elif kind == 2:
+        request = ("gcn", "roots", rng.choice((a, "--a=x")), b)
+        request += ("--numeric",) * rng.randint(0, 1)
+    elif kind == 3:
+        phi = f"--phi={rng.choice(('0', '0.5', '-1'))}"
+        request = ("euler", rng.choice(("series", "closed")), a, b, phi)
+    elif kind == 4:
+        request = ("euler", "ode", "--a=-1", "--b=0")
+        request += ("--points", str(rng.randint(1, 5))) * rng.randint(0, 1)
+        request += ("--lo=-1", "--hi=0.5") * rng.randint(0, 1)
+    elif kind == 5:
+        entries = rng.choice(("2,1;1,1", "1,2:1;3,4", "0,1;-1,0", "1,2;3"))
+        request = ("mat", "decompose", f"--entries={entries}")
+    elif kind == 6:
+        entries = rng.choice(("2,1;1,1", "1,2:1;3,4", "0,1;-1,0", "1,2;3"))
+        method = rng.choice(pauli.POWER_METHODS)
+        request = ("mat", "pow", f"--entries={entries}", "--n", n, "--method", method)
+    elif kind == 7:
+        request = ("u2", rng.choice(("series", "rec")), "--nmax", n)
+    elif kind == 8:
+        request = (*rng.choice((("u2", "laplace"), ("hermite3",))), "--n", n)
+    elif kind == 9:
+        request = ("cheb", "verify", "--nmax", str(rng.randint(1, 2)))
+    elif kind == 10:
+        request = rng.choice((
+            ("cheb", "u", "--n", "-3"),
+            ("frobnicate",),
+            ("gcn", "power", "--a", "x^"),
+            ("cheb", "t", "--n", "abc"),
+            ("euler", "ode", "--a", "-1/4", "--b", "0"),
+        ))
+    else:
+        helps = (("--help",), ("gcn", "roots", "--help"), ("euler", "ode", "-h"))
+        request = rng.choice(helps)
+    if kind < 10 and rng.randint(0, 1):
+        request += ("--format", "json")
+    return request
+
+
+def test_cached_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    rng = random.Random(1307)
+    requests = [_mixed_request(rng) for _ in range(50)]
+
+    def replies():
+        for args in requests:
+            code, out, err = _reply(capsys, args)
+            yield code, _untimed(out), err
+
+    cached = list(replies())
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = list(replies())
+    assert {code for code, _, _ in cached} == {0, 2}
+    for args, one, other in zip(requests, cached, fresh):
+        assert one == other, args
+
+
+def test_requests_after_the_first_build_no_parser(capsys, monkeypatch):
+    _reply(capsys, ("cheb", "u", "--n", "1"))
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    rng = random.Random(1308)
+    for _ in range(20):
+        _reply(capsys, _mixed_request(rng))
+    assert built == []
