@@ -16,8 +16,6 @@ from .gcn import (
     GcnUnit,
     Surd,
     UnitMismatchError,
-    companion_matrix,
-    companion_power,
     conjugate_roots,
     power_coeff_sequence,
     power_coeffs,
@@ -101,8 +99,6 @@ __all__ = [
     "cheb_U",
     "cheb_companion_power",
     "cheb_unit",
-    "companion_matrix",
-    "companion_power",
     "conjugate_roots",
     "cubic_power",
     "cubic_power_sequence",

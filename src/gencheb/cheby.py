@@ -105,7 +105,7 @@ def cheb_companion_power(n: int) -> Mat2:
     """
     if n < 0:
         raise ValueError("index must be non-negative")
-    return gcn.companion_power(_CHEB_UNIT, n + 1)
+    return _CHEB_UNIT.companion() ** (n + 1)
 
 
 def ode_apply(poly: MultiPoly, constant) -> MultiPoly:

@@ -60,6 +60,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _int_list(text: str) -> list[int]:
+    """Comma-separated non-negative ints; empty parts are skipped."""
+    return [_nonneg_int(part) for part in text.split(",") if part]
+
+
+def _symbols(text: str) -> tuple[str, ...]:
+    """Comma-separated distinct names, each a symbol of the polynomial grammar."""
+    names = tuple(text.split(","))
+    for name in names:
+        word = name.replace("_", "a")  # in a symbol "_" counts as a letter
+        if not (word[:1].isalpha() and word.isalnum()):
+            raise argparse.ArgumentTypeError(f"not a symbol: {name!r}")
+    if len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"duplicate symbols in {text!r}")
+    return names
+
+
 def _tolerance(text: str) -> float:
     try:
         value = float(text)
@@ -160,9 +177,8 @@ def _report(reports: list[verify.VerificationReport], fmt: str) -> Answer:
 
 
 def _cmd_gcn(args: argparse.Namespace) -> Answer:
-    variables = tuple(args.vars.split(","))
-    a = _scalar_or_poly(args.a, variables)
-    b = _scalar_or_poly(args.b, variables)
+    a = _scalar_or_poly(args.a, args.vars)
+    b = _scalar_or_poly(args.b, args.vars)
     unit = gcn.GcnUnit(a, b)
     if args.action == "power":
         a_n, b_n = gcn.power_coeffs(unit, args.n, args.method)
@@ -254,8 +270,7 @@ def _cmd_cheb(args: argparse.Namespace) -> Answer:
 
 def _cmd_mat(args: argparse.Namespace) -> Answer:
     if args.action == "bench":
-        sizes = [int(part) for part in args.n_list.split(",") if part]
-        records = pauli.bench_power(sizes, args.trials)
+        records = pauli.bench_power(args.n_list, args.trials)
         if args.format == "csv":
             lines = ["method,n,median_ns,max_coeff_bits"] + [
                 f"{r.method},{r.n},{r.median_ns},{r.max_coeff_bits}" for r in records
@@ -366,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     for action in ("power", "roots"):
         sp = gcn_sub.add_parser(action)
         _add_unit(sp, "rational or polynomial text")
-        sp.add_argument("--vars", default="x", help="comma-separated symbols")
+        sp.add_argument(
+            "--vars", type=_symbols, default="x", help="comma-separated symbols"
+        )
         _add_format(sp)
         if action == "power":
             sp.add_argument("--n", type=_nonneg_int, required=True)
@@ -419,7 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
             )
         sp.set_defaults(func=_cmd_mat)
     sp = mat_sub.add_parser("bench")
-    sp.add_argument("--n-list", default="64,256,1024", help="comma-separated powers")
+    sp.add_argument(
+        "--n-list", type=_int_list, default="64,256,1024", help="comma-separated powers"
+    )
     sp.add_argument("--trials", type=_positive_int, default=3)
     _add_format(sp, "csv")
     sp.set_defaults(func=_cmd_mat)

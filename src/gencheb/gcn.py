@@ -15,8 +15,8 @@ Powers h^n = a_n + b_n*h of a unit (a, b) are computed three ways and must
 always agree:
 
 * recurrence            h^n in the quotient ring, by squaring
-* companion matrix      powers of [[0, a], [1, b]] by squaring; the first
-                        column of the n-th power is (a_n, b_n)
+* companion matrix      ``unit.companion() ** n``, powers of [[0, a], [1, b]]
+                        by squaring; its first column is (a_n, b_n)
 * root closed form      through the conjugate roots h± = (b ± sqrt(D))/2
                         with D = b^2 + 4a:
                             b_n = (h+^n - h-^n) / (h+ - h-)
@@ -34,12 +34,12 @@ instead of the walk's O(k n); it is the ``recurrence`` route of
 :mod:`gencheb.pauli`.  A unit of exact scalars (int, Fraction or
 GaussianRational) is raised on integer numerators: with d the lcm of its
 denominators, g = d*h is the root of a unit with Gaussian-integer
-coefficients, so the squarings run on int pairs with no gcd, and each
-coefficient of h^n is built once, in the walk's own type.  A unit with
-polynomial coefficients is raised as an :class:`Element`.  On bivariate
-polynomial coefficients such as the cubic unit's the walk wins even for one
-power: each of its steps multiplies by the small unit coefficients, while a
-squaring multiplies two large ones.
+coefficients, so g is raised by ``power`` with ``_pair_product`` on int
+pairs with no gcd, and each coefficient of h^n is built once, in the walk's
+own type.  A unit with polynomial coefficients is raised as an
+:class:`Element`.  On bivariate polynomial coefficients such as the cubic
+unit's the walk wins even for one power: each of its steps multiplies by
+the small unit coefficients, while a squaring multiplies two large ones.
 
 The closed form is evaluated exactly over the unit (D, 0), which remains
 valid when D = 0: writing h^n = p_n + q_n*sqrt(D) gives b_n = 2*q_n and
@@ -71,8 +71,6 @@ __all__ = [
     "Unit",
     "UnitMismatchError",
     "at_roots",
-    "companion_matrix",
-    "companion_power",
     "conjugate_roots",
     "float_unit",
     "power_coeff_sequence",
@@ -310,18 +308,17 @@ def unit_power(coeffs: Sequence[Any], n: int) -> tuple[Any, ...]:
     if triples and None not in triples:  # an empty unit is refused below
         return _scalar_unit_power(triples, n, type(zero_of(*coeffs)))
     unit = Unit(coeffs)
-    zero = zero_of(*coeffs)
-    one = (zero + 1,) + (zero,) * (len(coeffs) - 1)
-    h = (zero,) + one[:-1] if len(coeffs) > 1 else unit.coeffs  # h = c_0 if k = 1
-    return power(Element(unit, h), n, Element(unit, one)).coeffs
+    h = unit.companion().column(0)  # the column of h^1; it is c_0 for k = 1
+    return (Element(unit, h) ** n).coeffs
 
 
-def _pair_square(ys: tuple, fold: list) -> tuple:
-    """:func:`_product` of ``ys`` by itself on Gaussian integers, as (ps, qs) int lists."""
+def _pair_product(xs: tuple, ys: tuple, fold: list) -> tuple:
+    """:func:`_product` of ``xs`` and ``ys`` on Gaussian integers, as (ps, qs) int lists."""
+    xps, xqs = xs
     yps, yqs = ys
     k = len(yps)
     ps, qs = [0] * (2 * k - 1), [0] * (2 * k - 1)
-    for i, (xp, xq) in enumerate(zip(yps, yqs)):
+    for i, (xp, xq) in enumerate(zip(xps, xqs)):
         m = i
         for yp, yq in zip(yps, yqs):
             ps[m] += xp * yp - xq * yq
@@ -340,10 +337,10 @@ def _scalar_unit_power(triples: list, n: int, kind: type) -> tuple[Any, ...]:
 
     With d the lcm of the d_i, g = d*h is the root of the unit
     g^k = sum c_i d^(k-i) g^i, whose coefficients are Gaussian integers.
-    g^n = sum y_i g^i is computed on int pairs, squaring by
-    :func:`_pair_square` and multiplying by g with the walk's shift, and
-    h^n has x_i = y_i / d^(n-i); y_i is 0 for i > n.  Each x_i is built
-    once, with one gcd, as an int, Fraction or GaussianRational.
+    g^n = sum y_i g^i is raised by :func:`power` with :func:`_pair_product`
+    on int pairs, and h^n has x_i = y_i / d^(n-i); y_i is 0 for i > n.
+    Each x_i is built once, with one gcd, as an int, Fraction or
+    GaussianRational.
     """
     k = len(triples)
     d = math.lcm(*(d_i for _, _, d_i in triples))
@@ -352,34 +349,16 @@ def _scalar_unit_power(triples: list, n: int, kind: type) -> tuple[Any, ...]:
         if p or q:
             scale = d // d_i * d ** (k - 1 - i)
             fold.append((i, p * scale, q * scale))
-    y = ([1] + [0] * (k - 1), [0] * k)
-    for bit in bin(n)[2:]:
-        y = _pair_square(y, fold)
-        if bit == "1":  # times g: shift up one place and fold the top back
-            ps, qs = y
-            tp, tq = ps[-1], qs[-1]
-            ps, qs = [0, *ps[:-1]], [0, *qs[:-1]]
-            for i, cp, cq in fold:
-                ps[i] += cp * tp - cq * tq
-                qs[i] += cp * tq + cq * tp
-            y = ps, qs
-    ps, qs = y
+    one = ([1] + [0] * (k - 1), [0] * k)
+    p_0, q_0, _ = triples[0]  # for k = 1, h = c_0 and d = d_0, so g = p_0 + q_0*i
+    g = ([0, 1] + [0] * (k - 2), [0] * k) if k > 1 else ([p_0], [q_0])
+    ps, qs = power(g, n, one, lambda x, y: _pair_product(x, y, fold))
     dens = [d ** max(n - i, 0) for i in range(k)]
     if kind is GaussianRational:
         return tuple(map(_unchecked, ps, qs, dens))
     if kind is Fraction:
         return tuple(map(Fraction, ps, dens))
     return tuple(ps)  # an integer unit has d = 1
-
-
-def companion_matrix(unit: GcnUnit) -> Mat2:
-    """The matrix [[0, a], [1, b]] advancing (a_n, b_n) to (a_{n+1}, b_{n+1})."""
-    return unit.companion()
-
-
-def companion_power(unit: GcnUnit, n: int) -> Mat2:
-    """n-th power of the companion matrix, by exponentiation by squaring."""
-    return unit.companion() ** n
 
 
 class Surd(Element):
@@ -513,7 +492,7 @@ def power_coeffs(unit: GcnUnit, n: int, method: str = "recurrence"):
     if method == "recurrence":
         return unit_power(unit.coeffs, n)
     if method == "matrix":
-        return companion_power(unit, n).column(0)
+        return (unit.companion() ** n).column(0)
     if method == "binet":
         return _binet_exact(unit, n)
     if method == "binet_float":

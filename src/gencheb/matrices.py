@@ -5,9 +5,9 @@ and has all the arithmetic; :class:`Mat2` is its 2x2 view with named entries
 and a determinant.  Results keep the operand's type, and a scalar operand of
 ``+`` or ``-``, on either side, is that multiple of the identity.  Entries
 only need ``+``, ``-`` and ``*`` among themselves and with ints; Fraction,
-GaussianRational and MultiPoly all qualify.  Powers go through the shared
-square-and-multiply helper :func:`gencheb.scalars.power`, and identities are
-built on :func:`gencheb.scalars.zero_of` of the entries.
+GaussianRational and MultiPoly all qualify.  Powers go through the library's
+one square-and-multiply loop :func:`gencheb.scalars.power`, and identities
+are built on :func:`gencheb.scalars.zero_of` of the entries.
 """
 from __future__ import annotations
 

@@ -18,13 +18,15 @@ evaluation happens in the consumers, never in the exact core.
 
 Two ring-generic helpers live here, at the bottom layer, so that every
 other type uses them: :func:`power` is the library's one square-and-multiply
-loop and :func:`zero_of` the zero of whatever ring some values live in.
+loop (every ``**`` and ``gcn.unit_power``), and :func:`zero_of` the zero of
+whatever ring some values live in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 __all__ = ["BigRational", "GaussianRational", "as_fraction", "power", "zero_of"]
 
@@ -40,21 +42,21 @@ def as_fraction(value: int | Fraction) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-def power(base, n: int, one):
+def power(base, n: int, one, _mul=mul):
     """``base`` to the power ``n >= 0`` by square-and-multiply.
 
-    Works in any ring whose elements multiply with ``*``; ``one`` is its
-    identity and is what ``n = 0`` returns.  The bits of ``n`` are read
-    from the top down, so every multiply is by ``base`` itself, which is
-    usually far smaller than the running result.
+    Works in any ring whose elements multiply with ``*``, or with ``_mul``
+    for one held in plain data; ``one`` is its identity and is what ``n = 0``
+    returns.  The bits of ``n`` are read from the top down, so every
+    multiply is by ``base`` itself, usually far smaller than the result.
     """
     if n == 0:
         return one
     result = base
     for bit in bin(n)[3:]:
-        result = result * result
+        result = _mul(result, result)
         if bit == "1":
-            result = result * base
+            result = _mul(result, base)
     return result
 
 

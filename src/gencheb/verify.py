@@ -114,7 +114,7 @@ def suite_gcn(
         roots = gcn.conjugate_roots(unit)
         root = roots.h_plus
         rho = max(*map(abs, roots.numeric()), 1.0)
-        companion = gcn.companion_matrix(unit)
+        companion = unit.companion()
         matrix_power = companion.identity_like()
         surd_power = root ** 0
         seq = gcn.power_coeff_sequence(unit, nmax)
@@ -433,7 +433,7 @@ def suite_corrections() -> VerificationReport:
     target = Mat2(-u0, -u1, u1, u2)
     rec.check(
         "companion-signs/variant-fails",
-        gcn.companion_power(flipped, 2) != target,
+        flipped.companion() ** 2 != target,
         "mismatch",
         "equal",
     )
@@ -442,9 +442,9 @@ def suite_corrections() -> VerificationReport:
     )
     rec.check(
         "companion-signs/variant-det",
-        gcn.companion_matrix(flipped).det() == -1,
+        flipped.companion().det() == -1,
         -1,
-        gcn.companion_matrix(flipped).det(),
+        flipped.companion().det(),
     )
 
     m = pauli.gaussian_mat(((2, 1), (1, 1)))

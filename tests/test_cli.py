@@ -723,3 +723,48 @@ def test_requests_after_the_first_build_no_parser(capsys, monkeypatch):
     for _ in range(20):
         _reply(capsys, _mixed_request(rng))
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (("gcn", "roots", "--a", "1", "--b", "1", "--vars", "x,x"),
+         "gencheb gcn roots: error: argument --vars: duplicate symbols in 'x,x'"),
+        (("gcn", "roots", "--a", "x", "--b", "1", "--vars", "x,x"),
+         "gencheb gcn roots: error: argument --vars: duplicate symbols in 'x,x'"),
+        (("gcn", "power", "--a", "1", "--b", "1", "--n", "2", "--vars", "2y"),
+         "gencheb gcn power: error: argument --vars: not a symbol: '2y'"),
+        (("gcn", "roots", "--a", "1", "--b", "1", "--vars="),
+         "gencheb gcn roots: error: argument --vars: not a symbol: ''"),
+        (("gcn", "power", "--a", "x", "--b", "1", "--n", "2", "--vars", "x,,y"),
+         "gencheb gcn power: error: argument --vars: not a symbol: ''"),
+        (("gcn", "roots", "--a", "1", "--b", "1", "--vars", "x, y"),
+         "gencheb gcn roots: error: argument --vars: not a symbol: ' y'"),
+        (("mat", "bench", "--n-list", "1,abc"),
+         "gencheb mat bench: error: argument --n-list: not an integer: 'abc'"),
+        (("mat", "bench", "--n-list", "2.5"),
+         "gencheb mat bench: error: argument --n-list: not an integer: '2.5'"),
+        (("mat", "bench", "--n-list=4,-1"),
+         "gencheb mat bench: error: argument --n-list: value must be non-negative"),
+    ],
+)
+def test_malformed_symbol_and_power_lists_are_usage_errors(capsys, args, line):
+    code, out, err = _reply(capsys, args)
+    assert (code, out, err.splitlines()[-1]) == (2, "", line)
+    assert err.startswith("usage: gencheb ")
+
+
+def test_symbols_are_read_as_the_polynomial_parser_reads_them(capsys):
+    args = ("gcn", "power", "--a", "é_1", "--b", "_y", "--n", "2", "--vars", "_y,é_1")
+    assert _reply(capsys, args) == (
+        0, "op = gcn-power\nmethod = recurrence\nn = 2\na_n = é_1\nb_n = _y\n", ""
+    )
+
+
+def test_power_lists_skip_empty_parts_and_refuse_an_empty_list(capsys):
+    code, out, err = _reply(capsys, ("mat", "bench", "--n-list", ",4,,8,", "--trials", "1"))
+    assert (code, err) == (0, "")
+    assert [line.split()[1] for line in out.splitlines()] == ["n=4"] * 2 + ["n=8"] * 2
+    assert _reply(capsys, ("mat", "bench", "--n-list", ",,")) == (
+        2, "", "error: need at least one power to benchmark\n"
+    )

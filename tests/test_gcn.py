@@ -11,8 +11,6 @@ from gencheb.gcn import (
     Surd,
     Unit,
     UnitMismatchError,
-    companion_matrix,
-    companion_power,
     conjugate_roots,
     power_coeff_sequence,
     power_coeffs,
@@ -21,7 +19,7 @@ from gencheb.gcn import (
 )
 from gencheb.higher import CubicUnit
 from gencheb.poly import MultiPoly, gens
-from gencheb.scalars import GaussianRational
+from gencheb.scalars import GaussianRational, zero_of
 
 X, = gens("x")
 
@@ -93,20 +91,20 @@ def test_companion_matrix_shape_and_identity():
             Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
             Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
         )
-        q = companion_matrix(unit)
+        q = unit.companion()
         assert (q.m11, q.m12, q.m21, q.m22) == (0, unit.a, 1, unit.b)
         assert q * q == q * unit.b + q.identity_like() * unit.a
 
 
 def test_companion_power_examples():
     unit_i = GcnUnit(Fraction(-1), Fraction(0))
-    assert companion_power(unit_i, 4) == companion_matrix(unit_i).identity_like()
+    assert unit_i.companion() ** 4 == unit_i.companion().identity_like()
     fib = GcnUnit(Fraction(1), Fraction(1))
     seq = power_coeff_sequence(fib, 12)
     for n in range(12):
-        advanced = companion_matrix(fib).apply(seq[n])
+        advanced = fib.companion().apply(seq[n])
         assert advanced == seq[n + 1]
-        power = companion_power(fib, n)
+        power = fib.companion() ** n
         assert (power.m11, power.m21) == seq[n]
         assert power.det() == (-fib.a) ** n
 
@@ -116,7 +114,7 @@ def test_negative_power_rejected():
     with pytest.raises(ValueError):
         power_coeffs(unit, -1)
     with pytest.raises(ValueError):
-        companion_power(unit, -2)
+        unit.companion() ** -2
 
 
 def test_binet_requires_rational_unit():
@@ -219,6 +217,25 @@ def test_unit_power_matches_walk(coeffs):
         assert power == expected, n
         assert list(map(type, power)) == list(map(type, expected)), n
         assert (companion ** n).apply(e_0) == expected, n
+
+
+# The exact units above, raised at indices either side of a power of two:
+# all bits set, one bit, and the first and last bits.
+EXACT_COEFFS = [c for c in UNIT_COEFFS if not any(isinstance(x, MultiPoly) for x in c)]
+LARGE_INDICES = [2 ** j + s for j in range(6, 11) for s in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("coeffs", EXACT_COEFFS)
+def test_unit_power_at_large_index_matches_element_power(coeffs):
+    k = len(coeffs)
+    unit = Unit(coeffs)
+    zero = zero_of(*coeffs)
+    h = coeffs if k == 1 else (zero, zero + 1) + (zero,) * (k - 2)
+    for n in LARGE_INDICES:
+        expected = (Element(unit, h) ** n).coeffs
+        power = unit_power(coeffs, n)
+        assert power == expected, n
+        assert list(map(type, power)) == list(map(type, expected)), n
 
 
 def test_unit_power_rejects_negative_index():
