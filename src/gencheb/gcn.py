@@ -97,6 +97,8 @@ class Unit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        if not self.coeffs:
+            raise ValueError("a unit needs at least one coefficient")
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Unit) and self.coeffs == other.coeffs

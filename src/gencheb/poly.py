@@ -20,7 +20,11 @@ construction; every operation returns a new polynomial.
 
 The public constructor validates its input; the ring operations build
 their results through an unchecked internal constructor instead, since
-their terms are canonical by construction.
+their terms are canonical by construction.  The product loop writes out
+the exponent sums for one and two variables, the widths of ``U_n``/``T_n``
+and of ``U2_n``, because building each sum tuple with ``map`` costs several
+times the coefficient arithmetic of a term; other widths share one generic
+loop.
 
 Two polynomials only combine when their variable tuples are identical.
 Mixing different variable lists raises instead of silently capturing symbols;
@@ -105,6 +109,19 @@ def _unchecked(
     poly._terms = terms
     poly._hash = None
     return poly
+
+
+def _fold_into(
+    out: dict[Exponents, ScalarLike], terms: Mapping[Exponents, ScalarLike]
+) -> None:
+    """Add canonical ``terms`` into ``out`` in place, dropping sums that cancel."""
+    get = out.get
+    for exps, coeff in terms.items():
+        total = get(exps, 0) + coeff
+        if total:
+            out[exps] = total if type(total) is int else _canonical(total)
+        else:
+            out.pop(exps, None)
 
 
 def _constant(variables: tuple[str, ...], value: ScalarLike) -> "MultiPoly":
@@ -243,12 +260,7 @@ class MultiPoly:
         if rhs is None:
             return NotImplemented
         out = dict(self._terms)
-        for exps, coeff in rhs._terms.items():
-            total = _canonical(out.get(exps, 0) + coeff)
-            if total:
-                out[exps] = total
-            else:
-                out.pop(exps, None)
+        _fold_into(out, rhs._terms)
         return _unchecked(self._variables, out)
 
     __radd__ = __add__
@@ -281,12 +293,27 @@ class MultiPoly:
             return rhs._scaled(next(iter(self._terms.values()), 0))
         out: dict[Exponents, ScalarLike] = {}
         get = out.get
-        for e1, c1 in self._terms.items():
-            for e2, c2 in rhs._terms.items():
-                exps = tuple(map(add, e1, e2))
-                out[exps] = get(exps, 0) + c1 * c2
+        right = list(rhs._terms.items())
+        width = len(self._variables)
+        # One and two variables add their exponents inline (module docstring).
+        if width == 1:
+            for (x,), c1 in self._terms.items():
+                for (y,), c2 in right:
+                    exps = (x + y,)
+                    out[exps] = get(exps, 0) + c1 * c2
+        elif width == 2:
+            for (x0, x1), c1 in self._terms.items():
+                for (y0, y1), c2 in right:
+                    exps = (x0 + y0, x1 + y1)
+                    out[exps] = get(exps, 0) + c1 * c2
+        else:
+            for e1, c1 in self._terms.items():
+                for e2, c2 in right:
+                    exps = tuple(map(add, e1, e2))
+                    out[exps] = get(exps, 0) + c1 * c2
         return _unchecked(
-            self._variables, {e: _canonical(c) for e, c in out.items() if c}
+            self._variables,
+            {e: c if type(c) is int else _canonical(c) for e, c in out.items() if c},
         )
 
     __rmul__ = __mul__
@@ -382,14 +409,15 @@ class MultiPoly:
             for _ in range(top):
                 table.append(table[-1] * values[v])
             tables[v] = table
-        acc = _constant(target, 0)
+        # Every term folds into one dict, so no partial sum is ever copied.
+        out: dict[Exponents, ScalarLike] = {}
         for exps, coeff in self._terms.items():
             term = _constant(target, coeff)
             for v, e in zip(self._variables, exps):
                 if e:
                     term = term * tables[v][e]
-            acc = acc + term
-        return acc
+            _fold_into(out, term._terms)
+        return _unchecked(target, out)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -243,6 +243,14 @@ def test_unit_power_rejects_negative_index():
         unit_power((1, 1), -1)
 
 
+def test_empty_unit_refused():
+    message = "a unit needs at least one coefficient"
+    with pytest.raises(ValueError, match=message):
+        Unit(())
+    with pytest.raises(ValueError, match=message):
+        unit_power((), 3)
+
+
 def test_recurrence_route_at_large_index():
     unit = GcnUnit(Fraction(11, 13), Fraction(7, 5))
     by_recurrence = power_coeffs(unit, 4096, "recurrence")

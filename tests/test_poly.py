@@ -20,12 +20,20 @@ def random_poly(rng, variables, max_degree=4, max_terms=5):
     return MultiPoly(variables, terms)
 
 
-def test_ring_laws_on_random_triples():
+# The product has a loop of its own for one and two variables and a generic
+# one for more, so the ring checks run at every width up to four.
+WIDTHS = pytest.mark.parametrize(
+    "names", [("u",), ("u", "v"), ("u", "v", "w"), ("u", "v", "w", "z")], ids="-".join
+)
+
+
+@WIDTHS
+def test_ring_laws_on_random_triples(names):
     rng = random.Random(424242)
     for _ in range(60):
-        p = random_poly(rng, ("u", "v"))
-        q = random_poly(rng, ("u", "v"))
-        r = random_poly(rng, ("u", "v"))
+        p = random_poly(rng, names)
+        q = random_poly(rng, names)
+        r = random_poly(rng, names)
         assert (p + q) + r == p + (q + r)
         assert p + q == q + p
         assert p * q == q * p
@@ -233,44 +241,71 @@ def assert_canonical(p):
     assert all(type(c) is GaussianRational for c in p.terms.values())
 
 
-def test_fast_coefficients_match_gaussian_reference():
+@WIDTHS
+def test_fast_coefficients_match_gaussian_reference(names):
     rng = random.Random(20261018)
-    names = ("u", "v")
+    width = len(names)
+    origin = (0,) * width
     for _ in range(80):
         p = random_mixed_poly(rng, names)
         q = random_mixed_poly(rng, names)
         a, b = p.terms, q.terms
         scalar = random_coeff(rng)
-        lifted = {(0, 0): GaussianRational._coerce(scalar)}
+        lifted = {origin: GaussianRational._coerce(scalar)}
         constant = MultiPoly.constant(names, scalar)
+        conj = MultiPoly(names, {e: c.conjugate() for e, c in a.items()})
         results = {
             "add": (p + q, ref_add(a, b)),
             "sub": (p - q, ref_add(a, {e: -c for e, c in b.items()})),
             "neg": (-p, {e: -c for e, c in a.items()}),
             "mul": (p * q, ref_mul(a, b)),
+            "norm": (p * conj, ref_mul(a, conj.terms)),
             "scale": (p * scalar, ref_mul(a, lifted)),
             "rscale": (scalar * p, ref_mul(a, lifted)),
             "const": (p * constant, ref_mul(a, lifted)),
             "rconst": (constant * p, ref_mul(a, lifted)),
             "const2": (constant * constant, ref_mul(lifted, lifted)),
-            "pow": (p ** 3, ref_pow(a, 3, 2)),
-            "du": (p.derivative("u"), ref_derivative(a, 0)),
-            "dv": (p.derivative("v"), ref_derivative(a, 1)),
+            "pow": (p ** 3, ref_pow(a, 3, width)),
         }
+        for i, name in enumerate(names):
+            results[f"d{name}"] = (p.derivative(name), ref_derivative(a, i))
         for op, (fast, slow) in results.items():
             assert fast.terms == slow, op
             assert_canonical(fast)
-        point = (random_coeff(rng), random_coeff(rng))
+        # Every imaginary part of p * conj(p) cancels inside the product.
+        assert (p * conj).is_real_valued()
+        point = tuple(random_coeff(rng) for _ in names)
         assert_evaluates_as_reference(p, names, point)
-        images = [random_mixed_poly(rng, ("s", "t"), 2, 3) for _ in names]
-        substituted = p.substitute(dict(zip(names, images)))
-        assert substituted.terms == ref_substitute(a, [i.terms for i in images], 2)
-        assert_canonical(substituted)
-        exps = (rng.randint(0, 3), rng.randint(0, 3))
+        for target in (("s",), ("s", "t"), ("s", "t", "r")):
+            images = [random_mixed_poly(rng, target, 2, 3) for _ in names]
+            substituted = p.substitute(dict(zip(names, images)))
+            slow = ref_substitute(a, [i.terms for i in images], len(target))
+            assert substituted.terms == slow
+            assert_canonical(substituted)
+        exps = tuple(rng.randint(0, 3) for _ in names)
         assert type(p.coefficient(exps)) is GaussianRational
         assert p.coefficient(exps) == a.get(exps, _G0)
         assert type(p.constant_value()) is GaussianRational
-        assert p.constant_value() == a.get((0, 0), _G0)
+        assert p.constant_value() == a.get(origin, _G0)
+    # Products whose terms cancel: p * conj(p) minus its expansion is the
+    # zero polynomial, over Fraction and Gaussian coefficients.
+    generators = gens(*names)
+    first, last = generators[0], generators[-1]
+    half, gauss = Fraction(1, 2), GaussianRational(Fraction(2, 3), Fraction(-3, 4))
+    p = half * first - gauss * last + Fraction(1, 5)
+    conj = half * first - gauss.conjugate() * last + Fraction(1, 5)
+    twice_re = gauss + gauss.conjugate()
+    expansion = (
+        Fraction(1, 4) * first * first
+        - twice_re * half * first * last
+        + gauss * gauss.conjugate() * last * last
+        + Fraction(1, 5) * first
+        - twice_re * Fraction(1, 5) * last
+        + Fraction(1, 25)
+    )
+    assert (p * conj - expansion).terms == {}
+    difference = (first - half * last) * (first + half * last)
+    assert (difference - first ** 2 + Fraction(1, 4) * last ** 2).terms == {}
     # Binary64 points, zero and a Gaussian point over d > 1, at the zero
     # polynomial, constants and polynomials missing a variable.
     points = [Fraction(math.cos(t)) for t in (0.1, 1.3, 2.9)] + [
@@ -281,11 +316,11 @@ def test_fast_coefficients_match_gaussian_reference():
         MultiPoly.zero(names),
         MultiPoly.constant(names, Fraction(-7, 3)),
         MultiPoly.constant(names, GaussianRational(Fraction(1, 2), 3)),
-        U ** 7 * Fraction(2, 5) - U + Fraction(1, 3),
-        (U * Fraction(1, 2) - V + Fraction(1, 3)) ** 6,
+        first ** 7 * Fraction(2, 5) - first + Fraction(1, 3),
+        (first * Fraction(1, 2) - last + Fraction(1, 3)) ** 6,
     ]
     for p in polys:
-        for point in itertools.product(points, repeat=2):
+        for point in itertools.product(points, repeat=width):
             assert_evaluates_as_reference(p, names, point)
 
 
