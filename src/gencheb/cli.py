@@ -15,7 +15,10 @@ required by the report schema).
 The argparse tree is built once per process, on the first call of
 ``build_parser``, and shared by every later ``main`` call; callers must not
 mutate the parser it returns.  Parsing leaves it unchanged, so a request
-answers as it would from a fresh parser.
+answers as it would from a fresh parser.  A request that names a leaf parser
+(``cheb u``, ``hermite3``, ``verify all``, ...) is parsed once, by that leaf
+alone.  The full tree parses only the rest: top-level help, usage errors
+above the leaves (no command, an unknown one) and leftover arguments.
 """
 
 from __future__ import annotations
@@ -233,6 +236,14 @@ def _cmd_euler(args: argparse.Namespace) -> Answer:
         args.lo + (args.hi - args.lo) * k / max(args.points - 1, 1)
         for k in range(args.points)
     ]
+    # Finite ends give a non-finite point only if hi - lo, or k times it,
+    # overflows; ode_residual would blame the points themselves.
+    ends = (args.lo, args.hi)
+    if all(map(math.isfinite, ends)) and not all(map(math.isfinite, grid)):
+        raise ValueError(
+            "the grid from --lo to --hi overflows a float; "
+            "choose --lo and --hi closer together"
+        )
     report = euler.ode_residual(unit, grid, args.tol)
     return Answer(
         {
@@ -360,12 +371,22 @@ def _add_unit(parser: argparse.ArgumentParser, kind: str) -> None:
         )
 
 
+class _Leaf(NamedTuple):
+    """A parser with no subcommands, and the values the tree sets on the way to it."""
+
+    parser: argparse.ArgumentParser
+    seeds: dict[str, str]  # dest -> command word: {"command": "cheb", "action": "u"}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and then shared.
 
     Every call returns the same parser, so callers must not mutate it.
-    ``main`` looks this function up by name on each request.
+    ``main`` looks this function up by name on each request.  The parser's
+    ``leaves`` attribute maps the command words of every leaf parser, such
+    as ``("cheb", "u")`` or ``("hermite3",)``, to that leaf; it is filled as
+    the tree is built, so the two always agree.
     """
     parser = argparse.ArgumentParser(
         prog="gencheb",
@@ -375,11 +396,25 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves: dict[tuple[str, ...], _Leaf] = {}
+    parser.leaves = leaves
 
-    p_gcn = sub.add_parser("gcn", help="unit powers and conjugate roots")
-    gcn_sub = p_gcn.add_subparsers(dest="action", required=True)
+    def add_command(command: str, summary: str, dest: str = "action"):
+        """Add ``command`` with its own subcommands; return their factory."""
+        group = sub.add_parser(command, help=summary).add_subparsers(
+            dest=dest, required=True
+        )
+
+        def add_leaf(name: str) -> argparse.ArgumentParser:
+            leaf = group.add_parser(name)
+            leaves[command, name] = _Leaf(leaf, {"command": command, dest: name})
+            return leaf
+
+        return add_leaf
+
+    add_leaf = add_command("gcn", "unit powers and conjugate roots")
     for action in ("power", "roots"):
-        sp = gcn_sub.add_parser(action)
+        sp = add_leaf(action)
         _add_unit(sp, "rational or polynomial text")
         sp.add_argument(
             "--vars", type=_symbols, default="x", help="comma-separated symbols"
@@ -394,10 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--numeric", action="store_true")
         sp.set_defaults(func=_cmd_gcn)
 
-    p_euler = sub.add_parser("euler", help="Euler-like pair C, S")
-    euler_sub = p_euler.add_subparsers(dest="action", required=True)
+    add_leaf = add_command("euler", "Euler-like pair C, S")
     for action in ("series", "closed", "ode"):
-        sp = euler_sub.add_parser(action)
+        sp = add_leaf(action)
         _add_unit(sp, "rational or decimal")
         sp.add_argument("--tol", type=_tolerance, default=euler.DEFAULT_TOL)
         _add_format(sp)
@@ -409,22 +443,20 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--phi", type=float, required=True)
         sp.set_defaults(func=_cmd_euler)
 
-    p_cheb = sub.add_parser("cheb", help="Chebyshev polynomials and identities")
-    cheb_sub = p_cheb.add_subparsers(dest="action", required=True)
+    add_leaf = add_command("cheb", "Chebyshev polynomials and identities")
     for action in ("u", "t", "ab"):
-        sp = cheb_sub.add_parser(action)
+        sp = add_leaf(action)
         sp.add_argument("--n", type=_nonneg_int, required=True)
         _add_format(sp)
         sp.set_defaults(func=_cmd_cheb)
-    sp = cheb_sub.add_parser("verify")
+    sp = add_leaf("verify")
     sp.add_argument("--nmax", type=_positive_int, default=verify.DEFAULT_NMAX)
     _add_format(sp)
     sp.set_defaults(func=_cmd_cheb)
 
-    p_mat = sub.add_parser("mat", help="2x2 matrix decomposition and powers")
-    mat_sub = p_mat.add_subparsers(dest="action", required=True)
+    add_leaf = add_command("mat", "2x2 matrix decomposition and powers")
     for action in ("decompose", "pow"):
-        sp = mat_sub.add_parser(action)
+        sp = add_leaf(action)
         sp.add_argument(
             "--entries", required=True, help="matrix as 'a,b;c,d' (re:im allowed)"
         )
@@ -435,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--method", choices=pauli.POWER_METHODS, default="squaring"
             )
         sp.set_defaults(func=_cmd_mat)
-    sp = mat_sub.add_parser("bench")
+    sp = add_leaf("bench")
     sp.add_argument(
         "--n-list", type=_int_list, default="64,256,1024", help="comma-separated powers"
     )
@@ -443,30 +475,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(sp, "csv")
     sp.set_defaults(func=_cmd_mat)
 
-    p_u2 = sub.add_parser("u2", help="two-variable Chebyshev polynomials")
-    u2_sub = p_u2.add_subparsers(dest="action", required=True)
+    add_leaf = add_command("u2", "two-variable Chebyshev polynomials")
     for action in ("series", "rec"):
-        sp = u2_sub.add_parser(action)
+        sp = add_leaf(action)
         sp.add_argument("--nmax", type=_positive_int, required=True)
         _add_format(sp)
         sp.set_defaults(func=_cmd_u2)
-    sp = u2_sub.add_parser("laplace")
+    sp = add_leaf("laplace")
     sp.add_argument("--n", type=_nonneg_int, required=True)
     _add_format(sp)
     sp.set_defaults(func=_cmd_u2)
-    sp = u2_sub.add_parser("verify")
+    sp = add_leaf("verify")
     sp.add_argument("--nmax", type=_positive_int, default=verify.DEFAULT_NMAX)
     _add_format(sp)
     sp.set_defaults(func=_cmd_u2)
 
-    p_h3 = sub.add_parser("hermite3", help="third-order Hermite polynomial")
-    p_h3.add_argument("--n", type=_nonneg_int, required=True)
-    _add_format(p_h3)
-    p_h3.set_defaults(func=_cmd_hermite3)
+    sp = sub.add_parser("hermite3", help="third-order Hermite polynomial")
+    leaves[("hermite3",)] = _Leaf(sp, {"command": "hermite3"})
+    sp.add_argument("--n", type=_nonneg_int, required=True)
+    _add_format(sp)
+    sp.set_defaults(func=_cmd_hermite3)
 
-    p_verify = sub.add_parser("verify", help="identity verification suites")
-    verify_sub = p_verify.add_subparsers(dest="target", required=True)
-    sp = verify_sub.add_parser("all")
+    add_leaf = add_command("verify", "identity verification suites", dest="target")
+    sp = add_leaf("all")
     sp.add_argument("--nmax", type=_positive_int, default=verify.DEFAULT_NMAX)
     sp.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     sp.add_argument("--tol", type=_tolerance, default=None)
@@ -476,9 +507,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, by one pass of the leaf that argv names.
+
+    The tree's parsers above a leaf pass everything after the command words
+    to it unread, so the leaf's own pass is the tree's last one.  A request
+    that names no leaf, or leaves arguments over, goes through the whole tree,
+    which gives its usage text and errors.
+    """
+    leaf = parser.leaves.get(tuple(argv[:2])) or parser.leaves.get(tuple(argv[:1]))
+    if leaf is not None:
+        words = len(leaf.seeds)  # one dest per command word
+        args, rest = leaf.parser.parse_known_args(
+            argv[words:], argparse.Namespace(**leaf.seeds)
+        )
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(build_parser(), sys.argv[1:] if argv is None else list(argv))
     limited = hasattr(sys, "set_int_max_str_digits")  # Python 3.10.7+
     if limited:
         saved = sys.get_int_max_str_digits()

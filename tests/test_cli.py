@@ -768,3 +768,122 @@ def test_power_lists_skip_empty_parts_and_refuse_an_empty_list(capsys):
     assert _reply(capsys, ("mat", "bench", "--n-list", ",,")) == (
         2, "", "error: need at least one power to benchmark\n"
     )
+
+
+# A request that names a leaf parser is parsed by that leaf alone; every other
+# request goes through the whole tree.  Both routes must answer alike.
+
+_LEAF_REQUESTS = {
+    ("gcn", "power"): ("--a=-1", "--b", "2*x", "--n", "3"),
+    ("gcn", "roots"): ("--a", "1", "--b", "1", "--numeric"),
+    ("euler", "series"): ("--a=-1", "--b", "0", "--phi", "0.5"),
+    ("euler", "closed"): ("--a=-1", "--b", "0", "--phi", "0.5"),
+    ("euler", "ode"): ("--a=-1", "--b", "0", "--points", "3"),
+    ("cheb", "u"): ("--n", "3"),
+    ("cheb", "t"): ("--n", "2", "--format", "json"),
+    ("cheb", "ab"): ("--n", "3"),
+    ("cheb", "verify"): ("--nmax", "2"),
+    ("mat", "decompose"): ("--entries", "2,1;1,1"),
+    ("mat", "pow"): ("--entries", "2,1;1,1", "--n", "3"),
+    ("mat", "bench"): ("--n-list", "4", "--trials", "1", "--format", "csv"),
+    ("u2", "series"): ("--nmax", "2"),
+    ("u2", "rec"): ("--nmax", "2"),
+    ("u2", "laplace"): ("--n", "2"),
+    ("u2", "verify"): ("--nmax", "2"),
+    ("hermite3",): ("--n", "2"),
+    ("verify", "all"): ("--nmax", "2", "--format", "json"),
+}
+_ROUTE_CORPUS = [
+    *((*words, *rest) for words, rest in _LEAF_REQUESTS.items()),
+    ("cheb", "u", "--n", "-3"),  # a bad value
+    ("cheb", "u", "-h"),
+    ("hermite3", "--help"),
+    ("cheb", "u", "--n", "3", "extra"),  # a leftover argument
+    ("hermite3", "--n", "2", "extra"),
+    ("cheb", "u", "--n", "3", "--bogus"),  # an unknown option
+    ("cheb", "t", "--n", "2", "--for", "json"),  # an abbreviated option
+    ("cheb", "--n", "3", "u"),  # an option before the action word
+    ("verify", "all", "--nmax", "2", "--format", "xml"),
+    (),
+    ("cheb",),
+    ("frobnicate",),
+]
+
+
+def _routed_reply(capsys, monkeypatch, args):
+    """``_reply`` and the Namespace ``main`` parsed, if parsing succeeded."""
+    parsed = []
+    parse = cli._parse
+
+    def recording(parser, argv):
+        parsed.append(parse(parser, argv))
+        return parsed[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse", recording)
+        code, out, err = _reply(capsys, args)
+    return code, _untimed(out), err, parsed
+
+
+def test_leaf_route_answers_as_the_whole_tree(capsys, monkeypatch):
+    by_leaf = [_routed_reply(capsys, monkeypatch, args) for args in _ROUTE_CORPUS]
+    monkeypatch.setattr(cli.build_parser(), "leaves", {})
+    by_tree = [_routed_reply(capsys, monkeypatch, args) for args in _ROUTE_CORPUS]
+    for args, one, other in zip(_ROUTE_CORPUS, by_leaf, by_tree):
+        assert one == other, args
+    codes = {args: reply[0] for args, reply in zip(_ROUTE_CORPUS, by_leaf)}
+    assert [codes[(*words, *rest)] for words, rest in _LEAF_REQUESTS.items()] == [0] * 18
+    assert codes[("cheb", "u", "-h")] == 0
+    leftover = by_leaf[_ROUTE_CORPUS.index(("cheb", "u", "--n", "3", "extra"))]
+    assert leftover[:2] == (2, "")
+    assert leftover[2].startswith("usage: gencheb [-h]")
+    assert leftover[2].endswith("gencheb: error: unrecognized arguments: extra\n")
+
+
+def _tree_leaves(parser, words=()):
+    """Command words of every parser in the tree with no subcommands."""
+    # argparse has no public way to list subcommands; this walk is only a
+    # cross-check of the table build_parser keeps.
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        return [words]
+    return [
+        leaf
+        for group in groups
+        for name, child in group.choices.items()
+        for leaf in _tree_leaves(child, (*words, name))
+    ]
+
+
+def test_a_request_to_any_leaf_is_parsed_once(capsys, monkeypatch):
+    parser = cli.build_parser()
+    assert sorted(parser.leaves) == sorted(_tree_leaves(parser))
+    assert sorted(parser.leaves) == sorted(_LEAF_REQUESTS)
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for words, rest in _LEAF_REQUESTS.items():
+        calls.clear()
+        assert _reply(capsys, (*words, *rest))[0] == 0, words
+        assert calls == [" ".join(("gencheb", *words))], words
+
+
+def test_an_overflowing_ode_grid_is_refused_for_its_span(capsys):
+    refusal = (
+        2,
+        "",
+        "error: the grid from --lo to --hi overflows a float; "
+        "choose --lo and --hi closer together\n",
+    )
+    ode = ("euler", "ode", "--a", "1", "--b", "0")
+    assert _reply(capsys, (*ode, "--lo=-1e308", "--hi", "1e308")) == refusal
+    # hi - lo is finite here, but 2 * (hi - lo) is not
+    assert _reply(capsys, (*ode, "--lo", "0", "--hi", "1e308", "--points", "3")) == refusal
+    assert _reply(capsys, (*ode, "--lo=-inf", "--hi", "0")) == (
+        2, "", "error: grid points must be finite\n"
+    )
