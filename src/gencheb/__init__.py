@@ -38,7 +38,6 @@ from .cheby import (
     cheb_AB,
     cheb_T,
     cheb_U,
-    cheb_companion_power,
     cheb_unit,
     u_ode_residual,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "cheb_AB",
     "cheb_T",
     "cheb_U",
-    "cheb_companion_power",
     "cheb_unit",
     "conjugate_roots",
     "cubic_power",

@@ -12,6 +12,7 @@ where ``u_from_roots`` reads U_n = B_{n+1} off the floating closed form
 :func:`gencheb.gcn.unit_powers` walk over the unit; U_n is B_{n+1}.  The
 three-term recurrence U_{n+1} = 2x*U_n - U_{n-1} is written out only in
 :func:`gencheb.verify.suite_cheb`, as the reference independent of the walk.
+The companion identity reads ``cheb_unit().companion() ** (n + 1)``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 from . import gcn
-from .matrices import Mat2
 from .poly import MultiPoly
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "cheb_AB",
     "cheb_T",
     "cheb_U",
-    "cheb_companion_power",
     "cheb_unit",
     "ode_apply",
     "root_values",
@@ -62,7 +61,11 @@ class ChebCoeffPair:
 
 
 def cheb_unit() -> gcn.GcnUnit:
-    """The fixed unit (a, b) = (-1, 2x) over polynomials in x."""
+    """The fixed unit (a, b) = (-1, 2x) over polynomials in x.
+
+    ``cheb_unit().companion() ** (n + 1)`` = [[-U_{n-1}, -U_n], [U_n, U_{n+1}]]
+    entry by entry; determinant 1 gives U_n^2 - U_{n-1} U_{n+1} = 1.
+    """
     return _CHEB_UNIT
 
 
@@ -95,17 +98,6 @@ def cheb_T(n: int) -> ChebPoly:
     """First-kind Chebyshev polynomial T_n = A_n + x*B_n."""
     a_n, b_n = _ab(n)
     return ChebPoly("first", n, a_n + X * b_n)
-
-
-def cheb_companion_power(n: int) -> Mat2:
-    """The (n+1)-th power of the companion matrix [[0, -1], [1, 2x]].
-
-    Equals [[-U_{n-1}, -U_n], [U_n, U_{n+1}]] entry by entry; determinant 1
-    gives the identity U_n^2 - U_{n-1} U_{n+1} = 1.
-    """
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    return _CHEB_UNIT.companion() ** (n + 1)
 
 
 def ode_apply(poly: MultiPoly, constant) -> MultiPoly:

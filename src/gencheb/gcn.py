@@ -25,8 +25,9 @@ always agree:
 Both recurrence forms are written once, for a unit of any order.
 :func:`unit_powers` is the walk: it multiplies h^n by h, shifting the
 coefficients up one place and feeding the top one back through the unit.
-Readers of a whole sequence use it: ``power_coeff_sequence`` (and so
-``verify.suite_gcn``), ``cheby.cheb_AB`` and the cubic unit.
+Readers of a whole sequence use it: ``cheby.cheb_AB`` and
+``power_coeff_sequence``, the one list reader for every order (behind
+``verify.suite_gcn`` and the cubic unit's sequences in :mod:`gencheb.higher`).
 :func:`unit_power` is one h^n on its own, the element h raised by squaring
 (Fiduccia, SIAM J. Comput. 14, 1985) in O(k^2 log n) scalar products
 instead of the walk's O(k n); it is the ``recurrence`` route of
@@ -139,10 +140,6 @@ class GcnUnit(Unit):
     @property
     def discriminant(self):
         return self.b * self.b + 4 * self.a
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.discriminant == 0
 
 
 def _product(xs: tuple, ys: tuple, fold: tuple) -> tuple:
@@ -504,8 +501,8 @@ def power_coeffs(unit: GcnUnit, n: int, method: str = "recurrence"):
     raise ValueError(f"unknown method {method!r}; expected one of {POWER_METHODS}")
 
 
-def power_coeff_sequence(unit: GcnUnit, n_max: int) -> list[tuple[Any, Any]]:
-    """[(a_0, b_0), ..., (a_{n_max}, b_{n_max})] by the recurrence."""
+def power_coeff_sequence(unit: Unit, n_max: int) -> list[tuple]:
+    """The coefficient tuples of h^0 .. h^{n_max}, by the walk, at any order."""
     if n_max < 0:
         raise ValueError("power index must be non-negative")
     return list(islice(unit_powers(unit.coeffs), n_max + 1))

@@ -19,9 +19,10 @@ must agree:
   by that extraction),
 * the recurrence U2_{n+2} = u*U2_{n+1} - v*U2_n + U2_{n-1}, which is the
   cubic unit's walk read at U2_n = gamma_{n+1} (written out only in verify),
-* substitution (x, y, z) -> (u*s, -v*s, s) in the third-order Hermite
-  polynomial H3_n followed by the term-wise Gamma integral
-  (integral of s^m * exp(-s) over s >= 0 equals m!) and division by n!.
+* the Laplace route: the term c*x^p y^q z^r of the third-order Hermite
+  polynomial H3_n becomes c*(-1)^q*(p+q+r)!/n! * u^p v^q, which is the
+  substitution (x, y, z) -> (u*s, -v*s, s), the Gamma integral of s^m
+  against exp(-s) (m!) and division by n!, one term at a time.
 
 H3_n itself comes from the triple sum
     H3_n(x, y, z) = n! * sum_{p+2q+3r=n} x^p y^q z^r / (p! q! r!)
@@ -33,11 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Any
 
-from .gcn import Unit, unit_powers
-from .poly import MultiPoly, _canonical, _unchecked, gens
+from .gcn import Unit, power_coeff_sequence
+from .poly import MultiPoly, gens
 from .series import TruncatedSeries
 
 __all__ = [
@@ -100,10 +100,8 @@ class CubicUnit(Unit):
 
 
 def cubic_power_sequence(u, v, n_max: int) -> list[CubicPowerCoeffs]:
-    """Coefficients of Y^0 .. Y^{n_max} by repeated reduction."""
-    if n_max < 0:
-        raise ValueError("power index must be non-negative")
-    powers = islice(unit_powers(CubicUnit(u, v).coeffs), n_max + 1)
+    """Coefficients of Y^0 .. Y^{n_max}: the cubic unit's ``power_coeff_sequence``."""
+    powers = power_coeff_sequence(CubicUnit(u, v), n_max)
     return [CubicPowerCoeffs(n, *coeffs) for n, coeffs in enumerate(powers)]
 
 
@@ -146,7 +144,7 @@ def u2_by_recurrence(n_max: int) -> list[TwoVarCheb]:
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    powers = islice(unit_powers(CubicUnit(U, V).coeffs), 1, n_max + 2)
+    powers = power_coeff_sequence(CubicUnit(U, V), n_max + 1)[1:]
     return [TwoVarCheb(n, gamma) for n, (_, _, gamma) in enumerate(powers)]
 
 
@@ -176,20 +174,16 @@ def hermite3_generating_series(order: int) -> TruncatedSeries:
 
 
 def u2_by_laplace(n: int) -> TwoVarCheb:
-    """U2_{n+1} from the Hermite substitution and exact Gamma integrals.
+    """U2_{n+1} = (1/n!) * integral over s >= 0 of exp(-s) H3_n(u*s, -v*s, s), exactly.
 
-    Substitute (x, y, z) -> (u*s, -v*s, s) in H3_n, integrate each s^m
-    against exp(-s) to m!, and divide by n!.  No quadrature is involved;
-    the result is an exact polynomial identity.
+    The term c*x^p y^q z^r of H3_n becomes c*(-1)^q*u^p v^q s^m, m = p+q+r,
+    and s^m integrates to m!.  As p + 2q + 3r = n, (p, q) fixes r, so no two
+    terms land on one monomial.
     """
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    uvs = ("u", "v", "s")
-    u, v, s = gens(*uvs)
-    substituted = hermite3(n).poly.substitute({"x": u * s, "y": -(v * s), "z": s})
-    sums: dict[tuple[int, int], Any] = {}
-    for (eu, ev, es), coeff in substituted._terms.items():
-        sums[eu, ev] = sums.get((eu, ev), 0) + coeff * math.factorial(es)
+    h3 = hermite3(n).poly.terms
     scale = Fraction(1, math.factorial(n))
-    terms = {e: _canonical(c * scale) for e, c in sums.items() if c}
-    return TwoVarCheb(n + 1, _unchecked(UV, terms))
+    terms = {
+        (p, q): c * ((-1) ** q * math.factorial(p + q + r) * scale)
+        for (p, q, r), c in h3.items()
+    }
+    return TwoVarCheb(n + 1, MultiPoly(UV, terms))

@@ -38,7 +38,6 @@ __all__ = [
     "IDENTITY",
     "PAULI",
     "PauliCoords",
-    "anticommutator",
     "bench_power",
     "coeff_bits",
     "gaussian_mat",
@@ -107,10 +106,6 @@ def quadratic_residual(m: Mat2) -> Mat2:
     """M^2 - gamma*I - 2*alpha*M; identically zero by Cayley-Hamilton."""
     coords = pauli_decompose(m)
     return m * m - m * (2 * coords.alpha) - coords.gamma
-
-
-def anticommutator(a: Mat2, b: Mat2) -> Mat2:
-    return a * b + b * a
 
 
 def mat_power(m: Mat2, n: int, method: str = "squaring") -> Mat2:

@@ -72,9 +72,6 @@ class TruncatedSeries(Element):
             raise IndexError(f"coefficient index {n} outside 0..{self.order}")
         return self.coeffs[n]
 
-    def coefficients(self) -> tuple[MultiPoly, ...]:
-        return self.coeffs
-
     def _solve(
         self,
         weights: Sequence[MultiPoly],

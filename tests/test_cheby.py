@@ -9,7 +9,6 @@ from gencheb.cheby import (
     cheb_AB,
     cheb_T,
     cheb_U,
-    cheb_companion_power,
     cheb_unit,
     ode_apply,
     root_values,
@@ -84,12 +83,12 @@ def test_b_equals_shifted_u_and_negated_a():
 
 def test_companion_power_identity():
     zero = MultiPoly.zero(("x",))
-    assert cheb_companion_power(0) == Mat2(zero, -cheb_U(0).poly, cheb_U(0).poly, cheb_U(1).poly)
-    assert cheb_companion_power(1) == Mat2(
+    assert cheb_unit().companion() ** 1 == Mat2(zero, -cheb_U(0).poly, cheb_U(0).poly, cheb_U(1).poly)
+    assert cheb_unit().companion() ** 2 == Mat2(
         -cheb_U(0).poly, -cheb_U(1).poly, cheb_U(1).poly, cheb_U(2).poly
     )
     for n in range(0, 24):
-        power = cheb_companion_power(n)
+        power = cheb_unit().companion() ** (n + 1)
         u_prev = cheb_U(n - 1).poly if n >= 1 else zero
         assert power == Mat2(-u_prev, -cheb_U(n).poly, cheb_U(n).poly, cheb_U(n + 1).poly)
         assert power.det() == 1
@@ -136,7 +135,7 @@ def test_flipped_sign_companion_is_a_different_matrix():
     assert flipped.companion().det() == -1
     target = Mat2(-cheb_U(0).poly, -cheb_U(1).poly, cheb_U(1).poly, cheb_U(2).poly)
     assert flipped.companion() ** 2 != target
-    assert cheb_companion_power(1) == target
+    assert cheb_unit().companion() ** 2 == target
 
 
 def test_sine_quotient_numeric():

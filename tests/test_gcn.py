@@ -178,7 +178,7 @@ def test_method_agreement_random_units():
 def test_degenerate_unit_binet_stays_exact():
     # Discriminant zero: the closed form goes through nilpotent sqrt(0).
     unit = GcnUnit(Fraction(-1), Fraction(2))
-    assert unit.is_degenerate
+    assert unit.discriminant == 0
     seq = power_coeff_sequence(unit, 10)
     for n in range(11):
         assert power_coeffs(unit, n, "binet") == seq[n]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,27 @@ def test_laplace_route_matches_series():
     by_series = u2_by_series(13)
     for n in range(12):
         assert u2_by_laplace(n).poly == by_series[n + 1].poly
+
+
+def laplace_by_substitution(n):
+    """The Laplace route as a whole: substitute into H3_n, then integrate s away.
+
+    Builds the (u, v, s) polynomial H3_n(u*s, -v*s, s) and replaces each
+    s^m by m!, through the public API only; ``u2_by_laplace`` works term by
+    term instead.
+    """
+    u, v, s = gens("u", "v", "s")
+    substituted = hermite3(n).poly.substitute({"x": u * s, "y": -(v * s), "z": s})
+    sums = {}
+    for (eu, ev, es), coeff in substituted.terms.items():
+        sums[eu, ev] = sums.get((eu, ev), 0) + coeff * math.factorial(es)
+    scale = Fraction(1, math.factorial(n))
+    return MultiPoly(UV, {exps: c * scale for exps, c in sums.items()})
+
+
+def test_term_by_term_laplace_matches_substitution():
+    for n in range(41):
+        assert u2_by_laplace(n).poly == laplace_by_substitution(n)
 
 
 def test_index_validation():

@@ -8,7 +8,6 @@ from gencheb.matrices import Mat2, Mat3
 from gencheb.pauli import (
     IDENTITY,
     PAULI,
-    anticommutator,
     bench_power,
     coeff_bits,
     gaussian_mat,
@@ -91,7 +90,7 @@ def test_pauli_anticommutators():
     for i in range(3):
         for j in range(3):
             expected = IDENTITY * (2 if i == j else 0)
-            assert anticommutator(PAULI[i], PAULI[j]) == expected
+            assert PAULI[i] * PAULI[j] + PAULI[j] * PAULI[i] == expected
 
 
 def test_power_closed_form_worked_example():

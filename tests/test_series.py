@@ -53,7 +53,7 @@ def test_arithmetic_and_order_checks():
     b = TruncatedSeries(("x",), [0, 1], 2)
     assert (a + b).coefficient(1) == 3
     assert (a - b).coefficient(1) == 1
-    assert (a * b).coefficients() == TruncatedSeries(("x",), [0, 1, 2], 2).coefficients()
+    assert (a * b).coeffs == TruncatedSeries(("x",), [0, 1, 2], 2).coeffs
     for result in (a + b, a - b, a * b, a * Fraction(1, 2), -a):
         assert isinstance(result, TruncatedSeries)
     with pytest.raises(ValueError):

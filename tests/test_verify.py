@@ -3,10 +3,12 @@
 The library reads U_n and U2_n off the power walks of their units.  A
 library that is wrong in a consistent way, in both the unit's coefficients
 and the polynomials read off them, must still be caught by the suites'
-hand-written recurrences.
+hand-written recurrences.  The suites build their references for every n
+up to nmax incrementally, so their cost grows linearly in nmax.
 """
 
 from gencheb import cheby, higher, verify
+from gencheb.matrices import Mat3
 
 
 def _failed_cases(report):
@@ -51,3 +53,24 @@ def test_u2_reference_catches_consistent_series_and_gamma(monkeypatch):
     monkeypatch.setattr(higher, "u2_by_recurrence", bad(by_recurrence))
     monkeypatch.setattr(higher, "cubic_power_sequence", bad_sequence)
     assert "series-vs-rec/n5" in _failed_cases(verify.suite_u2(nmax=8))
+
+
+def test_suite_u2_matrix_products_grow_linearly_in_nmax(monkeypatch):
+    # The cubic-matrix cases walk one running product of the companion, and
+    # raise it by squaring once, at nmax; raising it afresh for every n
+    # costs O(nmax log nmax) products instead.
+    calls = 0
+    multiply = Mat3.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(Mat3, "__mul__", counted)
+    counts = []
+    for nmax in (16, 32):
+        calls = 0
+        assert verify.suite_u2(nmax=nmax).ok
+        counts.append(calls)
+    assert counts[1] - counts[0] <= 20, counts
