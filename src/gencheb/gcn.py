@@ -37,16 +37,25 @@ GaussianRational) is raised on integer numerators: with d the lcm of its
 denominators, g = d*h is the root of a unit with Gaussian-integer
 coefficients, so g is raised by ``power`` with ``_pair_product`` on int
 pairs with no gcd, and each coefficient of h^n is built once, in the walk's
-own type.  A unit with polynomial coefficients is raised as an
-:class:`Element`.  On bivariate polynomial coefficients such as the cubic
-unit's the walk wins even for one power: each of its steps multiplies by
-the small unit coefficients, while a squaring multiplies two large ones.
+own type.  The ``matrix`` and ``binet`` routes of :func:`power_coeffs` use
+the same scaling, each with its own kernel, so the three routes still check
+one another: ``matrix`` raises the companion of g's unit over ints (over
+GaussianRational with denominator 1 for a Gaussian unit), and ``binet``
+raises g's root.  A unit with polynomial coefficients is raised as an
+:class:`Element`, and its companion as a matrix of polynomials.  On
+bivariate polynomial coefficients such as the cubic unit's the walk wins
+even for one power: each of its steps multiplies by the small unit
+coefficients, while a squaring multiplies two large ones.
 
-The closed form is evaluated exactly over the unit (D, 0), which remains
-valid when D = 0: writing h^n = p_n + q_n*sqrt(D) gives b_n = 2*q_n and
-a_n = p_n - b*q_n identically, with no division by h+ - h-.  The floating
-closed form, of h^n and of every other function of the unit, is
-:func:`at_roots`.  The recurrence and matrix routes are ring-generic.
+The exact closed form needs a rational unit.  g = d*h is the root of the
+integer unit (A, B) = (d^2 a, d b), whose root g+ = (B + sqrt(E))/2,
+E = B^2 + 4A, is held as the int pair (P, Q) of (P + Q*sqrt(E))/2.  Each
+product is halved with ``>> 1``, exactly and with no gcd, because g+ is an
+algebraic integer; g^n = P/2 + Q*sqrt(E)/2 then gives y_1 = Q and
+y_0 = (P - B*Q)/2 identically, with no division by h+ - h-, so the form
+stays valid when D = 0.  The floating closed form, of h^n and of every
+other function of the unit, is :func:`at_roots`.  The recurrence and matrix
+routes are ring-generic.
 """
 
 from __future__ import annotations
@@ -303,12 +312,49 @@ def unit_power(coeffs: Sequence[Any], n: int) -> tuple[Any, ...]:
     """
     if n < 0:
         raise ValueError("power index must be non-negative")
-    triples = [_triple(c) for c in coeffs]
-    if triples and None not in triples:  # an empty unit is refused below
+    triples = _exact_triples(coeffs)
+    if triples is not None:  # an empty unit is refused below
         return _scalar_unit_power(triples, n, type(zero_of(*coeffs)))
     unit = Unit(coeffs)
     h = unit.companion().column(0)  # the column of h^1; it is c_0 for k = 1
     return (Element(unit, h) ** n).coeffs
+
+
+def _exact_triples(coeffs: Sequence[Any]) -> list | None:
+    """The (p, q, d) of each coefficient of a unit of exact scalars, else None."""
+    triples = [_triple(c) for c in coeffs]
+    return triples if triples and None not in triples else None
+
+
+def _integer_unit(triples: list) -> tuple[int, list]:
+    """(d, scaled) for the unit of exact scalars (p_i + q_i*i)/d_i.
+
+    With d the lcm of the d_i, g = d*h is the root of the unit
+    g^k = sum c_i d^(k-i) g^i; ``scaled`` holds those Gaussian-integer
+    coefficients as (p, q) int pairs.  For k = 1, g = d*c_0.
+    """
+    k = len(triples)
+    d = math.lcm(*(d_i for _, _, d_i in triples))
+    scaled = []
+    for i, (p, q, d_i) in enumerate(triples):
+        scale = d // d_i * d ** (k - 1 - i)
+        scaled.append((p * scale, q * scale))
+    return d, scaled
+
+
+def _unscaled(ps: Sequence[int], qs: Sequence[int] | None, d: int, n: int, kind: type) -> tuple:
+    """h^n from g^n = sum (p_i + q_i*i) g^i, g = d*h: x_i = (p_i + q_i*i) / d^(n-i).
+
+    y_i is 0 for i > n, so the exponent never falls below 0.  Each x_i is
+    built once, with one gcd, as a ``kind``: int (d = 1), Fraction or
+    GaussianRational.
+    """
+    dens = [d ** max(n - i, 0) for i in range(len(ps))]
+    if kind is GaussianRational:
+        return tuple(map(_unchecked, ps, qs, dens))
+    if kind is Fraction:
+        return tuple(map(Fraction, ps, dens))
+    return tuple(ps)  # an integer unit has d = 1
 
 
 def _pair_product(xs: tuple, ys: tuple, fold: list) -> tuple:
@@ -334,30 +380,37 @@ def _pair_product(xs: tuple, ys: tuple, fold: list) -> tuple:
 def _scalar_unit_power(triples: list, n: int, kind: type) -> tuple[Any, ...]:
     """h^n for the unit of exact scalars (p_i + q_i*i)/d_i, with results of type ``kind``.
 
-    With d the lcm of the d_i, g = d*h is the root of the unit
-    g^k = sum c_i d^(k-i) g^i, whose coefficients are Gaussian integers.
-    g^n = sum y_i g^i is raised by :func:`power` with :func:`_pair_product`
-    on int pairs, and h^n has x_i = y_i / d^(n-i); y_i is 0 for i > n.
-    Each x_i is built once, with one gcd, as an int, Fraction or
-    GaussianRational.
+    g = d*h (:func:`_integer_unit`) is raised by :func:`power` with
+    :func:`_pair_product` on int pairs, with no gcd, and scaled back by
+    :func:`_unscaled`.
     """
     k = len(triples)
-    d = math.lcm(*(d_i for _, _, d_i in triples))
-    fold = []  # the nonzero (i, c_i d^(k-i)), as (i, p, q)
-    for i, (p, q, d_i) in enumerate(triples):
-        if p or q:
-            scale = d // d_i * d ** (k - 1 - i)
-            fold.append((i, p * scale, q * scale))
+    d, scaled = _integer_unit(triples)
+    fold = [(i, p, q) for i, (p, q) in enumerate(scaled) if p or q]
     one = ([1] + [0] * (k - 1), [0] * k)
-    p_0, q_0, _ = triples[0]  # for k = 1, h = c_0 and d = d_0, so g = p_0 + q_0*i
+    p_0, q_0 = scaled[0]  # for k = 1, h = c_0, so g = d*c_0 = p_0 + q_0*i
     g = ([0, 1] + [0] * (k - 2), [0] * k) if k > 1 else ([p_0], [q_0])
     ps, qs = power(g, n, one, lambda x, y: _pair_product(x, y, fold))
-    dens = [d ** max(n - i, 0) for i in range(k)]
-    if kind is GaussianRational:
-        return tuple(map(_unchecked, ps, qs, dens))
-    if kind is Fraction:
-        return tuple(map(Fraction, ps, dens))
-    return tuple(ps)  # an integer unit has d = 1
+    return _unscaled(ps, qs, d, n, kind)
+
+
+def _companion_power(unit: Unit, n: int) -> tuple[Any, ...]:
+    """The first column of ``unit.companion() ** n``: the ``matrix`` route.
+
+    A unit of exact scalars raises the companion of g = d*h
+    (:func:`_integer_unit`) over ints, or over GaussianRational with d = 1
+    for a Gaussian unit, so no product reduces a fraction; only that
+    companion has the tight denominators d^(n-i) of :func:`_unscaled`.
+    """
+    triples = _exact_triples(unit.coeffs)
+    if triples is None:
+        return (unit.companion() ** n).column(0)
+    kind = type(zero_of(*unit.coeffs))
+    gaussian = kind is GaussianRational
+    d, scaled = _integer_unit(triples)
+    g = Unit(tuple(_unchecked(p, q, 1) if gaussian else p for p, q in scaled))
+    ps, qs, _ = zip(*map(_triple, (g.companion() ** n).column(0)))
+    return _unscaled(ps, qs, d, n, kind)
 
 
 class Surd(Element):
@@ -433,13 +486,34 @@ def _is_rational(unit: Unit) -> bool:
 
 
 def _binet_exact(unit: GcnUnit, n: int) -> tuple[Fraction, Fraction]:
+    """h^n through the root h+ = (b + sqrt(D))/2, on integer numerators.
+
+    g = d*h is the root of the unit (A, B) of :func:`_integer_unit`, and
+    g+ = (B + sqrt(E))/2 with E = B^2 + 4A = d^2 D is held as the int pair
+    (P, Q) of (P + Q*sqrt(E))/2.  A product of two such pairs is
+    ((P1 P2 + Q1 Q2 E)/2, (P1 Q2 + Q1 P2)/2), and both halvings are exact:
+    g+ is an algebraic integer, so each power is m + k*g+, that is
+    P = 2m + k*B and Q = k, so P = Q*B modulo 2, and E = B^2 modulo 4.
+    g^n = y_0 + y_1*g then has y_1 = Q and y_0 = (P - B*Q)/2.  Nothing
+    divides by g+ - g-, so D = 0 is no special case.  The cross term
+    P1 Q2 + Q1 P2 is taken as (P1 + Q1)(P2 + Q2) - P1 P2 - Q1 Q2, so a
+    squaring costs three large products, not four.
+    """
     if not _is_rational(unit):
         raise TypeError(
             "this method needs a rational scalar unit; use 'recurrence' or "
             "'matrix' for polynomial-valued units"
         )
-    root_n = conjugate_roots(unit).h_plus ** n
-    return (root_n.p - unit.b * root_n.q, 2 * root_n.q)
+    d, ((a, _), (b, _)) = _integer_unit([_triple(c) for c in unit.coeffs])  # A, B
+    e = b * b + 4 * a
+
+    def surd_product(x: tuple, y: tuple) -> tuple:
+        (p1, q1), (p2, q2) = x, y
+        pp, qq = p1 * p2, q1 * q2
+        return (pp + qq * e) >> 1, ((p1 + q1) * (p2 + q2) - pp - qq) >> 1
+
+    p, q = power((b, 1), n, (2, 0), surd_product)
+    return _unscaled(((p - b * q) >> 1, q), None, d, n, Fraction)
 
 
 def float_unit(unit: GcnUnit) -> tuple[float, float]:
@@ -491,7 +565,7 @@ def power_coeffs(unit: GcnUnit, n: int, method: str = "recurrence"):
     if method == "recurrence":
         return unit_power(unit.coeffs, n)
     if method == "matrix":
-        return (unit.companion() ** n).column(0)
+        return _companion_power(unit, n)
     if method == "binet":
         return _binet_exact(unit, n)
     if method == "binet_float":

@@ -34,6 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Any
 
 from .gcn import Unit, power_coeff_sequence
@@ -176,14 +178,15 @@ def hermite3_generating_series(order: int) -> TruncatedSeries:
 def u2_by_laplace(n: int) -> TwoVarCheb:
     """U2_{n+1} = (1/n!) * integral over s >= 0 of exp(-s) H3_n(u*s, -v*s, s), exactly.
 
-    The term c*x^p y^q z^r of H3_n becomes c*(-1)^q*u^p v^q s^m, m = p+q+r,
-    and s^m integrates to m!.  As p + 2q + 3r = n, (p, q) fixes r, so no two
-    terms land on one monomial.
+    The term c*x^p y^q z^r of H3_n, c = n!/(p! q! r!), becomes
+    c*(-1)^q*u^p v^q s^m, m = p+q+r, and s^m integrates to m!, so the
+    coefficient of u^p v^q is the integer multinomial (-1)^q m!/(p! q! r!).
+    As p + 2q + 3r = n, (p, q) fixes r, so no two terms land on one monomial.
     """
     h3 = hermite3(n).poly.terms
-    scale = Fraction(1, math.factorial(n))
-    terms = {
-        (p, q): c * ((-1) ** q * math.factorial(p + q + r) * scale)
-        for (p, q, r), c in h3.items()
-    }
+    fact = list(accumulate(range(1, n + 1), mul, initial=1))
+    terms = {}
+    for p, q, r in h3:
+        c = fact[p + q + r] // (fact[p] * fact[q] * fact[r])
+        terms[(p, q)] = -c if q % 2 else c
     return TwoVarCheb(n + 1, MultiPoly(UV, terms))

@@ -6,7 +6,7 @@ denominator, and has the canonical zero 0/1.  ``GaussianRational`` is an
 exact complex number stored as one triple of ints ``(p, q, d)`` meaning
 ``(p + q*i)/d``, with ``d > 0`` and ``gcd(p, q, d) = 1``.  Ring operations
 work on the ints and build each result through one unchecked constructor
-that divides out a single ``math.gcd(p, q, d)``, where ``Fraction`` parts
+that divides out a single ``math.gcd(d, p, q)``, where ``Fraction`` parts
 would reduce each part on its own; the public constructor ``(re, im)``
 keeps its checks.  ``re`` and ``im`` are ``Fraction`` views.  It is the
 entry type of the Gaussian matrices (purely real values carry ``q = 0``); a
@@ -83,9 +83,10 @@ def _triple(value: object) -> "tuple[int, int, int] | None":
 def _unchecked(p: int, q: int, d: int) -> "GaussianRational":
     """``(p + q*i)/d`` for ``d > 0``, reduced by one gcd and not otherwise checked.
 
-    Every ring operation builds its result here.
+    Every ring operation builds its result here.  ``d`` goes first: once a
+    gcd is 1 the rest are skipped, so d = 1 costs no gcd of ``p`` and ``q``.
     """
-    g = gcd(p, q, d)
+    g = gcd(d, p, q)
     if g != 1:
         p //= g
         q //= g

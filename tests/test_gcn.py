@@ -19,7 +19,7 @@ from gencheb.gcn import (
 )
 from gencheb.higher import CubicUnit
 from gencheb.poly import MultiPoly, gens
-from gencheb.scalars import GaussianRational, zero_of
+from gencheb.scalars import GaussianRational, power, zero_of
 
 X, = gens("x")
 
@@ -256,6 +256,55 @@ def test_recurrence_route_at_large_index():
     by_recurrence = power_coeffs(unit, 4096, "recurrence")
     assert by_recurrence == power_coeffs(unit, 4096, "matrix")
     assert by_recurrence == power_coeffs(unit, 4096, "binet")
+
+
+# The matrix and binet routes raise g = d*h on integer numerators; each is
+# pinned here against the generic path it replaced, on Fraction (or
+# GaussianRational) entries: the companion raised by ``power`` and the surd
+# root h+ raised by ``power``.  Units: an int unit, (+-11/13, +-7/5), the
+# double roots of (-1/4, 1) and (0, 0), D < 0, mixed int and Fraction, and
+# (matrix only) Gaussian units, one of them real-valued.
+RATIONAL_UNITS = [
+    (2, -1),
+    *((Fraction(sa * 11, 13), Fraction(sb * 7, 5)) for sa in (1, -1) for sb in (1, -1)),
+    (Fraction(-1, 4), 1), (0, 0),
+    (Fraction(-3, 2), Fraction(1, 3)),
+    (3, Fraction(-1, 2)), (Fraction(2, 7), -3),
+]
+GAUSSIAN_UNITS = [
+    (_g(-1, 0), _g(Fraction(3, 2), Fraction(1, 3))),
+    (_g(0, 1), _g(1, -1)),
+    (_g(1, 0), _g(Fraction(1, 2), 0)),
+]
+ROUTE_INDICES = [*range(71), *(2 ** j + s for j in range(6, 13) for s in (-1, 0, 1))]
+
+
+def _same(got, want, n):
+    assert got == want, n
+    assert list(map(type, got)) == list(map(type, want)), n
+
+
+@pytest.mark.parametrize("coeffs", RATIONAL_UNITS + GAUSSIAN_UNITS)
+def test_matrix_route_matches_generic_companion_power(coeffs):
+    unit = GcnUnit(*coeffs)
+    companion = unit.companion()
+    for n in ROUTE_INDICES:
+        generic = power(companion, n, companion.identity_like()).column(0)
+        _same(power_coeffs(unit, n, "matrix"), generic, n)
+
+
+@pytest.mark.parametrize("coeffs", RATIONAL_UNITS)
+def test_binet_route_matches_generic_surd_power(coeffs):
+    unit = GcnUnit(*coeffs)
+    h_plus = conjugate_roots(unit).h_plus
+    for n in ROUTE_INDICES:
+        root_n = power(h_plus, n, h_plus ** 0)
+        generic = (root_n.p - unit.b * root_n.q, 2 * root_n.q)
+        _same(power_coeffs(unit, n, "binet"), generic, n)
+    # Each route returns the walk's values; binet returns Fractions even for
+    # an int unit.
+    assert power_coeffs(unit, 5, "binet") == power_coeff_sequence(unit, 5)[5]
+    assert {type(x) for x in power_coeffs(unit, 5, "binet")} == {Fraction}
 
 
 def _pair_mul(unit, x, y):
