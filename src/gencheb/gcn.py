@@ -31,15 +31,17 @@ Readers of a whole sequence use it: ``cheby.cheb_AB`` and
 :func:`unit_power` is one h^n on its own, the element h raised by squaring
 (Fiduccia, SIAM J. Comput. 14, 1985) in O(k^2 log n) scalar products
 instead of the walk's O(k n); it is the ``recurrence`` route of
-``power_coeffs`` and the closed form of the matrix powers of
-:mod:`gencheb.pauli`.  A unit of exact scalars (int, Fraction or
+``power_coeffs`` and, for a matrix of polynomials, the closed form of the
+matrix powers of :mod:`gencheb.pauli`.  A unit of exact scalars (int, Fraction or
 GaussianRational) is raised on integer numerators: with d the lcm of its
 denominators, g = d*h is the root of a unit with Gaussian-integer
 coefficients, so g is raised by ``power`` with ``_pair_product`` on int
-pairs with no gcd, and each coefficient of h^n is built once, in the walk's
-own type.  The ``matrix`` and ``binet`` routes of :func:`power_coeffs` use
-the same scaling, each with its own kernel, so the three routes still check
-one another: ``matrix`` raises the companion of g's unit over ints (over
+pairs with no gcd (``_integer_power``), and each coefficient of h^n is
+built once, in the walk's own type.  ``pauli.mat_power`` builds M^n of a
+matrix of exact scalars straight from the same ``_integer_power``.  The
+``matrix`` and ``binet`` routes of :func:`power_coeffs` use the same
+scaling, each with its own kernel, so the three routes still check one
+another: ``matrix`` raises the companion of g's unit over ints (over
 GaussianRational with denominator 1 for a Gaussian unit), and ``binet``
 raises g's root.  A unit with polynomial coefficients is raised as an
 :class:`Element`, and its companion as a matrix of polynomials.  On
@@ -70,7 +72,7 @@ from operator import add, mul, neg
 from typing import Any, Iterator, Sequence
 
 from .matrices import Mat2, Mat3
-from .scalars import GaussianRational, _triple, _unchecked, power, zero_of
+from .scalars import GaussianRational, _kind, _triple, _unchecked, power, zero_of
 
 __all__ = [
     "ConjugateRoots",
@@ -314,7 +316,7 @@ def unit_power(coeffs: Sequence[Any], n: int) -> tuple[Any, ...]:
         raise ValueError("power index must be non-negative")
     triples = _exact_triples(coeffs)
     if triples is not None:  # an empty unit is refused below
-        return _scalar_unit_power(triples, n, type(zero_of(*coeffs)))
+        return _unscaled(*_integer_power(triples, n), n, _kind(coeffs))
     unit = Unit(coeffs)
     h = unit.companion().column(0)  # the column of h^1; it is c_0 for k = 1
     return (Element(unit, h) ** n).coeffs
@@ -377,12 +379,14 @@ def _pair_product(xs: tuple, ys: tuple, fold: list) -> tuple:
     return ps, qs
 
 
-def _scalar_unit_power(triples: list, n: int, kind: type) -> tuple[Any, ...]:
-    """h^n for the unit of exact scalars (p_i + q_i*i)/d_i, with results of type ``kind``.
+def _integer_power(triples: list, n: int) -> tuple[list, list, int]:
+    """g^n for g = d*h, h the root of the unit of exact scalars (p_i + q_i*i)/d_i.
 
-    g = d*h (:func:`_integer_unit`) is raised by :func:`power` with
-    :func:`_pair_product` on int pairs, with no gcd, and scaled back by
-    :func:`_unscaled`.
+    The result is (ps, qs, d) with g^n = sum (ps[i] + qs[i]*i) g^i.
+    g (:func:`_integer_unit`) is raised by :func:`power` with
+    :func:`_pair_product` on int pairs, with no gcd.  :func:`unit_power`
+    scales the result back by :func:`_unscaled`; ``pauli.mat_power`` builds
+    the entries of M^n from it directly.
     """
     k = len(triples)
     d, scaled = _integer_unit(triples)
@@ -391,7 +395,7 @@ def _scalar_unit_power(triples: list, n: int, kind: type) -> tuple[Any, ...]:
     p_0, q_0 = scaled[0]  # for k = 1, h = c_0, so g = d*c_0 = p_0 + q_0*i
     g = ([0, 1] + [0] * (k - 2), [0] * k) if k > 1 else ([p_0], [q_0])
     ps, qs = power(g, n, one, lambda x, y: _pair_product(x, y, fold))
-    return _unscaled(ps, qs, d, n, kind)
+    return ps, qs, d
 
 
 def _companion_power(unit: Unit, n: int) -> tuple[Any, ...]:
@@ -405,7 +409,7 @@ def _companion_power(unit: Unit, n: int) -> tuple[Any, ...]:
     triples = _exact_triples(unit.coeffs)
     if triples is None:
         return (unit.companion() ** n).column(0)
-    kind = type(zero_of(*unit.coeffs))
+    kind = _kind(unit.coeffs)
     gaussian = kind is GaussianRational
     d, scaled = _integer_unit(triples)
     g = Unit(tuple(_unchecked(p, q, 1) if gaussian else p for p, q in scaled))

@@ -17,8 +17,17 @@ M^n = U_{n-1}(alpha) * M - U_{n-2}(alpha) * I.  The pair (a_n, b_n) is
 h^n in R[h]/(h^2 - 2*alpha*h + det M), computed by squaring there, so the
 closed form takes O(log n) scalar products, as plain squaring of M does.
 
-Entries are Gaussian rationals so the beta2 component of a real matrix is
-exact (s2 itself has imaginary entries).
+The Pauli coordinates are Gaussian rationals, so the beta2 component of a
+real matrix is exact (s2 itself has imaginary entries).  The powers take
+any entries that the ring operations take.  When all four are exact
+scalars (int, Fraction or GaussianRational), the ``chebyshev`` and
+``general_recurrence`` routes run on integer numerators, as
+:func:`gencheb.gcn.unit_power` does: with d the lcm of the denominators of
+the reduced det and trace, g = d*h is raised on int pairs by
+``gcn._integer_power``, and each entry of M^n is built once from it, with
+no a_n, b_n or matrix pass in between.  The det and trace must be reduced
+first, since every extra factor of d is raised to the n-th power.  Any
+other entry, such as a polynomial, takes ``m * b_n + a_n``.
 """
 
 from __future__ import annotations
@@ -29,9 +38,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .gcn import unit_power
+from .gcn import _exact_triples, _integer_power, unit_power
 from .matrices import Mat2
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _kind, _unchecked
 
 __all__ = [
     "BenchRecord",
@@ -114,7 +123,10 @@ def mat_power(m: Mat2, n: int, method: str = "squaring") -> Mat2:
     ``chebyshev`` requires det(M) = 1 and is the closed form
     U_{n-1}(alpha)*M - U_{n-2}(alpha)*I; ``general_recurrence`` handles any
     determinant through the unit (-det M, 2*alpha); ``squaring`` is plain
-    exponentiation by squaring.
+    exponentiation by squaring.  The first two build M^n = b_n*M + a_n of a
+    matrix of exact scalars (int, Fraction or GaussianRational) on integer
+    numerators (:func:`_exact_power`); a matrix with any other entry, such
+    as a polynomial, takes ``m * b_n + a_n`` from :func:`unit_power`.
     """
     if n < 0:
         raise ValueError("power index must be non-negative")
@@ -122,11 +134,61 @@ def mat_power(m: Mat2, n: int, method: str = "squaring") -> Mat2:
         return m ** n
     if method not in POWER_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {POWER_METHODS}")
-    det = m.det()
-    if method == "chebyshev" and det != 1:
-        raise ValueError(f"the Chebyshev closed form needs determinant 1, got {det}")
+    triples = _exact_triples(m.entries())
+    if triples is None:
+        det = m.det()
+        unimodular = det == 1
+    else:
+        det, trace = _det_trace(triples)
+        unimodular = det == (1, 0, 1)
+    if method == "chebyshev" and not unimodular:
+        raise ValueError(
+            f"the Chebyshev closed form needs determinant 1, got {m.det()}"
+        )
+    if triples is not None:
+        return _exact_power(m, triples, det, trace, n)
     a_n, b_n = unit_power((-det, m.m11 + m.m22), n)  # 2*alpha is the trace
     return m * b_n + a_n
+
+
+def _det_trace(triples: list) -> tuple:
+    """The reduced (p, q, d) of det M and of tr M, for entries (p_ij + q_ij*i)/e_ij."""
+    (p1, q1, e1), (p2, q2, e2), (p3, q3, e3), (p4, q4, e4) = triples
+    e14, e23 = e1 * e4, e2 * e3
+    det = (
+        (p1 * p4 - q1 * q4) * e23 - (p2 * p3 - q2 * q3) * e14,
+        (p1 * q4 + q1 * p4) * e23 - (p2 * q3 + q2 * p3) * e14,
+        e14 * e23,
+    )
+    trace = (p1 * e4 + p4 * e1, q1 * e4 + q4 * e1, e14)
+    return _unchecked(*det)._t, _unchecked(*trace)._t
+
+
+def _exact_power(m: Mat2, triples: list, det: tuple, trace: tuple, n: int) -> Mat2:
+    """M^n for entries m_ij = (p + q*i)/e, from g = d*h of the unit (-det M, tr M).
+
+    With g^n = y_0 + y_1*g, a_n = y_0/d^n and b_n = y_1/d^(n-1), so each
+    entry of b_n*M + a_n is (y_1*d*(p + q*i) + y_0*e*[i = j]) / (d^n e),
+    built once, with one gcd, in the type that ``m * b_n + a_n`` has.  d is
+    the lcm of the denominators of the *reduced* det and trace; an
+    unreduced one would inflate d, and every d^n with it.
+    """
+    p, q, e = det
+    (y0p, y1p), (y0q, y1q), d = _integer_power([(-p, -q, e), trace], n)
+    y1p, y1q, dn = y1p * d, y1q * d, d ** n
+    kind = _kind(m.entries())
+    entries = []
+    for k, (p, q, e) in enumerate(triples):
+        re, im = y1p * p - y1q * q, y1p * q + y1q * p
+        if k in (0, 3):
+            re, im = re + y0p * e, im + y0q * e
+        if kind is GaussianRational:
+            entries.append(_unchecked(re, im, dn * e))
+        elif kind is Fraction:
+            entries.append(Fraction(re, dn * e))
+        else:  # an int matrix has d = e = 1
+            entries.append(re)
+    return m._new((tuple(entries[:2]), tuple(entries[2:])))
 
 
 def coeff_bits(m: Mat2) -> int:

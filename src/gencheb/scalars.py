@@ -80,6 +80,19 @@ def _triple(value: object) -> "tuple[int, int, int] | None":
     return None
 
 
+def _kind(values) -> type:
+    """``type(zero_of(*values))`` for exact scalars, read off their types alone.
+
+    GaussianRational if any value is one, else Fraction if any is one, else
+    int: the type that ``+`` and ``*`` promote them to, with no ring
+    operation spent to learn it.
+    """
+    kinds = set(map(type, values))
+    if GaussianRational in kinds:
+        return GaussianRational
+    return Fraction if any(issubclass(k, Fraction) for k in kinds) else int
+
+
 def _unchecked(p: int, q: int, d: int) -> "GaussianRational":
     """``(p + q*i)/d`` for ``d > 0``, reduced by one gcd and not otherwise checked.
 

@@ -4,6 +4,8 @@ from operator import add, mul, sub
 
 import pytest
 
+from gencheb.cheby import X, cheb_U
+from gencheb.gcn import unit_power
 from gencheb.matrices import Mat2, Mat3
 from gencheb.pauli import (
     IDENTITY,
@@ -230,3 +232,77 @@ def test_mat2_view_matches_written_out_formulas():
         big.apply((1, 1))
     with pytest.raises(ValueError, match="2x2.*length 3"):
         small.apply((1, 1, 1))
+
+
+def _gauss(re, im=0):
+    return GaussianRational(Fraction(re), Fraction(im))
+
+
+# Matrices of exact scalars, which mat_power's chebyshev and
+# general_recurrence routes raise on integer numerators; det M = 1 exactly
+# for the names with "unimodular".
+_F = Fraction
+_A, _B, _C = _gauss(_F(1, 2), 1), _gauss(_F(3, 4)), _gauss(0, _F(-2, 3))
+EXACT_MATRICES = {
+    "gauss-unimodular-1": rand_unimodular(random.Random(11)),
+    "gauss-unimodular-2": rand_unimodular(random.Random(12)),
+    "gauss-unimodular-3": Mat2(_A, _B, _C, (1 + _B * _C) / _A),
+    "gauss-det-not-1": Mat2(_A, _B, _C, _gauss(_F(5, 6), 2)),
+    "gauss-real": gaussian_mat(((_F(1, 2), 3), (_F(-2, 3), _F(5, 4)))),
+    "fraction": Mat2(_F(1, 2), _F(3, 4), _F(-2, 3), _F(5, 7)),
+    "int-unimodular": Mat2(2, 1, 1, 1),
+    "int-det-not-1": Mat2(3, -2, 5, 4),
+    "mixed-int-fraction": Mat2(1, _F(3, 4), -2, _F(5, 7)),
+    "mixed-int-fraction-unimodular": Mat2(_F(2), 3, _F(1, 3), 1),
+    "zero": ZERO_MAT,
+    "nilpotent": gaussian_mat(((0, 1), (0, 0))),
+    "scalar": Mat2(_F(-3, 5), 0, 0, _F(-3, 5)),
+}
+KERNEL_INDICES = sorted(
+    set(range(41)) | {2 ** j + k for j in range(6, 13) for k in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_MATRICES))
+def test_exact_kernel_matches_the_path_it_replaces(name):
+    m = EXACT_MATRICES[name]
+    det = m.det()
+    assert (det == 1) == ("unimodular" in name)
+    methods = ("chebyshev", "general_recurrence") if det == 1 else ("general_recurrence",)
+    for n in KERNEL_INDICES:
+        a, b = unit_power((-det, m.m11 + m.m22), n)
+        reference = m * b + a
+        want = [(type(v), v) for v in reference.entries()]
+        assert mat_power(m, n, "squaring") == reference, n
+        for method in methods:
+            got = mat_power(m, n, method)
+            assert type(got) is Mat2
+            assert [(type(v), v) for v in got.entries()] == want, (method, n)
+
+
+@pytest.mark.parametrize(
+    "m, det",
+    [
+        (EXACT_MATRICES["gauss-det-not-1"], "-19/12+7/3i"),
+        (EXACT_MATRICES["gauss-real"], "21/8"),
+        (EXACT_MATRICES["fraction"], "6/7"),
+        (EXACT_MATRICES["int-det-not-1"], "22"),
+        (EXACT_MATRICES["mixed-int-fraction"], "31/14"),
+        (EXACT_MATRICES["zero"], "0"),
+    ],
+)
+def test_chebyshev_refusal_text(m, det):
+    assert str(m.det()) == det
+    with pytest.raises(ValueError) as info:
+        mat_power(m, 3, "chebyshev")
+    assert str(info.value) == f"the Chebyshev closed form needs determinant 1, got {det}"
+
+
+def test_polynomial_matrix_takes_the_generic_path():
+    m = Mat2(2 * X, -1, 1, 0)
+    assert m.det() == 1
+    for n in range(13):
+        by_squaring = mat_power(m, n, "squaring")
+        assert mat_power(m, n, "chebyshev") == by_squaring
+        assert mat_power(m, n, "general_recurrence") == by_squaring
+        assert by_squaring.m11 == cheb_U(n).poly

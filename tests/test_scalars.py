@@ -12,7 +12,7 @@ import pytest
 from gencheb.gcn import GcnElement, GcnUnit, Surd
 from gencheb.matrices import Mat2, Mat3
 from gencheb.poly import MultiPoly, gens
-from gencheb.scalars import BigRational, GaussianRational
+from gencheb.scalars import BigRational, GaussianRational, _kind, zero_of
 
 
 def test_big_rational_is_reduced_with_positive_denominator():
@@ -265,3 +265,19 @@ def test_power_is_repeated_product(x, identity):
     else:
         with pytest.raises(ValueError):
             x ** -1
+
+
+def test_kind_matches_the_zero_of_every_mix_of_exact_scalars():
+    # _kind reads the result type of exact-scalar ring arithmetic off the
+    # types alone; zero_of learns it by arithmetic.
+    values = (
+        0,
+        -3,
+        Fraction(0),
+        Fraction(-2, 7),
+        GaussianRational(),
+        GaussianRational(Fraction(1, 2), -1),
+    )
+    for k in range(1, 4):
+        for mix in itertools.product(values, repeat=k):
+            assert _kind(mix) is type(zero_of(*mix)), mix
