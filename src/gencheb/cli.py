@@ -46,21 +46,22 @@ SCHEMA = 1
 MAX_DIGITS = 50_000
 
 
-def _nonneg_int(text: str) -> int:
+def _int_from(text: str, least: int, words: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError("value must be non-negative")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"value must be {words}")
     return value
+
+
+def _nonneg_int(text: str) -> int:
+    return _int_from(text, 0, "non-negative")
 
 
 def _positive_int(text: str) -> int:
-    value = _nonneg_int(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError("value must be positive")
-    return value
+    return _int_from(text, 1, "positive")
 
 
 def _int_list(text: str) -> list[int]:

@@ -7,7 +7,13 @@ invocations produce identical reports.
 
 The library reads U_n and U2_n off the power walks of their units; the
 recurrences behind ``b-is-u`` and ``series-vs-rec`` are written out here
-instead, as references independent of the library.
+instead, as references independent of the library.  The sampled-unit
+suites check the walk at every n against running products of their own on
+integer numerators, one denominator per sequence: ``suite_gcn`` against
+the companion and root powers of g = d*h (:func:`_companion_columns`,
+:func:`_root_readings`), ``suite_mat`` against M^n = N^n / e^n
+(:func:`_matrix_powers`).  These share no kernel with the library; each
+suite checks the library's own powers once, at nmax.
 """
 
 from __future__ import annotations
@@ -17,11 +23,12 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from . import cheby, euler, gcn, higher, pauli
 from .matrices import Mat2
 from .poly import MultiPoly
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _triple, _unchecked
 
 __all__ = [
     "DEFAULT_NMAX",
@@ -93,6 +100,50 @@ def _random_unit(rng: random.Random, top: int = 5) -> gcn.GcnUnit:
     return gcn.GcnUnit(_random_fraction(rng, top), _random_fraction(rng, top))
 
 
+def _scaled_unit(unit: gcn.GcnUnit) -> tuple[int, int, int]:
+    """(d, d*a, d*b) for a rational unit (a, b), with d = lcm(den a, den b)."""
+    a, b = unit.a, unit.b
+    d = math.lcm(a.denominator, b.denominator)
+    return d, a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+
+
+def _companion_columns(unit: gcn.GcnUnit) -> Iterator[tuple[tuple, Fraction]]:
+    """(first column, det) of C^n for C = ``unit.companion()``, n = 0, 1, ...
+
+    G = d*C = [[0, d*a], [d, d*b]] is an int matrix and C^n = G^n / d^n, so
+    the running product of G needs no gcd; each value is built once.
+    """
+    d, s, t = _scaled_unit(unit)
+    x, y, z, w = 1, 0, 0, 1  # G^0
+    scale = 1  # d^n
+    while True:
+        yield (Fraction(x, scale), Fraction(z, scale)), Fraction(x * w - y * z, scale * scale)
+        x, y, z, w = d * y, s * x + t * y, d * w, s * z + t * w
+        scale *= d
+
+
+def _root_readings(unit: gcn.GcnUnit) -> Iterator[tuple[Fraction, Fraction]]:
+    """(p_n - b*q_n, 2*q_n) for h+^n = p_n + q_n*sqrt(D), n = 0, 1, ...
+
+    2d*h+ = B + sqrt(E) with B = d*b and E = d^2*D = B^2 + 4*d^2*a, so
+    (B + sqrt(E))^n = P + Q*sqrt(E) runs on ints, with p_n = P / (2d)^n and
+    q_n = d*Q / (2d)^n: the reading is (P - B*Q, 2d*Q) / (2d)^n.
+    """
+    d, s, t = _scaled_unit(unit)
+    e = t * t + 4 * d * s
+    p, q = 1, 0  # (B + sqrt(E))^0
+    scale = 1  # (2d)^n
+    while True:
+        yield Fraction(p - t * q, scale), Fraction(2 * d * q, scale)
+        p, q = t * p + e * q, p + t * q
+        scale *= 2 * d
+
+
+def _first_other(value: object, candidates: tuple) -> object:
+    """The first of ``candidates`` unequal to ``value``; ``value`` if none is."""
+    return next((c for c in candidates if c != value), value)
+
+
 def suite_gcn(
     nmax: int = DEFAULT_NMAX,
     units: int = 50,
@@ -101,9 +152,13 @@ def suite_gcn(
 ) -> VerificationReport:
     """Power-coefficient agreement: recurrence vs matrix vs root closed form.
 
-    The floating closed form is compared with a scale-aware bound
-    |delta| <= tol * max(1, rho^n) where rho is the larger root modulus;
-    an absolute bound is meaningless once the coefficients reach 1e40.
+    The walk is checked at every n against the companion and root powers of
+    :func:`_companion_columns` and :func:`_root_readings`; at nmax, once
+    those agree, against the library's companion and root powers and all
+    three exact ``power_coeffs`` routes instead.  The floating closed form
+    is compared with a scale-aware bound |delta| <= tol * max(1, rho^n)
+    where rho is the larger root modulus; an absolute bound is meaningless
+    once the coefficients reach 1e40.
     """
     started = time.perf_counter()
     rec = _Recorder()
@@ -112,22 +167,34 @@ def suite_gcn(
         unit = _random_unit(rng)
         tag = f"unit{i}({unit.a},{unit.b})"
         roots = gcn.conjugate_roots(unit)
-        root = roots.h_plus
         rho = max(*map(abs, roots.numeric()), 1.0)
-        companion = unit.companion()
-        matrix_power = companion.identity_like()
-        surd_power = root ** 0
         seq = gcn.power_coeff_sequence(unit, nmax)
+        references = zip(seq, _companion_columns(unit), _root_readings(unit))
         scale = 1.0
-        for n, (a_n, b_n) in enumerate(seq):
+        for n, (walk, (matrix, det), surd) in enumerate(references):
+            a_n, b_n = walk
+            sign_power = (-unit.a) ** n
             if n:
-                matrix_power = matrix_power * companion
-                surd_power = surd_power * root
                 scale *= rho
-            rec.equal(f"{tag}/n{n}/matrix", (a_n, b_n), matrix_power.column(0))
-            binet_b = 2 * surd_power.q
-            binet_a = surd_power.p - unit.b * surd_power.q
-            rec.equal(f"{tag}/n{n}/surd", (a_n, b_n), (binet_a, binet_b))
+            if n == nmax:
+                # The library's powers, raised by squaring, must agree too.
+                power = unit.companion() ** n
+                if matrix == walk:
+                    matrix = _first_other(walk, (
+                        power.column(0),
+                        gcn.power_coeffs(unit, n, "recurrence"),
+                        gcn.power_coeffs(unit, n, "matrix"),
+                    ))
+                if surd == walk:
+                    p, q = (roots.h_plus ** n).coeffs
+                    surd = _first_other(walk, (
+                        (p - unit.b * q, 2 * q),
+                        gcn.power_coeffs(unit, n, "binet"),
+                    ))
+                if det == sign_power:
+                    det = power.det()
+            rec.equal(f"{tag}/n{n}/matrix", walk, matrix)
+            rec.equal(f"{tag}/n{n}/surd", walk, surd)
             af, bf = gcn.power_coeffs(unit, n, "binet_float")
             bound = float_tol * max(1.0, scale)
             rec.close(f"{tag}/n{n}/float-a", abs(af - float(a_n)), bound)
@@ -136,9 +203,7 @@ def suite_gcn(
                 rec.equal(
                     f"{tag}/n{n}/a-from-b", a_n, unit.a * seq[n - 1][1]
                 )
-            rec.equal(
-                f"{tag}/n{n}/det", matrix_power.det(), (-unit.a) ** n
-            )
+            rec.equal(f"{tag}/n{n}/det", det, sign_power)
     return _finish("gcn-power-methods", rec, started)
 
 
@@ -282,6 +347,41 @@ def _random_unimodular(rng: random.Random) -> Mat2:
     return Mat2(a, b, c, d)
 
 
+def _matrix_powers(m: Mat2) -> Iterator[Mat2]:
+    """M^n for a matrix of GaussianRational entries, n = 0, 1, ...
+
+    With e the lcm of the entries' denominators, N = e*M has Gaussian-integer
+    entries and M^n = N^n / e^n, so the running product of N runs on int
+    pairs with no gcd, and each entry of M^n is built once, with one.
+    """
+    triples = [_triple(v) for v in m.entries()]
+    e = math.lcm(*(d for _, _, d in triples))
+    (ap, aq), (bp, bq), (cp, cq), (dp, dq) = [
+        (p * (e // d), q * (e // d)) for p, q, d in triples
+    ]
+
+    def times_n(p1: int, q1: int, p2: int, q2: int) -> tuple[int, int, int, int]:
+        """The row (p1 + q1*i, p2 + q2*i) times N."""
+        return (
+            p1 * ap - q1 * aq + p2 * cp - q2 * cq,
+            p1 * aq + q1 * ap + p2 * cq + q2 * cp,
+            p1 * bp - q1 * bq + p2 * dp - q2 * dq,
+            p1 * bq + q1 * bp + p2 * dq + q2 * dp,
+        )
+
+    top, bottom = (1, 0, 0, 0), (0, 0, 1, 0)  # the rows of N^0
+    scale = 1  # e^n
+    while True:
+        yield Mat2(
+            _unchecked(top[0], top[1], scale),
+            _unchecked(top[2], top[3], scale),
+            _unchecked(bottom[0], bottom[1], scale),
+            _unchecked(bottom[2], bottom[3], scale),
+        )
+        top, bottom = times_n(*top), times_n(*bottom)
+        scale *= e
+
+
 def suite_mat(
     count: int = 200, nmax: int = 32, seed: int = DEFAULT_SEED
 ) -> VerificationReport:
@@ -297,10 +397,7 @@ def suite_mat(
         rec.equal(f"gamma-det/{i}", -m.det(), coords.gamma)
     for i in range(count):
         m = _random_unimodular(rng)
-        power = m.identity_like()
-        for n in range(nmax + 1):
-            if n:
-                power = power * m
+        for n, power in zip(range(nmax + 1), _matrix_powers(m)):
             rec.equal(
                 f"unimodular/{i}/n{n}/chebyshev",
                 power,

@@ -754,6 +754,18 @@ def test_malformed_symbol_and_power_lists_are_usage_errors(capsys, args, line):
     assert err.startswith("usage: gencheb ")
 
 
+@pytest.mark.parametrize("nmax", ["-3", "0"])
+def test_a_bound_below_one_is_refused_as_not_positive(capsys, monkeypatch, nmax):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    assert _reply(capsys, ("verify", "all", "--nmax", nmax)) == (
+        2,
+        "",
+        "usage: gencheb verify all [-h] [--nmax NMAX] [--seed SEED] [--tol TOL]\n"
+        "                          [--format {text,json,csv}]\n"
+        "gencheb verify all: error: argument --nmax: value must be positive\n",
+    )
+
+
 def test_symbols_are_read_as_the_polynomial_parser_reads_them(capsys):
     args = ("gcn", "power", "--a", "é_1", "--b", "_y", "--n", "2", "--vars", "_y,é_1")
     assert _reply(capsys, args) == (

@@ -4,11 +4,20 @@ The library reads U_n and U2_n off the power walks of their units.  A
 library that is wrong in a consistent way, in both the unit's coefficients
 and the polynomials read off them, must still be caught by the suites'
 hand-written recurrences.  The suites build their references for every n
-up to nmax incrementally, so their cost grows linearly in nmax.
+up to nmax incrementally, so their cost grows linearly in nmax.  The
+sampled-unit suites run theirs on integer numerators; each of those fast
+references is checked here against the running product it replaced, and
+a wrong library power at nmax must still fail its case.
 """
 
-from gencheb import cheby, higher, verify
-from gencheb.matrices import Mat3
+import random
+from fractions import Fraction
+
+import pytest
+
+from gencheb import cheby, gcn, higher, verify
+from gencheb.matrices import Mat2, Mat3
+from gencheb.scalars import GaussianRational
 
 
 def _failed_cases(report):
@@ -55,22 +64,196 @@ def test_u2_reference_catches_consistent_series_and_gamma(monkeypatch):
     assert "series-vs-rec/n5" in _failed_cases(verify.suite_u2(nmax=8))
 
 
+def _counted_mat3_products(monkeypatch):
+    counter = {"calls": 0}
+    multiply = Mat3.__mul__
+
+    def counted(self, other):
+        counter["calls"] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(Mat3, "__mul__", counted)
+    return counter
+
+
 def test_suite_u2_matrix_products_grow_linearly_in_nmax(monkeypatch):
     # The cubic-matrix cases walk one running product of the companion, and
     # raise it by squaring once, at nmax; raising it afresh for every n
     # costs O(nmax log nmax) products instead.
-    calls = 0
-    multiply = Mat3.__mul__
-
-    def counted(self, other):
-        nonlocal calls
-        calls += 1
-        return multiply(self, other)
-
-    monkeypatch.setattr(Mat3, "__mul__", counted)
+    counter = _counted_mat3_products(monkeypatch)
     counts = []
     for nmax in (16, 32):
-        calls = 0
+        counter["calls"] = 0
         assert verify.suite_u2(nmax=nmax).ok
-        counts.append(calls)
+        counts.append(counter["calls"])
     assert counts[1] - counts[0] <= 20, counts
+
+
+def test_sampled_unit_suites_grow_in_log_nmax_matrix_products(monkeypatch):
+    # The references run on ints; the only matrix products left are the
+    # library's powers by squaring at nmax: two per unit in suite_gcn (its
+    # companion and the matrix route's), one per matrix in suite_mat.  Each
+    # doubling of nmax adds at most two products to each.  Running products
+    # of Mat2 would add 16 per unit and per matrix from nmax 16 to 32.
+    counter = _counted_mat3_products(monkeypatch)
+    units = matrices = 10
+    counts = []
+    for nmax in (16, 32):
+        counter["calls"] = 0
+        assert verify.suite_gcn(nmax=nmax, units=units).ok
+        assert verify.suite_mat(count=matrices, nmax=nmax).ok
+        counts.append(counter["calls"])
+    assert counts[1] - counts[0] <= 2 * (2 * units + matrices), counts
+
+
+# Fast references against the running products they replaced.
+
+def _reference_units():
+    rng = random.Random(20)
+    units = [verify._random_unit(rng) for _ in range(20)]
+    return units + [
+        gcn.GcnUnit(Fraction(-9, 16), Fraction(3, 2)),  # D = 0
+        gcn.GcnUnit(Fraction(0), Fraction(0)),  # D = 0 and a = 0
+        gcn.GcnUnit(Fraction(-3, 2), Fraction(1, 3)),  # D < 0
+        gcn.GcnUnit(2, 3),  # int coefficients, d = 1
+    ]
+
+
+def _unit_id(unit):
+    return f"({unit.a},{unit.b})"
+
+
+@pytest.mark.parametrize("unit", _reference_units(), ids=_unit_id)
+def test_companion_columns_match_the_running_companion_product(unit):
+    companion = unit.companion()
+    power = companion.identity_like()
+    columns = verify._companion_columns(unit)
+    for n in range(41):
+        if n:
+            power = power * companion
+        assert next(columns) == (power.column(0), power.det()), n
+
+
+@pytest.mark.parametrize("unit", _reference_units(), ids=_unit_id)
+def test_root_readings_match_the_running_surd_product(unit):
+    root = gcn.conjugate_roots(unit).h_plus
+    power = root ** 0
+    readings = verify._root_readings(unit)
+    for n in range(41):
+        if n:
+            power = power * root
+        assert next(readings) == (power.p - unit.b * power.q, 2 * power.q), n
+
+
+def _g(re, im=0):
+    return GaussianRational(Fraction(re), Fraction(im))
+
+
+def _reference_matrices():
+    rng = random.Random(40)
+    drawn = [verify._random_matrix(rng) for _ in range(6)]
+    drawn += [verify._random_unimodular(rng) for _ in range(6)]
+    return drawn + [
+        Mat2(_g("1/2", "1/3"), _g("2/5"), _g(0, "-3/7"), _g(1)),
+        Mat2(_g(3), _g(0, 2), _g(-1), _g(0)),  # e = 1
+        Mat2(_g("1/4", "-1/6"), _g(0), _g(0), _g("5/9", "2/3")),
+    ]
+
+
+@pytest.mark.parametrize("m", _reference_matrices())
+def test_matrix_powers_match_the_running_matrix_product(m):
+    power = m.identity_like()
+    powers = verify._matrix_powers(m)
+    for n in range(41):
+        if n:
+            power = power * m
+        fast = next(powers)
+        assert fast == power, n
+        assert [type(x) for x in fast.entries()] == [GaussianRational] * 4
+
+
+# A walk wrong at n = 5, by one in b_5 for every unit, fails these cases and
+# only these; so did the Mat2 and Surd running products.
+_TAGS = ("unit0(3/4,3)", "unit1(0,2)", "unit2(-1/3,-2)", "unit3(5/2,0)")
+_WALK5_FAILURES = {
+    f"{tag}/n5/{kind}"
+    for tag in _TAGS
+    for kind in ("matrix", "surd", "float-b")
+} | {f"{tag}/n6/a-from-b" for tag in _TAGS if tag != "unit1(0,2)"}  # a = 0
+
+
+def test_a_walk_wrong_at_n5_fails_the_same_cases(monkeypatch):
+    sequence = gcn.power_coeff_sequence
+
+    def bad(unit, n_max):
+        values = sequence(unit, n_max)
+        a_5, b_5 = values[5]
+        values[5] = (a_5, b_5 + 1)
+        return values
+
+    monkeypatch.setattr(gcn, "power_coeff_sequence", bad)
+    report = verify.suite_gcn(nmax=8, units=len(_TAGS))
+    assert _failed_cases(report) == _WALK5_FAILURES
+
+
+_NMAX = 8
+
+
+def _wrong_route(method):
+    def patch(monkeypatch):
+        route = gcn.power_coeffs
+
+        def wrong(unit, n, chosen="recurrence"):
+            a_n, b_n = route(unit, n, chosen)
+            return (a_n + 1, b_n) if (chosen, n) == (method, _NMAX) else (a_n, b_n)
+
+        monkeypatch.setattr(gcn, "power_coeffs", wrong)
+
+    return patch
+
+
+def _wrong_companion_power(monkeypatch):
+    raise_ = Mat2.__pow__
+
+    def wrong(self, n):
+        out = raise_(self, n)
+        # Only the unit's own companion, of Fractions; the matrix route
+        # raises the companion of g = d*h, of ints.
+        return out + 1 if n == _NMAX and type(self.m11) is Fraction else out
+
+    monkeypatch.setattr(Mat2, "__pow__", wrong)
+
+
+def _wrong_det(monkeypatch):
+    det = Mat2.det
+    monkeypatch.setattr(Mat2, "det", lambda self: det(self) + 1)
+
+
+def _wrong_root_power(monkeypatch):
+    raise_ = gcn.Surd.__pow__
+
+    def wrong(self, n):
+        out = raise_(self, n)
+        return out + 1 if n == _NMAX else out
+
+    monkeypatch.setattr(gcn.Surd, "__pow__", wrong)
+
+
+@pytest.mark.parametrize(
+    "patch, kinds",
+    [
+        (_wrong_companion_power, ("matrix", "det")),  # det = that power's det
+        (_wrong_route("recurrence"), ("matrix",)),
+        (_wrong_route("matrix"), ("matrix",)),
+        (_wrong_det, ("det",)),
+        (_wrong_root_power, ("surd",)),
+        (_wrong_route("binet"), ("surd",)),
+    ],
+    ids=["companion-power", "recurrence", "matrix", "det", "root-power", "binet"],
+)
+def test_a_wrong_library_power_at_nmax_fails_its_case(monkeypatch, patch, kinds):
+    patch(monkeypatch)
+    report = verify.suite_gcn(nmax=_NMAX, units=len(_TAGS))
+    assert _failed_cases(report) == {
+        f"{tag}/n{_NMAX}/{kind}" for tag in _TAGS for kind in kinds
+    }
