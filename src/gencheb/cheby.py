@@ -4,9 +4,7 @@ The unit's power coefficients H^n = A_n + H*B_n coincide with second-kind
 Chebyshev polynomials: B_n = U_{n-1} and A_n = -U_{n-2} once U is extended
 backward with U_{-1} = 0, U_{-2} = -1.  First-kind polynomials come from
 T_n = A_n + x*B_n.  All identities here are checked in exact polynomial
-arithmetic; numeric helpers exist only for the square-root branch x > 1,
-where ``u_from_roots`` reads U_n = B_{n+1} off the floating closed form
-:func:`gencheb.gcn.at_roots` of the unit (-1, 2x).
+arithmetic.
 
 ``cheb_AB``, ``cheb_U`` and ``cheb_T`` read one memoised
 :func:`gencheb.gcn.unit_powers` walk over the unit; U_n is B_{n+1}.  The
@@ -17,7 +15,6 @@ The companion identity reads ``cheb_unit().companion() ** (n + 1)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import gcn
@@ -33,8 +30,6 @@ __all__ = [
     "cheb_U",
     "cheb_unit",
     "ode_apply",
-    "root_values",
-    "u_from_roots",
     "u_ode_residual",
 ]
 
@@ -123,22 +118,3 @@ def b_ode_residual(n: int) -> MultiPoly:
 def u_ode_residual(n: int) -> MultiPoly:
     """Residual of [(1 - x^2) d^2 - 3x d + n(n + 2)] U_n; zero for n >= 0."""
     return ode_apply(cheb_U(n).poly, n * (n + 2))
-
-
-def root_values(x: float) -> tuple[float, float]:
-    """Numeric roots H± = x ± sqrt(x^2 - 1) on the real branch x >= 1."""
-    if x < 1.0:
-        raise ValueError("real roots need x >= 1")
-    s = math.sqrt(x * x - 1.0)
-    return (x + s, x - s)
-
-
-def u_from_roots(n: int, x: float) -> float:
-    """U_n(x) = (H+^{n+1} - H-^{n+1}) / (2 sqrt(x^2 - 1)) for x > 1.
-
-    Real-branch normalization of the root-difference form: the coefficient
-    B_{n+1} of the unit (-1, 2x), by the ``binet_float`` closed form.
-    """
-    if x <= 1.0:
-        raise ValueError("the root-difference form needs x > 1")
-    return gcn.power_coeffs(gcn.GcnUnit(-1, 2 * x), n + 1, "binet_float")[1]

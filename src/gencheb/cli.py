@@ -91,11 +91,19 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _rational(text: str) -> Fraction:
+    """``Fraction(text)``, with a zero denominator refused by name."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _scalar_or_poly(text: str, variables: tuple[str, ...]):
     """A CLI coefficient: plain rational if possible, else polynomial text."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return _rational(text)
+    except ValueError:
         pass
     poly = parse_poly(text, variables)
     if poly.is_constant():
@@ -107,8 +115,8 @@ def _scalar_or_poly(text: str, variables: tuple[str, ...]):
 def _gaussian_entry(text: str) -> GaussianRational:
     if ":" in text:
         re_text, im_text = text.split(":", 1)
-        return GaussianRational(Fraction(re_text or "0"), Fraction(im_text))
-    return GaussianRational(Fraction(text))
+        return GaussianRational(_rational(re_text or "0"), _rational(im_text))
+    return GaussianRational(_rational(text))
 
 
 def _parse_matrix(text: str) -> Mat2:
@@ -210,7 +218,7 @@ def _cmd_gcn(args: argparse.Namespace) -> Answer:
 
 
 def _cmd_euler(args: argparse.Namespace) -> Answer:
-    unit = gcn.GcnUnit(Fraction(args.a), Fraction(args.b))
+    unit = gcn.GcnUnit(_rational(args.a), _rational(args.b))
     if args.action == "series":
         pair = euler.euler_series(unit, args.phi, args.tol)
         return Answer(

@@ -135,24 +135,17 @@ def mat_power(m: Mat2, n: int, method: str = "squaring") -> Mat2:
     if method not in POWER_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {POWER_METHODS}")
     triples = _exact_triples(m.entries())
-    if triples is None:
-        det = m.det()
-        unimodular = det == 1
-    else:
-        det, trace = _det_trace(triples)
-        unimodular = det == (1, 0, 1)
-    if method == "chebyshev" and not unimodular:
-        raise ValueError(
-            f"the Chebyshev closed form needs determinant 1, got {m.det()}"
-        )
+    det, trace = (m.det(), m.m11 + m.m22) if triples is None else _det_trace(triples)
+    if method == "chebyshev" and det != 1:
+        raise ValueError(f"the Chebyshev closed form needs determinant 1, got {det}")
     if triples is not None:
-        return _exact_power(m, triples, det, trace, n)
-    a_n, b_n = unit_power((-det, m.m11 + m.m22), n)  # 2*alpha is the trace
+        return _exact_power(m, triples, det._t, trace._t, n)
+    a_n, b_n = unit_power((-det, trace), n)  # 2*alpha is the trace
     return m * b_n + a_n
 
 
-def _det_trace(triples: list) -> tuple:
-    """The reduced (p, q, d) of det M and of tr M, for entries (p_ij + q_ij*i)/e_ij."""
+def _det_trace(triples: list) -> tuple[GaussianRational, GaussianRational]:
+    """det M and tr M, reduced, for entries (p_ij + q_ij*i)/e_ij."""
     (p1, q1, e1), (p2, q2, e2), (p3, q3, e3), (p4, q4, e4) = triples
     e14, e23 = e1 * e4, e2 * e3
     det = (
@@ -161,7 +154,7 @@ def _det_trace(triples: list) -> tuple:
         e14 * e23,
     )
     trace = (p1 * e4 + p4 * e1, q1 * e4 + q4 * e1, e14)
-    return _unchecked(*det)._t, _unchecked(*trace)._t
+    return _unchecked(*det), _unchecked(*trace)
 
 
 def _exact_power(m: Mat2, triples: list, det: tuple, trace: tuple, n: int) -> Mat2:

@@ -502,22 +502,15 @@ class MultiPoly:
                 elif e > 1:
                     factors.append(f"{v}^{e}")
             mono = "*".join(factors)
-            if i == 0:
-                if not mono:
-                    pieces.append(_format_fraction(value))
-                elif value == 1:
-                    pieces.append(mono)
-                else:
-                    pieces.append(f"{_format_fraction(value)}*{mono}")
+            if i:  # the leading term keeps its own sign
+                pieces.append(" - " if value < 0 else " + ")
+                value = abs(value)
+            if not mono:
+                pieces.append(str(value))
+            elif value == 1:
+                pieces.append(mono)
             else:
-                op = " - " if value < 0 else " + "
-                mag = abs(value)
-                if not mono:
-                    pieces.append(op + _format_fraction(mag))
-                elif mag == 1:
-                    pieces.append(op + mono)
-                else:
-                    pieces.append(op + f"{_format_fraction(mag)}*{mono}")
+                pieces.append(f"{value!s}*{mono}")
         return "".join(pieces)
 
     def __str__(self) -> str:
@@ -530,12 +523,6 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self._variables!r}, {self._terms!r})"
-
-
-def _format_fraction(value: int | Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def gens(*names: str) -> tuple[MultiPoly, ...]:
@@ -669,9 +656,7 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     """Parse polynomial text over the given variables.
 
     Raises :class:`PolyParseError` (with ``.position``) on syntax errors,
-    unknown symbols, or zero denominators.
+    unknown symbols, or zero denominators, and ValueError, from
+    :class:`MultiPoly`, on duplicate variable names.
     """
-    names = tuple(variables)
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate variable names in {names}")
-    return _Parser(text, names).parse()
+    return _Parser(text, tuple(variables)).parse()

@@ -71,9 +71,13 @@ class VerificationReport:
 
 
 class _Recorder:
-    def __init__(self) -> None:
+    """One suite's cases and failures, timed from construction to :meth:`report`."""
+
+    def __init__(self, suite: str) -> None:
+        self.suite = suite
         self.cases = 0
         self.failures: list[Failure] = []
+        self.started = time.perf_counter()
 
     def check(self, case: str, ok: bool, expected: object = "", actual: object = "") -> None:
         self.cases += 1
@@ -86,10 +90,9 @@ class _Recorder:
     def close(self, case: str, value: float, bound: float) -> None:
         self.check(case, value <= bound, f"<= {bound}", value)
 
-
-def _finish(name: str, recorder: _Recorder, started: float) -> VerificationReport:
-    millis = int((time.perf_counter() - started) * 1000)
-    return VerificationReport(name, recorder.cases, recorder.failures, millis)
+    def report(self) -> VerificationReport:
+        millis = int((time.perf_counter() - self.started) * 1000)
+        return VerificationReport(self.suite, self.cases, self.failures, millis)
 
 
 def _random_fraction(rng: random.Random, top: int = 5) -> Fraction:
@@ -160,8 +163,7 @@ def suite_gcn(
     where rho is the larger root modulus; an absolute bound is meaningless
     once the coefficients reach 1e40.
     """
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec = _Recorder("gcn-power-methods")
     rng = random.Random(f"{seed}:gcn")
     for i in range(units):
         unit = _random_unit(rng)
@@ -204,7 +206,7 @@ def suite_gcn(
                     f"{tag}/n{n}/a-from-b", a_n, unit.a * seq[n - 1][1]
                 )
             rec.equal(f"{tag}/n{n}/det", det, sign_power)
-    return _finish("gcn-power-methods", rec, started)
+    return rec.report()
 
 
 def suite_euler(
@@ -216,8 +218,7 @@ def suite_euler(
     tol_ode: float = 1e-10,
     tol_add: float = 1e-10,
 ) -> VerificationReport:
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec = _Recorder("euler-pair")
     rng = random.Random(f"{seed}:euler")
 
     circle = gcn.GcnUnit(Fraction(-1), Fraction(0))
@@ -255,13 +256,12 @@ def suite_euler(
         rc, rs = euler.addition_residuals(unit, phi, psi, 1e-13)
         rec.close(f"addition/{i}/c", rc, tol_add)
         rec.close(f"addition/{i}/s", rs, tol_add)
-    return _finish("euler-pair", rec, started)
+    return rec.report()
 
 
 def suite_cheb(nmax: int = DEFAULT_NMAX, ode_nmax: int | None = None) -> VerificationReport:
     """Exact Chebyshev identities; every residual must be the zero polynomial."""
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec = _Recorder("cheb-exact")
     if ode_nmax is None:
         ode_nmax = min(nmax, 32)
     x = cheby.X
@@ -303,15 +303,14 @@ def suite_cheb(nmax: int = DEFAULT_NMAX, ode_nmax: int | None = None) -> Verific
             rec.equal(
                 f"b-ode/n{n}", MultiPoly.zero(("x",)), cheby.b_ode_residual(n)
             )
-    return _finish("cheb-exact", rec, started)
+    return rec.report()
 
 
 def suite_cheb_numeric(
     nmax: int = DEFAULT_NMAX, points: int = 50, tol: float = 1e-10
 ) -> VerificationReport:
     """sin/cos quotient identities, evaluated exactly at binary64 points."""
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec = _Recorder("cheb-numeric")
     thetas = [0.1 + (3.0 - 0.1) * k / (points - 1) for k in range(points)]
     for n in range(nmax + 1):
         u_poly = cheby.cheb_U(n).poly
@@ -325,7 +324,7 @@ def suite_cheb_numeric(
             worst_t = max(worst_t, abs(t_val - math.cos(n * theta)))
         rec.close(f"u-sine/n{n}", worst_u, tol)
         rec.close(f"t-cosine/n{n}", worst_t, tol)
-    return _finish("cheb-numeric", rec, started)
+    return rec.report()
 
 
 def _random_gaussian(rng: random.Random, top: int = 3) -> GaussianRational:
@@ -385,8 +384,7 @@ def _matrix_powers(m: Mat2) -> Iterator[Mat2]:
 def suite_mat(
     count: int = 200, nmax: int = 32, seed: int = DEFAULT_SEED
 ) -> VerificationReport:
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec = _Recorder("mat-unit")
     rng = random.Random(f"{seed}:mat")
     zero = Mat2(*(GaussianRational() for _ in range(4)))
     for i in range(count):
@@ -424,12 +422,11 @@ def suite_mat(
         for j, b in enumerate(pauli.PAULI):
             expected = pauli.IDENTITY * (2 if i == j else 0)
             rec.equal(f"anticommutator/{i}{j}", expected, a * b + b * a)
-    return _finish("mat-unit", rec, started)
+    return rec.report()
 
 
 def suite_u2(nmax: int = DEFAULT_NMAX) -> VerificationReport:
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec = _Recorder("u2-triple")
     u, v = higher.u2_gens()
     zero, one = MultiPoly.zero(higher.UV), MultiPoly.one(higher.UV)
     reference = [zero, zero, one]  # U2_{-1}, U2_0, ... U2_{nmax+1}
@@ -463,12 +460,11 @@ def suite_u2(nmax: int = DEFAULT_NMAX) -> VerificationReport:
         companion ** 3,
         companion * companion * u - companion * v + 1,
     )
-    return _finish("u2-triple", rec, started)
+    return rec.report()
 
 
 def suite_hermite(order: int = 12) -> VerificationReport:
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec = _Recorder("hermite3")
     series = higher.hermite3_generating_series(order)
     for n in range(order + 1):
         h_n = higher.hermite3(n)
@@ -487,7 +483,7 @@ def suite_hermite(order: int = 12) -> VerificationReport:
                 },
             ),
         )
-    return _finish("hermite3", rec, started)
+    return rec.report()
 
 
 def suite_corrections() -> VerificationReport:
@@ -501,8 +497,7 @@ def suite_corrections() -> VerificationReport:
     3. M^n with +U_{n-2}(alpha)*I fails already at n = 2; the minus sign is
        forced by M^2 = 2*alpha*M - I for det-1 matrices.
     """
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec = _Recorder("corrections")
 
     unit = gcn.GcnUnit(Fraction(1), Fraction(1))
     phi = 1.0
@@ -557,7 +552,7 @@ def suite_corrections() -> VerificationReport:
         "power-sign/variant-fails", plus_variant != m * m, "mismatch", "equal"
     )
     rec.equal("power-sign/corrected-passes", m * m, pauli.mat_power(m, 2, "chebyshev"))
-    return _finish("corrections", rec, started)
+    return rec.report()
 
 
 def suite_all(

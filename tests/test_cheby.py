@@ -11,11 +11,9 @@ from gencheb.cheby import (
     cheb_U,
     cheb_unit,
     ode_apply,
-    root_values,
-    u_from_roots,
     u_ode_residual,
 )
-from gencheb.gcn import power_coeff_sequence
+from gencheb.gcn import GcnUnit, conjugate_roots, power_coeff_sequence, power_coeffs
 from gencheb.matrices import Mat2
 from gencheb.poly import MultiPoly
 
@@ -147,14 +145,19 @@ def test_sine_quotient_numeric():
     assert abs(t5 - math.cos(3.5)) < 1e-12
 
 
+def _roots(x: float) -> tuple[float, float]:
+    """H± = x ± sqrt(x^2 - 1): the numeric roots of the unit (-1, 2x)."""
+    return conjugate_roots(GcnUnit(-1, 2 * Fraction(x))).numeric()
+
+
 def test_root_derivative_numeric():
     # dH±/dx = ±H±/sqrt(x^2 - 1), finite differences at step 1e-6.
     step = 1e-6
     for k in range(20):
         x = 1.5 + 0.35 * k
-        plus, minus = root_values(x)
-        d_plus = (root_values(x + step)[0] - root_values(x - step)[0]) / (2 * step)
-        d_minus = (root_values(x + step)[1] - root_values(x - step)[1]) / (2 * step)
+        plus, minus = _roots(x)
+        d_plus = (_roots(x + step)[0] - _roots(x - step)[0]) / (2 * step)
+        d_minus = (_roots(x + step)[1] - _roots(x - step)[1]) / (2 * step)
         s = math.sqrt(x * x - 1)
         assert abs(d_plus - plus / s) < 1e-6 * max(1.0, abs(plus / s))
         assert abs(d_minus + minus / s) < 1e-6 * max(1.0, abs(minus / s))
@@ -164,7 +167,9 @@ def test_u_from_roots_real_branch():
     for n in (0, 1, 3, 8, 15):
         for x in (1.25, 2.0, 2.75):
             direct = cheb_U(n).poly.evaluate_float({"x": x})
-            assert abs(u_from_roots(n, x) - direct) < 1e-9 * max(1.0, abs(direct))
+            # U_n = B_{n+1} of the unit (-1, 2x), by the float closed form
+            u_n = power_coeffs(GcnUnit(-1, 2 * x), n + 1, "binet_float")[1]
+            assert abs(u_n - direct) < 1e-9 * max(1.0, abs(direct))
 
 
 def test_index_validation():
@@ -174,5 +179,3 @@ def test_index_validation():
         cheb_T(-3)
     with pytest.raises(ValueError):
         b_ode_residual(0)
-    with pytest.raises(ValueError):
-        root_values(0.5)

@@ -630,6 +630,18 @@ def test_shared_parser_holds_no_state_between_requests(capsys):
     assert _reply(capsys, ("--help",)) == (0, out, "")
 
 
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (("euler", "series", "--a", "1/0", "--b", "0", "--phi", "1"), "1/0"),
+        (("euler", "ode", "--a", "1", "--b", "2/0"), "2/0"),
+        (("mat", "pow", "--entries", "1/0,0;0,1", "--n", "2"), "1/0"),
+    ],
+)
+def test_zero_denominators_are_refused_by_name(capsys, args, text):
+    assert _reply(capsys, args) == (2, "", f"error: zero denominator in {text!r}\n")
+
+
 def test_numeric_roots_of_a_polynomial_unit_are_refused(capsys):
     args = ("gcn", "roots", "--a", "x", "--b", "1", "--numeric")
     assert _reply(capsys, args) == (

@@ -289,6 +289,7 @@ def test_exact_kernel_matches_the_path_it_replaces(name):
         (EXACT_MATRICES["int-det-not-1"], "22"),
         (EXACT_MATRICES["mixed-int-fraction"], "31/14"),
         (EXACT_MATRICES["zero"], "0"),
+        (Mat2(X, 1, 0, 1), "x"),
     ],
 )
 def test_chebyshev_refusal_text(m, det):

@@ -102,6 +102,13 @@ def test_parse_error_positions():
     assert info.value.position == MAX_NESTING
 
 
+def test_parse_refuses_duplicate_variable_names():
+    for text in ("x + 1", "1"):
+        with pytest.raises(ValueError) as info:
+            parse_poly(text, ("x", "x"))
+        assert str(info.value) == "duplicate variable names in ('x', 'x')"
+
+
 def test_parse_accepts_insignificant_whitespace_and_parens():
     assert parse_poly(" ( x + 1 ) * ( x - 1 ) ", ("x",)) == X * X - 1
     assert parse_poly("3/2 * x ^ 2", ("x",)) == MultiPoly(("x",), {(2,): Fraction(3, 2)})
