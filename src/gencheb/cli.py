@@ -28,6 +28,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -44,6 +45,9 @@ SCHEMA = 1
 # this many digits per number (50,000 digits convert in tens of ms), and
 # anything longer is refused with exit 2.
 MAX_DIGITS = 50_000
+_TOO_LONG = f"a number has more than {MAX_DIGITS} decimal digits, the most this program reads or prints"
+# A decimal with an exponent, as Fraction reads it: (mantissa, exponent).
+_EXPONENT_FORM = re.compile(r"\s*[-+]?(?=\.?\d)([\d_.]*)e([-+]?\d+(?:_\d+)*)\s*", re.I)
 
 
 def _int_from(text: str, least: int, words: str) -> int:
@@ -91,8 +95,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _check_digits(text: str) -> None:
+    """Refuse a decimal whose digits plus |exponent| exceed MAX_DIGITS, which
+    ``Fraction`` would expand into 10**exponent before any digit limit."""
+    match = _EXPONENT_FORM.fullmatch(text)
+    if match and sum(map(str.isdigit, match[1])) + abs(int(match[2])) > MAX_DIGITS:
+        raise ValueError(_TOO_LONG)
+
+
 def _rational(text: str) -> Fraction:
-    """``Fraction(text)``, with a zero denominator refused by name."""
+    """``Fraction(text)``, with a zero denominator and an overlong decimal refused."""
+    _check_digits(text)
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -101,6 +114,7 @@ def _rational(text: str) -> Fraction:
 
 def _scalar_or_poly(text: str, variables: tuple[str, ...]):
     """A CLI coefficient: plain rational if possible, else polynomial text."""
+    _check_digits(text)  # a refusal, not a cue to try the polynomial parser
     try:
         return _rational(text)
     except ValueError:
@@ -546,10 +560,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PolyParseError, ValueError, TypeError, ZeroDivisionError) as exc:
         message = str(exc)
         if "set_int_max_str_digits" in message:
-            message = (
-                f"a number has more than {MAX_DIGITS} decimal digits, the most "
-                "this program reads or prints; choose a smaller --n"
-            )
+            message = f"{_TOO_LONG}; choose a smaller --n"
         print(f"error: {message}", file=sys.stderr)
         return 2
     finally:

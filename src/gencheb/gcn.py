@@ -72,7 +72,7 @@ from operator import add, mul, neg
 from typing import Any, Iterator, Sequence
 
 from .matrices import Mat2, Mat3
-from .scalars import GaussianRational, _kind, _triple, _unchecked, power, zero_of
+from .scalars import GaussianRational, _from_numerators, _kind, _triple, _unchecked, power, zero_of
 
 __all__ = [
     "ConjugateRoots",
@@ -241,8 +241,6 @@ class Element:
     def __pow__(self, exponent: int) -> "Element":
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            raise ValueError("negative element powers are out of scope")
         if not exponent:
             zero = zero_of(*self.unit.coeffs, *self.coeffs)
             return self._new((zero + 1,) + (zero,) * (len(self.coeffs) - 1))
@@ -312,8 +310,6 @@ def unit_power(coeffs: Sequence[Any], n: int) -> tuple[Any, ...]:
     GaussianRational otherwise.  A unit with any other coefficient, such as
     a polynomial, is raised as an :class:`Element`.
     """
-    if n < 0:
-        raise ValueError("power index must be non-negative")
     triples = _exact_triples(coeffs)
     if triples is not None:  # an empty unit is refused below
         return _unscaled(*_integer_power(triples, n), n, _kind(coeffs))
@@ -344,7 +340,7 @@ def _integer_unit(triples: list) -> tuple[int, list]:
     return d, scaled
 
 
-def _unscaled(ps: Sequence[int], qs: Sequence[int] | None, d: int, n: int, kind: type) -> tuple:
+def _unscaled(ps: Sequence[int], qs: Sequence[int], d: int, n: int, kind: type) -> tuple:
     """h^n from g^n = sum (p_i + q_i*i) g^i, g = d*h: x_i = (p_i + q_i*i) / d^(n-i).
 
     y_i is 0 for i > n, so the exponent never falls below 0.  Each x_i is
@@ -352,11 +348,7 @@ def _unscaled(ps: Sequence[int], qs: Sequence[int] | None, d: int, n: int, kind:
     GaussianRational.
     """
     dens = [d ** max(n - i, 0) for i in range(len(ps))]
-    if kind is GaussianRational:
-        return tuple(map(_unchecked, ps, qs, dens))
-    if kind is Fraction:
-        return tuple(map(Fraction, ps, dens))
-    return tuple(ps)  # an integer unit has d = 1
+    return tuple(map(_from_numerators, repeat(kind), ps, qs, dens))
 
 
 def _pair_product(xs: tuple, ys: tuple, fold: list) -> tuple:
@@ -517,7 +509,7 @@ def _binet_exact(unit: GcnUnit, n: int) -> tuple[Fraction, Fraction]:
         return (pp + qq * e) >> 1, ((p1 + q1) * (p2 + q2) - pp - qq) >> 1
 
     p, q = power((b, 1), n, (2, 0), surd_product)
-    return _unscaled(((p - b * q) >> 1, q), None, d, n, Fraction)
+    return _unscaled(((p - b * q) >> 1, q), (0, 0), d, n, Fraction)
 
 
 def float_unit(unit: GcnUnit) -> tuple[float, float]:

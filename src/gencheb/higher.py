@@ -113,8 +113,6 @@ def cubic_power(u, v, n: int, method: str = "reduction") -> CubicPowerCoeffs:
     ``reduction`` iterates the coefficient recurrence; ``matrix`` raises the
     3x3 companion matrix to the n-th power and reads its first column.
     """
-    if n < 0:
-        raise ValueError("power index must be non-negative")
     if method == "reduction":
         return cubic_power_sequence(u, v, n)[-1]
     if method == "matrix":

@@ -100,8 +100,6 @@ class Mat3:
     def __pow__(self, exponent: int) -> "Mat3":
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            raise ValueError("negative matrix powers are not defined here")
         if not exponent:
             return self.identity_like()
         return power(self, exponent, None)

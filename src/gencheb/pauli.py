@@ -14,8 +14,9 @@ for any determinant, the scalar a_n standing for a_n*I as it does in
 are second-kind Chebyshev values, b_n = U_{n-1}(alpha) and
 a_n = -U_{n-2}(alpha), which is the closed form
 M^n = U_{n-1}(alpha) * M - U_{n-2}(alpha) * I.  The pair (a_n, b_n) is
-h^n in R[h]/(h^2 - 2*alpha*h + det M), computed by squaring there, so the
-closed form takes O(log n) scalar products, as plain squaring of M does.
+h^n in R[h]/(h^2 - 2*alpha*h + det M), computed by squaring there in
+O(log n) scalar products, with no U_n evaluated on its own: the
+``chebyshev`` route is ``general_recurrence`` refusing det M != 1.
 
 The Pauli coordinates are Gaussian rationals, so the beta2 component of a
 real matrix is exact (s2 itself has imaginary entries).  The powers take
@@ -23,11 +24,11 @@ any entries that the ring operations take.  When all four are exact
 scalars (int, Fraction or GaussianRational), the ``chebyshev`` and
 ``general_recurrence`` routes run on integer numerators, as
 :func:`gencheb.gcn.unit_power` does: with d the lcm of the denominators of
-the reduced det and trace, g = d*h is raised on int pairs by
-``gcn._integer_power``, and each entry of M^n is built once from it, with
-no a_n, b_n or matrix pass in between.  The det and trace must be reduced
-first, since every extra factor of d is raised to the n-th power.  Any
-other entry, such as a polynomial, takes ``m * b_n + a_n``.
+``m.det()`` and ``m.m11 + m.m22`` (reduced, as every exact scalar is, so d
+holds no extra factor to raise to the n-th power), g = d*h is raised on
+int pairs by ``gcn._integer_power``, and each entry of M^n is built once
+from it, with no a_n, b_n or matrix pass in between.  Any other entry,
+such as a polynomial, takes ``m * b_n + a_n``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Iterable, Sequence
 
 from .gcn import _exact_triples, _integer_power, unit_power
 from .matrices import Mat2
-from .scalars import GaussianRational, _kind, _unchecked
+from .scalars import GaussianRational, _from_numerators, _kind, _triple
 
 __all__ = [
     "BenchRecord",
@@ -120,41 +121,27 @@ def quadratic_residual(m: Mat2) -> Mat2:
 def mat_power(m: Mat2, n: int, method: str = "squaring") -> Mat2:
     """M^n by the chosen method; all applicable methods agree exactly.
 
-    ``chebyshev`` requires det(M) = 1 and is the closed form
-    U_{n-1}(alpha)*M - U_{n-2}(alpha)*I; ``general_recurrence`` handles any
-    determinant through the unit (-det M, 2*alpha); ``squaring`` is plain
-    exponentiation by squaring.  The first two build M^n = b_n*M + a_n of a
-    matrix of exact scalars (int, Fraction or GaussianRational) on integer
-    numerators (:func:`_exact_power`); a matrix with any other entry, such
-    as a polynomial, takes ``m * b_n + a_n`` from :func:`unit_power`.
+    ``general_recurrence`` handles any determinant through the unit
+    (-det M, 2*alpha); ``chebyshev`` is the same unit power refusing
+    det(M) != 1, not an evaluation of U_{n-1}(alpha) and U_{n-2}(alpha);
+    ``squaring`` is plain exponentiation by squaring.  The first two build
+    M^n = b_n*M + a_n of a matrix of exact scalars (int, Fraction or
+    GaussianRational) on integer numerators (:func:`_exact_power`); a matrix
+    with any other entry, such as a polynomial, takes ``m * b_n + a_n`` from
+    :func:`unit_power`.
     """
-    if n < 0:
-        raise ValueError("power index must be non-negative")
     if method == "squaring":
         return m ** n
     if method not in POWER_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {POWER_METHODS}")
-    triples = _exact_triples(m.entries())
-    det, trace = (m.det(), m.m11 + m.m22) if triples is None else _det_trace(triples)
+    det, trace = m.det(), m.m11 + m.m22  # exact scalars are reduced
     if method == "chebyshev" and det != 1:
         raise ValueError(f"the Chebyshev closed form needs determinant 1, got {det}")
+    triples = _exact_triples(m.entries())
     if triples is not None:
-        return _exact_power(m, triples, det._t, trace._t, n)
+        return _exact_power(m, triples, _triple(det), _triple(trace), n)
     a_n, b_n = unit_power((-det, trace), n)  # 2*alpha is the trace
     return m * b_n + a_n
-
-
-def _det_trace(triples: list) -> tuple[GaussianRational, GaussianRational]:
-    """det M and tr M, reduced, for entries (p_ij + q_ij*i)/e_ij."""
-    (p1, q1, e1), (p2, q2, e2), (p3, q3, e3), (p4, q4, e4) = triples
-    e14, e23 = e1 * e4, e2 * e3
-    det = (
-        (p1 * p4 - q1 * q4) * e23 - (p2 * p3 - q2 * q3) * e14,
-        (p1 * q4 + q1 * p4) * e23 - (p2 * q3 + q2 * p3) * e14,
-        e14 * e23,
-    )
-    trace = (p1 * e4 + p4 * e1, q1 * e4 + q4 * e1, e14)
-    return _unchecked(*det), _unchecked(*trace)
 
 
 def _exact_power(m: Mat2, triples: list, det: tuple, trace: tuple, n: int) -> Mat2:
@@ -175,12 +162,7 @@ def _exact_power(m: Mat2, triples: list, det: tuple, trace: tuple, n: int) -> Ma
         re, im = y1p * p - y1q * q, y1p * q + y1q * p
         if k in (0, 3):
             re, im = re + y0p * e, im + y0q * e
-        if kind is GaussianRational:
-            entries.append(_unchecked(re, im, dn * e))
-        elif kind is Fraction:
-            entries.append(Fraction(re, dn * e))
-        else:  # an int matrix has d = e = 1
-            entries.append(re)
+        entries.append(_from_numerators(kind, re, im, dn * e))
     return m._new((tuple(entries[:2]), tuple(entries[2:])))
 
 

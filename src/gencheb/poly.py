@@ -335,8 +335,6 @@ class MultiPoly:
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            raise ValueError("negative polynomial powers are not defined")
         return power(self, exponent, _constant(self._variables, 1))
 
     # -- calculus and rebasing ----------------------------------------------

@@ -18,8 +18,8 @@ evaluation happens in the consumers, never in the exact core.
 
 Two ring-generic helpers live here, at the bottom layer, so that every
 other type uses them: :func:`power` is the library's one square-and-multiply
-loop (every ``**`` and ``gcn.unit_power``), and :func:`zero_of` the zero of
-whatever ring some values live in.
+loop (every ``**`` and ``gcn.unit_power``) and its one refusal of n < 0,
+and :func:`zero_of` the zero of whatever ring some values live in.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ def power(base, n: int, one, _mul=mul):
     returns.  The bits of ``n`` are read from the top down, so every
     multiply is by ``base`` itself, usually far smaller than the result.
     """
+    if n < 0:
+        raise ValueError("power index must be non-negative")
     if n == 0:
         return one
     result = base
@@ -91,6 +93,13 @@ def _kind(values) -> type:
     if GaussianRational in kinds:
         return GaussianRational
     return Fraction if any(issubclass(k, Fraction) for k in kinds) else int
+
+
+def _from_numerators(kind: type, p: int, q: int, d: int):
+    """``(p + q*i)/d`` as a :func:`_kind`; a Fraction needs q = 0, an int also d = 1."""
+    if kind is GaussianRational:
+        return _unchecked(p, q, d)
+    return Fraction(p, d) if kind is Fraction else p
 
 
 def _unchecked(p: int, q: int, d: int) -> "GaussianRational":

@@ -6,6 +6,8 @@ import random
 import re
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -640,6 +642,38 @@ def test_shared_parser_holds_no_state_between_requests(capsys):
 )
 def test_zero_denominators_are_refused_by_name(capsys, args, text):
     assert _reply(capsys, args) == (2, "", f"error: zero denominator in {text!r}\n")
+
+
+_TEXT_NUMBER_REQUESTS = (
+    lambda x: ("gcn", "power", "--a", x, "--b", "1", "--n", "2"),
+    lambda x: ("euler", "closed", "--a", x, "--b", "0", "--phi", "1"),
+    lambda x: ("mat", "pow", "--entries", f"{x},0;0,1", "--n", "2"),
+)
+
+
+@pytest.mark.parametrize("request_of", _TEXT_NUMBER_REQUESTS)
+@pytest.mark.parametrize("text", ["1e20000000", "1e-20000000"])
+def test_a_large_decimal_exponent_is_refused_before_it_is_expanded(
+    capsys, request_of, text
+):
+    # Fraction would build 10**20000000 first; the digits plus |exponent|
+    # are counted off the text instead.
+    start = time.perf_counter()
+    reply = _reply(capsys, request_of(text))
+    assert time.perf_counter() - start < 1
+    assert reply == (
+        2,
+        "",
+        f"error: a number has more than {cli.MAX_DIGITS} decimal digits, the "
+        "most this program reads or prints\n",
+    )
+
+
+def test_a_decimal_exponent_within_the_digit_cap_parses(capsys):
+    assert cli._rational("1e49990") == 10 ** 49990
+    assert cli._scalar_or_poly("-1e-49990", ("x",)) == Fraction(-1, 10 ** 49990)
+    code, out, err = _reply(capsys, ("mat", "pow", "--entries", "1e49990,0;0,1", "--n", "1"))
+    assert (code, err) == (0, "") and "0" * 49990 in out
 
 
 def test_numeric_roots_of_a_polynomial_unit_are_refused(capsys):

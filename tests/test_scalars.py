@@ -9,10 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from gencheb.gcn import GcnElement, GcnUnit, Surd
+from gencheb.gcn import GcnElement, GcnUnit, Surd, power_coeffs, unit_power
+from gencheb.higher import cubic_power
 from gencheb.matrices import Mat2, Mat3
+from gencheb.pauli import mat_power
 from gencheb.poly import MultiPoly, gens
 from gencheb.scalars import BigRational, GaussianRational, _kind, zero_of
+from gencheb.series import TruncatedSeries
 
 
 def test_big_rational_is_reduced_with_positive_denominator():
@@ -265,6 +268,38 @@ def test_power_is_repeated_product(x, identity):
     else:
         with pytest.raises(ValueError):
             x ** -1
+
+
+_X, = gens("x")
+_UNIT = GcnUnit(Fraction(1, 2), 1)
+_DET_1 = Mat2(2, 1, 1, 1)
+# Every entry point that raises something to a power n.
+_POWERS = {
+    "GcnElement": lambda n: GcnElement(_UNIT, 1, 2) ** n,
+    "Surd": lambda n: Surd(1, 1, 2) ** n,
+    "TruncatedSeries": lambda n: TruncatedSeries(("x",), [1, _X]) ** n,
+    "Mat2": lambda n: _DET_1 ** n,
+    "Mat3": lambda n: Mat3(((1, 0, 0), (0, 1, 0), (0, 0, 1))) ** n,
+    "MultiPoly": lambda n: (_X + 1) ** n,
+    "unit_power-exact": functools.partial(unit_power, (Fraction(1, 2), 1)),
+    "unit_power-polynomial": functools.partial(unit_power, (1, _X)),
+}
+for _method in ("recurrence", "matrix", "binet", "binet_float"):
+    _POWERS[f"power_coeffs-{_method}"] = functools.partial(
+        power_coeffs, _UNIT, method=_method
+    )
+for _method in ("chebyshev", "squaring", "general_recurrence"):
+    _POWERS[f"mat_power-{_method}"] = functools.partial(mat_power, _DET_1, method=_method)
+for _method in ("reduction", "matrix"):
+    _POWERS[f"cubic_power-{_method}"] = functools.partial(cubic_power, 1, 2, method=_method)
+
+
+@pytest.mark.parametrize("raise_to", _POWERS.values(), ids=_POWERS.keys())
+def test_every_power_refuses_a_negative_index_in_one_message(raise_to):
+    raise_to(2)  # the entry point works at n >= 0
+    with pytest.raises(ValueError) as info:
+        raise_to(-1)
+    assert str(info.value) == "power index must be non-negative"
 
 
 def test_kind_matches_the_zero_of_every_mix_of_exact_scalars():
