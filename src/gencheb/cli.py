@@ -48,6 +48,8 @@ MAX_DIGITS = 50_000
 _TOO_LONG = f"a number has more than {MAX_DIGITS} decimal digits, the most this program reads or prints"
 # A decimal with an exponent, as Fraction reads it: (mantissa, exponent).
 _EXPONENT_FORM = re.compile(r"\s*[-+]?(?=\.?\d)([\d_.]*)e([-+]?\d+(?:_\d+)*)\s*", re.I)
+# One number's digits, as int and Fraction read them: "_" and "." may split them.
+_DIGIT_RUN = re.compile(r"[\d_.]+")
 
 
 def _int_from(text: str, least: int, words: str) -> int:
@@ -96,10 +98,13 @@ def _tolerance(text: str) -> float:
 
 
 def _check_digits(text: str) -> None:
-    """Refuse a decimal whose digits plus |exponent| exceed MAX_DIGITS, which
-    ``Fraction`` would expand into 10**exponent before any digit limit."""
+    """Refuse a number of more than MAX_DIGITS digits in the text, and a
+    decimal whose digits plus |exponent| exceed it, which ``Fraction`` would
+    expand into 10**exponent before any digit limit."""
     match = _EXPONENT_FORM.fullmatch(text)
     if match and sum(map(str.isdigit, match[1])) + abs(int(match[2])) > MAX_DIGITS:
+        raise ValueError(_TOO_LONG)
+    if any(sum(map(str.isdigit, run)) > MAX_DIGITS for run in _DIGIT_RUN.findall(text)):
         raise ValueError(_TOO_LONG)
 
 

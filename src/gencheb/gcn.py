@@ -422,14 +422,22 @@ class Surd(Element):
     delta = property(lambda self: self.unit.coeffs[0])
 
     def numeric(self) -> float | complex:
-        """Floating value; complex when delta < 0."""
+        """The nearest float to the value; complex when delta < 0.
+
+        The value is rounded once from exact rationals, so no float
+        subtraction cancels; for delta < 0 the real part p and the
+        imaginary part q*sqrt(-delta) are each rounded.  A surd with p, q or
+        delta beyond the float range is refused, as is one whose value is.
+        """
+        p, q, delta = map(_real, (self.p, self.q, self.delta))
         try:
-            p, q, d = float(self.p), float(self.q), float(self.delta)
+            for part in (p, q, delta):
+                float(part)
+            if delta >= 0:
+                return _rounded_surd(p, q, delta)
+            return complex(float(p), _rounded_surd(Fraction(0), q, -delta))
         except OverflowError:
             raise ValueError("the surd lies beyond the float range") from None
-        if d >= 0:
-            return p + q * math.sqrt(d)
-        return complex(p, q * math.sqrt(-d))
 
     def __str__(self) -> str:
         if self.q == 0:
@@ -440,6 +448,43 @@ class Surd(Element):
             negative = False
         sign, q = ("-", -self.q) if negative else ("+", self.q)
         return f"{self.p} {sign} {q}*sqrt({self.delta})"
+
+
+def _real(value: Any) -> Fraction:
+    """An exact real scalar as a Fraction; TypeError for anything else."""
+    triple = _triple(value)
+    if triple is None or triple[1]:
+        raise TypeError(f"a numeric surd needs real rational parts, not {value}")
+    return Fraction(triple[0], triple[2])
+
+
+def _rounded_surd(p: Fraction, q: Fraction, delta: Fraction) -> float:
+    """The nearest float to p + q*sqrt(delta), for delta >= 0.
+
+    sqrt(delta) = sqrt(m)/d with m = n*d for delta = n/d.  A rational root
+    is exact; otherwise s = isqrt(m * 4^k) brackets sqrt(m) * 2^k in
+    [s, s + 1), so the value lies between two rationals over one
+    denominator, and k doubles until both round to the same float.  Int
+    true division rounds correctly and rounding is monotone, so that float
+    is the value's.  An irrational value is no float and no midpoint of
+    two, so the loop ends.
+    """
+    d = delta.denominator
+    m = delta.numerator * d
+    root = math.isqrt(m)
+    if root * root == m:
+        return float(p + q * Fraction(root, d))
+    a, b = p.numerator, p.denominator
+    c, e = q.numerator, q.denominator
+    k = 64
+    while True:
+        s = math.isqrt(m << (2 * k))
+        base = (a * e * d << k) + c * b * s
+        denominator = b * e * d << k
+        low = base / denominator
+        if low == (base + c * b) / denominator:
+            return low
+        k *= 2
 
 
 @dataclass(frozen=True)

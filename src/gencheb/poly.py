@@ -20,11 +20,23 @@ construction; every operation returns a new polynomial.
 
 The public constructor validates its input; the ring operations build
 their results through an unchecked internal constructor instead, since
-their terms are canonical by construction.  The product loop writes out
-the exponent sums for one and two variables, the widths of ``U_n``/``T_n``
-and of ``U2_n``, because building each sum tuple with ``map`` costs several
-times the coefficient arithmetic of a term; other widths share one generic
-loop.
+their terms are canonical by construction.
+
+A product has two kernels.  A dense product of integer polynomials is done
+by Kronecker substitution (Harvey, J. Symb. Comp. 44, 2009): each operand
+is packed into one int, with a slot of fixed width per monomial of the
+product's exponent box, the two ints are multiplied once, in C, and the
+slots are read back through ``int.to_bytes``.  It applies when every
+coefficient is an ``int``, the operands have at least ``_PACKED_PAIRS``
+pairs of terms, and there are at least ``_PACKED_DENSITY`` pairs per
+monomial of the box, so the box never outgrows the work of the term loop
+(``(x^1000000 + 1)^2`` keeps the loop).  Every other product, with
+``Fraction`` or ``GaussianRational`` coefficients or small or sparse
+operands, runs the term loop, one Python step per pair of terms.  That loop
+writes out the exponent sums for one and two variables, the widths of
+``U_n``/``T_n`` and of ``U2_n``, because building each sum tuple with
+``map`` costs several times the coefficient arithmetic of a term; other
+widths share one generic loop.
 
 Two polynomials only combine when their variable tuples are identical.
 Mixing different variable lists raises instead of silently capturing symbols;
@@ -51,9 +63,10 @@ has no imaginary literal.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping
 
 from . import scalars
@@ -64,6 +77,14 @@ __all__ = ["MultiPoly", "PolyParseError", "gens", "parse_poly"]
 Exponents = tuple[int, ...]
 
 MAX_NESTING = 100
+
+# An integer product takes the packed path (module docstring) when it has
+# at least _PACKED_PAIRS pairs of terms and at least _PACKED_DENSITY pairs
+# per monomial of its exponent box.  Below either, the packing and reading
+# back of the box cost more than the term loop saves (measured on dense
+# one- and two-variable products).
+_PACKED_PAIRS = 256
+_PACKED_DENSITY = 4
 
 _SCALARS = (int, Fraction, GaussianRational)
 ScalarLike = int | Fraction | GaussianRational
@@ -122,6 +143,71 @@ def _fold_into(
             out[exps] = total if type(total) is int else _canonical(total)
         else:
             out.pop(exps, None)
+
+
+def _packed_box(
+    left: dict[Exponents, ScalarLike], right: dict[Exponents, ScalarLike], pairs: int
+) -> list[int] | None:
+    """The extents of the product's exponent box, if it takes the packed path.
+
+    None (use the term loop) unless every coefficient is an int and the
+    ``pairs`` pairs of terms number at least ``_PACKED_DENSITY`` times the
+    box, which also bounds the packed size by ``pairs``.
+    """
+    sizes = [a + b + 1 for a, b in zip(map(max, zip(*left)), map(max, zip(*right)))]
+    if pairs < _PACKED_DENSITY * math.prod(sizes):
+        return None
+    kinds = set(map(type, left.values()))
+    kinds.update(map(type, right.values()))
+    return sizes if kinds == {int} else None
+
+
+def _packed_product(
+    left: dict[Exponents, int], right: dict[Exponents, int], sizes: list[int]
+) -> dict[Exponents, int]:
+    """The product of two integer term maps by Kronecker substitution.
+
+    Each map becomes one int with a slot of ``width`` bytes per monomial of
+    the exponent box with extents ``sizes`` (the last variable has stride
+    one slot), so one int product, done in C, forms every coefficient.  A
+    product coefficient is at most ``bound`` in size, and
+    ``half = 2^(8*width - 1)`` exceeds it, so adding ``half`` to every slot
+    makes each slot's content nonnegative and below ``2^(8*width)``: the
+    slots read back exactly, with no borrow between them.
+    """
+    bound = min(len(left), len(right))
+    bound *= max(map(abs, left.values())) * max(map(abs, right.values()))
+    width = (bound.bit_length() + 8) // 8
+    strides = []
+    size = width
+    for extent in reversed(sizes):
+        strides.append(size)
+        size *= extent
+    strides.reverse()
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * (size // width), "little")
+    packed = _pack(left, strides, width, size) * _pack(right, strides, width, size)
+    data = (packed + bias).to_bytes(size, "little")
+    from_bytes = int.from_bytes
+    return {
+        exps: c
+        for exps, at in zip(itertools.product(*map(range, sizes)), range(0, size, width))
+        if (c := from_bytes(data[at : at + width], "little") - half)
+    }
+
+
+def _pack(
+    terms: dict[Exponents, int], strides: list[int], width: int, size: int
+) -> int:
+    """The sum of c * 256^offset(e) over the terms, offsets in bytes."""
+    positive, negative = bytearray(size), bytearray(size)
+    for exps, c in terms.items():
+        at = sum(map(mul, exps, strides))
+        if c > 0:
+            positive[at : at + width] = c.to_bytes(width, "little")
+        else:
+            negative[at : at + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
 
 def _constant(variables: tuple[str, ...], value: ScalarLike) -> "MultiPoly":
@@ -291,6 +377,12 @@ class MultiPoly:
             return self._scaled(next(iter(rhs._terms.values()), 0))
         if self.is_constant():
             return rhs._scaled(next(iter(self._terms.values()), 0))
+        pairs = len(self._terms) * len(rhs._terms)
+        if pairs >= _PACKED_PAIRS:
+            sizes = _packed_box(self._terms, rhs._terms, pairs)
+            if sizes:
+                packed = _packed_product(self._terms, rhs._terms, sizes)
+                return _unchecked(self._variables, packed)
         out: dict[Exponents, ScalarLike] = {}
         get = out.get
         right = list(rhs._terms.items())

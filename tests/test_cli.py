@@ -669,11 +669,36 @@ def test_a_large_decimal_exponent_is_refused_before_it_is_expanded(
     )
 
 
+@pytest.mark.parametrize("request_of", _TEXT_NUMBER_REQUESTS)
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 60_000, "9" * 50_001, "1/" + "7" * 60_000, "1.5" + "0" * 60_000],
+    ids=["ones", "nines", "denominator", "decimal"],
+)
+def test_an_input_number_over_the_digit_cap_is_refused_as_input(capsys, request_of, text):
+    # The refusal names the input, not --n: the interpreter's own digit
+    # limit would otherwise be reported as an output that grew too long.
+    assert _reply(capsys, request_of(text)) == (
+        2,
+        "",
+        f"error: a number has more than {cli.MAX_DIGITS} decimal digits, the "
+        "most this program reads or prints\n",
+    )
+
+
 def test_a_decimal_exponent_within_the_digit_cap_parses(capsys):
     assert cli._rational("1e49990") == 10 ** 49990
     assert cli._scalar_or_poly("-1e-49990", ("x",)) == Fraction(-1, 10 ** 49990)
     code, out, err = _reply(capsys, ("mat", "pow", "--entries", "1e49990,0;0,1", "--n", "1"))
     assert (code, err) == (0, "") and "0" * 49990 in out
+
+
+def test_numeric_roots_are_printed_correctly_rounded(capsys):
+    # The float formula (b - sqrt(b^2 + 4a))/2 printed -1.000000082740371e-10.
+    args = ("gcn", "roots", "--a", "1/10000000000", "--b", "1", "--numeric")
+    code, out, err = _reply(capsys, args)
+    assert (code, err) == (0, "")
+    assert "h_plus_numeric = 1.0000000001\nh_minus_numeric = -9.999999999e-11\n" in out
 
 
 def test_numeric_roots_of_a_polynomial_unit_are_refused(capsys):

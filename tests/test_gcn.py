@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import islice
@@ -375,3 +376,62 @@ def test_views_match_pair_formula_reference():
     for product in (view * plain, plain * view):
         assert product.coeffs == want
     assert type(view * plain) is GcnElement and (view * plain) == (plain * view)
+
+
+def _surd_sign(x: Fraction, y: Fraction, delta: Fraction) -> int:
+    """The sign of x + y*sqrt(delta), exactly, for delta >= 0."""
+    signs = {(x > 0) - (x < 0), (y > 0) - (y < 0) if delta else 0} - {0}
+    if len(signs) < 2:
+        return signs.pop() if signs else 0
+    # x and y*sqrt(delta) have opposite signs: the larger square wins.
+    return (x > 0) - (x < 0) if x * x > y * y * delta else (y > 0) - (y < 0)
+
+
+def _assert_nearest(got: float, p: Fraction, q: Fraction, delta: Fraction):
+    """p + q*sqrt(delta) lies within half a float spacing on each side of got."""
+    assert type(got) is float
+    here = Fraction(got)
+    for toward in (-math.inf, math.inf):
+        midpoint = (here + Fraction(math.nextafter(got, toward))) / 2
+        # The value minus the midpoint must not have the sign of toward.
+        side = _surd_sign(p - midpoint, q, delta)
+        assert side * toward <= 0, (got, p, q, delta)
+
+
+def _assert_roots_rounded(unit: GcnUnit):
+    roots = conjugate_roots(unit)
+    delta = unit.discriminant
+    for surd, got in zip((roots.h_plus, roots.h_minus), roots.numeric()):
+        p, q = Fraction(surd.p), Fraction(surd.q)
+        if delta >= 0:
+            _assert_nearest(got, p, q, delta)
+        else:
+            assert type(got) is complex
+            _assert_nearest(got.real, p, Fraction(0), Fraction(0))
+            _assert_nearest(got.imag, Fraction(0), q, -delta)
+
+
+def test_numeric_roots_are_correctly_rounded():
+    # b - sqrt(b^2 + 4a) cancels in floats: the old float formula gave
+    # -1.000000082740371e-10 for the smaller root.
+    tiny = GcnUnit(Fraction(1, 10**10), Fraction(1))
+    assert conjugate_roots(tiny).numeric() == (1.0000000001, -9.999999999e-11)
+    _assert_roots_rounded(tiny)
+    rng = random.Random(20261019)
+    kinds = {"positive": 0, "negative": 0, "zero": 0}
+    for i in range(200):
+        b = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        if i % 4 == 0:
+            a = -b * b / 4  # a double root
+        else:
+            a = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+            a *= Fraction(10) ** rng.randint(-12, 12)
+        unit = GcnUnit(a, b)
+        delta = unit.discriminant
+        kinds["zero" if delta == 0 else "positive" if delta > 0 else "negative"] += 1
+        _assert_roots_rounded(unit)
+    assert min(kinds.values()) >= 40
+    # A rational square root is exact, and a surd past the float range is refused.
+    assert conjugate_roots(GcnUnit(Fraction(2), Fraction(1))).numeric() == (2.0, -1.0)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        conjugate_roots(GcnUnit(Fraction(10**800), Fraction(0))).numeric()

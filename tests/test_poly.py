@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gencheb import poly
 from gencheb.poly import MAX_NESTING, MultiPoly, PolyParseError, gens, parse_poly
 from gencheb.scalars import GaussianRational
 
@@ -366,3 +367,99 @@ def test_canonical_forms_and_identity_scaling():
     assert parse_poly(norm.render(), ("x",)) == norm
     i_x = MultiPoly(("x",), {(1,): GaussianRational(Fraction(0), Fraction(1))})
     assert i_x ** 2 == -X ** 2
+
+
+# -- packed (Kronecker) product against a plain-dict schoolbook ----------------
+
+
+def schoolbook(a, b):
+    """The product of two int term maps, one step per pair of terms."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def full_box(names, side, coeff):
+    """coeff times every monomial with each exponent below ``side``."""
+    exps = itertools.product(range(side), repeat=len(names))
+    return MultiPoly(names, {e: coeff(e) for e in exps})
+
+
+# A box side per width whose full box has enough pairs per product monomial.
+PACKED_SIDES = {1: 32, 2: 6, 3: 3, 4: 3}
+
+
+@WIDTHS
+def test_packed_products_match_schoolbook(names, monkeypatch):
+    rng = random.Random(20261019)
+    side = PACKED_SIDES[len(names)]
+    count = side ** len(names)
+    # c times a full box squared: the central coefficient count * c^2 meets
+    # the size bound of the slots.  With a bit length that is a multiple of
+    # 8, a slot one bit too narrow cannot hold it.
+    tight = [math.isqrt(((1 << bits) - 1) // count) for bits in (16, 608)]
+    assert [(count * c * c).bit_length() for c in tight] == [16, 608]
+    cases = [(full_box(names, side, lambda e, c=c: c),) * 2 for c in tight]
+    for bits in (4, 64, 400):
+        def draw(e, bits=bits):
+            return rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+
+        p, q = full_box(names, side, draw), full_box(names, side, draw)
+        cases.append((p, q))
+        cases.append((p, -p))
+        # p(-x0, ...) * p(x0, ...) is even in x0: every odd power of x0
+        # cancels to zero in the packed slots.
+        mirror = MultiPoly(names, {e: (-1) ** e[0] * c for e, c in p._terms.items()})
+        cases.append((p, mirror))
+    calls = []
+    real = poly._packed_product
+
+    def spy(left, right, sizes):
+        calls.append(sizes)
+        return real(left, right, sizes)
+
+    monkeypatch.setattr(poly, "_packed_product", spy)
+    for p, q in cases:
+        got = p * q
+        want = schoolbook(p._terms, q._terms)
+        assert got._terms == want
+        assert_canonical(got)
+    assert len(calls) == len(cases)
+    for c, (p, _) in zip(tight, cases):
+        assert max((p * p)._terms.values()) == count * c * c
+    assert not any(e[0] % 2 for e in (cases[-1][0] * cases[-1][1])._terms)
+
+
+def test_products_the_packed_path_refuses_use_the_term_loop(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("packed path taken")
+
+    monkeypatch.setattr(poly, "_packed_product", refuse)
+    rng = random.Random(7)
+    # Sparse operands in a wide box: 20 x 20 pairs of terms, far below
+    # four per monomial of the box.
+    sparse = [
+        MultiPoly(("x",), {(rng.randrange(10**6),): rng.randint(1, 9) for _ in range(20)})
+        for _ in range(2)
+    ]
+    assert sparse[0] * sparse[1] == MultiPoly(
+        ("x",), schoolbook(sparse[0]._terms, sparse[1]._terms)
+    )
+    x_big = MultiPoly(("x",), {(10**6,): 1, (0,): 1})
+    assert (x_big * x_big)._terms == {(2 * 10**6,): 1, (10**6,): 2, (0,): 1}
+    # One-term and small operands.
+    dense = full_box(("u", "v"), 20, lambda e: e[0] - e[1] + 1)
+    monomial = MultiPoly(("u", "v"), {(3, 1): -5})
+    assert (monomial * dense)._terms == schoolbook(monomial._terms, dense._terms)
+    small = full_box(("u", "v"), 3, lambda e: e[0] + 2)
+    assert (small * small)._terms == schoolbook(small._terms, small._terms)
+    # Dense products with a Fraction or GaussianRational coefficient.
+    for odd in (Fraction(1, 3), GaussianRational(Fraction(1, 2), 1)):
+        mixed = dense + MultiPoly(("u", "v"), {(1, 1): odd})
+        want = ref_mul(mixed.terms, dense.terms)
+        assert (mixed * dense).terms == want
+        assert (dense * mixed).terms == want
+        assert_canonical(mixed * dense)
