@@ -426,13 +426,11 @@ class Surd(Element):
 
         The value is rounded once from exact rationals, so no float
         subtraction cancels; for delta < 0 the real part p and the
-        imaginary part q*sqrt(-delta) are each rounded.  A surd with p, q or
-        delta beyond the float range is refused, as is one whose value is.
+        imaginary part q*sqrt(-delta) are each rounded.  Only a value beyond
+        the float range is refused; its parts may lie beyond it.
         """
         p, q, delta = map(_real, (self.p, self.q, self.delta))
         try:
-            for part in (p, q, delta):
-                float(part)
             if delta >= 0:
                 return _rounded_surd(p, q, delta)
             return complex(float(p), _rounded_surd(Fraction(0), q, -delta))

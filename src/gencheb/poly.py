@@ -22,21 +22,27 @@ The public constructor validates its input; the ring operations build
 their results through an unchecked internal constructor instead, since
 their terms are canonical by construction.
 
-A product has two kernels.  A dense product of integer polynomials is done
-by Kronecker substitution (Harvey, J. Symb. Comp. 44, 2009): each operand
-is packed into one int, with a slot of fixed width per monomial of the
-product's exponent box, the two ints are multiplied once, in C, and the
-slots are read back through ``int.to_bytes``.  It applies when every
-coefficient is an ``int``, the operands have at least ``_PACKED_PAIRS``
-pairs of terms, and there are at least ``_PACKED_DENSITY`` pairs per
-monomial of the box, so the box never outgrows the work of the term loop
-(``(x^1000000 + 1)^2`` keeps the loop).  Every other product, with
-``Fraction`` or ``GaussianRational`` coefficients or small or sparse
-operands, runs the term loop, one Python step per pair of terms.  That loop
-writes out the exponent sums for one and two variables, the widths of
-``U_n``/``T_n`` and of ``U2_n``, because building each sum tuple with
-``map`` costs several times the coefficient arithmetic of a term; other
-widths share one generic loop.
+A product has three kernels, after a constant operand has scaled the
+other.  When either operand has one term c*x^m, each term of the other is
+relabelled in one pass, a*x^e -> (a*c)*x^(e+m): no two terms meet and none
+cancels, so nothing is accumulated.  Every step of the unit walks of
+``U_n``/``T_n`` and of ``U2_n``, whose unit coefficients have one term, and
+of the generating-series inverse multiplies this way.  A dense product of
+integer polynomials is done by Kronecker substitution (Harvey, J. Symb.
+Comp. 44, 2009): each operand is packed into one int, with a slot of fixed
+width per monomial of the product's exponent box, the two ints are
+multiplied once, in C, and the slots are read back through
+``int.to_bytes``.  It applies when every coefficient is an ``int``, the
+operands have at least ``_PACKED_PAIRS`` pairs of terms, and there are at
+least ``_PACKED_DENSITY`` pairs per monomial of the box, so the box never
+outgrows the work of the term loop (``(x^1000000 + 1)^2`` keeps the loop).
+Every other product, with ``Fraction`` or ``GaussianRational``
+coefficients or small or sparse operands, runs the term loop, one Python
+step per pair of terms.  The loop and the one-term kernel write out the
+exponent sums for one and two variables, the widths of ``U_n``/``T_n`` and
+of ``U2_n``, because building each sum tuple with ``map`` costs several
+times the coefficient arithmetic of a term; other widths share one generic
+form.
 
 Two polynomials only combine when their variable tuples are identical.
 Mixing different variable lists raises instead of silently capturing symbols;
@@ -210,6 +216,35 @@ def _pack(
     return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
 
+def _term_product(
+    terms: dict[Exponents, ScalarLike], monomial: dict[Exponents, ScalarLike]
+) -> dict[Exponents, ScalarLike]:
+    """``terms`` times the one term c*x^m of ``monomial``, in one pass.
+
+    Adding m maps distinct monomials to distinct monomials, and a product
+    of nonzero exact scalars is nonzero, so no two terms meet and none
+    cancels: each term is relabelled and scaled, with no accumulation.
+    """
+    ((m, c),) = monomial.items()
+    width = len(m)
+    if width == 1:
+        (m0,) = m
+        return {
+            (x + m0,): p if type(p := a * c) is int else _canonical(p)
+            for (x,), a in terms.items()
+        }
+    if width == 2:
+        m0, m1 = m
+        return {
+            (x0 + m0, x1 + m1): p if type(p := a * c) is int else _canonical(p)
+            for (x0, x1), a in terms.items()
+        }
+    return {
+        tuple(map(add, e, m)): p if type(p := a * c) is int else _canonical(p)
+        for e, a in terms.items()
+    }
+
+
 def _constant(variables: tuple[str, ...], value: ScalarLike) -> "MultiPoly":
     return _unchecked(variables, {(0,) * len(variables): value} if value else {})
 
@@ -345,6 +380,15 @@ class MultiPoly:
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
+        # Values are immutable, so a zero operand returns the other one (the
+        # series solver's first partial sum 0 + w*e).  Otherwise the left map
+        # is copied: a walk's x_{i-1} + c*top then shares its older operand's
+        # key tuples, 0.5 MB over a cold cheb_AB(301) against copying the
+        # larger map.
+        if not rhs._terms:
+            return self
+        if not self._terms:
+            return rhs
         out = dict(self._terms)
         _fold_into(out, rhs._terms)
         return _unchecked(self._variables, out)
@@ -377,6 +421,11 @@ class MultiPoly:
             return self._scaled(next(iter(rhs._terms.values()), 0))
         if self.is_constant():
             return rhs._scaled(next(iter(self._terms.values()), 0))
+        # A one-term operand relabels the other's terms (module docstring).
+        if len(rhs._terms) == 1:
+            return _unchecked(self._variables, _term_product(self._terms, rhs._terms))
+        if len(self._terms) == 1:
+            return _unchecked(self._variables, _term_product(rhs._terms, self._terms))
         pairs = len(self._terms) * len(rhs._terms)
         if pairs >= _PACKED_PAIRS:
             sizes = _packed_box(self._terms, rhs._terms, pairs)

@@ -185,7 +185,7 @@ def test_bench_json_records():
         ("euler", "series", "--a", "1e400", "--b", "0", "--phi", "1"),
         ("euler", "closed", "--a", "1e400", "--b", "0", "--phi", "1"),
         ("euler", "ode", "--a", "1e400", "--b", "0"),
-        ("gcn", "roots", "--a", "1e400", "--b", "0", "--numeric"),
+        ("gcn", "roots", "--a", "1e700", "--b", "0", "--numeric"),
         ("euler", "series", "--a", "1e300", "--b", "0", "--phi", "1"),
         ("euler", "ode", "--a", "1e300", "--b", "0", "--points", "3"),
         ("gcn", "power", "--a", "(" * 1000 + "x" + ")" * 1000, "--b", "1", "--n", "2"),
@@ -699,6 +699,14 @@ def test_numeric_roots_are_printed_correctly_rounded(capsys):
     code, out, err = _reply(capsys, args)
     assert (code, err) == (0, "")
     assert "h_plus_numeric = 1.0000000001\nh_minus_numeric = -9.999999999e-11\n" in out
+
+
+def test_numeric_roots_of_a_unit_beyond_the_float_range_are_printed(capsys):
+    # a = 1e400 is no float, but its roots +-1e200 are.
+    args = ("gcn", "roots", "--a", "1e400", "--b", "0", "--numeric")
+    code, out, err = _reply(capsys, args)
+    assert (code, err) == (0, "")
+    assert "h_plus_numeric = 1e+200\nh_minus_numeric = -1e+200\n" in out
 
 
 def test_numeric_roots_of_a_polynomial_unit_are_refused(capsys):

@@ -431,7 +431,10 @@ def test_numeric_roots_are_correctly_rounded():
         kinds["zero" if delta == 0 else "positive" if delta > 0 else "negative"] += 1
         _assert_roots_rounded(unit)
     assert min(kinds.values()) >= 40
-    # A rational square root is exact, and a surd past the float range is refused.
+    # A rational square root is exact, a surd whose parts but not its value
+    # lie past the float range is rounded, and one whose value does is refused.
     assert conjugate_roots(GcnUnit(Fraction(2), Fraction(1))).numeric() == (2.0, -1.0)
+    assert conjugate_roots(GcnUnit(Fraction(10**400), Fraction(0))).numeric() == (1e200, -1e200)
+    assert conjugate_roots(GcnUnit(-Fraction(10**400), Fraction(0))).numeric() == (1e200j, -1e200j)
     with pytest.raises(ValueError, match="beyond the float range"):
         conjugate_roots(GcnUnit(Fraction(10**800), Fraction(0))).numeric()

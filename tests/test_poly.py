@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from gencheb import poly
+from gencheb import gcn, poly
+from gencheb.higher import CubicUnit, u2_by_series
 from gencheb.poly import MAX_NESTING, MultiPoly, PolyParseError, gens, parse_poly
 from gencheb.scalars import GaussianRational
 
@@ -450,7 +451,8 @@ def test_products_the_packed_path_refuses_use_the_term_loop(monkeypatch):
     )
     x_big = MultiPoly(("x",), {(10**6,): 1, (0,): 1})
     assert (x_big * x_big)._terms == {(2 * 10**6,): 1, (10**6,): 2, (0,): 1}
-    # One-term and small operands.
+    # A one-term operand takes the one-term kernel and small operands the
+    # term loop; neither packs.
     dense = full_box(("u", "v"), 20, lambda e: e[0] - e[1] + 1)
     monomial = MultiPoly(("u", "v"), {(3, 1): -5})
     assert (monomial * dense)._terms == schoolbook(monomial._terms, dense._terms)
@@ -463,3 +465,108 @@ def test_products_the_packed_path_refuses_use_the_term_loop(monkeypatch):
         assert (mixed * dense).terms == want
         assert (dense * mixed).terms == want
         assert_canonical(mixed * dense)
+
+
+# -- one-term kernel: a monomial operand relabels the other's terms -------------
+
+
+@pytest.mark.parametrize("names", [("u",), ("u", "v"), ("u", "v", "w")], ids="-".join)
+def test_one_term_products_match_the_references(names, monkeypatch):
+    rng = random.Random(20261020)
+    calls = []
+    real = poly._term_product
+
+    def spy(terms, monomial):
+        calls.append(len(terms))
+        return real(terms, monomial)
+
+    monkeypatch.setattr(poly, "_term_product", spy)
+    draws = [
+        lambda: rng.choice((-1, 1)) * rng.randint(1, 2**70),
+        lambda: Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 9)),
+        lambda: random_coeff(rng),
+    ]
+    products = 0
+    for draw in draws * 10:
+        exps = tuple(rng.randint(0, 5) for _ in names)
+        if not any(exps):
+            exps = (1,) + exps[1:]
+        monomial = MultiPoly(names, {exps: draw()})
+        other = MultiPoly(
+            names,
+            {tuple(rng.randint(0, 6) for _ in names): draw() for _ in range(12)},
+        )
+        for got in (monomial * other, other * monomial):
+            products += 1
+            assert got.terms == ref_mul(monomial.terms, other.terms)
+            assert_canonical(got)
+            if all(type(c) is int for c in (*monomial._terms.values(), *other._terms.values())):
+                assert got._terms == schoolbook(monomial._terms, other._terms)
+    assert len(calls) == products
+
+
+def test_one_term_products_store_canonical_coefficients():
+    x, y = gens("x", "y")
+    half_x = x * Fraction(1, 2)
+    for got in (half_x * (2 * x), (2 * x) * half_x):
+        assert got._terms == {(2, 0): 1}
+        assert type(got._terms[(2, 0)]) is int
+        assert_canonical(got)
+    i = GaussianRational(Fraction(0), Fraction(1))
+    got = (x * i) * (y * i)
+    assert got._terms == {(1, 1): -1}
+    assert type(got._terms[(1, 1)]) is int
+    assert_canonical(got)
+
+
+def test_walk_steps_never_run_the_pair_loop(monkeypatch):
+    # Every product of the Chebyshev walk, the cubic walk and the series
+    # inverse has a constant or one-term operand.
+    counts = {"mul": 0, "scaled": 0, "term": 0}
+    real_mul, real_scaled, real_term = MultiPoly.__mul__, MultiPoly._scaled, poly._term_product
+
+    def mul(self, other):
+        counts["mul"] += 1
+        return real_mul(self, other)
+
+    def scaled(self, factor):
+        counts["scaled"] += 1
+        return real_scaled(self, factor)
+
+    def term(terms, monomial):
+        counts["term"] += 1
+        return real_term(terms, monomial)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", mul)
+    monkeypatch.setattr(MultiPoly, "__rmul__", mul)
+    monkeypatch.setattr(MultiPoly, "_scaled", scaled)
+    monkeypatch.setattr(poly, "_term_product", term)
+    walks = {
+        "chebyshev": lambda: list(itertools.islice(gcn.unit_powers((-1, 2 * X)), 51)),
+        "cubic": lambda: list(itertools.islice(gcn.unit_powers(CubicUnit(U, V).coeffs), 51)),
+        "series": lambda: u2_by_series(50),
+    }
+    for name, walk in walks.items():
+        for key in counts:
+            counts[key] = 0
+        walk()
+        # Past its first two steps, whose polynomials are constants, each
+        # step multiplies by a one-term coefficient at least once.
+        assert counts["term"] >= 48, (name, counts)
+        assert counts["mul"] == counts["scaled"] + counts["term"], (name, counts)
+
+
+@WIDTHS
+def test_sums_commute_whichever_side_is_larger(names):
+    rng = random.Random(20261021)
+    zero = MultiPoly.zero(names)
+    for _ in range(60):
+        small = random_mixed_poly(rng, names, max_terms=3)
+        large = random_mixed_poly(rng, names, max_degree=5, max_terms=20)
+        assert large + zero is large and small + zero is small
+        for a, b in ((small, large), (large, zero), (small, zero), (large, -small)):
+            assert a + b == b + a
+            assert (a + b).terms == ref_add(a.terms, b.terms)
+            assert_canonical(a + b)
+            if (a + b).is_real_valued():
+                assert (a + b).render() == (b + a).render()
