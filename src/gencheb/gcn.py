@@ -37,7 +37,10 @@ GaussianRational) is raised on integer numerators: with d the lcm of its
 denominators, g = d*h is the root of a unit with Gaussian-integer
 coefficients, so g is raised by ``power`` with ``_pair_product`` on int
 pairs with no gcd (``_integer_power``), and each coefficient of h^n is
-built once, in the walk's own type.  ``pauli.mat_power`` builds M^n of a
+built once, in the walk's own type, over a denominator known in advance
+(``_unscaled``): x_i is homogeneous of weight n - i when c_j has weight
+k - j, so the part of d^(n-i) it cannot need is divided out exactly and no
+gcd with d^(n-i) is taken.  ``pauli.mat_power`` builds M^n of a
 matrix of exact scalars straight from the same ``_integer_power``.  The
 ``matrix`` and ``binet`` routes of :func:`power_coeffs` use the same
 scaling, each with its own kernel, so the three routes still check one
@@ -72,7 +75,7 @@ from operator import add, mul, neg
 from typing import Any, Iterator, Sequence
 
 from .matrices import Mat2, Mat3
-from .scalars import GaussianRational, _from_numerators, _kind, _triple, _unchecked, power, zero_of
+from .scalars import GaussianRational, _from_coprime, _kind, _triple, _unchecked, power, zero_of
 
 __all__ = [
     "ConjugateRoots",
@@ -312,7 +315,8 @@ def unit_power(coeffs: Sequence[Any], n: int) -> tuple[Any, ...]:
     """
     triples = _exact_triples(coeffs)
     if triples is not None:  # an empty unit is refused below
-        return _unscaled(*_integer_power(triples, n), n, _kind(coeffs))
+        ps, qs, _ = _integer_power(triples, n)
+        return _unscaled(ps, qs, triples, n, _kind(coeffs))
     unit = Unit(coeffs)
     h = unit.companion().column(0)  # the column of h^1; it is c_0 for k = 1
     return (Element(unit, h) ** n).coeffs
@@ -340,15 +344,47 @@ def _integer_unit(triples: list) -> tuple[int, list]:
     return d, scaled
 
 
-def _unscaled(ps: Sequence[int], qs: Sequence[int], d: int, n: int, kind: type) -> tuple:
-    """h^n from g^n = sum (p_i + q_i*i) g^i, g = d*h: x_i = (p_i + q_i*i) / d^(n-i).
+def _unscaled(ps: Sequence[int], qs: Sequence[int], triples: list, n: int, kind: type) -> tuple:
+    """h^n from g^n = sum (p_i + q_i*i) g^i, g = d*h: x_i = (p_i + q_i*i) / d^w, w = n - i.
 
-    y_i is 0 for i > n, so the exponent never falls below 0.  Each x_i is
-    built once, with one gcd, as a ``kind``: int (d = 1), Fraction or
-    GaussianRational.
+    ``triples`` are the (p_j, q_j, d_j) of the unit's coefficients c_j, and
+    d is the lcm of the d_j; y_i is 0 for i > n, so w is taken as 0 there.
+    x_i is an integer polynomial in the c_j, homogeneous of weight w when
+    c_j has weight k - j, so its denominator is known before any product:
+    with K = lcm(1..k) and L = lcm_j d_j^(K/(k-j)) it divides
+    D(w) = L^(w // K) * d^(w % K).  A prime p divides a term at most
+    w * max_j v_p(d_j)/(k-j) = w * v_p(L)/K times, and v_p(L)/K <= v_p(d).
+    L divides d^K, so y_i is exactly divisible by the excess
+    (d^K/L)^(w // K), and x_i is the quotient over D(w).  What is left to
+    cancel is stripped against a base that starts at d and is squared each
+    round; every prime of D(w) divides d, so a round that finds no common
+    factor with the base proves the fraction reduced.  Each x_i is then
+    built once, with no further gcd, as a ``kind``: int (d = 1), Fraction
+    or GaussianRational.
     """
-    dens = [d ** max(n - i, 0) for i in range(len(ps))]
-    return tuple(map(_from_numerators, repeat(kind), ps, qs, dens))
+    k = len(ps)
+    dens = [d_j for _, _, d_j in triples]
+    d = math.lcm(*dens)
+    order_lcm = math.lcm(*range(1, k + 1))
+    top = excess = 1
+    if n >= order_lcm:  # else w // K is 0 for every i, and L is never needed
+        top = math.lcm(*(d_j ** (order_lcm // (k - j)) for j, d_j in enumerate(dens)))
+        excess = d ** order_lcm // top
+    xs = []
+    for i, (p, q) in enumerate(zip(ps, qs)):
+        m, r = divmod(max(n - i, 0), order_lcm)
+        scale = excess ** m
+        p, q, den = p // scale, q // scale, top ** m * d ** r
+        base = d
+        while True:
+            base = math.gcd(den, base)
+            g = math.gcd(p, q, base)
+            if g == 1:
+                break
+            p, q, den = p // g, q // g, den // g
+            base *= base
+        xs.append(_from_coprime(kind, p, q, den))
+    return tuple(xs)
 
 
 def _pair_product(xs: tuple, ys: tuple, fold: list) -> tuple:
@@ -395,18 +431,19 @@ def _companion_power(unit: Unit, n: int) -> tuple[Any, ...]:
 
     A unit of exact scalars raises the companion of g = d*h
     (:func:`_integer_unit`) over ints, or over GaussianRational with d = 1
-    for a Gaussian unit, so no product reduces a fraction; only that
-    companion has the tight denominators d^(n-i) of :func:`_unscaled`.
+    for a Gaussian unit, so no product reduces a fraction; its first column
+    holds the numerators y_i of x_i = y_i / d^(n-i), which
+    :func:`_unscaled` builds over their predicted denominators.
     """
     triples = _exact_triples(unit.coeffs)
     if triples is None:
         return (unit.companion() ** n).column(0)
     kind = _kind(unit.coeffs)
     gaussian = kind is GaussianRational
-    d, scaled = _integer_unit(triples)
+    _, scaled = _integer_unit(triples)
     g = Unit(tuple(_unchecked(p, q, 1) if gaussian else p for p, q in scaled))
     ps, qs, _ = zip(*map(_triple, (g.companion() ** n).column(0)))
-    return _unscaled(ps, qs, d, n, kind)
+    return _unscaled(ps, qs, triples, n, kind)
 
 
 class Surd(Element):
@@ -543,7 +580,8 @@ def _binet_exact(unit: GcnUnit, n: int) -> tuple[Fraction, Fraction]:
             "this method needs a rational scalar unit; use 'recurrence' or "
             "'matrix' for polynomial-valued units"
         )
-    d, ((a, _), (b, _)) = _integer_unit([_triple(c) for c in unit.coeffs])  # A, B
+    triples = [_triple(c) for c in unit.coeffs]
+    _, ((a, _), (b, _)) = _integer_unit(triples)  # A, B
     e = b * b + 4 * a
 
     def surd_product(x: tuple, y: tuple) -> tuple:
@@ -552,7 +590,7 @@ def _binet_exact(unit: GcnUnit, n: int) -> tuple[Fraction, Fraction]:
         return (pp + qq * e) >> 1, ((p1 + q1) * (p2 + q2) - pp - qq) >> 1
 
     p, q = power((b, 1), n, (2, 0), surd_product)
-    return _unscaled(((p - b * q) >> 1, q), (0, 0), d, n, Fraction)
+    return _unscaled(((p - b * q) >> 1, q), (0, 0), triples, n, Fraction)
 
 
 def float_unit(unit: GcnUnit) -> tuple[float, float]:

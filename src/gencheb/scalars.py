@@ -102,6 +102,24 @@ def _from_numerators(kind: type, p: int, q: int, d: int):
     return Fraction(p, d) if kind is Fraction else p
 
 
+def _from_coprime(kind: type, p: int, q: int, d: int):
+    """:func:`_from_numerators` for ``gcd(p, q, d) = 1`` and ``d > 0``, with no gcd taken.
+
+    A Fraction is built as ``GaussianRational`` is, through ``object.__new__``
+    and its two slots, so its own gcd is skipped too.
+    """
+    if kind is GaussianRational:
+        z = _new(GaussianRational)
+        _set_t(z, (p, q, d))
+        return z
+    if kind is Fraction:
+        x = _new(Fraction)
+        x._numerator = p
+        x._denominator = d
+        return x
+    return p
+
+
 def _unchecked(p: int, q: int, d: int) -> "GaussianRational":
     """``(p + q*i)/d`` for ``d > 0``, reduced by one gcd and not otherwise checked.
 

@@ -12,6 +12,9 @@ from gencheb.gcn import (
     Surd,
     Unit,
     UnitMismatchError,
+    _companion_power,
+    _exact_triples,
+    _integer_power,
     conjugate_roots,
     power_coeff_sequence,
     power_coeffs,
@@ -20,7 +23,7 @@ from gencheb.gcn import (
 )
 from gencheb.higher import CubicUnit
 from gencheb.poly import MultiPoly, gens
-from gencheb.scalars import GaussianRational, power, zero_of
+from gencheb.scalars import GaussianRational, _from_numerators, _kind, power, zero_of
 
 X, = gens("x")
 
@@ -306,6 +309,106 @@ def test_binet_route_matches_generic_surd_power(coeffs):
     # an int unit.
     assert power_coeffs(unit, 5, "binet") == power_coeff_sequence(unit, 5)[5]
     assert {type(x) for x in power_coeffs(unit, 5, "binet")} == {Fraction}
+
+
+# Every exact route builds x_i = y_i / d^(n-i) over the predicted denominator
+# of h^n, dividing out the excess exactly and stripping what is left against
+# powers of d.  Each is pinned here, in value, type and stored form, against
+# the plain reference that builds each x_i with its own gcd.  Units: seeded
+# ones of orders 1-5 over each exact ring; tie units, whose c_0 has the square
+# of c_1's denominator, so that terms through either coefficient reach the
+# predicted denominator; one whose powers keep a large gcd left to strip; and
+# the double roots of (-1/4, 1) and (0, 0).
+def _seeded_exact_units(seed, count):
+    rng = random.Random(seed)
+    dens = (1, 2, 3, 4, 5, 6, 8, 9, 13, 25, 27)
+
+    def rational():
+        return Fraction(rng.randint(-20, 20), rng.choice(dens))
+
+    makers = (
+        lambda: rng.randint(-9, 9),
+        rational,
+        lambda: GaussianRational(rational(), rational()),
+    )
+    return [
+        tuple(makers[i % 3]() for _ in range(i % 5 + 1)) for i in range(count)
+    ]
+
+
+HIGH_RESIDUAL = (Fraction(-1 + 2 ** 200, 4), Fraction(1, 2))
+TIE_UNITS = [(Fraction(-3, 4), Fraction(1, 2)), (Fraction(5, 9), Fraction(1, 3))]
+PINNED_UNITS = [
+    *_seeded_exact_units(20261019, 30),
+    *TIE_UNITS, (Fraction(-1, 4), 1), (0, 0), HIGH_RESIDUAL,
+]
+PINNED_INDICES = [*range(8), 59, 60, 61, 119, 120, 121, 128]
+
+
+def _stored(x):
+    """How an exact scalar is held: the int, (numerator, denominator) or the triple."""
+    if type(x) is GaussianRational:
+        return x._t
+    return (x.numerator, x.denominator) if type(x) is Fraction else x
+
+
+def _reference(coeffs, n, kind):
+    """h^n with each x_i = y_i / d^(n-i) built by ``_from_numerators``, one gcd each."""
+    ps, qs, d = _integer_power(_exact_triples(coeffs), n)
+    dens = (d ** max(n - i, 0) for i in range(len(ps)))
+    return tuple(map(_from_numerators, [kind] * len(ps), ps, qs, dens))
+
+
+def _pinned_indices(coeffs):
+    if coeffs == HIGH_RESIDUAL:
+        return [3, 6, 96, 4095]
+    return PINNED_INDICES + [4095, 4096] * (coeffs in TIE_UNITS)
+
+
+@pytest.mark.parametrize("coeffs", PINNED_UNITS)
+def test_exact_routes_match_the_gcd_reference_in_stored_form(coeffs):
+    for n in _pinned_indices(coeffs):
+        want = _reference(coeffs, n, _kind(coeffs))
+        routes = [unit_power(coeffs, n), _companion_power(Unit(coeffs), n)]
+        for got in routes:
+            _same(got, want, n)
+            assert list(map(_stored, got)) == list(map(_stored, want)), n
+        if len(coeffs) == 2 and _kind(coeffs) is not GaussianRational:
+            want = _reference(coeffs, n, Fraction)
+            got = power_coeffs(GcnUnit(*coeffs), n, "binet")
+            _same(got, want, n)
+            assert list(map(_stored, got)) == list(map(_stored, want)), n
+
+
+def test_exact_routes_keep_zero_and_int_results_canonical():
+    # h^3 = (1/2)h for h^2 = 1/2: a_3 is 0 over the predicted 4, stored as 0/1.
+    unit = GcnUnit(Fraction(1, 2), 0)
+    for method in ("recurrence", "matrix", "binet"):
+        a_3, b_3 = power_coeffs(unit, 3, method)
+        assert _stored(a_3) == (0, 1) and _stored(b_3) == (1, 2), method
+    for method in ("recurrence", "matrix"):
+        assert {type(x) for x in power_coeffs(GcnUnit(-3, 5), 97, method)} == {int}
+
+
+@pytest.mark.parametrize("method", ["recurrence", "matrix", "binet"])
+def test_exact_routes_build_no_fraction_over_a_large_denominator(monkeypatch, method):
+    # Fraction(y_i, d^(n-i)) at n = 4096 is a gcd of a 28k-bit numerator with
+    # 65^4096; each x_i is built over its predicted denominator instead, and
+    # the Fraction through its slots, with no gcd of its own.
+    large = []
+    new = Fraction.__new__
+
+    def counting(cls, numerator=0, denominator=None, **kwargs):
+        if isinstance(denominator, int) and denominator.bit_length() > 64:
+            large.append(denominator.bit_length())
+        return new(cls, numerator, denominator, **kwargs)
+
+    unit = GcnUnit(Fraction(11, 13), Fraction(7, 5))
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    got = power_coeffs(unit, 4096, method)
+    monkeypatch.undo()
+    assert large == []
+    _same(got, _reference(unit.coeffs, 4096, Fraction), 4096)
 
 
 def _pair_mul(unit, x, y):

@@ -14,7 +14,14 @@ from gencheb.higher import cubic_power
 from gencheb.matrices import Mat2, Mat3
 from gencheb.pauli import mat_power
 from gencheb.poly import MultiPoly, gens
-from gencheb.scalars import BigRational, GaussianRational, _kind, zero_of
+from gencheb.scalars import (
+    BigRational,
+    GaussianRational,
+    _from_coprime,
+    _kind,
+    _unchecked,
+    zero_of,
+)
 from gencheb.series import TruncatedSeries
 
 
@@ -316,3 +323,35 @@ def test_kind_matches_the_zero_of_every_mix_of_exact_scalars():
     for k in range(1, 4):
         for mix in itertools.product(values, repeat=k):
             assert _kind(mix) is type(zero_of(*mix)), mix
+
+
+def test_gcd_free_builder_matches_the_checked_constructors():
+    # _from_coprime builds a Fraction through object.__new__ and its two
+    # slots, with no gcd; it must be indistinguishable from Fraction(n, d).
+    rng = random.Random(20261019)
+    pairs = [(0, 1), (1, 1), (-1, 1), (7, 1), (-3, 4), (4, 65), (2 ** 200 + 1, 2 ** 70)]
+    while len(pairs) < 60:
+        n, d = rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 10 ** 30)
+        g = math.gcd(n, d)
+        pairs.append((n // g, d // g))
+    other = Fraction(-7, 13)
+    for n, d in pairs:
+        built, want = _from_coprime(Fraction, n, 0, d), Fraction(n, d)
+        assert type(built) is Fraction
+        assert (built.numerator, built.denominator) == (want.numerator, want.denominator)
+        assert built == want and hash(built) == hash(want)
+        assert str(built) == str(want) and repr(built) == repr(want)
+        assert pickle.loads(pickle.dumps(built)) == want
+        assert copy.deepcopy(built) == want
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.lt):
+            assert op(built, other) == op(want, other)
+            if n or op is not operator.truediv:
+                assert op(other, built) == op(other, want)
+        assert -built == -want and abs(built) == abs(want) and built ** 3 == want ** 3
+        assert float(built) == float(want) and built == built + 0
+        q = rng.randint(-10 ** 20, 10 ** 20)
+        if math.gcd(n, q, d) == 1:
+            assert _from_coprime(GaussianRational, n, q, d)._t == _unchecked(n, q, d)._t
+    zero = _from_coprime(Fraction, 0, 0, 1)
+    assert (zero.numerator, zero.denominator) == (0, 1) and zero == 0 and hash(zero) == 0
+    assert type(_from_coprime(int, -5, 0, 1)) is int
