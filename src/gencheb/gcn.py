@@ -40,9 +40,8 @@ pairs with no gcd (``_integer_power``), and each coefficient of h^n is
 built once, in the walk's own type, over a denominator known in advance
 (``_unscaled``): x_i is homogeneous of weight n - i when c_j has weight
 k - j, so the part of d^(n-i) it cannot need is divided out exactly and no
-gcd with d^(n-i) is taken.  ``pauli.mat_power`` builds M^n of a
-matrix of exact scalars straight from the same ``_integer_power``.  The
-``matrix`` and ``binet`` routes of :func:`power_coeffs` use the same
+gcd with d^(n-i) is taken.
+The ``matrix`` and ``binet`` routes of :func:`power_coeffs` use the same
 scaling, each with its own kernel, so the three routes still check one
 another: ``matrix`` raises the companion of g's unit over ints (over
 GaussianRational with denominator 1 for a Gaussian unit), and ``binet``
@@ -413,8 +412,7 @@ def _integer_power(triples: list, n: int) -> tuple[list, list, int]:
     The result is (ps, qs, d) with g^n = sum (ps[i] + qs[i]*i) g^i.
     g (:func:`_integer_unit`) is raised by :func:`power` with
     :func:`_pair_product` on int pairs, with no gcd.  :func:`unit_power`
-    scales the result back by :func:`_unscaled`; ``pauli.mat_power`` builds
-    the entries of M^n from it directly.
+    scales the result back by :func:`_unscaled`.
     """
     k = len(triples)
     d, scaled = _integer_unit(triples)

@@ -15,20 +15,23 @@ are second-kind Chebyshev values, b_n = U_{n-1}(alpha) and
 a_n = -U_{n-2}(alpha), which is the closed form
 M^n = U_{n-1}(alpha) * M - U_{n-2}(alpha) * I.  The pair (a_n, b_n) is
 h^n in R[h]/(h^2 - 2*alpha*h + det M), computed by squaring there in
-O(log n) scalar products, with no U_n evaluated on its own: the
-``chebyshev`` route is ``general_recurrence`` refusing det M != 1.
+O(log n) scalar products; the ``chebyshev`` route is ``general_recurrence``
+refusing det M != 1.
 
 The Pauli coordinates are Gaussian rationals, so the beta2 component of a
 real matrix is exact (s2 itself has imaginary entries).  The powers take
 any entries that the ring operations take.  When all four are exact
 scalars (int, Fraction or GaussianRational), the ``chebyshev`` and
-``general_recurrence`` routes run on integer numerators, as
-:func:`gencheb.gcn.unit_power` does: with d the lcm of the denominators of
-``m.det()`` and ``m.m11 + m.m22`` (reduced, as every exact scalar is, so d
-holds no extra factor to raise to the n-th power), g = d*h is raised on
-int pairs by ``gcn._integer_power``, and each entry of M^n is built once
-from it, with no a_n, b_n or matrix pass in between.  Any other entry,
-such as a polynomial, takes ``m * b_n + a_n``.
+``general_recurrence`` routes run on integer numerators with a kernel of
+their own: with d the lcm of the denominators of ``m.det()`` and
+``m.m11 + m.m22`` (reduced, as every exact scalar is, so d holds no extra
+factor to raise to the n-th power), g = d*h satisfies g^2 = P*g - Q for
+the Gaussian integers P = d*tr M and Q = d^2*det M.  g^n = y_0 + y_1*g is
+raised on int 4-tuples by a written-out product, so y_1 is the Lucas
+sequence U_n(P, Q), which for det M = 1 is d^(n-1)*U_{n-1}(alpha); each
+entry of M^n is built once from (y_0, y_1), with no a_n, b_n or matrix
+pass in between.  Any other entry, such as a polynomial, takes
+``m * b_n + a_n`` from :func:`gencheb.gcn.unit_power`.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .gcn import _exact_triples, _integer_power, unit_power
+from .gcn import _exact_triples, _integer_unit, unit_power
 from .matrices import Mat2
-from .scalars import GaussianRational, _from_numerators, _kind, _triple
+from .scalars import GaussianRational, _from_numerators, _kind, _triple, power
 
 __all__ = [
     "BenchRecord",
@@ -123,12 +126,12 @@ def mat_power(m: Mat2, n: int, method: str = "squaring") -> Mat2:
 
     ``general_recurrence`` handles any determinant through the unit
     (-det M, 2*alpha); ``chebyshev`` is the same unit power refusing
-    det(M) != 1, not an evaluation of U_{n-1}(alpha) and U_{n-2}(alpha);
+    det(M) != 1, where b_n = U_{n-1}(alpha) and a_n = -U_{n-2}(alpha);
     ``squaring`` is plain exponentiation by squaring.  The first two build
     M^n = b_n*M + a_n of a matrix of exact scalars (int, Fraction or
-    GaussianRational) on integer numerators (:func:`_exact_power`); a matrix
-    with any other entry, such as a polynomial, takes ``m * b_n + a_n`` from
-    :func:`unit_power`.
+    GaussianRational) from a Lucas pair on Gaussian integers
+    (:func:`_exact_power`); a matrix with any other entry, such as a
+    polynomial, takes ``m * b_n + a_n`` from :func:`unit_power`.
     """
     if method == "squaring":
         return m ** n
@@ -147,14 +150,33 @@ def mat_power(m: Mat2, n: int, method: str = "squaring") -> Mat2:
 def _exact_power(m: Mat2, triples: list, det: tuple, trace: tuple, n: int) -> Mat2:
     """M^n for entries m_ij = (p + q*i)/e, from g = d*h of the unit (-det M, tr M).
 
-    With g^n = y_0 + y_1*g, a_n = y_0/d^n and b_n = y_1/d^(n-1), so each
-    entry of b_n*M + a_n is (y_1*d*(p + q*i) + y_0*e*[i = j]) / (d^n e),
-    built once, with one gcd, in the type that ``m * b_n + a_n`` has.  d is
-    the lcm of the denominators of the *reduced* det and trace; an
-    unreduced one would inflate d, and every d^n with it.
+    g satisfies g^2 = P*g - Q with the Gaussian integers P = d*tr M and
+    Q = d^2*det M (``gcn._integer_unit`` gives c_0 = -Q and c_1 = P), so
+    g^n = y_0 + y_1*g is raised by :func:`power` on int 4-tuples
+    (re y_0, im y_0, re y_1, im y_1), with the product
+    (a + b*g)(c + e*g) = (ac - Q*be) + (ae + bc + P*be)*g written out;
+    y_1 is the Lucas sequence U_n(P, Q).  With a_n = y_0/d^n and
+    b_n = y_1/d^(n-1), each entry of b_n*M + a_n is
+    (y_1*d*(p + q*i) + y_0*e*[i = j]) / (d^n e), built once, with one gcd,
+    in the type that ``m * b_n + a_n`` has.  d is the lcm of the
+    denominators of the *reduced* det and trace; an unreduced one would
+    inflate d, and every d^n with it.
     """
     p, q, e = det
-    (y0p, y1p), (y0q, y1q), d = _integer_power([(-p, -q, e), trace], n)
+    d, ((c0p, c0q), (c1p, c1q)) = _integer_unit([(-p, -q, e), trace])
+
+    def product(x, y):
+        ar, ai, br, bi = x
+        cr, ci, er, ei = y
+        fr, fi = br * er - bi * ei, br * ei + bi * er  # b*e
+        return (
+            ar * cr - ai * ci + c0p * fr - c0q * fi,
+            ar * ci + ai * cr + c0p * fi + c0q * fr,
+            ar * er - ai * ei + br * cr - bi * ci + c1p * fr - c1q * fi,
+            ar * ei + ai * er + br * ci + bi * cr + c1p * fi + c1q * fr,
+        )
+
+    y0p, y0q, y1p, y1q = power((0, 0, 1, 0), n, (1, 0, 0, 0), product)
     y1p, y1q, dn = y1p * d, y1q * d, d ** n
     kind = _kind(m.entries())
     entries = []
@@ -167,9 +189,9 @@ def _exact_power(m: Mat2, triples: list, det: tuple, trace: tuple, n: int) -> Ma
 
 
 def coeff_bits(m: Mat2) -> int:
-    """Largest numerator/denominator bit length over all entry components."""
+    """Largest numerator/denominator bit length over the parts of the exact entries."""
     worst = 0
-    for entry in m.entries():
+    for entry in map(GaussianRational._coerce, m.entries()):
         for part in (entry.re, entry.im):
             worst = max(
                 worst,

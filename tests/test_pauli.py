@@ -140,8 +140,10 @@ def test_general_recurrence_handles_any_determinant():
 
 def test_power_input_validation():
     m = gaussian_mat(((2, 1), (1, 1)))
-    with pytest.raises(ValueError):
-        mat_power(m, -1)
+    assert m.det() == 1
+    for method in ("squaring", "chebyshev", "general_recurrence"):
+        with pytest.raises(ValueError):
+            mat_power(m, -1, method)
     with pytest.raises(ValueError):
         mat_power(m, 3, "unknown")
 
@@ -155,6 +157,13 @@ def test_bench_returns_identical_results_and_bit_growth():
     m = gaussian_mat(((2, 1), (1, 1)))
     assert mat_power(m, 1, "chebyshev") == m
     assert coeff_bits(m) == 2
+
+
+def test_coeff_bits_reads_int_and_fraction_entries():
+    # [[2, 1], [1, 1]]^5 = [[89, 55], [55, 34]], with int entries.
+    assert coeff_bits(mat_power(Mat2(2, 1, 1, 1), 5, "chebyshev")) == 7
+    assert coeff_bits(Mat2(Fraction(1, 300), 0, 5, Fraction(-7, 2))) == 9
+    assert coeff_bits(gaussian_mat(((Fraction(1, 300), 0), (5, Fraction(-7, 2))))) == 9
 
 
 def test_bench_input_validation():
@@ -248,6 +257,8 @@ EXACT_MATRICES = {
     "gauss-unimodular-2": rand_unimodular(random.Random(12)),
     "gauss-unimodular-3": Mat2(_A, _B, _C, (1 + _B * _C) / _A),
     "gauss-det-not-1": Mat2(_A, _B, _C, _gauss(_F(5, 6), 2)),
+    "gauss-trace-0": Mat2(_A, _B, _C, -_A),  # P = 0 in g^2 = P*g - Q
+    "gauss-det-0": Mat2(_A, _B, _C, _B * _C / _A),  # Q = 0
     "gauss-real": gaussian_mat(((_F(1, 2), 3), (_F(-2, 3), _F(5, 4)))),
     "fraction": Mat2(_F(1, 2), _F(3, 4), _F(-2, 3), _F(5, 7)),
     "int-unimodular": Mat2(2, 1, 1, 1),
