@@ -70,11 +70,15 @@ def _g(re, im=0) -> GaussianRational:
 def gaussian_mat(entries: Sequence[Sequence]) -> Mat2:
     """Build a Mat2 of GaussianRationals from a 2x2 nested sequence."""
     (a, b), (c, d) = entries
-    lift = GaussianRational._coerce
-    out = [lift(v) for v in (a, b, c, d)]
-    if any(v is None for v in out):
+    return Mat2(*_lifted((a, b, c, d)))
+
+
+def _lifted(values: Iterable) -> list[GaussianRational]:
+    """Each value as a GaussianRational; TypeError if one is not an exact scalar."""
+    out = list(map(GaussianRational._coerce, values))
+    if None in out:
         raise TypeError("entries must be exact rationals or GaussianRationals")
-    return Mat2(*out)
+    return out
 
 
 IDENTITY = gaussian_mat(((1, 0), (0, 1)))
@@ -191,7 +195,7 @@ def _exact_power(m: Mat2, triples: list, det: tuple, trace: tuple, n: int) -> Ma
 def coeff_bits(m: Mat2) -> int:
     """Largest numerator/denominator bit length over the parts of the exact entries."""
     worst = 0
-    for entry in map(GaussianRational._coerce, m.entries()):
+    for entry in _lifted(m.entries()):
         for part in (entry.re, entry.im):
             worst = max(
                 worst,

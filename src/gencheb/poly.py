@@ -44,6 +44,17 @@ of ``U2_n``, because building each sum tuple with ``map`` costs several
 times the coefficient arithmetic of a term; other widths share one generic
 form.
 
+Substitution runs Horner's rule (Knuth, TAOCP vol. 2, section 4.6.4), one
+variable inside another: the terms are grouped by the exponent of the
+outermost variable, and ``acc = acc * image + inner`` runs from its top
+exponent down to 0, where ``inner`` is the same walk over the group with
+the remaining variables.  The variable with the largest top exponent is
+outermost, ties in declared order.  Every product then has an image as one
+operand, so it costs one pass over the running sum per term of the image
+and takes the kernels above unchanged: ``H3_18`` into three 3-term images
+is 160 products and 6,690 pairs of terms, against 22,795 pairs for tables
+of image powers multiplied term by term.
+
 Two polynomials only combine when their variable tuples are identical.
 Mixing different variable lists raises instead of silently capturing symbols;
 use :meth:`MultiPoly.aligned` to embed a polynomial into a larger variable
@@ -247,6 +258,36 @@ def _term_product(
 
 def _constant(variables: tuple[str, ...], value: ScalarLike) -> "MultiPoly":
     return _unchecked(variables, {(0,) * len(variables): value} if value else {})
+
+
+def _horner(
+    terms: list[tuple[Exponents, ScalarLike]],
+    order: list[int],
+    images: list["MultiPoly"],
+    target: tuple[str, ...],
+) -> "MultiPoly":
+    """The sum of c * prod images[i]^e[i] over nonempty ``terms``, by Horner's rule.
+
+    The terms are grouped by the exponent of the outermost variable
+    ``order[0]``, and ``acc = acc * image + inner`` runs from its top
+    exponent down to 0, where ``inner`` is the same walk over the group,
+    with the remaining variables, and a leaf is one term's coefficient.
+    """
+    if not order:
+        ((_, coeff),) = terms
+        return _constant(target, coeff)
+    outer, rest = order[0], order[1:]
+    groups: dict[int, list[tuple[Exponents, ScalarLike]]] = {}
+    for term in terms:
+        groups.setdefault(term[0][outer], []).append(term)
+    image = images[outer]
+    top = max(groups)
+    acc = _horner(groups[top], rest, images, target)
+    for e in range(top - 1, -1, -1):
+        acc = acc * image
+        if e in groups:
+            acc = acc + _horner(groups[e], rest, images, target)
+    return acc
 
 
 class MultiPoly:
@@ -516,7 +557,11 @@ class MultiPoly:
         """Substitute a polynomial or scalar for every variable.
 
         All values that are polynomials must share one variable tuple, which
-        becomes the variable tuple of the result.
+        becomes the variable tuple of the result; with scalars only it is
+        ``()``.  The sum is built by Horner's rule (module docstring), the
+        variable with the largest top exponent outermost, so each product
+        multiplies the running sum by one image: one product per exponent
+        step of each group, none between two powers of the images.
         """
         missing = [v for v in self._variables if v not in mapping]
         if missing:
@@ -533,30 +578,17 @@ class MultiPoly:
                     )
         if target is None:
             target = ()
-        values: dict[str, MultiPoly] = {}
-        for v in self._variables:
-            value = mapping[v]
-            if isinstance(value, MultiPoly):
-                values[v] = value
-            else:
-                values[v] = MultiPoly.constant(target, value)
-        # Per-variable power tables up to the largest needed exponent.
-        tables: dict[str, list[MultiPoly]] = {}
-        for i, v in enumerate(self._variables):
-            top = max((exps[i] for exps in self._terms), default=0)
-            table = [_constant(target, 1)]
-            for _ in range(top):
-                table.append(table[-1] * values[v])
-            tables[v] = table
-        # Every term folds into one dict, so no partial sum is ever copied.
-        out: dict[Exponents, ScalarLike] = {}
-        for exps, coeff in self._terms.items():
-            term = _constant(target, coeff)
-            for v, e in zip(self._variables, exps):
-                if e:
-                    term = term * tables[v][e]
-            _fold_into(out, term._terms)
-        return _unchecked(target, out)
+        images = [
+            value if isinstance(value, MultiPoly) else MultiPoly.constant(target, value)
+            for value in map(mapping.__getitem__, self._variables)
+        ]
+        if not self._terms:
+            return _unchecked(target, {})
+        # The variable with the largest top exponent goes outermost; sorted
+        # is stable, so ties keep the declared order.
+        tops = [max(column) for column in zip(*self._terms)]
+        order = sorted(range(len(tops)), key=lambda i: -tops[i])
+        return _horner(list(self._terms.items()), order, images, target)
 
     # -- evaluation ----------------------------------------------------------
 

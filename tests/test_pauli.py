@@ -166,6 +166,14 @@ def test_coeff_bits_reads_int_and_fraction_entries():
     assert coeff_bits(gaussian_mat(((Fraction(1, 300), 0), (5, Fraction(-7, 2))))) == 9
 
 
+def test_coeff_bits_refuses_polynomial_entries_as_gaussian_mat_does():
+    message = "entries must be exact rationals or GaussianRationals"
+    with pytest.raises(TypeError, match=message):
+        gaussian_mat(((X, 1), (0, 1)))
+    with pytest.raises(TypeError, match=message):
+        coeff_bits(Mat2(X, 1, 0, 1))
+
+
 def test_bench_input_validation():
     with pytest.raises(ValueError):
         bench_power([], trials=3)

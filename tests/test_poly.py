@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gencheb import gcn, poly
-from gencheb.higher import CubicUnit, u2_by_series
+from gencheb.higher import XYZ, CubicUnit, hermite3, u2_by_series
 from gencheb.poly import MAX_NESTING, MultiPoly, PolyParseError, gens, parse_poly
 from gencheb.scalars import GaussianRational
 
@@ -570,3 +570,100 @@ def test_sums_commute_whichever_side_is_larger(names):
             assert_canonical(a + b)
             if (a + b).is_real_valued():
                 assert (a + b).render() == (b + a).render()
+
+
+# -- substitution -------------------------------------------------------------
+
+
+def test_substitute_edge_cases():
+    names = ("x", "y")
+    x, y = gens(*names)
+    images = {"x": U + 2 * V, "y": U - 1}
+    zero = MultiPoly.zero(names).substitute(images)
+    assert zero.variables == ("u", "v") and zero.terms == {}
+    # A polynomial over no variables needs no images and keeps its value.
+    for value in (0, 5, Fraction(-7, 3)):
+        got = MultiPoly.constant((), value).substitute({})
+        assert got.variables == () and got == MultiPoly.constant((), value)
+    # Scalars only: the target is (), and the result is the value there.
+    p = x ** 2 * y - 3 * x + Fraction(1, 4)
+    point = {"x": Fraction(2, 3), "y": GaussianRational(Fraction(1), Fraction(-2))}
+    got = p.substitute(point)
+    assert got.variables == ()
+    assert got.constant_value() == p.evaluate_exact(point)
+    # One-term images relabel every term.
+    rng = random.Random(20261019)
+    for _ in range(20):
+        p = random_mixed_poly(rng, names, max_degree=5, max_terms=8)
+        monomials = [
+            MultiPoly(("u", "v"), {(rng.randint(0, 3), rng.randint(0, 3)): random_coeff(rng)})
+            for _ in names
+        ]
+        got = p.substitute(dict(zip(names, monomials)))
+        assert got.terms == ref_substitute(p.terms, [m.terms for m in monomials], 2)
+        assert_canonical(got)
+    # Exponent gaps: x^7 + y^3, against the expansion.
+    gapped = x ** 7 + y ** 3
+    assert gapped.substitute(images) == (U + 2 * V) ** 7 + (U - 1) ** 3
+    assert gapped.substitute({"x": U, "y": 0}) == U ** 7
+
+
+def test_substitute_refusals_keep_their_messages():
+    x, y = gens("x", "y")
+    with pytest.raises(ValueError, match=r"substitution is missing variables \['y'\]"):
+        (x + y).substitute({"x": U})
+    with pytest.raises(ValueError, match="substitution values use different variable lists"):
+        (x + y).substitute({"x": U, "y": X})
+
+
+@WIDTHS
+def test_substitute_is_a_homomorphism_at_points(names):
+    # The right side evaluates the images first and never calls substitute.
+    rng = random.Random(20261018)
+    for _ in range(40):
+        p = random_mixed_poly(rng, names)
+        for target in (("s",), ("s", "t"), ("s", "t", "r")):
+            images = [random_mixed_poly(rng, target, 2, 3) for _ in names]
+            point = {v: random_coeff(rng) for v in target}
+            inner = {v: image.evaluate_exact(point) for v, image in zip(names, images)}
+            got = p.substitute(dict(zip(names, images))).evaluate_exact(point)
+            assert got == p.evaluate_exact(inner)
+
+
+@WIDTHS
+def test_substitute_ignores_the_declared_variable_order(names):
+    rng = random.Random(20261020)
+    for _ in range(30):
+        p = random_mixed_poly(rng, names, max_degree=5, max_terms=8)
+        images = dict(zip(names, (random_mixed_poly(rng, ("s", "t"), 2, 3) for _ in names)))
+        permuted = list(names)
+        rng.shuffle(permuted)
+        assert p.aligned(permuted).substitute(images) == p.substitute(images)
+        assert p.aligned(names[::-1]).substitute(images) == p.substitute(images)
+
+
+def test_hermite_substitution_multiplies_only_by_small_images(monkeypatch):
+    # Horner's rule multiplies the running sum by one image at each step, so
+    # no product has two operands of more than 3 terms; power tables of the
+    # images multiply two dense polynomials 37 times.
+    sizes = []
+    real_mul = MultiPoly.__mul__
+
+    def mul(self, other):
+        if isinstance(other, MultiPoly):
+            sizes.append((len(self._terms), len(other._terms)))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", mul)
+    monkeypatch.setattr(MultiPoly, "__rmul__", mul)
+    h = hermite3(18).poly
+    images = {
+        "x": MultiPoly(("u", "v"), {(1, 0): 2, (0, 1): -3, (0, 0): 1}),
+        "y": MultiPoly(("u", "v"), {(1, 0): -2, (0, 1): 3, (0, 0): 1}),
+        "z": MultiPoly(("u", "v"), {(1, 0): 2, (0, 1): 3, (0, 0): -1}),
+    }
+    got = h.substitute(images)
+    assert sizes and all(min(pair) <= 3 for pair in sizes), max(map(min, sizes))
+    point = {"u": Fraction(2, 7), "v": Fraction(-5, 3)}
+    inner = {v: images[v].evaluate_exact(point) for v in XYZ}
+    assert got.evaluate_exact(point) == h.evaluate_exact(inner)
