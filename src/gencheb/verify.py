@@ -5,25 +5,33 @@ and maps "zero failures" to exit code 0.  Suites that draw random inputs
 take an explicit seed and derive a per-suite stream from it, so identical
 invocations produce identical reports.
 
-The library reads U_n and U2_n off the power walks of their units; the
-recurrences behind ``b-is-u`` and ``series-vs-rec`` are written out here
-instead, as references independent of the library.  The sampled-unit
-suites check the walk at every n against running products of their own on
-integer numerators, one denominator per sequence: ``suite_gcn`` against
-the companion and root powers of g = d*h (:func:`_companion_columns`,
-:func:`_root_readings`), ``suite_mat`` against M^n = N^n / e^n
-(:func:`_matrix_powers`).  These share no kernel with the library; each
-suite checks the library's own powers once, at nmax.
+Every exact per-n family is one :meth:`_Recorder.each` statement over two
+sequences, one case per n: the library's values against a reference
+independent of them.  The library reads U_n and U2_n off the power walks
+of their units; the recurrences behind ``b-is-u`` and ``series-vs-rec`` are
+written out here instead.  The sampled-unit suites run their references on
+integer numerators, one denominator per sequence: ``suite_gcn`` the
+companion and root powers of g = d*h (:func:`_companion_columns`,
+:func:`_root_readings`), ``suite_mat`` M^n = N^n / e^n
+(:func:`_matrix_powers`).  These share no kernel with the library.
+
+The library's own powers, raised by squaring, are checked once, at nmax,
+by one rule: a reference's last value gives way to the first of the
+library's values unequal to the expected one (:func:`_first_other`), so
+that case fails if the reference or any of those values is wrong.  Float
+families stay loops of ``close`` cases.  Cases run family by family.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from itertools import accumulate, islice, repeat
+from typing import Iterable, Iterator
 
 from . import cheby, euler, gcn, higher, pauli
 from .matrices import Mat2
@@ -89,6 +97,16 @@ class _Recorder:
 
     def close(self, case: str, value: float, bound: float) -> None:
         self.check(case, value <= bound, f"<= {bound}", value)
+
+    def each(
+        self, template: str, expected: Iterable, actual: Iterable, first: int = 0
+    ) -> None:
+        """One ``equal`` case per n = first, first + 1, ...: ``template.format(n)``.
+
+        The two sequences must have the same length, so no case goes missing.
+        """
+        for n, (want, got) in enumerate(zip(expected, actual, strict=True), first):
+            self.equal(template.format(n), want, got)
 
     def report(self) -> VerificationReport:
         millis = int((time.perf_counter() - self.started) * 1000)
@@ -156,12 +174,12 @@ def suite_gcn(
     """Power-coefficient agreement: recurrence vs matrix vs root closed form.
 
     The walk is checked at every n against the companion and root powers of
-    :func:`_companion_columns` and :func:`_root_readings`; at nmax, once
-    those agree, against the library's companion and root powers and all
-    three exact ``power_coeffs`` routes instead.  The floating closed form
-    is compared with a scale-aware bound |delta| <= tol * max(1, rho^n)
-    where rho is the larger root modulus; an absolute bound is meaningless
-    once the coefficients reach 1e40.
+    :func:`_companion_columns` and :func:`_root_readings`, and at nmax also
+    against the library's companion and root powers and all three exact
+    ``power_coeffs`` routes.  The floating closed form is compared with a
+    scale-aware bound |delta| <= tol * max(1, rho^n) where rho is the larger
+    root modulus; an absolute bound is meaningless once the coefficients
+    reach 1e40.
     """
     rec = _Recorder("gcn-power-methods")
     rng = random.Random(f"{seed}:gcn")
@@ -170,74 +188,54 @@ def suite_gcn(
         tag = f"unit{i}({unit.a},{unit.b})"
         roots = gcn.conjugate_roots(unit)
         rho = max(*map(abs, roots.numeric()), 1.0)
-        seq = gcn.power_coeff_sequence(unit, nmax)
-        references = zip(seq, _companion_columns(unit), _root_readings(unit))
-        scale = 1.0
-        for n, (walk, (matrix, det), surd) in enumerate(references):
-            a_n, b_n = walk
-            sign_power = (-unit.a) ** n
-            if n:
-                scale *= rho
-            if n == nmax:
-                # The library's powers, raised by squaring, must agree too.
-                power = unit.companion() ** n
-                if matrix == walk:
-                    matrix = _first_other(walk, (
-                        power.column(0),
-                        gcn.power_coeffs(unit, n, "recurrence"),
-                        gcn.power_coeffs(unit, n, "matrix"),
-                    ))
-                if surd == walk:
-                    p, q = (roots.h_plus ** n).coeffs
-                    surd = _first_other(walk, (
-                        (p - unit.b * q, 2 * q),
-                        gcn.power_coeffs(unit, n, "binet"),
-                    ))
-                if det == sign_power:
-                    det = power.det()
-            rec.equal(f"{tag}/n{n}/matrix", walk, matrix)
-            rec.equal(f"{tag}/n{n}/surd", walk, surd)
+        walk = gcn.power_coeff_sequence(unit, nmax)
+        matrix, det = map(list, zip(*islice(_companion_columns(unit), nmax + 1)))
+        surd = list(islice(_root_readings(unit), nmax + 1))
+        signs = [(-unit.a) ** n for n in range(nmax + 1)]
+        power = unit.companion() ** nmax
+        p, q = (roots.h_plus ** nmax).coeffs
+        routes = [gcn.power_coeffs(unit, nmax, route) for route in ("recurrence", "matrix")]
+        matrix[-1] = _first_other(walk[-1], (matrix[-1], power.column(0), *routes))
+        surd[-1] = _first_other(walk[-1], (
+            surd[-1], (p - unit.b * q, 2 * q), gcn.power_coeffs(unit, nmax, "binet")
+        ))
+        det[-1] = _first_other(signs[-1], (det[-1], power.det()))
+        rec.each(tag + "/n{}/matrix", walk, matrix)
+        rec.each(tag + "/n{}/surd", walk, surd)
+        a_from_b = [unit.a * b_n for _, b_n in walk[:-1]]
+        rec.each(tag + "/n{}/a-from-b", [a_n for a_n, _ in walk[1:]], a_from_b, first=1)
+        rec.each(tag + "/n{}/det", det, signs)
+        scales = accumulate(repeat(rho, nmax), operator.mul, initial=1.0)
+        for n, ((a_n, b_n), scale) in enumerate(zip(walk, scales, strict=True)):
             af, bf = gcn.power_coeffs(unit, n, "binet_float")
             bound = float_tol * max(1.0, scale)
             rec.close(f"{tag}/n{n}/float-a", abs(af - float(a_n)), bound)
             rec.close(f"{tag}/n{n}/float-b", abs(bf - float(b_n)), bound)
-            if n >= 1:
-                rec.equal(
-                    f"{tag}/n{n}/a-from-b", a_n, unit.a * seq[n - 1][1]
-                )
-            rec.equal(f"{tag}/n{n}/det", det, sign_power)
     return rec.report()
 
 
-def suite_euler(
-    seed: int = DEFAULT_SEED,
-    grid_points: int = 100,
-    units: int = 20,
-    pairs: int = 100,
-    tol_trig: float = 1e-12,
-    tol_ode: float = 1e-10,
-    tol_add: float = 1e-10,
-) -> VerificationReport:
+def suite_euler(seed: int = DEFAULT_SEED, tol: float = 1e-10) -> VerificationReport:
+    """The Euler pair: cos/sin within 1e-12; ODE, closed form, addition within ``tol``."""
     rec = _Recorder("euler-pair")
     rng = random.Random(f"{seed}:euler")
 
     circle = gcn.GcnUnit(Fraction(-1), Fraction(0))
-    for k in range(grid_points):
-        phi = -3.0 + 6.0 * k / (grid_points - 1)
+    for k in range(100):
+        phi = -3.0 + 6.0 * k / 99
         pair = euler.euler_series(circle, phi, 1e-14)
-        rec.close(f"circle/phi{k}/cos", abs(pair.c - math.cos(phi)), tol_trig)
-        rec.close(f"circle/phi{k}/sin", abs(pair.s - math.sin(phi)), tol_trig)
+        rec.close(f"circle/phi{k}/cos", abs(pair.c - math.cos(phi)), 1e-12)
+        rec.close(f"circle/phi{k}/sin", abs(pair.s - math.sin(phi)), 1e-12)
 
     # Small random units keep double-precision roundoff far below tol.
     def small_unit() -> gcn.GcnUnit:
         return gcn.GcnUnit(_random_fraction(rng, 2), _random_fraction(rng, 2))
 
     grid = [-2.0 + 4.0 * k / 20 for k in range(21)]
-    for i in range(units):
+    for i in range(20):
         unit = small_unit()
         report = euler.ode_residual(unit, grid, 1e-13)
-        rec.close(f"ode/unit{i}/c", report.max_c_residual, tol_ode)
-        rec.close(f"ode/unit{i}/s", report.max_s_residual, tol_ode)
+        rec.close(f"ode/unit{i}/c", report.max_c_residual, tol)
+        rec.close(f"ode/unit{i}/s", report.max_s_residual, tol)
         seed_pair = euler.euler_series(unit, 0.0, 1e-13)
         rec.equal(f"seed/unit{i}", (1.0, 0.0), (seed_pair.c, seed_pair.s))
         for j, phi in enumerate((-1.5, -0.25, 0.5, 1.25)):
@@ -246,72 +244,58 @@ def suite_euler(
             rec.close(
                 f"closed/unit{i}/phi{j}",
                 max(abs(series_pair.c - closed_pair.c), abs(series_pair.s - closed_pair.s)),
-                tol_ode,
+                tol,
             )
 
-    for i in range(pairs):
+    for i in range(100):
         unit = small_unit()
         phi = rng.uniform(-1.0, 1.0)
         psi = rng.uniform(-1.0, 1.0)
         rc, rs = euler.addition_residuals(unit, phi, psi, 1e-13)
-        rec.close(f"addition/{i}/c", rc, tol_add)
-        rec.close(f"addition/{i}/s", rs, tol_add)
+        rec.close(f"addition/{i}/c", rc, tol)
+        rec.close(f"addition/{i}/s", rs, tol)
     return rec.report()
 
 
-def suite_cheb(nmax: int = DEFAULT_NMAX, ode_nmax: int | None = None) -> VerificationReport:
+def suite_cheb(nmax: int = DEFAULT_NMAX) -> VerificationReport:
     """Exact Chebyshev identities; every residual must be the zero polynomial."""
     rec = _Recorder("cheb-exact")
-    if ode_nmax is None:
-        ode_nmax = min(nmax, 32)
     x = cheby.X
-    one = MultiPoly.one(("x",))
-    reference = [MultiPoly.zero(("x",)), one]  # U_{-1}, U_0, ... U_{nmax-1}
+    zero, one = MultiPoly.zero(("x",)), MultiPoly.one(("x",))
+    reference = [zero, one]  # U_{-1}, U_0, ... U_{nmax-1}
     while len(reference) < nmax + 1:
         reference.append(2 * x * reference[-1] - reference[-2])
+    u = [zero, *(cheby.cheb_U(n).poly for n in range(nmax + 2))]  # U_{-1} .. U_{nmax+1}
+    triples = list(zip(u, u[1:], u[2:]))  # (U_{n-1}, U_n, U_{n+1}), n = 0 .. nmax
+    pairs = [cheby.cheb_AB(n) for n in range(nmax + 2)]
+    b = [pair.b for pair in pairs[:-1]]
+    ones = [one] * (nmax + 1)
+    pell = [u_n * u_n - u_prev * u_next for u_prev, u_n, u_next in triples]
+    rec.each("pell/n{}", ones, pell)
+    rec.each("b-is-u/n{}", reference, b)
+    rec.each("b-is-neg-a/n{}", b, [-pair.a for pair in pairs[1:]])
+    norm = [p.a * p.a + 2 * x * p.a * p.b + p.b * p.b for p in pairs[:-1]]
+    rec.each("norm/n{}", ones, norm)
+    expected = [Mat2(-u_prev, -u_n, u_n, u_next) for u_prev, u_n, u_next in triples]
     companion = cheby.cheb_unit().companion()
-    power = companion  # companion ** (n + 1), by a running product
-    for n in range(nmax + 1):
-        u_n = cheby.cheb_U(n).poly
-        u_prev = cheby.cheb_U(n - 1).poly if n >= 1 else MultiPoly.zero(("x",))
-        u_next = cheby.cheb_U(n + 1).poly
-        rec.equal(f"pell/n{n}", one, u_n * u_n - u_prev * u_next)
-        pair = cheby.cheb_AB(n)
-        pair_next = cheby.cheb_AB(n + 1)
-        rec.equal(f"b-is-u/n{n}", reference[n], pair.b)
-        rec.equal(f"b-is-neg-a/n{n}", pair.b, -pair_next.a)
-        rec.equal(
-            f"norm/n{n}",
-            one,
-            pair.a * pair.a + 2 * x * pair.a * pair.b + pair.b * pair.b,
-        )
-        if n:
-            power = power * companion
-        expected = Mat2(-u_prev, -u_n, u_n, u_next)
-        if n == nmax and power == expected:
-            # The library's power, raised by squaring, must agree too.
-            power = companion ** (n + 1)
-        rec.equal(f"companion/n{n}", expected, power)
-        if n <= 32:
-            t_n = cheby.cheb_T(n).poly
-            rec.equal(
-                f"t-norm/n{n}", one, t_n * t_n - (x * x - 1) * u_prev * u_prev
-            )
-    for n in range(ode_nmax + 1):
-        rec.equal(f"u-ode/n{n}", MultiPoly.zero(("x",)), cheby.u_ode_residual(n))
-        if n >= 1:
-            rec.equal(
-                f"b-ode/n{n}", MultiPoly.zero(("x",)), cheby.b_ode_residual(n)
-            )
+    # C^1 .. C^(nmax+1), by a running product
+    powers = list(accumulate(repeat(companion, nmax + 1), operator.mul))
+    powers[-1] = _first_other(expected[-1], (powers[-1], companion ** (nmax + 1)))
+    rec.each("companion/n{}", expected, powers)
+    last = min(nmax, 32)  # the t-norm and ODE rows stop at n = 32
+    t = [cheby.cheb_T(n).poly for n in range(last + 1)]
+    t_norm = [t_n * t_n - (x * x - 1) * u_prev * u_prev for t_n, u_prev in zip(t, u)]
+    rec.each("t-norm/n{}", ones[: last + 1], t_norm)
+    rec.each("u-ode/n{}", [zero] * (last + 1), map(cheby.u_ode_residual, range(last + 1)))
+    b_ode = map(cheby.b_ode_residual, range(1, last + 1))
+    rec.each("b-ode/n{}", [zero] * last, b_ode, first=1)
     return rec.report()
 
 
-def suite_cheb_numeric(
-    nmax: int = DEFAULT_NMAX, points: int = 50, tol: float = 1e-10
-) -> VerificationReport:
-    """sin/cos quotient identities, evaluated exactly at binary64 points."""
+def suite_cheb_numeric(nmax: int = DEFAULT_NMAX, tol: float = 1e-10) -> VerificationReport:
+    """sin/cos quotient identities, evaluated exactly at 50 binary64 points."""
     rec = _Recorder("cheb-numeric")
-    thetas = [0.1 + (3.0 - 0.1) * k / (points - 1) for k in range(points)]
+    thetas = [0.1 + (3.0 - 0.1) * k / 49 for k in range(50)]
     for n in range(nmax + 1):
         u_poly = cheby.cheb_U(n).poly
         t_poly = cheby.cheb_T(n).poly
@@ -395,19 +379,12 @@ def suite_mat(
         rec.equal(f"gamma-det/{i}", -m.det(), coords.gamma)
     for i in range(count):
         m = _random_unimodular(rng)
-        for n, power in zip(range(nmax + 1), _matrix_powers(m)):
-            rec.equal(
-                f"unimodular/{i}/n{n}/chebyshev",
-                power,
-                pauli.mat_power(m, n, "chebyshev"),
-            )
-            rec.equal(
-                f"unimodular/{i}/n{n}/general",
-                power,
-                pauli.mat_power(m, n, "general_recurrence"),
-            )
+        powers = list(islice(_matrix_powers(m), nmax + 1))
+        for kind, method in (("chebyshev", "chebyshev"), ("general", "general_recurrence")):
+            routed = [pauli.mat_power(m, n, method) for n in range(nmax + 1)]
+            rec.each(f"unimodular/{i}/n{{}}/{kind}", powers, routed)
         squared = pauli.mat_power(m, nmax, "squaring")
-        rec.equal(f"unimodular/{i}/squaring", power, squared)
+        rec.equal(f"unimodular/{i}/squaring", powers[-1], squared)
     for i in range(10):
         m = _random_matrix(rng)
         if m.det() == 1:
@@ -432,57 +409,34 @@ def suite_u2(nmax: int = DEFAULT_NMAX) -> VerificationReport:
     reference = [zero, zero, one]  # U2_{-1}, U2_0, ... U2_{nmax+1}
     while len(reference) < nmax + 3:
         reference.append(u * reference[-1] - v * reference[-2] + reference[-3])
-    by_series = higher.u2_by_series(nmax + 1)
-    for n in range(nmax + 2):
-        rec.equal(f"series-vs-rec/n{n}", by_series[n].poly, reference[n + 1])
-    for n in range(nmax + 1):
-        rec.equal(
-            f"series-vs-laplace/n{n}",
-            by_series[n + 1].poly,
-            higher.u2_by_laplace(n).poly,
-        )
+    series = [value.poly for value in higher.u2_by_series(nmax + 1)]  # U2_0 .. U2_{nmax+1}
+    rec.each("series-vs-rec/n{}", series, reference[1:])
+    laplace = (higher.u2_by_laplace(n).poly for n in range(nmax + 1))
+    rec.each("series-vs-laplace/n{}", series[1:], laplace)
+    coeffs = higher.cubic_power_sequence(u, v, nmax)
+    walk = [(c.alpha, c.beta, c.gamma) for c in coeffs]
     companion = higher.CubicUnit(u, v).companion()
-    matrix_power = companion.identity_like()
-    for n, coeffs in enumerate(higher.cubic_power_sequence(u, v, nmax)):
-        if n:
-            matrix_power = matrix_power * companion
-        walk = (coeffs.alpha, coeffs.beta, coeffs.gamma)
-        matrix = matrix_power.column(0)
-        if n == nmax and matrix == walk:
-            # The library's matrix route, raised by squaring, must agree too.
-            library = higher.cubic_power(u, v, n, "matrix")
-            matrix = (library.alpha, library.beta, library.gamma)
-        rec.equal(f"cubic-matrix/n{n}", walk, matrix)
-        expected_gamma = by_series[n - 1].poly if n >= 1 else MultiPoly.zero(higher.UV)
-        rec.equal(f"gamma-is-u2/n{n}", expected_gamma, coeffs.gamma)
-    rec.equal(
-        "companion-cubic",
-        companion ** 3,
-        companion * companion * u - companion * v + 1,
-    )
+    identity = companion.identity_like()
+    powers = accumulate(repeat(companion, nmax), operator.mul, initial=identity)
+    matrix = [power.column(0) for power in powers]
+    lib = higher.cubic_power(u, v, nmax, "matrix")
+    matrix[-1] = _first_other(walk[-1], (matrix[-1], (lib.alpha, lib.beta, lib.gamma)))
+    rec.each("cubic-matrix/n{}", walk, matrix)
+    rec.each("gamma-is-u2/n{}", [zero, *series[:nmax]], [c.gamma for c in coeffs])
+    cubic = companion * companion * u - companion * v + 1
+    rec.equal("companion-cubic", companion ** 3, cubic)
     return rec.report()
 
 
 def suite_hermite(order: int = 12) -> VerificationReport:
     rec = _Recorder("hermite3")
     series = higher.hermite3_generating_series(order)
-    for n in range(order + 1):
-        h_n = higher.hermite3(n)
-        scaled = h_n.poly * Fraction(1, math.factorial(n))
-        rec.equal(f"generating/n{n}", series.coefficient(n), scaled)
-        pure = MultiPoly(higher.XYZ, {(n, 0, 0): 1})
-        rec.equal(
-            f"pure-x/n{n}",
-            pure,
-            MultiPoly(
-                higher.XYZ,
-                {
-                    exps: c
-                    for exps, c in h_n.poly.terms.items()
-                    if exps[1] == 0 and exps[2] == 0
-                },
-            ),
-        )
+    h = [higher.hermite3(n).poly for n in range(order + 1)]
+    scaled = [h_n * Fraction(1, math.factorial(n)) for n, h_n in enumerate(h)]
+    rec.each("generating/n{}", map(series.coefficient, range(order + 1)), scaled)
+    pure = [MultiPoly(higher.XYZ, {(n, 0, 0): 1}) for n in range(order + 1)]
+    pure_x = [{e: c for e, c in h_n.terms.items() if e[1:] == (0, 0)} for h_n in h]
+    rec.each("pure-x/n{}", pure, [MultiPoly(higher.XYZ, terms) for terms in pure_x])
     return rec.report()
 
 
@@ -562,7 +516,7 @@ def suite_all(
     numeric_tol = tol if tol is not None else 1e-10
     return [
         suite_gcn(nmax=nmax, seed=seed, float_tol=numeric_tol),
-        suite_euler(seed=seed, tol_ode=numeric_tol, tol_add=numeric_tol),
+        suite_euler(seed=seed, tol=numeric_tol),
         suite_cheb(nmax=nmax),
         suite_cheb_numeric(nmax=min(nmax, 32), tol=numeric_tol),
         suite_mat(count=60, nmax=min(nmax, 32), seed=seed),

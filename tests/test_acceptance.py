@@ -61,26 +61,19 @@ def test_criterion_1_power_methods():
 
 @criterion(2, "Euler sector: cos/sin 1e-12, ODE and addition law 1e-10")
 def test_criterion_2_euler():
-    report = verify.suite_euler(
-        grid_points=100,
-        units=20,
-        pairs=100,
-        tol_trig=1e-12,
-        tol_ode=1e-10,
-        tol_add=1e-10,
-    )
+    report = verify.suite_euler(tol=1e-10)
     assert_clean(report)
 
 
 @criterion(3, "exact Chebyshev identities to n = 64 (ODE to 32), zero residuals")
 def test_criterion_3_cheb_exact():
-    report = verify.suite_cheb(nmax=64, ode_nmax=32)
+    report = verify.suite_cheb(nmax=64)
     assert_clean(report)
 
 
 @criterion(4, "numeric Chebyshev: sine/cosine identities within 1e-10, n <= 32")
 def test_criterion_4_cheb_numeric():
-    report = verify.suite_cheb_numeric(nmax=32, points=50, tol=1e-10)
+    report = verify.suite_cheb_numeric(nmax=32, tol=1e-10)
     assert_clean(report)
 
 

@@ -15,8 +15,9 @@ from fractions import Fraction
 
 import pytest
 
-from gencheb import cheby, gcn, higher, verify
+from gencheb import cheby, gcn, higher, pauli, verify
 from gencheb.matrices import Mat2, Mat3
+from gencheb.poly import MultiPoly
 from gencheb.scalars import GaussianRational
 
 
@@ -257,3 +258,86 @@ def test_a_wrong_library_power_at_nmax_fails_its_case(monkeypatch, patch, kinds)
     assert _failed_cases(report) == {
         f"{tag}/n{_NMAX}/{kind}" for tag in _TAGS for kind in kinds
     }
+
+
+def _wrong_polynomial_companion_power(monkeypatch):
+    raise_ = Mat2.__pow__
+
+    def wrong(self, n):
+        out = raise_(self, n)
+        # suite_cheb checks C^(n+1) for n <= nmax: the last power is nmax + 1.
+        return out + 1 if n == _NMAX + 1 and isinstance(self.m11, MultiPoly) else out
+
+    monkeypatch.setattr(Mat2, "__pow__", wrong)
+
+
+def _wrong_cubic_matrix(monkeypatch):
+    route = higher.cubic_power
+
+    def wrong(u, v, n, method="reduction"):
+        c = route(u, v, n, method)
+        if (method, n) == ("matrix", _NMAX):
+            return higher.CubicPowerCoeffs(n, c.alpha, c.beta, c.gamma + 1)
+        return c
+
+    monkeypatch.setattr(higher, "cubic_power", wrong)
+
+
+def _wrong_mat_power(method, at):
+    def patch(monkeypatch):
+        route = pauli.mat_power
+
+        def wrong(m, n, chosen="squaring"):
+            out = route(m, n, chosen)
+            return out + 1 if (chosen, n) == (method, at) else out
+
+        monkeypatch.setattr(pauli, "mat_power", wrong)
+
+    return patch
+
+
+_COUNT = 5
+
+
+@pytest.mark.parametrize(
+    "patch, suite, failed",
+    [
+        (
+            _wrong_polynomial_companion_power,
+            lambda: verify.suite_cheb(nmax=_NMAX),
+            {f"companion/n{_NMAX}"},
+        ),
+        (
+            _wrong_cubic_matrix,
+            lambda: verify.suite_u2(nmax=_NMAX),
+            {f"cubic-matrix/n{_NMAX}"},
+        ),
+        (
+            _wrong_mat_power("general_recurrence", 3),
+            lambda: verify.suite_mat(count=_COUNT, nmax=_NMAX),
+            {f"unimodular/{i}/n3/general" for i in range(_COUNT)},
+        ),
+        (
+            _wrong_mat_power("squaring", _NMAX),
+            lambda: verify.suite_mat(count=_COUNT, nmax=_NMAX),
+            {f"unimodular/{i}/squaring" for i in range(_COUNT)},
+        ),
+    ],
+    ids=["cheb-companion-power", "cubic-matrix", "mat-general", "mat-squaring"],
+)
+def test_a_wrong_library_value_fails_exactly_its_cases(monkeypatch, patch, suite, failed):
+    patch(monkeypatch)
+    assert _failed_cases(suite()) == failed
+
+
+def test_each_names_one_case_per_n_from_first():
+    rec = verify._Recorder("each")
+    rec.each("n{}/x", [1, 2, 3], [1, 0, 3], first=1)
+    assert rec.cases == 3
+    assert _failed_cases(rec.report()) == {"n2/x"}
+
+
+def test_each_refuses_sequences_of_unequal_length():
+    # A family whose sides differ in length would drop cases without notice.
+    with pytest.raises(ValueError):
+        verify._Recorder("each").each("n{}", [1, 2, 3], [1, 2])
