@@ -12,9 +12,11 @@ so identical invocations are byte-identical; JSON verification reports
 include a ``millis`` field (the one intentionally non-deterministic value,
 required by the report schema).
 
-The argparse tree is built once per process, on the first call of
-``build_parser``, and shared by every later ``main`` call; callers must not
-mutate the parser it returns.  Parsing leaves it unchanged, so a request
+The command line is declared once, in the table ``_LEAVES``: each leaf
+parser's command words, its handler and its options.  ``build_parser``
+builds the argparse tree and its ``leaves`` index from that table in one
+loop, on its first call; every later ``main`` call shares the tree, and
+callers must not mutate it.  Parsing leaves it unchanged, so a request
 answers as it would from a fresh parser.  A request that names a leaf parser
 (``cheb u``, ``hermite3``, ``verify all``, ...) is parsed once, by that leaf
 alone.  The full tree parses only the rest: top-level help, usage errors
@@ -288,7 +290,7 @@ def _cmd_cheb(args: argparse.Namespace) -> Answer:
         return _report(
             [
                 verify.suite_cheb(nmax=args.nmax),
-                verify.suite_cheb_numeric(nmax=min(args.nmax, 32)),
+                verify.suite_cheb_numeric(nmax=args.nmax),
             ],
             args.format,
         )
@@ -382,39 +384,98 @@ def _cmd_verify(args: argparse.Namespace) -> Answer:
     return _report(reports, args.format)
 
 
-def _add_format(parser: argparse.ArgumentParser, *extra: str) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", *extra),
-        default="text",
-        help="output format",
+# An option of a leaf is its flag and the settings add_argument takes.
+def _format(*extra: str) -> tuple[str, dict]:
+    return "--format", dict(choices=("text", "json", *extra), default="text", help="output format")
+
+
+def _unit(kind: str) -> tuple[tuple[str, dict], ...]:
+    # argparse reads "-1/4" or "-1e3" after "--a" as an option, not a value.
+    return tuple(
+        (name, dict(required=True, help=f"{kind}; write a negative one as {name}=-1/4"))
+        for name in ("--a", "--b")
     )
 
 
-def _add_unit(parser: argparse.ArgumentParser, kind: str) -> None:
-    # argparse reads "-1/4" or "-1e3" after "--a" as an option, not a value.
-    for name in ("--a", "--b"):
-        parser.add_argument(
-            name, required=True, help=f"{kind}; write a negative one as {name}=-1/4"
-        )
+def _method(choices: tuple[str, ...], default: str) -> tuple[str, dict]:
+    return "--method", dict(choices=choices, default=default)
 
 
-class _Leaf(NamedTuple):
-    """A parser with no subcommands, and the values the tree sets on the way to it."""
+def _nmax(**bound) -> tuple[str, dict]:
+    return "--nmax", dict(type=_positive_int, **bound)  # required=True or a default
 
-    parser: argparse.ArgumentParser
-    seeds: dict[str, str]  # dest -> command word: {"command": "cheb", "action": "u"}
+
+_N = ("--n", dict(type=_nonneg_int, required=True))
+_NMAX = _nmax(default=verify.DEFAULT_NMAX)
+_TEXT = _format()
+_VARS = ("--vars", dict(type=_symbols, default="x", help="comma-separated symbols"))
+_GCN = (*_unit("rational or polynomial text"), _VARS, _TEXT)
+_TOL = ("--tol", dict(type=_tolerance, default=euler.DEFAULT_TOL))
+_EULER = (*_unit("rational or decimal"), _TOL, _TEXT)
+_PHI = ("--phi", dict(type=float, required=True))
+_MATRIX = (("--entries", dict(required=True, help="matrix as 'a,b;c,d' (re:im allowed)")), _TEXT)
+
+# The summary of each command in the top-level help.
+_COMMANDS = {
+    "gcn": "unit powers and conjugate roots",
+    "euler": "Euler-like pair C, S",
+    "cheb": "Chebyshev polynomials and identities",
+    "mat": "2x2 matrix decomposition and powers",
+    "u2": "two-variable Chebyshev polynomials",
+    "hermite3": "third-order Hermite polynomial",
+    "verify": "identity verification suites",
+}
+
+# Every leaf parser, by its command words, in the order the help lists them:
+# its handler, then its options in the order its own help lists them.
+_LEAVES = {
+    ("gcn", "power"): (_cmd_gcn, *_GCN, _N, _method(gcn.POWER_METHODS, "recurrence")),
+    ("gcn", "roots"): (_cmd_gcn, *_GCN, ("--numeric", dict(action="store_true"))),
+    ("euler", "series"): (_cmd_euler, *_EULER, _PHI),
+    ("euler", "closed"): (_cmd_euler, *_EULER, _PHI),
+    ("euler", "ode"): (
+        _cmd_euler,
+        *_EULER,
+        ("--lo", dict(type=float, default=-2.0)),
+        ("--hi", dict(type=float, default=2.0)),
+        ("--points", dict(type=_positive_int, default=21)),
+    ),
+    ("cheb", "u"): (_cmd_cheb, _N, _TEXT),
+    ("cheb", "t"): (_cmd_cheb, _N, _TEXT),
+    ("cheb", "ab"): (_cmd_cheb, _N, _TEXT),
+    ("cheb", "verify"): (_cmd_cheb, _NMAX, _TEXT),
+    ("mat", "decompose"): (_cmd_mat, *_MATRIX),
+    ("mat", "pow"): (_cmd_mat, *_MATRIX, _N, _method(pauli.POWER_METHODS, "squaring")),
+    ("mat", "bench"): (
+        _cmd_mat,
+        ("--n-list", dict(type=_int_list, default="64,256,1024", help="comma-separated powers")),
+        ("--trials", dict(type=_positive_int, default=3)),
+        _format("csv"),
+    ),
+    ("u2", "series"): (_cmd_u2, _nmax(required=True), _TEXT),
+    ("u2", "rec"): (_cmd_u2, _nmax(required=True), _TEXT),
+    ("u2", "laplace"): (_cmd_u2, _N, _TEXT),
+    ("u2", "verify"): (_cmd_u2, _NMAX, _TEXT),
+    ("hermite3",): (_cmd_hermite3, _N, _TEXT),
+    ("verify", "all"): (
+        _cmd_verify,
+        _NMAX,
+        ("--seed", dict(type=int, default=verify.DEFAULT_SEED)),
+        ("--tol", dict(type=_tolerance, default=None)),
+        _format("csv"),
+    ),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and then shared.
+    """The command-line parser, built from ``_LEAVES`` on the first call and then shared.
 
     Every call returns the same parser, so callers must not mutate it.
     ``main`` looks this function up by name on each request.  The parser's
     ``leaves`` attribute maps the command words of every leaf parser, such
-    as ``("cheb", "u")`` or ``("hermite3",)``, to that leaf; it is filled as
-    the tree is built, so the two always agree.
+    as ``("cheb", "u")`` or ``("hermite3",)``, to that leaf; the loop that
+    adds each leaf to the tree records it there, so the two always agree.
     """
     parser = argparse.ArgumentParser(
         prog="gencheb",
@@ -423,115 +484,24 @@ def build_parser() -> argparse.ArgumentParser:
             "built-in identity verification."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    leaves: dict[tuple[str, ...], _Leaf] = {}
-    parser.leaves = leaves
-
-    def add_command(command: str, summary: str, dest: str = "action"):
-        """Add ``command`` with its own subcommands; return their factory."""
-        group = sub.add_parser(command, help=summary).add_subparsers(
-            dest=dest, required=True
-        )
-
-        def add_leaf(name: str) -> argparse.ArgumentParser:
-            leaf = group.add_parser(name)
-            leaves[command, name] = _Leaf(leaf, {"command": command, dest: name})
-            return leaf
-
-        return add_leaf
-
-    add_leaf = add_command("gcn", "unit powers and conjugate roots")
-    for action in ("power", "roots"):
-        sp = add_leaf(action)
-        _add_unit(sp, "rational or polynomial text")
-        sp.add_argument(
-            "--vars", type=_symbols, default="x", help="comma-separated symbols"
-        )
-        _add_format(sp)
-        if action == "power":
-            sp.add_argument("--n", type=_nonneg_int, required=True)
-            sp.add_argument(
-                "--method", choices=gcn.POWER_METHODS, default="recurrence"
-            )
+    parser.leaves = {}
+    commands = parser.add_subparsers(dest="command", required=True)
+    groups = {}  # command word -> the subparsers of its actions
+    for words, (handler, *options) in _LEAVES.items():
+        command, *action = words
+        dests = ("command", "target" if command == "verify" else "action")
+        if not action:  # a command with no subcommands is itself a leaf
+            leaf = commands.add_parser(command, help=_COMMANDS[command])
         else:
-            sp.add_argument("--numeric", action="store_true")
-        sp.set_defaults(func=_cmd_gcn)
-
-    add_leaf = add_command("euler", "Euler-like pair C, S")
-    for action in ("series", "closed", "ode"):
-        sp = add_leaf(action)
-        _add_unit(sp, "rational or decimal")
-        sp.add_argument("--tol", type=_tolerance, default=euler.DEFAULT_TOL)
-        _add_format(sp)
-        if action == "ode":
-            sp.add_argument("--lo", type=float, default=-2.0)
-            sp.add_argument("--hi", type=float, default=2.0)
-            sp.add_argument("--points", type=_positive_int, default=21)
-        else:
-            sp.add_argument("--phi", type=float, required=True)
-        sp.set_defaults(func=_cmd_euler)
-
-    add_leaf = add_command("cheb", "Chebyshev polynomials and identities")
-    for action in ("u", "t", "ab"):
-        sp = add_leaf(action)
-        sp.add_argument("--n", type=_nonneg_int, required=True)
-        _add_format(sp)
-        sp.set_defaults(func=_cmd_cheb)
-    sp = add_leaf("verify")
-    sp.add_argument("--nmax", type=_positive_int, default=verify.DEFAULT_NMAX)
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_cheb)
-
-    add_leaf = add_command("mat", "2x2 matrix decomposition and powers")
-    for action in ("decompose", "pow"):
-        sp = add_leaf(action)
-        sp.add_argument(
-            "--entries", required=True, help="matrix as 'a,b;c,d' (re:im allowed)"
-        )
-        _add_format(sp)
-        if action == "pow":
-            sp.add_argument("--n", type=_nonneg_int, required=True)
-            sp.add_argument(
-                "--method", choices=pauli.POWER_METHODS, default="squaring"
-            )
-        sp.set_defaults(func=_cmd_mat)
-    sp = add_leaf("bench")
-    sp.add_argument(
-        "--n-list", type=_int_list, default="64,256,1024", help="comma-separated powers"
-    )
-    sp.add_argument("--trials", type=_positive_int, default=3)
-    _add_format(sp, "csv")
-    sp.set_defaults(func=_cmd_mat)
-
-    add_leaf = add_command("u2", "two-variable Chebyshev polynomials")
-    for action in ("series", "rec"):
-        sp = add_leaf(action)
-        sp.add_argument("--nmax", type=_positive_int, required=True)
-        _add_format(sp)
-        sp.set_defaults(func=_cmd_u2)
-    sp = add_leaf("laplace")
-    sp.add_argument("--n", type=_nonneg_int, required=True)
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_u2)
-    sp = add_leaf("verify")
-    sp.add_argument("--nmax", type=_positive_int, default=verify.DEFAULT_NMAX)
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_u2)
-
-    sp = sub.add_parser("hermite3", help="third-order Hermite polynomial")
-    leaves[("hermite3",)] = _Leaf(sp, {"command": "hermite3"})
-    sp.add_argument("--n", type=_nonneg_int, required=True)
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_hermite3)
-
-    add_leaf = add_command("verify", "identity verification suites", dest="target")
-    sp = add_leaf("all")
-    sp.add_argument("--nmax", type=_positive_int, default=verify.DEFAULT_NMAX)
-    sp.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    sp.add_argument("--tol", type=_tolerance, default=None)
-    _add_format(sp, "csv")
-    sp.set_defaults(func=_cmd_verify)
-
+            if command not in groups:
+                child = commands.add_parser(command, help=_COMMANDS[command])
+                groups[command] = child.add_subparsers(dest=dests[1], required=True)
+            leaf = groups[command].add_parser(*action)
+        for flag, settings in options:
+            leaf.add_argument(flag, **settings)
+        # What the tree sets on its way to the leaf, so that the leaf alone parses alike.
+        leaf.set_defaults(func=handler, **dict(zip(dests, words)))
+        parser.leaves[words] = leaf
     return parser
 
 
@@ -540,15 +510,13 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
 
     The tree's parsers above a leaf pass everything after the command words
     to it unread, so the leaf's own pass is the tree's last one.  A request
-    that names no leaf, or leaves arguments over, goes through the whole tree,
-    which gives its usage text and errors.
+    that names no leaf, or leaves arguments over, goes through the whole
+    tree, which gives its usage text and errors.
     """
-    leaf = parser.leaves.get(tuple(argv[:2])) or parser.leaves.get(tuple(argv[:1]))
+    words = tuple(argv[:2]) if tuple(argv[:2]) in parser.leaves else tuple(argv[:1])
+    leaf = parser.leaves.get(words)
     if leaf is not None:
-        words = len(leaf.seeds)  # one dest per command word
-        args, rest = leaf.parser.parse_known_args(
-            argv[words:], argparse.Namespace(**leaf.seeds)
-        )
+        args, rest = leaf.parse_known_args(argv[len(words):])
         if not rest:
             return args
     return parser.parse_args(argv)

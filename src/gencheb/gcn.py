@@ -483,12 +483,22 @@ class Surd(Element):
         return f"{self.p} {sign} {q}*sqrt({self.delta})"
 
 
+def _real_triples(values: Sequence[Any]) -> list | None:
+    """The (p, 0, d) of each value if all are exact real scalars, else None.
+
+    A GaussianRational with no imaginary part is as real as a Fraction.
+    """
+    triples = _exact_triples(values)
+    return None if triples is None or any(q for _, q, _ in triples) else triples
+
+
 def _real(value: Any) -> Fraction:
     """An exact real scalar as a Fraction; TypeError for anything else."""
-    triple = _triple(value)
-    if triple is None or triple[1]:
+    triples = _real_triples((value,))
+    if triples is None:
         raise TypeError(f"a numeric surd needs real rational parts, not {value}")
-    return Fraction(triple[0], triple[2])
+    p, _, d = triples[0]
+    return Fraction(p, d)
 
 
 def _rounded_surd(p: Fraction, q: Fraction, delta: Fraction) -> float:
@@ -530,7 +540,7 @@ class ConjugateRoots:
     degenerate: bool
 
     def numeric(self) -> tuple[float | complex, float | complex]:
-        if not _is_rational(self.unit):
+        if _real_triples(self.unit.coeffs) is None:
             raise TypeError(
                 "numeric roots need a rational scalar unit; the exact roots "
                 "hold for polynomial-valued units too"
@@ -555,10 +565,6 @@ def conjugate_roots(unit: GcnUnit) -> ConjugateRoots:
     )
 
 
-def _is_rational(unit: Unit) -> bool:
-    return all(isinstance(c, (int, Fraction)) for c in unit.coeffs)
-
-
 def _binet_exact(unit: GcnUnit, n: int) -> tuple[Fraction, Fraction]:
     """h^n through the root h+ = (b + sqrt(D))/2, on integer numerators.
 
@@ -573,12 +579,12 @@ def _binet_exact(unit: GcnUnit, n: int) -> tuple[Fraction, Fraction]:
     P1 Q2 + Q1 P2 is taken as (P1 + Q1)(P2 + Q2) - P1 P2 - Q1 Q2, so a
     squaring costs three large products, not four.
     """
-    if not _is_rational(unit):
+    triples = _real_triples(unit.coeffs)
+    if triples is None:
         raise TypeError(
             "this method needs a rational scalar unit; use 'recurrence' or "
             "'matrix' for polynomial-valued units"
         )
-    triples = [_triple(c) for c in unit.coeffs]
     _, ((a, _), (b, _)) = _integer_unit(triples)  # A, B
     e = b * b + 4 * a
 

@@ -978,3 +978,312 @@ def test_an_overflowing_ode_grid_is_refused_for_its_span(capsys):
     assert _reply(capsys, (*ode, "--lo=-inf", "--hi", "0")) == (
         2, "", "error: grid points must be finite\n"
     )
+
+
+# The whole --help text of every command prefix at 80 columns, in the order
+# the tree lists them: every option, its choices and help, in help order.
+_HELP = {
+    (): """\
+usage: gencheb [-h] {gcn,euler,cheb,mat,u2,hermite3,verify} ...
+
+Exact generalized-complex-number and Chebyshev algebra with built-in identity
+verification.
+
+positional arguments:
+  {gcn,euler,cheb,mat,u2,hermite3,verify}
+    gcn                 unit powers and conjugate roots
+    euler               Euler-like pair C, S
+    cheb                Chebyshev polynomials and identities
+    mat                 2x2 matrix decomposition and powers
+    u2                  two-variable Chebyshev polynomials
+    hermite3            third-order Hermite polynomial
+    verify              identity verification suites
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("gcn",): """\
+usage: gencheb gcn [-h] {power,roots} ...
+
+positional arguments:
+  {power,roots}
+
+options:
+  -h, --help     show this help message and exit
+""",
+    ("gcn", "power"): """\
+usage: gencheb gcn power [-h] --a A --b B [--vars VARS] [--format {text,json}]
+                         --n N
+                         [--method {recurrence,matrix,binet,binet_float}]
+
+options:
+  -h, --help            show this help message and exit
+  --a A                 rational or polynomial text; write a negative one as
+                        --a=-1/4
+  --b B                 rational or polynomial text; write a negative one as
+                        --b=-1/4
+  --vars VARS           comma-separated symbols
+  --format {text,json}  output format
+  --n N
+  --method {recurrence,matrix,binet,binet_float}
+""",
+    ("gcn", "roots"): """\
+usage: gencheb gcn roots [-h] --a A --b B [--vars VARS] [--format {text,json}]
+                         [--numeric]
+
+options:
+  -h, --help            show this help message and exit
+  --a A                 rational or polynomial text; write a negative one as
+                        --a=-1/4
+  --b B                 rational or polynomial text; write a negative one as
+                        --b=-1/4
+  --vars VARS           comma-separated symbols
+  --format {text,json}  output format
+  --numeric
+""",
+    ("euler",): """\
+usage: gencheb euler [-h] {series,closed,ode} ...
+
+positional arguments:
+  {series,closed,ode}
+
+options:
+  -h, --help           show this help message and exit
+""",
+    ("euler", "series"): """\
+usage: gencheb euler series [-h] --a A --b B [--tol TOL]
+                            [--format {text,json}] --phi PHI
+
+options:
+  -h, --help            show this help message and exit
+  --a A                 rational or decimal; write a negative one as --a=-1/4
+  --b B                 rational or decimal; write a negative one as --b=-1/4
+  --tol TOL
+  --format {text,json}  output format
+  --phi PHI
+""",
+    ("euler", "closed"): """\
+usage: gencheb euler closed [-h] --a A --b B [--tol TOL]
+                            [--format {text,json}] --phi PHI
+
+options:
+  -h, --help            show this help message and exit
+  --a A                 rational or decimal; write a negative one as --a=-1/4
+  --b B                 rational or decimal; write a negative one as --b=-1/4
+  --tol TOL
+  --format {text,json}  output format
+  --phi PHI
+""",
+    ("euler", "ode"): """\
+usage: gencheb euler ode [-h] --a A --b B [--tol TOL] [--format {text,json}]
+                         [--lo LO] [--hi HI] [--points POINTS]
+
+options:
+  -h, --help            show this help message and exit
+  --a A                 rational or decimal; write a negative one as --a=-1/4
+  --b B                 rational or decimal; write a negative one as --b=-1/4
+  --tol TOL
+  --format {text,json}  output format
+  --lo LO
+  --hi HI
+  --points POINTS
+""",
+    ("cheb",): """\
+usage: gencheb cheb [-h] {u,t,ab,verify} ...
+
+positional arguments:
+  {u,t,ab,verify}
+
+options:
+  -h, --help       show this help message and exit
+""",
+    ("cheb", "u"): """\
+usage: gencheb cheb u [-h] --n N [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --format {text,json}  output format
+""",
+    ("cheb", "t"): """\
+usage: gencheb cheb t [-h] --n N [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --format {text,json}  output format
+""",
+    ("cheb", "ab"): """\
+usage: gencheb cheb ab [-h] --n N [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --format {text,json}  output format
+""",
+    ("cheb", "verify"): """\
+usage: gencheb cheb verify [-h] [--nmax NMAX] [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --nmax NMAX
+  --format {text,json}  output format
+""",
+    ("mat",): """\
+usage: gencheb mat [-h] {decompose,pow,bench} ...
+
+positional arguments:
+  {decompose,pow,bench}
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("mat", "decompose"): """\
+usage: gencheb mat decompose [-h] --entries ENTRIES [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --entries ENTRIES     matrix as 'a,b;c,d' (re:im allowed)
+  --format {text,json}  output format
+""",
+    ("mat", "pow"): """\
+usage: gencheb mat pow [-h] --entries ENTRIES [--format {text,json}] --n N
+                       [--method {chebyshev,squaring,general_recurrence}]
+
+options:
+  -h, --help            show this help message and exit
+  --entries ENTRIES     matrix as 'a,b;c,d' (re:im allowed)
+  --format {text,json}  output format
+  --n N
+  --method {chebyshev,squaring,general_recurrence}
+""",
+    ("mat", "bench"): """\
+usage: gencheb mat bench [-h] [--n-list N_LIST] [--trials TRIALS]
+                         [--format {text,json,csv}]
+
+options:
+  -h, --help            show this help message and exit
+  --n-list N_LIST       comma-separated powers
+  --trials TRIALS
+  --format {text,json,csv}
+                        output format
+""",
+    ("u2",): """\
+usage: gencheb u2 [-h] {series,rec,laplace,verify} ...
+
+positional arguments:
+  {series,rec,laplace,verify}
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("u2", "series"): """\
+usage: gencheb u2 series [-h] --nmax NMAX [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --nmax NMAX
+  --format {text,json}  output format
+""",
+    ("u2", "rec"): """\
+usage: gencheb u2 rec [-h] --nmax NMAX [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --nmax NMAX
+  --format {text,json}  output format
+""",
+    ("u2", "laplace"): """\
+usage: gencheb u2 laplace [-h] --n N [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --format {text,json}  output format
+""",
+    ("u2", "verify"): """\
+usage: gencheb u2 verify [-h] [--nmax NMAX] [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --nmax NMAX
+  --format {text,json}  output format
+""",
+    ("hermite3",): """\
+usage: gencheb hermite3 [-h] --n N [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --format {text,json}  output format
+""",
+    ("verify",): """\
+usage: gencheb verify [-h] {all} ...
+
+positional arguments:
+  {all}
+
+options:
+  -h, --help  show this help message and exit
+""",
+    ("verify", "all"): """\
+usage: gencheb verify all [-h] [--nmax NMAX] [--seed SEED] [--tol TOL]
+                          [--format {text,json,csv}]
+
+options:
+  -h, --help            show this help message and exit
+  --nmax NMAX
+  --seed SEED
+  --tol TOL
+  --format {text,json,csv}
+                        output format
+""",
+}
+
+
+def test_every_command_prefix_prints_its_whole_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    assert set(_tree_leaves(cli.build_parser())) <= set(_HELP)
+    for words, text in _HELP.items():
+        assert _reply(capsys, (*words, "--help")) == (0, text, ""), words
+
+
+def _leaf_parser(parser, words):
+    """The parser the tree reaches by ``words``, found as ``_tree_leaves`` walks."""
+    for word in words:
+        group, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = group.choices[word]
+    return parser
+
+
+# Every default the help text does not show, by leaf and option.
+_DEFAULTS = {
+    ("gcn", "power"): {"vars": "x", "format": "text", "method": "recurrence"},
+    ("gcn", "roots"): {"vars": "x", "format": "text", "numeric": False},
+    ("euler", "series"): {"tol": 1e-12, "format": "text"},
+    ("euler", "closed"): {"tol": 1e-12, "format": "text"},
+    ("euler", "ode"): {"tol": 1e-12, "format": "text", "lo": -2.0, "hi": 2.0, "points": 21},
+    ("cheb", "u"): {"format": "text"},
+    ("cheb", "t"): {"format": "text"},
+    ("cheb", "ab"): {"format": "text"},
+    ("cheb", "verify"): {"nmax": 24, "format": "text"},
+    ("mat", "decompose"): {"format": "text"},
+    ("mat", "pow"): {"format": "text", "method": "squaring"},
+    ("mat", "bench"): {"n_list": "64,256,1024", "trials": 3, "format": "text"},
+    ("u2", "series"): {"format": "text"},
+    ("u2", "rec"): {"format": "text"},
+    ("u2", "laplace"): {"format": "text"},
+    ("u2", "verify"): {"nmax": 24, "format": "text"},
+    ("hermite3",): {"format": "text"},
+    ("verify", "all"): {"nmax": 24, "seed": 987654321, "format": "text"},
+}
+
+
+def test_every_leaf_keeps_its_defaults():
+    parser = cli.build_parser()
+    assert list(_DEFAULTS) == list(_LEAF_REQUESTS)
+    for words, defaults in _DEFAULTS.items():
+        actions = _leaf_parser(parser, words)._actions
+        assert {a.dest: a.default for a in actions if a.default is not None} == {
+            "help": argparse.SUPPRESS, **defaults
+        }, words

@@ -141,6 +141,21 @@ def test_conjugate_root_examples():
     assert degenerate.numeric() == (1.0, 1.0)
 
 
+
+def test_a_real_gaussian_unit_is_a_rational_unit():
+    # Realness is decided by the exact (p, q, d) of each coefficient, so a
+    # GaussianRational with q = 0 is as rational as the Fraction it equals.
+    unit = GcnUnit(GaussianRational(1), GaussianRational(1))
+    for n in range(21):
+        assert power_coeffs(unit, n, "binet") == power_coeffs(unit, n, "recurrence"), n
+    golden = GcnUnit(Fraction(1), Fraction(1))
+    assert conjugate_roots(unit).numeric() == conjugate_roots(golden).numeric()
+    complex_unit = GcnUnit(GaussianRational(0, 1), GaussianRational(1))
+    with pytest.raises(TypeError, match="rational scalar unit"):
+        power_coeffs(complex_unit, 3, "binet")
+    with pytest.raises(TypeError, match="rational scalar unit"):
+        conjugate_roots(complex_unit).numeric()
+
 def test_root_invariants_exact():
     rng = random.Random(99)
     for _ in range(30):

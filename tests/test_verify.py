@@ -330,6 +330,12 @@ def test_a_wrong_library_value_fails_exactly_its_cases(monkeypatch, patch, suite
     assert _failed_cases(suite()) == failed
 
 
+
+def test_the_costly_suites_stop_at_n32_whatever_nmax():
+    # cheb-numeric checks two rows per n and mat-unit two routes per n.
+    assert verify.suite_cheb_numeric(nmax=40).cases == 2 * 33
+    assert verify.suite_mat(count=2, nmax=40).cases == verify.suite_mat(count=2, nmax=32).cases
+
 def test_each_names_one_case_per_n_from_first():
     rec = verify._Recorder("each")
     rec.each("n{}/x", [1, 2, 3], [1, 0, 3], first=1)
