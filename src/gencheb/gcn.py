@@ -33,31 +33,33 @@ Readers of a whole sequence use it: ``cheby.cheb_AB`` and
 instead of the walk's O(k n); it is the ``recurrence`` route of
 ``power_coeffs`` and, for a matrix of polynomials, the closed form of the
 matrix powers of :mod:`gencheb.pauli`.  A unit of exact scalars (int, Fraction or
-GaussianRational) is raised on integer numerators: with d the lcm of its
+GaussianRational) is raised on integer numerators.  With d the lcm of its
 denominators, g = d*h is the root of a unit with Gaussian-integer
-coefficients, so g is raised by ``power`` with ``_pair_product`` on int
-pairs with no gcd (``_integer_power``), and each coefficient of h^n is
-built once, in the walk's own type, over a denominator known in advance
-(``_unscaled``): x_i is homogeneous of weight n - i when c_j has weight
-k - j, so the part of d^(n-i) it cannot need is divided out exactly and no
-gcd with d^(n-i) is taken.
-The ``matrix`` and ``binet`` routes of :func:`power_coeffs` use the same
-scaling, each with its own kernel, so the three routes still check one
-another: ``matrix`` raises the companion of g's unit over ints (over
-GaussianRational with denominator 1 for a Gaussian unit), and ``binet``
-raises g's root.  A unit with polynomial coefficients is raised as an
+coefficients.  x_i of h^w is homogeneous of weight w - i when c_j has
+weight k - j, so with K = lcm(1..k) and L = lcm_j d_j^(K/(k-j)) the element
+G = L*h^K has integer coefficients as well.  Every exact route raises G,
+not g: h^n = G^m h^r / L^m (m = n // K, r = n % K) is then built over the
+denominator L^m d^(k-1+r-i) that its integers need.  Raising g instead
+would carry the excess (d^K/L)^m, only to divide it back out.  Each route
+keeps its own kernel for G^m, so the three still check one another:
+``recurrence`` multiplies int pairs with ``_pair_product``, ``matrix``
+raises L*C^K / d^(K-k+1) for C the companion of g's unit over ints (over
+GaussianRational with denominator 1 for a unit with an imaginary part), and ``binet``
+raises G's root.  Their shared tail ``_lifted_power`` multiplies by g^r
+and builds each coefficient once, in the walk's own type, with no gcd
+taken with its denominator.  A unit with polynomial coefficients is raised as an
 :class:`Element`, and its companion as a matrix of polynomials.  On
 bivariate polynomial coefficients such as the cubic unit's the walk wins
 even for one power: each of its steps multiplies by the small unit
 coefficients, while a squaring multiplies two large ones.
 
-The exact closed form needs a rational unit.  g = d*h is the root of the
-integer unit (A, B) = (d^2 a, d b), whose root g+ = (B + sqrt(E))/2,
-E = B^2 + 4A, is held as the int pair (P, Q) of (P + Q*sqrt(E))/2.  Each
-product is halved with ``>> 1``, exactly and with no gcd, because g+ is an
-algebraic integer; g^n = P/2 + Q*sqrt(E)/2 then gives y_1 = Q and
-y_0 = (P - B*Q)/2 identically, with no division by h+ - h-, so the form
-stays valid when D = 0.  The floating closed form, of h^n and of every
+The exact closed form needs a rational unit.  G = L*h^2 = L*a + L*b*h is
+the root of the integer unit (-N, T) with T = L(b^2 + 2a) and N = (L*a)^2,
+whose root G+ = (T + sqrt(E))/2, E = T^2 - 4N, is held as the int pair
+(P, Q) of (P + Q*sqrt(E))/2.  Each product is halved with ``>> 1``, exactly
+and with no gcd, because G+ is an algebraic integer; G^m = P/2 + Q*sqrt(E)/2
+then gives y_1 = Q and y_0 = (P - T*Q)/2 identically, with no division by
+G+ - G-, so the form stays valid when D = 0.  The floating closed form, of h^n and of every
 other function of the unit, is :func:`at_roots`.  The recurrence and matrix
 routes are ring-generic.
 """
@@ -307,15 +309,15 @@ def unit_power(coeffs: Sequence[Any], n: int) -> tuple[Any, ...]:
     Each product multiplies two k-tuples and reduces the top k - 1
     coefficients, so h^n costs O(k^2 log n) scalar products instead of the
     O(k n) of the walk.  A unit of exact scalars (int, Fraction or
-    GaussianRational) is raised on integer numerators, and its result has
-    the walk's type: int for an int unit, Fraction for a rational one and
-    GaussianRational otherwise.  A unit with any other coefficient, such as
-    a polynomial, is raised as an :class:`Element`.
+    GaussianRational) is raised on integer numerators, through
+    :func:`_pair_lift` and :func:`_lifted_power`, and its result has the
+    walk's type: int for an int unit, Fraction for a rational one and
+    GaussianRational otherwise.  A unit with any other
+    coefficient, such as a polynomial, is raised as an :class:`Element`.
     """
     triples = _exact_triples(coeffs)
     if triples is not None:  # an empty unit is refused below
-        ps, qs, _ = _integer_power(triples, n)
-        return _unscaled(ps, qs, triples, n, _kind(coeffs))
+        return _lifted_power(triples, n, _kind(coeffs), _pair_lift)
     unit = Unit(coeffs)
     h = unit.companion().column(0)  # the column of h^1; it is c_0 for k = 1
     return (Element(unit, h) ** n).coeffs
@@ -343,38 +345,34 @@ def _integer_unit(triples: list) -> tuple[int, list]:
     return d, scaled
 
 
-def _unscaled(ps: Sequence[int], qs: Sequence[int], triples: list, n: int, kind: type) -> tuple:
-    """h^n from g^n = sum (p_i + q_i*i) g^i, g = d*h: x_i = (p_i + q_i*i) / d^w, w = n - i.
+def _lifted_power(triples: list, n: int, kind: type, raise_lift) -> tuple:
+    """h^n for a unit of exact scalars: the tail of every exact route.
 
-    ``triples`` are the (p_j, q_j, d_j) of the unit's coefficients c_j, and
-    d is the lcm of the d_j; y_i is 0 for i > n, so w is taken as 0 there.
-    x_i is an integer polynomial in the c_j, homogeneous of weight w when
-    c_j has weight k - j, so its denominator is known before any product:
-    with K = lcm(1..k) and L = lcm_j d_j^(K/(k-j)) it divides
-    D(w) = L^(w // K) * d^(w % K).  A prime p divides a term at most
-    w * max_j v_p(d_j)/(k-j) = w * v_p(L)/K times, and v_p(L)/K <= v_p(d).
-    L divides d^K, so y_i is exactly divisible by the excess
-    (d^K/L)^(w // K), and x_i is the quotient over D(w).  What is left to
-    cancel is stripped against a base that starts at d and is squared each
-    round; every prime of D(w) divides d, so a round that finds no common
-    factor with the base proves the fraction reduced.  Each x_i is then
-    built once, with no further gcd, as a ``kind``: int (d = 1), Fraction
-    or GaussianRational.
+    ``raise_lift((triples, d, scaled, fold, K, L), m)`` returns d^(k-1)*G^m,
+    G = L*h^K, as int lists in the basis of g = d*h (:func:`_integer_unit`).
+    G has integer coefficients: a prime p divides the denominator of x_i of
+    h^w at most (w - i) * max_j v_p(d_j)/(k-j) times, v_p(L) at w = K.  After
+    one product by g^r (:func:`_g_power`), x_i = W_i / (L^m d^(k-1+r-i)); for
+    m = 0 no kernel runs, and x_i = W_i / d^(r-i).  What is left to cancel is
+    stripped against a base that starts at d and is squared each round;
+    every prime of the denominator divides d, so a round that finds no
+    common factor with the base proves the fraction reduced.  Each x_i is
+    built once, with no further gcd, as a ``kind``.
     """
-    k = len(ps)
-    dens = [d_j for _, _, d_j in triples]
-    d = math.lcm(*dens)
+    k = len(triples)
+    d, scaled = _integer_unit(triples)
+    fold = _fold(scaled)
     order_lcm = math.lcm(*range(1, k + 1))
-    top = excess = 1
-    if n >= order_lcm:  # else w // K is 0 for every i, and L is never needed
-        top = math.lcm(*(d_j ** (order_lcm // (k - j)) for j, d_j in enumerate(dens)))
-        excess = d ** order_lcm // top
+    m, r = divmod(n, order_lcm)
+    ws, scale, lift = _g_power(scaled, fold, r), 1, 0
+    if m:
+        top = math.lcm(*[d_j ** (order_lcm // (k - j)) for j, (_, _, d_j) in enumerate(triples)])
+        lifted = raise_lift((triples, d, scaled, fold, order_lcm, top), m)
+        ws = _pair_product(lifted, ws, fold) if r else lifted
+        scale, lift = top ** m, k - 1
     xs = []
-    for i, (p, q) in enumerate(zip(ps, qs)):
-        m, r = divmod(max(n - i, 0), order_lcm)
-        scale = excess ** m
-        p, q, den = p // scale, q // scale, top ** m * d ** r
-        base = d
+    for i, (p, q) in enumerate(zip(*ws)):
+        den, base = scale * d ** max(lift + r - i, 0), d  # W_i = 0 where this clips
         while True:
             base = math.gcd(den, base)
             g = math.gcd(p, q, base)
@@ -384,6 +382,11 @@ def _unscaled(ps: Sequence[int], qs: Sequence[int], triples: list, n: int, kind:
             base *= base
         xs.append(_from_coprime(kind, p, q, den))
     return tuple(xs)
+
+
+def _fold(scaled: list) -> list:
+    """The (i, p, q) of the nonzero coefficients of g's unit, for :func:`_pair_product`."""
+    return [(i, p, q) for i, (p, q) in enumerate(scaled) if p or q]
 
 
 def _pair_product(xs: tuple, ys: tuple, fold: list) -> tuple:
@@ -407,41 +410,70 @@ def _pair_product(xs: tuple, ys: tuple, fold: list) -> tuple:
 
 
 def _integer_power(triples: list, n: int) -> tuple[list, list, int]:
-    """g^n for g = d*h, h the root of the unit of exact scalars (p_i + q_i*i)/d_i.
-
-    The result is (ps, qs, d) with g^n = sum (ps[i] + qs[i]*i) g^i.
-    g (:func:`_integer_unit`) is raised by :func:`power` with
-    :func:`_pair_product` on int pairs, with no gcd.  :func:`unit_power`
-    scales the result back by :func:`_unscaled`.
-    """
-    k = len(triples)
+    """(ps, qs, d) with g^n = sum (ps[i] + qs[i]*i) g^i for g = d*h, by :func:`_g_power`."""
     d, scaled = _integer_unit(triples)
-    fold = [(i, p, q) for i, (p, q) in enumerate(scaled) if p or q]
+    return (*_g_power(scaled, _fold(scaled), n), d)
+
+
+def _g_power(scaled: list, fold: list, n: int) -> tuple[list, list]:
+    """g^n as int lists (ps, qs), by :func:`power` with :func:`_pair_product`."""
+    k = len(scaled)
     one = ([1] + [0] * (k - 1), [0] * k)
     p_0, q_0 = scaled[0]  # for k = 1, h = c_0, so g = d*c_0 = p_0 + q_0*i
     g = ([0, 1] + [0] * (k - 2), [0] * k) if k > 1 else ([p_0], [q_0])
-    ps, qs = power(g, n, one, lambda x, y: _pair_product(x, y, fold))
-    return ps, qs, d
+    return power(g, n, one, lambda x, y: _pair_product(x, y, fold))
+
+
+def _pair_lift(lift: tuple, m: int) -> tuple:
+    """d^(k-1)*G^m by :func:`power` with :func:`_pair_product`: the ``recurrence`` kernel.
+
+    It starts from (L / d^(K-k+1))*g^K, g^K = (g^k)^(K/k) with g^k read off
+    g's unit, and divides each product exactly by d^(k-1).
+    """
+    triples, d, scaled, fold, order_lcm, top = lift
+    k = len(triples)
+    e, s = d ** (k - 1), d ** (order_lcm - k + 1)
+    plain = lambda x, y: _pair_product(x, y, fold)
+    ps, qs = power(([p for p, _ in scaled], [q for _, q in scaled]), order_lcm // k, None, plain)
+
+    def product(x: tuple, y: tuple) -> tuple:
+        ps, qs = _pair_product(x, y, fold)
+        return [p // e for p in ps], [q // e for q in qs]
+
+    start = [p * top // s for p in ps], [q * top // s for q in qs]
+    return power(start, m, None, product if e > 1 else plain)  # d = 1 divides nothing
+
+
+def _companion_lift(lift: tuple, m: int) -> tuple:
+    """d^(k-1)*G^m as the first column of A^m, A = L*C^K / d^(K-k+1): the ``matrix`` kernel.
+
+    C is the companion of g's unit over ints, or over GaussianRational with
+    denominator 1 if it has an imaginary part; A is d^(k-1) times the matrix
+    of G in the g-basis, and each product is divided exactly by d^(k-1).
+    """
+    triples, d, scaled, _, order_lcm, top = lift
+    e, s = d ** (len(triples) - 1), d ** (order_lcm - len(triples) + 1)
+    if any(q for _, q in scaled):
+        c = Unit(tuple(_unchecked(p, q, 1) for p, q in scaled)).companion()
+        def rescaled(a: Mat3, num: int, den: int) -> Mat3:  # exact, so over 1 again
+            return a * _unchecked(num, 0, den)
+    else:
+        c = Unit(tuple(p for p, _ in scaled)).companion()
+        def rescaled(a: Mat3, num: int, den: int) -> Mat3:
+            return a._new(tuple([tuple([x * num // den for x in row]) for row in a.rows]))
+
+    product = (lambda x, y: rescaled(x * y, 1, e)) if e > 1 else mul  # d = 1 divides nothing
+    column = power(rescaled(c ** order_lcm, top, s), m, None, product)
+    ps, qs, _ = zip(*map(_triple, column.column(0)))
+    return ps, qs
 
 
 def _companion_power(unit: Unit, n: int) -> tuple[Any, ...]:
-    """The first column of ``unit.companion() ** n``: the ``matrix`` route.
-
-    A unit of exact scalars raises the companion of g = d*h
-    (:func:`_integer_unit`) over ints, or over GaussianRational with d = 1
-    for a Gaussian unit, so no product reduces a fraction; its first column
-    holds the numerators y_i of x_i = y_i / d^(n-i), which
-    :func:`_unscaled` builds over their predicted denominators.
-    """
+    """The first column of ``unit.companion() ** n``: the ``matrix`` route."""
     triples = _exact_triples(unit.coeffs)
     if triples is None:
         return (unit.companion() ** n).column(0)
-    kind = _kind(unit.coeffs)
-    gaussian = kind is GaussianRational
-    _, scaled = _integer_unit(triples)
-    g = Unit(tuple(_unchecked(p, q, 1) if gaussian else p for p, q in scaled))
-    ps, qs, _ = zip(*map(_triple, (g.companion() ** n).column(0)))
-    return _unscaled(ps, qs, triples, n, kind)
+    return _lifted_power(triples, n, _kind(unit.coeffs), _companion_lift)
 
 
 class Surd(Element):
@@ -540,11 +572,8 @@ class ConjugateRoots:
     degenerate: bool
 
     def numeric(self) -> tuple[float | complex, float | complex]:
-        if _real_triples(self.unit.coeffs) is None:
-            raise TypeError(
-                "numeric roots need a rational scalar unit; the exact roots "
-                "hold for polynomial-valued units too"
-            )
+        refusal = "numeric roots need a rational scalar unit; the exact roots hold for {} units too"
+        _rational_unit(self.unit, refusal)
         return (self.h_plus.numeric(), self.h_minus.numeric())
 
 
@@ -565,36 +594,46 @@ def conjugate_roots(unit: GcnUnit) -> ConjugateRoots:
     )
 
 
-def _binet_exact(unit: GcnUnit, n: int) -> tuple[Fraction, Fraction]:
-    """h^n through the root h+ = (b + sqrt(D))/2, on integer numerators.
+def _rational_unit(unit: GcnUnit, refusal: str) -> list:
+    """The (p, 0, d) of a rational unit's coefficients, else TypeError(``refusal``).
 
-    g = d*h is the root of the unit (A, B) of :func:`_integer_unit`, and
-    g+ = (B + sqrt(E))/2 with E = B^2 + 4A = d^2 D is held as the int pair
-    (P, Q) of (P + Q*sqrt(E))/2.  A product of two such pairs is
-    ((P1 P2 + Q1 Q2 E)/2, (P1 Q2 + Q1 P2)/2), and both halvings are exact:
-    g+ is an algebraic integer, so each power is m + k*g+, that is
-    P = 2m + k*B and Q = k, so P = Q*B modulo 2, and E = B^2 modulo 4.
-    g^n = y_0 + y_1*g then has y_1 = Q and y_0 = (P - B*Q)/2.  Nothing
-    divides by g+ - g-, so D = 0 is no special case.  The cross term
-    P1 Q2 + Q1 P2 is taken as (P1 + Q1)(P2 + Q2) - P1 P2 - Q1 Q2, so a
-    squaring costs three large products, not four.
-    """
+    ``refusal`` names the unit at ``{}``: complex, or polynomial-valued."""
     triples = _real_triples(unit.coeffs)
     if triples is None:
-        raise TypeError(
-            "this method needs a rational scalar unit; use 'recurrence' or "
-            "'matrix' for polynomial-valued units"
-        )
-    _, ((a, _), (b, _)) = _integer_unit(triples)  # A, B
-    e = b * b + 4 * a
+        exact = _exact_triples(unit.coeffs) is not None
+        raise TypeError(refusal.format("complex" if exact else "polynomial-valued"))
+    return triples
+
+
+def _binet_exact(unit: GcnUnit, n: int) -> tuple[Fraction, Fraction]:
+    """h^n through :func:`_binet_lift` and :func:`_lifted_power`: the ``binet`` route."""
+    refusal = "this method needs a rational scalar unit; use 'recurrence' or 'matrix' for {} units"
+    return _lifted_power(_rational_unit(unit, refusal), n, Fraction, _binet_lift)
+
+
+def _binet_lift(lift: tuple, m: int) -> tuple:
+    """d*G^m through the root G+ = (T + sqrt(E))/2 of G = L*h^2: the ``binet`` kernel.
+
+    G+ is held as the int pair (P, Q) of (P + Q*sqrt(E))/2, and a product of
+    two pairs is ((P1 P2 + Q1 Q2 E)/2, (P1 Q2 + Q1 P2)/2).  Both halvings are
+    exact: each power is s + t*G+, so P = 2s + t*T = Q*T modulo 2, and
+    E = T^2 modulo 4.  With G^m = y_0 + y_1*G, d*G^m is
+    d*(y_0 + y_1*L*a) + y_1*L*b*g.  The cross term is taken as
+    (P1 + Q1)(P2 + Q2) - P1 P2 - Q1 Q2, so a squaring costs three large
+    products, not four.
+    """
+    ((a, _, d_a), (b, _, d_b)), d, _, _, _, top = lift
+    la, lb = top // d_a * a, top // d_b * b  # d_b^2 divides L, so L*b^2 = lb*b/d_b
+    t = lb * b // d_b + 2 * la
+    e = t * t - 4 * la * la
 
     def surd_product(x: tuple, y: tuple) -> tuple:
         (p1, q1), (p2, q2) = x, y
         pp, qq = p1 * p2, q1 * q2
         return (pp + qq * e) >> 1, ((p1 + q1) * (p2 + q2) - pp - qq) >> 1
 
-    p, q = power((b, 1), n, (2, 0), surd_product)
-    return _unscaled(((p - b * q) >> 1, q), (0, 0), triples, n, Fraction)
+    p, q = power((t, 1), m, None, surd_product)
+    return [d * (((p - t * q) >> 1) + q * la), q * lb], [0, 0]
 
 
 def float_unit(unit: GcnUnit) -> tuple[float, float]:

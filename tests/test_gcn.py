@@ -5,6 +5,7 @@ from itertools import islice
 
 import pytest
 
+from gencheb import gcn
 from gencheb.gcn import (
     Element,
     GcnElement,
@@ -155,6 +156,23 @@ def test_a_real_gaussian_unit_is_a_rational_unit():
         power_coeffs(complex_unit, 3, "binet")
     with pytest.raises(TypeError, match="rational scalar unit"):
         conjugate_roots(complex_unit).numeric()
+
+
+def test_refusals_name_complex_and_polynomial_units():
+    complex_unit = GcnUnit(GaussianRational(0, 1), GaussianRational(1))
+    polynomial_unit = GcnUnit(X, 1)
+    binet = "this method needs a rational scalar unit; use 'recurrence' or 'matrix' for {} units"
+    numeric = "numeric roots need a rational scalar unit; the exact roots hold for {} units too"
+    for unit, kind in ((complex_unit, "complex"), (polynomial_unit, "polynomial-valued")):
+        with pytest.raises(TypeError) as refused:
+            power_coeffs(unit, 3, "binet")
+        assert str(refused.value) == binet.format(kind)
+        with pytest.raises(TypeError) as refused:
+            conjugate_roots(unit).numeric()
+        assert str(refused.value) == numeric.format(kind)
+    # The complex unit's exact powers and roots still hold.
+    assert power_coeffs(complex_unit, 3, "recurrence") == power_coeffs(complex_unit, 3, "matrix")
+
 
 def test_root_invariants_exact():
     rng = random.Random(99)
@@ -353,9 +371,22 @@ def _seeded_exact_units(seed, count):
 
 HIGH_RESIDUAL = (Fraction(-1 + 2 ** 200, 4), Fraction(1, 2))
 TIE_UNITS = [(Fraction(-3, 4), Fraction(1, 2)), (Fraction(5, 9), Fraction(1, 3))]
+# Units where raising g = d*h would carry a large excess (d^K/L)^(n//K):
+# scalar-power's (+-11/13, +-7/5), whose excess at n = 4096 is 13^2048, and
+# units of orders 3-5 whose c_0 has a prime denominator p that no other
+# coefficient has, so that p divides d^K/L to the largest power it can,
+# K(1 - 1/k).
+EXCESS_UNITS = [
+    *((Fraction(sa * 11, 13), Fraction(sb * 7, 5)) for sa in (1, -1) for sb in (1, -1)),
+    (Fraction(1, 13), Fraction(2, 5), Fraction(3, 7)),
+    (_g(Fraction(1, 13), Fraction(-2, 13)), _g(Fraction(2, 5), 1), _g(0, Fraction(3, 7))),
+    (Fraction(1, 13), Fraction(2, 5), Fraction(3, 7), Fraction(-1, 2)),
+    (Fraction(-1, 11), Fraction(2, 5), Fraction(-3, 7), Fraction(1, 2), Fraction(5, 3)),
+]
 PINNED_UNITS = [
     *_seeded_exact_units(20261019, 30),
     *TIE_UNITS, (Fraction(-1, 4), 1), (0, 0), HIGH_RESIDUAL,
+    *EXCESS_UNITS,
 ]
 PINNED_INDICES = [*range(8), 59, 60, 61, 119, 120, 121, 128]
 
@@ -377,6 +408,9 @@ def _reference(coeffs, n, kind):
 def _pinned_indices(coeffs):
     if coeffs == HIGH_RESIDUAL:
         return [3, 6, 96, 4095]
+    if coeffs in EXCESS_UNITS:  # either side of K = lcm(1..k) and of 4096
+        order_lcm = math.lcm(*range(1, len(coeffs) + 1))
+        return [order_lcm - 1, order_lcm, order_lcm + 1, 4095, 4096, 4097]
     return PINNED_INDICES + [4095, 4096] * (coeffs in TIE_UNITS)
 
 
@@ -424,6 +458,36 @@ def test_exact_routes_build_no_fraction_over_a_large_denominator(monkeypatch, me
     monkeypatch.undo()
     assert large == []
     _same(got, _reference(unit.coeffs, 4096, Fraction), 4096)
+
+
+@pytest.mark.parametrize("method", ["recurrence", "binet"])
+def test_exact_routes_raise_no_integer_beyond_the_reduced_numerators(monkeypatch, method):
+    # Raising g = d*h to 4096 for (11/13, 7/5) builds 28,320-bit integers
+    # where the reduced numerators of h^4096 have 20,737 bits: the excess
+    # 13^2048 that raising G = L*h^2 never builds.
+    bits = []
+    raise_ = gcn.power
+
+    def record(value):
+        if isinstance(value, int):
+            bits.append(value.bit_length())
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                record(item)
+
+    def recording(*args):
+        result = raise_(*args)
+        record(result)
+        return result
+
+    unit = GcnUnit(Fraction(11, 13), Fraction(7, 5))
+    monkeypatch.setattr(gcn, "power", recording)
+    got = power_coeffs(unit, 4096, method)
+    monkeypatch.undo()
+    _same(got, power_coeffs(unit, 4096, "matrix"), 4096)
+    numerator_bits = max(x.numerator.bit_length() for x in got)
+    assert numerator_bits == 20737
+    assert max(bits) <= numerator_bits + 64
 
 
 def _pair_mul(unit, x, y):
