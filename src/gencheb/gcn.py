@@ -32,26 +32,27 @@ Readers of a whole sequence use it: ``cheby.cheb_AB`` and
 (Fiduccia, SIAM J. Comput. 14, 1985) in O(k^2 log n) scalar products
 instead of the walk's O(k n); it is the ``recurrence`` route of
 ``power_coeffs`` and, for a matrix of polynomials, the closed form of the
-matrix powers of :mod:`gencheb.pauli`.  A unit of exact scalars (int, Fraction or
-GaussianRational) is raised on integer numerators.  With d the lcm of its
-denominators, g = d*h is the root of a unit with Gaussian-integer
+matrix powers of :mod:`gencheb.pauli`.  A unit of exact scalars (int,
+Fraction or GaussianRational) is raised on integer numerators.  With d the
+lcm of its denominators, g = d*h is the root of a unit with Gaussian-integer
 coefficients.  x_i of h^w is homogeneous of weight w - i when c_j has
 weight k - j, so with K = lcm(1..k) and L = lcm_j d_j^(K/(k-j)) the element
-G = L*h^K has integer coefficients as well.  Every exact route raises G,
-not g: h^n = G^m h^r / L^m (m = n // K, r = n % K) is then built over the
-denominator L^m d^(k-1+r-i) that its integers need.  Raising g instead
-would carry the excess (d^K/L)^m, only to divide it back out.  Each route
-keeps its own kernel for G^m, so the three still check one another:
-``recurrence`` multiplies int pairs with ``_pair_product``, ``matrix``
-raises L*C^K / d^(K-k+1) for C the companion of g's unit over ints (over
-GaussianRational with denominator 1 for a unit with an imaginary part), and ``binet``
-raises G's root.  Their shared tail ``_lifted_power`` multiplies by g^r
-and builds each coefficient once, in the walk's own type, with no gcd
-taken with its denominator.  A unit with polynomial coefficients is raised as an
-:class:`Element`, and its companion as a matrix of polynomials.  On
-bivariate polynomial coefficients such as the cubic unit's the walk wins
-even for one power: each of its steps multiplies by the small unit
-coefficients, while a squaring multiplies two large ones.
+G = L*h^K has integer coefficients as well.  Every exact power, pauli's
+included, is read off one lift, ``_lift``: h^n = G^m h^r / L^m
+(m = n // K, r = n % K) over the denominator L^m d^(k-1+r-i) that its
+integers need, so none carries the excess (d^K/L)^m that raising g would.
+Each route gives the lift its own kernel for G^m, so the routes still check
+one another: ``recurrence`` multiplies int pairs with ``_pair_product``,
+``matrix`` raises L*C^K / d^(K-k+1) for C the companion of g's unit over
+ints (over GaussianRational with denominator 1 for a unit with an imaginary
+part), ``binet`` raises G's root, and :mod:`gencheb.pauli` multiplies int
+4-tuples of its own.  ``_lifted_power`` builds each coefficient once, in
+the walk's own type, with no gcd taken with its denominator.  A unit with
+polynomial coefficients is raised as an :class:`Element`, and its companion
+as a matrix of polynomials.  On bivariate polynomial coefficients such as
+the cubic unit's the walk wins even for one power: each of its steps
+multiplies by the small unit coefficients, while a squaring multiplies two
+large ones.
 
 The exact closed form needs a rational unit.  G = L*h^2 = L*a + L*b*h is
 the root of the integer unit (-N, T) with T = L(b^2 + 2a) and N = (L*a)^2,
@@ -337,7 +338,7 @@ def _integer_unit(triples: list) -> tuple[int, list]:
     coefficients as (p, q) int pairs.  For k = 1, g = d*c_0.
     """
     k = len(triples)
-    d = math.lcm(*(d_i for _, _, d_i in triples))
+    d = math.lcm(*[d_i for _, _, d_i in triples])
     scaled = []
     for i, (p, q, d_i) in enumerate(triples):
         scale = d // d_i * d ** (k - 1 - i)
@@ -345,34 +346,18 @@ def _integer_unit(triples: list) -> tuple[int, list]:
     return d, scaled
 
 
-def _lifted_power(triples: list, n: int, kind: type, raise_lift) -> tuple:
-    """h^n for a unit of exact scalars: the tail of every exact route.
+def _lifted_power(triples: list, n: int, kind: type, kernel) -> tuple:
+    """h^n for a unit of exact scalars: :func:`_lift`, then each x_i stripped.
 
-    ``raise_lift((triples, d, scaled, fold, K, L), m)`` returns d^(k-1)*G^m,
-    G = L*h^K, as int lists in the basis of g = d*h (:func:`_integer_unit`).
-    G has integer coefficients: a prime p divides the denominator of x_i of
-    h^w at most (w - i) * max_j v_p(d_j)/(k-j) times, v_p(L) at w = K.  After
-    one product by g^r (:func:`_g_power`), x_i = W_i / (L^m d^(k-1+r-i)); for
-    m = 0 no kernel runs, and x_i = W_i / d^(r-i).  What is left to cancel is
-    stripped against a base that starts at d and is squared each round;
-    every prime of the denominator divides d, so a round that finds no
-    common factor with the base proves the fraction reduced.  Each x_i is
-    built once, with no further gcd, as a ``kind``.
+    What is left to cancel is stripped against a base that starts at d and
+    is squared each round; every prime of the denominator divides d, so a
+    round that finds no common factor with the base proves the fraction
+    reduced.  Each x_i is built once, with no further gcd, as a ``kind``.
     """
-    k = len(triples)
-    d, scaled = _integer_unit(triples)
-    fold = _fold(scaled)
-    order_lcm = math.lcm(*range(1, k + 1))
-    m, r = divmod(n, order_lcm)
-    ws, scale, lift = _g_power(scaled, fold, r), 1, 0
-    if m:
-        top = math.lcm(*[d_j ** (order_lcm // (k - j)) for j, (_, _, d_j) in enumerate(triples)])
-        lifted = raise_lift((triples, d, scaled, fold, order_lcm, top), m)
-        ws = _pair_product(lifted, ws, fold) if r else lifted
-        scale, lift = top ** m, k - 1
+    ps, qs, d, scale, e = _lift(triples, n, kernel)
     xs = []
-    for i, (p, q) in enumerate(zip(*ws)):
-        den, base = scale * d ** max(lift + r - i, 0), d  # W_i = 0 where this clips
+    for i, (p, q) in enumerate(zip(ps, qs)):
+        den, base = scale * d ** max(e - i, 0), d  # W_i = 0 where this clips
         while True:
             base = math.gcd(den, base)
             g = math.gcd(p, q, base)
@@ -384,13 +369,37 @@ def _lifted_power(triples: list, n: int, kind: type, raise_lift) -> tuple:
     return tuple(xs)
 
 
-def _fold(scaled: list) -> list:
-    """The (i, p, q) of the nonzero coefficients of g's unit, for :func:`_pair_product`."""
-    return [(i, p, q) for i, (p, q) in enumerate(scaled) if p or q]
+def _lift(triples: list, n: int, kernel) -> tuple:
+    """(ps, qs, d, scale, e) with x_i of h^n = (ps[i] + qs[i]*i) / (scale * d^(e-i)), unreduced.
+
+    ``kernel((triples, d, scaled, K, L), m)`` returns d^(k-1)*G^m, G = L*h^K,
+    in the basis of g = d*h (:func:`_integer_unit`).  G is integral: a prime p
+    divides the denominator of x_i of h^w at most (w - i) * max_j v_p(d_j)/(k-j)
+    times.  Times g^r, by r walk steps (a shift and a fold), over L^m d^(k-1+r),
+    that is h^n; for m = 0 no kernel runs, and g^r is over d^r.
+    """
+    k = len(triples)
+    d, scaled = _integer_unit(triples)
+    order_lcm = math.lcm(*range(1, k + 1))
+    m, r = divmod(n, order_lcm)
+    if m:
+        tops = (d_j ** (order_lcm // (k - j)) for j, (_, _, d_j) in enumerate(triples))
+        top = math.lcm(*tops) if d > 1 else 1
+        ps, qs = kernel((triples, d, scaled, order_lcm, top), m)
+        scale, e = top ** m, k - 1 + r
+    else:
+        ps, qs, scale, e = [1] + [0] * (k - 1), [0] * k, 1, r
+    for _ in range(r):
+        ps, qs = [0, *ps], [0, *qs]
+        tp, tq = ps.pop(), qs.pop()
+        for i, (cp, cq) in enumerate(scaled):
+            ps[i] += cp * tp - cq * tq
+            qs[i] += cp * tq + cq * tp
+    return ps, qs, d, scale, e
 
 
 def _pair_product(xs: tuple, ys: tuple, fold: list) -> tuple:
-    """:func:`_product` of ``xs`` and ``ys`` on Gaussian integers, as (ps, qs) int lists."""
+    """:func:`_product` on Gaussian integers, as (ps, qs) int lists; ``fold`` holds (i, p, q)."""
     xps, xqs = xs
     yps, yqs = ys
     k = len(yps)
@@ -409,30 +418,16 @@ def _pair_product(xs: tuple, ys: tuple, fold: list) -> tuple:
     return ps, qs
 
 
-def _integer_power(triples: list, n: int) -> tuple[list, list, int]:
-    """(ps, qs, d) with g^n = sum (ps[i] + qs[i]*i) g^i for g = d*h, by :func:`_g_power`."""
-    d, scaled = _integer_unit(triples)
-    return (*_g_power(scaled, _fold(scaled), n), d)
-
-
-def _g_power(scaled: list, fold: list, n: int) -> tuple[list, list]:
-    """g^n as int lists (ps, qs), by :func:`power` with :func:`_pair_product`."""
-    k = len(scaled)
-    one = ([1] + [0] * (k - 1), [0] * k)
-    p_0, q_0 = scaled[0]  # for k = 1, h = c_0, so g = d*c_0 = p_0 + q_0*i
-    g = ([0, 1] + [0] * (k - 2), [0] * k) if k > 1 else ([p_0], [q_0])
-    return power(g, n, one, lambda x, y: _pair_product(x, y, fold))
-
-
 def _pair_lift(lift: tuple, m: int) -> tuple:
     """d^(k-1)*G^m by :func:`power` with :func:`_pair_product`: the ``recurrence`` kernel.
 
     It starts from (L / d^(K-k+1))*g^K, g^K = (g^k)^(K/k) with g^k read off
     g's unit, and divides each product exactly by d^(k-1).
     """
-    triples, d, scaled, fold, order_lcm, top = lift
+    triples, d, scaled, order_lcm, top = lift
     k = len(triples)
     e, s = d ** (k - 1), d ** (order_lcm - k + 1)
+    fold = [(i, p, q) for i, (p, q) in enumerate(scaled) if p or q]
     plain = lambda x, y: _pair_product(x, y, fold)
     ps, qs = power(([p for p, _ in scaled], [q for _, q in scaled]), order_lcm // k, None, plain)
 
@@ -451,7 +446,7 @@ def _companion_lift(lift: tuple, m: int) -> tuple:
     denominator 1 if it has an imaginary part; A is d^(k-1) times the matrix
     of G in the g-basis, and each product is divided exactly by d^(k-1).
     """
-    triples, d, scaled, _, order_lcm, top = lift
+    triples, d, scaled, order_lcm, top = lift
     e, s = d ** (len(triples) - 1), d ** (order_lcm - len(triples) + 1)
     if any(q for _, q in scaled):
         c = Unit(tuple(_unchecked(p, q, 1) for p, q in scaled)).companion()
@@ -622,7 +617,7 @@ def _binet_lift(lift: tuple, m: int) -> tuple:
     (P1 + Q1)(P2 + Q2) - P1 P2 - Q1 Q2, so a squaring costs three large
     products, not four.
     """
-    ((a, _, d_a), (b, _, d_b)), d, _, _, _, top = lift
+    ((a, _, d_a), (b, _, d_b)), d, _, _, top = lift
     la, lb = top // d_a * a, top // d_b * b  # d_b^2 divides L, so L*b^2 = lb*b/d_b
     t = lb * b // d_b + 2 * la
     e = t * t - 4 * la * la

@@ -22,16 +22,10 @@ The Pauli coordinates are Gaussian rationals, so the beta2 component of a
 real matrix is exact (s2 itself has imaginary entries).  The powers take
 any entries that the ring operations take.  When all four are exact
 scalars (int, Fraction or GaussianRational), the ``chebyshev`` and
-``general_recurrence`` routes run on integer numerators with a kernel of
-their own: with d the lcm of the denominators of ``m.det()`` and
-``m.m11 + m.m22`` (reduced, as every exact scalar is, so d holds no extra
-factor to raise to the n-th power), g = d*h satisfies g^2 = P*g - Q for
-the Gaussian integers P = d*tr M and Q = d^2*det M.  g^n = y_0 + y_1*g is
-raised on int 4-tuples by a written-out product, so y_1 is the Lucas
-sequence U_n(P, Q), which for det M = 1 is d^(n-1)*U_{n-1}(alpha); each
-entry of M^n is built once from (y_0, y_1), with no a_n, b_n or matrix
-pass in between.  Any other entry, such as a polynomial, takes
-``m * b_n + a_n`` from :func:`gencheb.gcn.unit_power`.
+``general_recurrence`` routes read h^n off gcn's lift of G = L*h^2
+(``gcn._lift``) with a product of their own, and build each entry of M^n
+once, with no a_n, b_n or matrix pass in between.  Any other entry, such
+as a polynomial, takes ``m * b_n + a_n`` from :func:`gencheb.gcn.unit_power`.
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .gcn import _exact_triples, _integer_unit, unit_power
+from .gcn import _exact_triples, _lift, unit_power
 from .matrices import Mat2
 from .scalars import GaussianRational, _from_numerators, _kind, _triple, power
 
@@ -133,7 +127,7 @@ def mat_power(m: Mat2, n: int, method: str = "squaring") -> Mat2:
     det(M) != 1, where b_n = U_{n-1}(alpha) and a_n = -U_{n-2}(alpha);
     ``squaring`` is plain exponentiation by squaring.  The first two build
     M^n = b_n*M + a_n of a matrix of exact scalars (int, Fraction or
-    GaussianRational) from a Lucas pair on Gaussian integers
+    GaussianRational) from gcn's lift of G = L*h^2
     (:func:`_exact_power`); a matrix with any other entry, such as a
     polynomial, takes ``m * b_n + a_n`` from :func:`unit_power`.
     """
@@ -152,44 +146,51 @@ def mat_power(m: Mat2, n: int, method: str = "squaring") -> Mat2:
 
 
 def _exact_power(m: Mat2, triples: list, det: tuple, trace: tuple, n: int) -> Mat2:
-    """M^n for entries m_ij = (p + q*i)/e, from g = d*h of the unit (-det M, tr M).
+    """M^n for entries m_ij = (p + q*i)/e, from gcn's lift of the unit (-det M, tr M).
 
-    g satisfies g^2 = P*g - Q with the Gaussian integers P = d*tr M and
-    Q = d^2*det M (``gcn._integer_unit`` gives c_0 = -Q and c_1 = P), so
-    g^n = y_0 + y_1*g is raised by :func:`power` on int 4-tuples
-    (re y_0, im y_0, re y_1, im y_1), with the product
-    (a + b*g)(c + e*g) = (ac - Q*be) + (ae + bc + P*be)*g written out;
-    y_1 is the Lucas sequence U_n(P, Q).  With a_n = y_0/d^n and
-    b_n = y_1/d^(n-1), each entry of b_n*M + a_n is
-    (y_1*d*(p + q*i) + y_0*e*[i = j]) / (d^n e), built once, with one gcd,
-    in the type that ``m * b_n + a_n`` has.  d is the lcm of the
-    denominators of the *reduced* det and trace; an unreduced one would
-    inflate d, and every d^n with it.
+    ``gcn._lift`` gives a_n = y_0/D and b_n = y_1*d/D, so each entry of
+    b_n*M + a_n is (y_1*d*(p + q*i) + y_0*e*[i = j]) / (D e), built once, with
+    one gcd, in the type that ``m * b_n + a_n`` has.  d and D are read off the
+    *reduced* det and trace; unreduced ones would inflate them.
     """
     p, q, e = det
-    d, ((c0p, c0q), (c1p, c1q)) = _integer_unit([(-p, -q, e), trace])
-
-    def product(x, y):
-        ar, ai, br, bi = x
-        cr, ci, er, ei = y
-        fr, fi = br * er - bi * ei, br * ei + bi * er  # b*e
-        return (
-            ar * cr - ai * ci + c0p * fr - c0q * fi,
-            ar * ci + ai * cr + c0p * fi + c0q * fr,
-            ar * er - ai * ei + br * cr - bi * ci + c1p * fr - c1q * fi,
-            ar * ei + ai * er + br * ci + bi * cr + c1p * fi + c1q * fr,
-        )
-
-    y0p, y0q, y1p, y1q = power((0, 0, 1, 0), n, (1, 0, 0, 0), product)
-    y1p, y1q, dn = y1p * d, y1q * d, d ** n
+    (y0p, y1p), (y0q, y1q), d, scale, exponent = _lift([(-p, -q, e), trace], n, _lift_kernel)
+    y1p, y1q, den = y1p * d, y1q * d, scale * d ** exponent
     kind = _kind(m.entries())
     entries = []
     for k, (p, q, e) in enumerate(triples):
         re, im = y1p * p - y1q * q, y1p * q + y1q * p
         if k in (0, 3):
             re, im = re + y0p * e, im + y0q * e
-        entries.append(_from_numerators(kind, re, im, dn * e))
+        entries.append(_from_numerators(kind, re, im, den * e))
     return m._new((tuple(entries[:2]), tuple(entries[2:])))
+
+
+def _lift_kernel(lift: tuple, m: int) -> tuple:
+    """d*G^m for G = L*h^2 by :func:`power` on int 4-tuples: pauli's own kernel.
+
+    d*G^m = y_0 + y_1*g is held as (re y_0, im y_0, re y_1, im y_1); g = d*h
+    satisfies g^2 = P*g - Q (c_0 = -Q, c_1 = P), and d*G = (L/d)*g^2.  The
+    product (a + b*g)(c + e*g) = (ac - Q*be) + (ae + bc + P*be)*g is written
+    out and divided exactly by d.
+    """
+    _, d, ((c0p, c0q), (c1p, c1q)), _, top = lift
+    s = top // d
+
+    def product(x, y):
+        ar, ai, br, bi = x
+        cr, ci, er, ei = y
+        fr, fi = br * er - bi * ei, br * ei + bi * er  # b*e
+        y0r = ar * cr - ai * ci + c0p * fr - c0q * fi
+        y0i = ar * ci + ai * cr + c0p * fi + c0q * fr
+        y1r = ar * er - ai * ei + br * cr - bi * ci + c1p * fr - c1q * fi
+        y1i = ar * ei + ai * er + br * ci + bi * cr + c1p * fi + c1q * fr
+        if d == 1:  # d = 1 divides nothing
+            return y0r, y0i, y1r, y1i
+        return y0r // d, y0i // d, y1r // d, y1i // d
+
+    y0p, y0q, y1p, y1q = power((c0p * s, c0q * s, c1p * s, c1q * s), m, None, product)
+    return [y0p, y1p], [y0q, y1q]
 
 
 def coeff_bits(m: Mat2) -> int:

@@ -15,7 +15,8 @@ from gencheb.gcn import (
     UnitMismatchError,
     _companion_power,
     _exact_triples,
-    _integer_power,
+    _integer_unit,
+    _pair_product,
     conjugate_roots,
     power_coeff_sequence,
     power_coeffs,
@@ -399,8 +400,16 @@ def _stored(x):
 
 
 def _reference(coeffs, n, kind):
-    """h^n with each x_i = y_i / d^(n-i) built by ``_from_numerators``, one gcd each."""
-    ps, qs, d = _integer_power(_exact_triples(coeffs), n)
+    """h^n with each x_i = y_i / d^(n-i) built by ``_from_numerators``, one gcd each.
+
+    g^n = sum y_i g^i for g = d*h is raised by ``power`` over ``_pair_product``.
+    """
+    d, scaled = _integer_unit(_exact_triples(coeffs))
+    k = len(scaled)
+    fold = [(i, p, q) for i, (p, q) in enumerate(scaled)]
+    g = ([0, 1] + [0] * (k - 2), [0] * k) if k > 1 else ([scaled[0][0]], [scaled[0][1]])
+    one = ([1] + [0] * (k - 1), [0] * k)
+    ps, qs = power(g, n, one, lambda x, y: _pair_product(x, y, fold))
     dens = (d ** max(n - i, 0) for i in range(len(ps)))
     return tuple(map(_from_numerators, [kind] * len(ps), ps, qs, dens))
 

@@ -4,6 +4,7 @@ from operator import add, mul, sub
 
 import pytest
 
+from gencheb import pauli
 from gencheb.cheby import X, cheb_U
 from gencheb.gcn import unit_power
 from gencheb.matrices import Mat2, Mat3
@@ -276,6 +277,9 @@ EXACT_MATRICES = {
     "zero": ZERO_MAT,
     "nilpotent": gaussian_mat(((0, 1), (0, 0))),
     "scalar": Mat2(_F(-3, 5), 0, 0, _F(-3, 5)),
+    # det has the denominator 13 or 7, which the trace lacks: L < d^2
+    "fraction-det-prime": Mat2(0, _F(1, 13), -1, 1),
+    "gauss-det-prime": Mat2(_gauss(1, 1), _gauss(_F(1, 7), _F(2, 7)), _gauss(0, -1), _gauss(2, -1)),
 }
 KERNEL_INDICES = sorted(
     set(range(41)) | {2 ** j + k for j in range(6, 13) for k in (-1, 0, 1)}
@@ -297,6 +301,35 @@ def test_exact_kernel_matches_the_path_it_replaces(name):
             got = mat_power(m, n, method)
             assert type(got) is Mat2
             assert [(type(v), v) for v in got.entries()] == want, (method, n)
+
+
+def test_exact_kernel_raises_no_integer_beyond_the_output_numerators(monkeypatch):
+    # Raising g = d*h of the unit (-1/13, 1) to 4096 builds 14,636-bit
+    # integers where the numerators of M^4096 have 7,061 bits: the excess
+    # (d^2/L)^2048 = 13^2048 that raising G = L*h^2 never builds.
+    bits = []
+    raise_ = pauli.power
+
+    def record(value):
+        if isinstance(value, int):
+            bits.append(value.bit_length())
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                record(item)
+
+    def recording(*args):
+        result = raise_(*args)
+        record(result)
+        return result
+
+    m = EXACT_MATRICES["fraction-det-prime"]
+    monkeypatch.setattr(pauli, "power", recording)
+    got = mat_power(m, 4096, "general_recurrence")
+    monkeypatch.undo()
+    assert got == mat_power(m, 4096, "squaring")
+    numerator_bits = max(x.numerator.bit_length() for x in got.entries())
+    assert numerator_bits == 7061
+    assert max(bits) <= numerator_bits + 64
 
 
 @pytest.mark.parametrize(
