@@ -6,15 +6,19 @@ backward with U_{-1} = 0, U_{-2} = -1.  First-kind polynomials come from
 T_n = A_n + x*B_n.  All identities here are checked in exact polynomial
 arithmetic.
 
-``cheb_AB``, ``cheb_U`` and ``cheb_T`` read one memoised
-:func:`gencheb.gcn.unit_powers` walk over the unit; U_n is B_{n+1}.  The
-three-term recurrence U_{n+1} = 2x*U_n - U_{n-1} is written out only in
-:func:`gencheb.verify.suite_cheb`, as the reference independent of the walk.
+``cheb_AB``, ``cheb_U`` and ``cheb_T`` build U_m from its explicit
+coefficients, U_m = sum_k (-1)^k C(m-k, k) (2x)^(m-2k) (Mason and Handscomb,
+*Chebyshev Polynomials*, ch. 2), one exact small-by-big integer step per
+term and no polynomial product, held in a memo of fixed size.  The walk
+:func:`gencheb.gcn.unit_powers` over the unit is the tests' reference, and
+the three-term recurrence U_{n+1} = 2x*U_n - U_{n-1} is written out only in
+:func:`gencheb.verify.suite_cheb`, as the reference independent of both.
 The companion identity reads ``cheb_unit().companion() ** (n + 1)``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import gcn
@@ -64,28 +68,43 @@ def cheb_unit() -> gcn.GcnUnit:
     return _CHEB_UNIT
 
 
-_AB_WALK = gcn.unit_powers(_CHEB_UNIT.coeffs)
-_AB_CACHE: list[tuple[MultiPoly, MultiPoly]] = []
+# Enough for every U_m of ``verify all --nmax 96``; older ones are rebuilt.
+_U_MEMO_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_U_MEMO_SIZE)
+def _u(m: int) -> MultiPoly:
+    """U_m from its explicit coefficients, for m >= -2 (U_{-1} = 0, U_{-2} = -1).
+
+    c_0 = 2^m is the coefficient of x^m, and the coefficient of x^(m-2k-2) is
+    c_{k+1} = -c_k (m-2k)(m-2k-1) / (4(k+1)(m-k)), an exact division.
+    """
+    if m < 0:
+        return MultiPoly.constant(_XVARS, -1 if m == -2 else 0)
+    c = 1 << m
+    terms = {(m,): c}
+    for k in range(m // 2):
+        c = -c * (m - 2 * k) * (m - 2 * k - 1) // (4 * (k + 1) * (m - k))
+        terms[(m - 2 * k - 2,)] = c
+    return MultiPoly(_XVARS, terms)
 
 
 def _ab(n: int) -> tuple[MultiPoly, MultiPoly]:
-    """(A_n, B_n) from the cached walk, extended as far as n."""
+    """(A_n, B_n) = (-U_{n-2}, U_{n-1})."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    while len(_AB_CACHE) <= n:
-        _AB_CACHE.append(next(_AB_WALK))
-    return _AB_CACHE[n]
+    return -_u(n - 2), _u(n - 1)
 
 
 def cheb_U(n: int) -> ChebPoly:
     """Second-kind Chebyshev polynomial U_n = B_{n+1} (U_0 = 1, U_1 = 2x)."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    return ChebPoly("second", n, _ab(n + 1)[1])
+    return ChebPoly("second", n, _u(n))
 
 
 def cheb_AB(n: int) -> ChebCoeffPair:
-    """(A_n, B_n), read off the power walk of the unit (-1, 2x)."""
+    """(A_n, B_n), the power coefficients H^n = A_n + H*B_n of the unit (-1, 2x)."""
     return ChebCoeffPair(n, *_ab(n))
 
 

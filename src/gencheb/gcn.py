@@ -25,9 +25,10 @@ always agree:
 Both recurrence forms are written once, for a unit of any order.
 :func:`unit_powers` is the walk: it multiplies h^n by h, shifting the
 coefficients up one place and feeding the top one back through the unit.
-Readers of a whole sequence use it: ``cheby.cheb_AB`` and
-``power_coeff_sequence``, the one list reader for every order (behind
-``verify.suite_gcn`` and the cubic unit's sequences in :mod:`gencheb.higher`).
+Readers of a whole sequence use it through ``power_coeff_sequence``, the
+one list reader for every order (behind ``verify.suite_gcn`` and the cubic
+unit's sequences in :mod:`gencheb.higher`); the tests read the Chebyshev
+pairs of :mod:`gencheb.cheby` against it.
 :func:`unit_power` is one h^n on its own, the element h raised by squaring
 (Fiduccia, SIAM J. Comput. 14, 1985) in O(k^2 log n) scalar products
 instead of the walk's O(k n); it is the ``recurrence`` route of

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from gencheb import cheby
 from gencheb.cheby import (
     X,
     b_ode_residual,
@@ -13,7 +15,13 @@ from gencheb.cheby import (
     ode_apply,
     u_ode_residual,
 )
-from gencheb.gcn import GcnUnit, conjugate_roots, power_coeff_sequence, power_coeffs
+from gencheb.gcn import (
+    GcnUnit,
+    conjugate_roots,
+    power_coeff_sequence,
+    power_coeffs,
+    unit_powers,
+)
 from gencheb.matrices import Mat2
 from gencheb.poly import MultiPoly
 
@@ -58,6 +66,43 @@ def test_ab_pairs_match_unit_power_coefficients():
     assert cheb_AB(2).b == 2 * X
     assert cheb_AB(3).a == -2 * X
     assert cheb_AB(3).b == 4 * X * X - 1
+
+
+def test_ab_pairs_match_the_unit_walk():
+    # The explicit coefficients against the walk h^(n+1) = h * h^n of gcn.
+    walk = unit_powers(cheb_unit().coeffs)
+    for n in range(65):
+        pair = cheb_AB(n)
+        assert (pair.a, pair.b) == next(walk)
+
+
+def test_u_memo_stays_within_its_bound():
+    for n in range(1001):
+        cheb_AB(n)
+    info = cheby._u.cache_info()
+    assert info.currsize <= info.maxsize
+
+
+def test_cold_u_1000_memory_peak():
+    # U_1000 has 501 terms of at most about 1,270 bits, about 0.15 MB; a
+    # build that keeps every U_m, m < 1000, peaks near 75 MB.
+    cheby._u.cache_clear()
+    tracemalloc.start()
+    try:
+        cheb_U(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_u_1000_at_a_rational_point():
+    # U_{n+1} = 2x U_n - U_{n-1} on Fractions, with no polynomial at all.
+    x = Fraction(3, 7)
+    u_prev, u_n = Fraction(0), Fraction(1)
+    for _ in range(1000):
+        u_prev, u_n = u_n, 2 * x * u_n - u_prev
+    assert cheb_U(1000).poly.evaluate_exact({"x": x}) == u_n
 
 
 def test_ab_norm_identity_exact():
