@@ -43,17 +43,18 @@ included, is read off one lift, ``_lift``: h^n = G^m h^r / L^m
 (m = n // K, r = n % K) over the denominator L^m d^(k-1+r-i) that its
 integers need, so none carries the excess (d^K/L)^m that raising g would.
 Each route gives the lift its own kernel for G^m, so the routes still check
-one another: ``recurrence`` multiplies int pairs with ``_pair_product``,
-``matrix`` raises L*C^K / d^(K-k+1) for C the companion of g's unit over
-ints (over GaussianRational with denominator 1 for a unit with an imaginary
-part), ``binet`` raises G's root, and :mod:`gencheb.pauli` multiplies int
-4-tuples of its own.  ``_lifted_power`` builds each coefficient once, in
-the walk's own type, with no gcd taken with its denominator.  A unit with
-polynomial coefficients is raised as an :class:`Element`, and its companion
-as a matrix of polynomials.  On bivariate polynomial coefficients such as
-the cubic unit's the walk wins even for one power: each of its steps
-multiplies by the small unit coefficients, while a squaring multiplies two
-large ones.
+one another.  ``recurrence`` and ``matrix`` work in one ring, g's unit over
+ints, or over GaussianRational with denominator 1 for a unit with an
+imaginary part (``_integer_ring``): ``recurrence`` multiplies with
+``_product``, the product of every :class:`Element`, and ``matrix`` raises
+L*C^K / d^(K-k+1) for C the companion.  ``binet`` raises G's root, and
+:mod:`gencheb.pauli` multiplies int 4-tuples of its own.  ``_lifted_power``
+builds each coefficient once, in the walk's own type, with no gcd taken
+with its denominator.  A unit with polynomial coefficients is raised as an
+:class:`Element`, and its companion as a matrix of polynomials.  On
+bivariate polynomial coefficients such as the cubic unit's the walk wins
+even for one power: each of its steps multiplies by the small unit
+coefficients, while a squaring multiplies two large ones.
 
 The exact closed form needs a rational unit.  G = L*h^2 = L*a + L*b*h is
 the root of the integer unit (-N, T) with T = L(b^2 + 2a) and N = (L*a)^2,
@@ -312,14 +313,14 @@ def unit_power(coeffs: Sequence[Any], n: int) -> tuple[Any, ...]:
     coefficients, so h^n costs O(k^2 log n) scalar products instead of the
     O(k n) of the walk.  A unit of exact scalars (int, Fraction or
     GaussianRational) is raised on integer numerators, through
-    :func:`_pair_lift` and :func:`_lifted_power`, and its result has the
+    :func:`_element_lift` and :func:`_lifted_power`, and its result has the
     walk's type: int for an int unit, Fraction for a rational one and
     GaussianRational otherwise.  A unit with any other
     coefficient, such as a polynomial, is raised as an :class:`Element`.
     """
     triples = _exact_triples(coeffs)
     if triples is not None:  # an empty unit is refused below
-        return _lifted_power(triples, n, _kind(coeffs), _pair_lift)
+        return _lifted_power(triples, n, _kind(coeffs), _element_lift)
     unit = Unit(coeffs)
     h = unit.companion().column(0)  # the column of h^1; it is c_0 for k = 1
     return (Element(unit, h) ** n).coeffs
@@ -399,67 +400,55 @@ def _lift(triples: list, n: int, kernel) -> tuple:
     return ps, qs, d, scale, e
 
 
-def _pair_product(xs: tuple, ys: tuple, fold: list) -> tuple:
-    """:func:`_product` on Gaussian integers, as (ps, qs) int lists; ``fold`` holds (i, p, q)."""
-    xps, xqs = xs
-    yps, yqs = ys
-    k = len(yps)
-    ps, qs = [0] * (2 * k - 1), [0] * (2 * k - 1)
-    for i, (xp, xq) in enumerate(zip(xps, xqs)):
-        m = i
-        for yp, yq in zip(yps, yqs):
-            ps[m] += xp * yp - xq * yq
-            qs[m] += xp * yq + xq * yp
-            m += 1
-    for m in range(2 * k - 2, k - 1, -1):
-        tp, tq = ps.pop(), qs.pop()
-        for i, cp, cq in fold:
-            ps[m - k + i] += cp * tp - cq * tq
-            qs[m - k + i] += cp * tq + cq * tp
-    return ps, qs
+def _integer_ring(scaled: list) -> tuple:
+    """(unit, rescale): g's unit (:func:`_integer_unit`), the ring of the integer kernels.
+
+    The unit is over ints, or over GaussianRational with denominator 1 if it
+    has an imaginary part; ``rescale(xs, a, b)`` multiplies a whole element
+    or matrix row exactly by a/b, for ints a, b that keep it integral.
+    """
+    ps, qs = zip(*scaled)
+    if any(qs):
+        def rescale(xs: Sequence, a: int, b: int) -> list:
+            return [_unchecked(p * a // b, q * a // b, 1) for p, q, _ in map(_triple, xs)]
+        return Unit(tuple(map(_unchecked, ps, qs, repeat(1)))), rescale
+    return Unit(ps), lambda xs, a, b: [x * a // b for x in xs]
 
 
-def _pair_lift(lift: tuple, m: int) -> tuple:
-    """d^(k-1)*G^m by :func:`power` with :func:`_pair_product`: the ``recurrence`` kernel.
+def _element_lift(lift: tuple, m: int) -> tuple:
+    """d^(k-1)*G^m by :func:`power` with :func:`_product`: the ``recurrence`` kernel.
 
     It starts from (L / d^(K-k+1))*g^K, g^K = (g^k)^(K/k) with g^k read off
-    g's unit, and divides each product exactly by d^(k-1).
+    g's unit in :func:`_integer_ring`, and divides each product exactly by
+    d^(k-1) when d > 1.
     """
     triples, d, scaled, order_lcm, top = lift
     k = len(triples)
+    unit, rescale = _integer_ring(scaled)
     e, s = d ** (k - 1), d ** (order_lcm - k + 1)
-    fold = [(i, p, q) for i, (p, q) in enumerate(scaled) if p or q]
-    plain = lambda x, y: _pair_product(x, y, fold)
-    ps, qs = power(([p for p, _ in scaled], [q for _, q in scaled]), order_lcm // k, None, plain)
-
-    def product(x: tuple, y: tuple) -> tuple:
-        ps, qs = _pair_product(x, y, fold)
-        return [p // e for p in ps], [q // e for q in qs]
-
-    start = [p * top // s for p in ps], [q * top // s for q in qs]
-    return power(start, m, None, product if e > 1 else plain)  # d = 1 divides nothing
+    plain = lambda x, y: _product(x, y, unit._fold)
+    product = (lambda x, y: rescale(_product(x, y, unit._fold), 1, e)) if e > 1 else plain
+    start = rescale(power(unit.coeffs, order_lcm // k, None, plain), top, s)
+    ps, qs, _ = zip(*map(_triple, power(start, m, None, product)))
+    return ps, qs
 
 
 def _companion_lift(lift: tuple, m: int) -> tuple:
     """d^(k-1)*G^m as the first column of A^m, A = L*C^K / d^(K-k+1): the ``matrix`` kernel.
 
-    C is the companion of g's unit over ints, or over GaussianRational with
-    denominator 1 if it has an imaginary part; A is d^(k-1) times the matrix
-    of G in the g-basis, and each product is divided exactly by d^(k-1).
+    C is the companion of g's unit in :func:`_integer_ring`; A is d^(k-1)
+    times the matrix of G in the g-basis, and each product is divided
+    exactly by d^(k-1), a row at a time.
     """
     triples, d, scaled, order_lcm, top = lift
+    unit, rescale = _integer_ring(scaled)
     e, s = d ** (len(triples) - 1), d ** (order_lcm - len(triples) + 1)
-    if any(q for _, q in scaled):
-        c = Unit(tuple(_unchecked(p, q, 1) for p, q in scaled)).companion()
-        def rescaled(a: Mat3, num: int, den: int) -> Mat3:  # exact, so over 1 again
-            return a * _unchecked(num, 0, den)
-    else:
-        c = Unit(tuple(p for p, _ in scaled)).companion()
-        def rescaled(a: Mat3, num: int, den: int) -> Mat3:
-            return a._new(tuple([tuple([x * num // den for x in row]) for row in a.rows]))
+
+    def rescaled(a: Mat3, num: int, den: int) -> Mat3:
+        return a._new(tuple([tuple(rescale(row, num, den)) for row in a.rows]))
 
     product = (lambda x, y: rescaled(x * y, 1, e)) if e > 1 else mul  # d = 1 divides nothing
-    column = power(rescaled(c ** order_lcm, top, s), m, None, product)
+    column = power(rescaled(unit.companion() ** order_lcm, top, s), m, None, product)
     ps, qs, _ = zip(*map(_triple, column.column(0)))
     return ps, qs
 

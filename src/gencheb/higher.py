@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 from typing import Any
@@ -152,15 +151,12 @@ def hermite3(n: int) -> Hermite3:
     """Third-order Hermite polynomial by the exact triple sum."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    terms: dict[tuple[int, int, int], Fraction] = {}
+    terms: dict[tuple[int, int, int], int] = {}
     n_fact = math.factorial(n)
     for r in range(n // 3 + 1):
         for q in range((n - 3 * r) // 2 + 1):
             p = n - 2 * q - 3 * r
-            terms[(p, q, r)] = Fraction(
-                n_fact,
-                math.factorial(p) * math.factorial(q) * math.factorial(r),
-            )
+            terms[(p, q, r)] = n_fact // math.prod(map(math.factorial, (p, q, r)))
     return Hermite3(n, MultiPoly(XYZ, terms))
 
 

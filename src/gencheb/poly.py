@@ -25,9 +25,9 @@ their terms are canonical by construction.
 A product has three kernels, after a constant operand has scaled the
 other.  When either operand has one term c*x^m, each term of the other is
 relabelled in one pass, a*x^e -> (a*c)*x^(e+m): no two terms meet and none
-cancels, so nothing is accumulated.  Every step of the unit walks of
-``U_n``/``T_n`` and of ``U2_n``, whose unit coefficients have one term, and
-of the generating-series inverse multiplies this way.  A dense product of
+cancels, so nothing is accumulated.  Every step of the unit walk of
+``U2_n``, whose unit coefficients have one term, and of the series inverse
+multiplies this way, as does x*B_n in ``T_n``.  A dense product of
 integer polynomials is done by Kronecker substitution (Harvey, J. Symb.
 Comp. 44, 2009): each operand is packed into one int, with a slot of fixed
 width per monomial of the product's exponent box, the two ints are
@@ -39,10 +39,10 @@ outgrows the work of the term loop (``(x^1000000 + 1)^2`` keeps the loop).
 Every other product, with ``Fraction`` or ``GaussianRational``
 coefficients or small or sparse operands, runs the term loop, one Python
 step per pair of terms.  The loop and the one-term kernel write out the
-exponent sums for one and two variables, the widths of ``U_n``/``T_n`` and
-of ``U2_n``, because building each sum tuple with ``map`` costs several
-times the coefficient arithmetic of a term; other widths share one generic
-form.
+exponent sums for one variable (x*B_n in ``T_n``, the ODE residuals) and
+for two (``U2_n``), because building each sum tuple with ``map`` costs
+several times the coefficient arithmetic of a term; other widths share one
+generic form.
 
 Substitution runs Horner's rule (Knuth, TAOCP vol. 2, section 4.6.4), one
 variable inside another: the terms are grouped by the exponent of the

@@ -16,7 +16,6 @@ from gencheb.gcn import (
     _companion_power,
     _exact_triples,
     _integer_unit,
-    _pair_product,
     conjugate_roots,
     power_coeff_sequence,
     power_coeffs,
@@ -374,12 +373,13 @@ HIGH_RESIDUAL = (Fraction(-1 + 2 ** 200, 4), Fraction(1, 2))
 TIE_UNITS = [(Fraction(-3, 4), Fraction(1, 2)), (Fraction(5, 9), Fraction(1, 3))]
 # Units where raising g = d*h would carry a large excess (d^K/L)^(n//K):
 # scalar-power's (+-11/13, +-7/5), whose excess at n = 4096 is 13^2048, and
-# units of orders 3-5 whose c_0 has a prime denominator p that no other
-# coefficient has, so that p divides d^K/L to the largest power it can,
-# K(1 - 1/k).
+# units of orders 2-5, real and complex, whose c_0 has a prime denominator p
+# that no other coefficient has, so that p divides d^K/L to the largest power
+# it can, K(1 - 1/k).
 EXCESS_UNITS = [
     *((Fraction(sa * 11, 13), Fraction(sb * 7, 5)) for sa in (1, -1) for sb in (1, -1)),
     (Fraction(1, 13), Fraction(2, 5), Fraction(3, 7)),
+    (_g(Fraction(1, 13), Fraction(-2, 13)), _g(Fraction(2, 5), 1)),
     (_g(Fraction(1, 13), Fraction(-2, 13)), _g(Fraction(2, 5), 1), _g(0, Fraction(3, 7))),
     (Fraction(1, 13), Fraction(2, 5), Fraction(3, 7), Fraction(-1, 2)),
     (Fraction(-1, 11), Fraction(2, 5), Fraction(-3, 7), Fraction(1, 2), Fraction(5, 3)),
@@ -402,14 +402,12 @@ def _stored(x):
 def _reference(coeffs, n, kind):
     """h^n with each x_i = y_i / d^(n-i) built by ``_from_numerators``, one gcd each.
 
-    g^n = sum y_i g^i for g = d*h is raised by ``power`` over ``_pair_product``.
+    g^n = sum y_i g^i for g = d*h is the generic ``Element`` power over g's
+    unit in GaussianRational over 1, which never enters ``_lift``.
     """
     d, scaled = _integer_unit(_exact_triples(coeffs))
-    k = len(scaled)
-    fold = [(i, p, q) for i, (p, q) in enumerate(scaled)]
-    g = ([0, 1] + [0] * (k - 2), [0] * k) if k > 1 else ([scaled[0][0]], [scaled[0][1]])
-    one = ([1] + [0] * (k - 1), [0] * k)
-    ps, qs = power(g, n, one, lambda x, y: _pair_product(x, y, fold))
+    unit = Unit(tuple(GaussianRational(p, q) for p, q in scaled))
+    ps, qs, _ = zip(*(y._t for y in (Element(unit, unit.companion().column(0)) ** n).coeffs))
     dens = (d ** max(n - i, 0) for i in range(len(ps)))
     return tuple(map(_from_numerators, [kind] * len(ps), ps, qs, dens))
 
