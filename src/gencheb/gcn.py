@@ -73,7 +73,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import islice, repeat
 from operator import add, mul, neg
 from typing import Any, Iterator, Sequence
@@ -125,11 +124,6 @@ class Unit:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    @cached_property
-    def _fold(self) -> tuple:
-        """The nonzero (i, c_i): reducing h^m, m >= k, adds c_i*h^{m-k+i}."""
-        return tuple((i, c) for i, c in enumerate(self.coeffs) if c != 0)
-
     def companion(self) -> Mat2 | Mat3:
         """The matrix advancing the coefficient column of h^n to that of h^{n+1}.
 
@@ -160,14 +154,15 @@ class GcnUnit(Unit):
         return self.b * self.b + 4 * self.a
 
 
-def _product(xs: tuple, ys: tuple, fold: tuple) -> tuple:
-    """The coefficients of (sum x_i h^i)(sum y_j h^j), reduced through ``fold``.
+def _product(xs: tuple, ys: tuple, unit: tuple) -> tuple:
+    """The coefficients of (sum x_i h^i)(sum y_j h^j), reduced by the unit (c_0, ..., c_{k-1}).
 
-    Each x_m*h^m with m >= k is folded back, top down, through
-    h^m = h^{m-k} * h^k.  Every coefficient starts from its first term,
-    never from an added zero, and the fold skips the unit's zero
-    coefficients, so no time goes to adding zeros or multiplying by them;
-    on polynomial coefficients each such step is a pass over a polynomial.
+    Each term t*h^m with m >= k is folded back, top down, through
+    h^m = h^{m-k} * h^k, which adds c_i*t*h^{m-k+i}.  Every coefficient
+    starts from its first term, never from an added zero, and the fold
+    skips the unit's zero coefficients, so no time goes to adding zeros or
+    multiplying by them; on polynomial coefficients each such step is a
+    pass over a polynomial.
     """
     k = len(xs)
     full = list(map(mul, repeat(xs[0]), ys))
@@ -181,8 +176,9 @@ def _product(xs: tuple, ys: tuple, fold: tuple) -> tuple:
         full.append(x * y_last)
     for m in range(k - 2, -1, -1):
         top = full.pop()
-        for i, c in fold:
-            full[m + i] += c * top
+        for i, c in enumerate(unit, m):
+            if c:
+                full[i] += c * top
     return tuple(full)
 
 
@@ -241,7 +237,7 @@ class Element:
         ys = self._coeffs_of(other)
         if ys is None:
             return self._new(tuple(x * other for x in self.coeffs))
-        return self._new(_product(self.coeffs, ys, self.unit._fold))
+        return self._new(_product(self.coeffs, ys, self.unit.coeffs))
 
     __rmul__ = __mul__
 
@@ -426,8 +422,8 @@ def _element_lift(lift: tuple, m: int) -> tuple:
     k = len(triples)
     unit, rescale = _integer_ring(scaled)
     e, s = d ** (k - 1), d ** (order_lcm - k + 1)
-    plain = lambda x, y: _product(x, y, unit._fold)
-    product = (lambda x, y: rescale(_product(x, y, unit._fold), 1, e)) if e > 1 else plain
+    plain = lambda x, y: _product(x, y, unit.coeffs)
+    product = (lambda x, y: rescale(_product(x, y, unit.coeffs), 1, e)) if e > 1 else plain
     start = rescale(power(unit.coeffs, order_lcm // k, None, plain), top, s)
     ps, qs, _ = zip(*map(_triple, power(start, m, None, product)))
     return ps, qs

@@ -145,7 +145,6 @@ def _unchecked(
     poly = object.__new__(MultiPoly)
     poly._variables = variables
     poly._terms = terms
-    poly._hash = None
     return poly
 
 
@@ -293,7 +292,7 @@ def _horner(
 class MultiPoly:
     """Immutable sparse polynomial in a fixed tuple of variables."""
 
-    __slots__ = ("_variables", "_terms", "_hash")
+    __slots__ = ("_variables", "_terms")
 
     def __init__(
         self,
@@ -320,7 +319,6 @@ class MultiPoly:
                 cleaned[exps] = coeff
         self._variables = names
         self._terms = cleaned
-        self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -408,14 +406,9 @@ class MultiPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            if self.is_constant():
-                self._hash = hash(self.constant_value())
-            else:
-                self._hash = hash(
-                    (self._variables, frozenset(self._terms.items()))
-                )
-        return self._hash
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash((self._variables, frozenset(self._terms.items())))
 
     def __add__(self, other: object) -> "MultiPoly":
         rhs = self._lift(other)
@@ -769,7 +762,7 @@ class _Parser:
             self.pos += 1
             self.depth -= 1
             return value
-        if ch == "-" or ch.isdigit():
+        if ch == "-" or ch.isdecimal():
             return MultiPoly.constant(self.variables, self.rational())
         if ch.isalpha() or ch == "_":
             start = self.pos
@@ -808,7 +801,7 @@ class _Parser:
     def uint(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.fail("expected digits")

@@ -60,6 +60,8 @@ DEFAULT_NMAX = 24
 # The costly rows (cheb-exact's t-norm and ODE rows, cheb-numeric and the
 # unimodular powers of mat-unit) stop at n = 32, whatever nmax is.
 _CAPPED_NMAX = 32
+# The numeric suites' default tolerance, for `verify all` and each suite alone.
+_FLOAT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def suite_gcn(
     nmax: int = DEFAULT_NMAX,
     units: int = 50,
     seed: int = DEFAULT_SEED,
-    float_tol: float = 1e-10,
+    float_tol: float = _FLOAT_TOL,
 ) -> VerificationReport:
     """Power-coefficient agreement: recurrence vs matrix vs root closed form.
 
@@ -217,7 +219,7 @@ def suite_gcn(
     return rec.report()
 
 
-def suite_euler(seed: int = DEFAULT_SEED, tol: float = 1e-10) -> VerificationReport:
+def suite_euler(seed: int = DEFAULT_SEED, tol: float = _FLOAT_TOL) -> VerificationReport:
     """The Euler pair: cos/sin within 1e-12; ODE, closed form, addition within ``tol``."""
     rec = _Recorder("euler-pair")
     rng = random.Random(f"{seed}:euler")
@@ -295,7 +297,7 @@ def suite_cheb(nmax: int = DEFAULT_NMAX) -> VerificationReport:
     return rec.report()
 
 
-def suite_cheb_numeric(nmax: int = DEFAULT_NMAX, tol: float = 1e-10) -> VerificationReport:
+def suite_cheb_numeric(nmax: int = DEFAULT_NMAX, tol: float = _FLOAT_TOL) -> VerificationReport:
     """sin/cos quotient identities, evaluated exactly at 50 binary64 points."""
     rec = _Recorder("cheb-numeric")
     nmax = min(nmax, _CAPPED_NMAX)
@@ -505,7 +507,7 @@ def suite_all(
     nmax: int = DEFAULT_NMAX, seed: int = DEFAULT_SEED, tol: float | None = None
 ) -> list[VerificationReport]:
     """All suites in a fixed order (reports merge deterministically)."""
-    numeric_tol = tol if tol is not None else 1e-10
+    numeric_tol = tol if tol is not None else _FLOAT_TOL
     return [
         suite_gcn(nmax=nmax, seed=seed, float_tol=numeric_tol),
         suite_euler(seed=seed, tol=numeric_tol),

@@ -51,6 +51,12 @@ def test_malformed_polynomial_is_usage_error():
     assert "error" in result.stderr
 
 
+def test_superscript_digit_is_refused_with_its_offset():
+    result = run_cli("gcn", "power", "--a", "x^²", "--b", "1", "--n", "2")
+    assert result.returncode == 2
+    assert result.stderr == "error: expected digits (offset 2)\n"
+
+
 def test_gcn_power_symbolic():
     result = run_cli("gcn", "power", "--a", "-1", "--b", "2*x", "--n", "3")
     assert result.returncode == 0

@@ -61,6 +61,26 @@ def test_unit_mismatch_rejected():
         )
 
 
+def test_products_never_multiply_by_a_zero_unit_coefficient():
+    calls = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            calls.append(other)
+            return int(self) * other
+
+        __rmul__ = __mul__
+
+    zero = Counted(0)
+    for coeffs in ((3, 0), (0, 5), (0, 0, 0, 0), (2, 0, 0, 7)):
+        unit = Unit(tuple(zero if c == 0 else c for c in coeffs))
+        k = len(coeffs)
+        x = Element(unit, tuple(range(1, k + 1)))
+        y = Element(unit, tuple(range(-k, 0)))
+        (x * y) ** 5
+    assert calls == []
+
+
 def test_powers_of_i():
     unit = GcnUnit(Fraction(-1), Fraction(0))
     expected = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)]

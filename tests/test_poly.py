@@ -104,6 +104,21 @@ def test_parse_error_positions():
     assert info.value.position == MAX_NESTING
 
 
+def test_parse_refuses_digits_that_int_does_not_read():
+    # '²' is a digit to str.isdigit but not to int(); a decimal digit of
+    # another script is read by int() and parses.
+    for text, position, message in (
+        ("x^²", 2, "expected digits"),
+        ("1/²", 2, "expected digits"),
+        ("²", 0, "expected a factor"),
+    ):
+        with pytest.raises(PolyParseError) as info:
+            parse_poly(text, ("x",))
+        assert info.value.position == position
+        assert str(info.value) == f"{message} (offset {position})"
+    assert parse_poly("x^\u0661", ("x",)) == X
+
+
 def test_parse_refuses_duplicate_variable_names():
     for text in ("x + 1", "1"):
         with pytest.raises(ValueError) as info:
@@ -155,6 +170,16 @@ def test_scalar_equality_and_pow():
     assert (X + 1) ** 2 == X * X + 2 * X + 1
     with pytest.raises(ValueError):
         X ** -1
+
+
+def test_equal_polynomials_hash_alike():
+    x, y = gens("x", "y")
+    assert hash((x + 1) ** 2) == hash(x * x + 2 * x + 1)
+    assert hash((x + y) - y) == hash(x)
+    # A constant equals its scalar, so it hashes like it.
+    for scalar in (Fraction(1, 2), 0, GaussianRational(1, 2)):
+        assert hash(MultiPoly.constant(("x", "y"), scalar)) == hash(scalar)
+    assert len({(x + 1) ** 2, x * x + 2 * x + 1, (x + y) - y, x}) == 2
 
 
 # -- fast coefficient path against a plain GaussianRational reference ----------
