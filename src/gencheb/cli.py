@@ -123,8 +123,8 @@ def _scalar_or_poly(text: str, variables: tuple[str, ...]):
     """A CLI coefficient: plain rational if possible, else polynomial text."""
     _check_digits(text)  # a refusal, not a cue to try the polynomial parser
     try:
-        return _rational(text)
-    except ValueError:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
         pass
     poly = parse_poly(text, variables)
     if poly.is_constant():

@@ -33,28 +33,28 @@ pairs of :mod:`gencheb.cheby` against it.
 (Fiduccia, SIAM J. Comput. 14, 1985) in O(k^2 log n) scalar products
 instead of the walk's O(k n); it is the ``recurrence`` route of
 ``power_coeffs`` and, for a matrix of polynomials, the closed form of the
-matrix powers of :mod:`gencheb.pauli`.  A unit of exact scalars (int,
-Fraction or GaussianRational) is raised on integer numerators.  With d the
-lcm of its denominators, g = d*h is the root of a unit with Gaussian-integer
-coefficients.  x_i of h^w is homogeneous of weight w - i when c_j has
-weight k - j, so with K = lcm(1..k) and L = lcm_j d_j^(K/(k-j)) the element
-G = L*h^K has integer coefficients as well.  Every exact power, pauli's
-included, is read off one lift, ``_lift``: h^n = G^m h^r / L^m
-(m = n // K, r = n % K) over the denominator L^m d^(k-1+r-i) that its
-integers need, so none carries the excess (d^K/L)^m that raising g would.
-Each route gives the lift its own kernel for G^m, so the routes still check
-one another.  ``recurrence`` and ``matrix`` work in one ring, g's unit over
-ints, or over GaussianRational with denominator 1 for a unit with an
-imaginary part (``_integer_ring``): ``recurrence`` multiplies with
+matrix powers of :mod:`gencheb.pauli`.  A unit of real exact scalars (int,
+Fraction, or GaussianRational with no imaginary part) is raised on integer
+numerators.  With d the lcm of its denominators, g = d*h is the root of a
+unit with integer coefficients (Gaussian integers for pauli's units).  x_i
+of h^w is homogeneous of weight w - i when c_j has weight k - j, so with
+K = lcm(1..k) and L = lcm_j d_j^(K/(k-j)) the element G = L*h^K has integer
+coefficients as well.  Every exact power, pauli's included, is read off one
+lift, ``_lift``: h^n = G^m h^r / L^m (m = n // K, r = n % K) over the
+denominator L^m d^(k-1+r-i) that its integers need, so none carries the
+excess (d^K/L)^m that raising g would.  Each route gives the lift its own
+kernel for G^m, so the routes still check one another.  ``recurrence`` and
+``matrix`` multiply ints, over g's unit: ``recurrence`` multiplies with
 ``_product``, the product of every :class:`Element`, and ``matrix`` raises
 L*C^K / d^(K-k+1) for C the companion.  ``binet`` raises G's root, and
-:mod:`gencheb.pauli` multiplies int 4-tuples of its own.  ``_lifted_power``
-builds each coefficient once, in the walk's own type, with no gcd taken
-with its denominator.  A unit with polynomial coefficients is raised as an
-:class:`Element`, and its companion as a matrix of polynomials.  On
-bivariate polynomial coefficients such as the cubic unit's the walk wins
-even for one power: each of its steps multiplies by the small unit
-coefficients, while a squaring multiplies two large ones.
+:mod:`gencheb.pauli` multiplies Gaussian int 4-tuples of its own.
+``_lifted_power`` builds each coefficient once, in the walk's own type, with
+no gcd taken with its denominator.  A unit with an imaginary part or
+polynomial coefficients is raised as an :class:`Element`, and its companion
+as a matrix of its scalars.  On bivariate polynomial coefficients such as
+the cubic unit's the walk wins even for one power: each of its steps
+multiplies by the small unit coefficients, while a squaring multiplies two
+large ones.
 
 The exact closed form needs a rational unit.  G = L*h^2 = L*a + L*b*h is
 the root of the integer unit (-N, T) with T = L(b^2 + 2a) and N = (L*a)^2,
@@ -78,7 +78,7 @@ from operator import add, mul, neg
 from typing import Any, Iterator, Sequence
 
 from .matrices import Mat2, Mat3
-from .scalars import GaussianRational, _from_coprime, _kind, _triple, _unchecked, power, zero_of
+from .scalars import _from_coprime, _kind, _triple, power, zero_of
 
 __all__ = [
     "ConjugateRoots",
@@ -307,14 +307,15 @@ def unit_power(coeffs: Sequence[Any], n: int) -> tuple[Any, ...]:
 
     Each product multiplies two k-tuples and reduces the top k - 1
     coefficients, so h^n costs O(k^2 log n) scalar products instead of the
-    O(k n) of the walk.  A unit of exact scalars (int, Fraction or
-    GaussianRational) is raised on integer numerators, through
-    :func:`_element_lift` and :func:`_lifted_power`, and its result has the
-    walk's type: int for an int unit, Fraction for a rational one and
-    GaussianRational otherwise.  A unit with any other
-    coefficient, such as a polynomial, is raised as an :class:`Element`.
+    O(k n) of the walk.  A unit of real exact scalars (int, Fraction, or
+    GaussianRational with no imaginary part) is raised on integer
+    numerators, through :func:`_element_lift` and :func:`_lifted_power`,
+    and its result has the walk's type: int for an int unit, Fraction for a
+    rational one and GaussianRational otherwise.  Any other unit, one with
+    an imaginary part or a polynomial coefficient, is raised as an
+    :class:`Element`.
     """
-    triples = _exact_triples(coeffs)
+    triples = _real_triples(coeffs)
     if triples is not None:  # an empty unit is refused below
         return _lifted_power(triples, n, _kind(coeffs), _element_lift)
     unit = Unit(coeffs)
@@ -326,6 +327,15 @@ def _exact_triples(coeffs: Sequence[Any]) -> list | None:
     """The (p, q, d) of each coefficient of a unit of exact scalars, else None."""
     triples = [_triple(c) for c in coeffs]
     return triples if triples and None not in triples else None
+
+
+def _real_triples(values: Sequence[Any]) -> list | None:
+    """The (p, 0, d) of each value if all are exact real scalars, else None.
+
+    A GaussianRational with no imaginary part is as real as a Fraction.
+    """
+    triples = _exact_triples(values)
+    return None if triples is None or any(q for _, q, _ in triples) else triples
 
 
 def _integer_unit(triples: list) -> tuple[int, list]:
@@ -345,25 +355,25 @@ def _integer_unit(triples: list) -> tuple[int, list]:
 
 
 def _lifted_power(triples: list, n: int, kind: type, kernel) -> tuple:
-    """h^n for a unit of exact scalars: :func:`_lift`, then each x_i stripped.
+    """h^n for a unit of real exact scalars: :func:`_lift`, then each x_i stripped.
 
     What is left to cancel is stripped against a base that starts at d and
     is squared each round; every prime of the denominator divides d, so a
     round that finds no common factor with the base proves the fraction
     reduced.  Each x_i is built once, with no further gcd, as a ``kind``.
     """
-    ps, qs, d, scale, e = _lift(triples, n, kernel)
+    ps, _, d, scale, e = _lift(triples, n, kernel)
     xs = []
-    for i, (p, q) in enumerate(zip(ps, qs)):
+    for i, p in enumerate(ps):
         den, base = scale * d ** max(e - i, 0), d  # W_i = 0 where this clips
         while True:
             base = math.gcd(den, base)
-            g = math.gcd(p, q, base)
+            g = math.gcd(p, base)
             if g == 1:
                 break
-            p, q, den = p // g, q // g, den // g
+            p, den = p // g, den // g
             base *= base
-        xs.append(_from_coprime(kind, p, q, den))
+        xs.append(_from_coprime(kind, p, 0, den))
     return tuple(xs)
 
 
@@ -396,62 +406,46 @@ def _lift(triples: list, n: int, kernel) -> tuple:
     return ps, qs, d, scale, e
 
 
-def _integer_ring(scaled: list) -> tuple:
-    """(unit, rescale): g's unit (:func:`_integer_unit`), the ring of the integer kernels.
-
-    The unit is over ints, or over GaussianRational with denominator 1 if it
-    has an imaginary part; ``rescale(xs, a, b)`` multiplies a whole element
-    or matrix row exactly by a/b, for ints a, b that keep it integral.
-    """
-    ps, qs = zip(*scaled)
-    if any(qs):
-        def rescale(xs: Sequence, a: int, b: int) -> list:
-            return [_unchecked(p * a // b, q * a // b, 1) for p, q, _ in map(_triple, xs)]
-        return Unit(tuple(map(_unchecked, ps, qs, repeat(1)))), rescale
-    return Unit(ps), lambda xs, a, b: [x * a // b for x in xs]
-
-
 def _element_lift(lift: tuple, m: int) -> tuple:
     """d^(k-1)*G^m by :func:`power` with :func:`_product`: the ``recurrence`` kernel.
 
     It starts from (L / d^(K-k+1))*g^K, g^K = (g^k)^(K/k) with g^k read off
-    g's unit in :func:`_integer_ring`, and divides each product exactly by
+    g's int unit (:func:`_integer_unit`), and divides each product exactly by
     d^(k-1) when d > 1.
     """
     triples, d, scaled, order_lcm, top = lift
     k = len(triples)
-    unit, rescale = _integer_ring(scaled)
+    unit = tuple(p for p, _ in scaled)
     e, s = d ** (k - 1), d ** (order_lcm - k + 1)
-    plain = lambda x, y: _product(x, y, unit.coeffs)
-    product = (lambda x, y: rescale(_product(x, y, unit.coeffs), 1, e)) if e > 1 else plain
-    start = rescale(power(unit.coeffs, order_lcm // k, None, plain), top, s)
-    ps, qs, _ = zip(*map(_triple, power(start, m, None, product)))
-    return ps, qs
+    plain = lambda x, y: _product(x, y, unit)
+    product = (lambda x, y: [z // e for z in _product(x, y, unit)]) if e > 1 else plain
+    start = [x * top // s for x in power(unit, order_lcm // k, None, plain)]
+    return power(start, m, None, product), [0] * k
 
 
 def _companion_lift(lift: tuple, m: int) -> tuple:
     """d^(k-1)*G^m as the first column of A^m, A = L*C^K / d^(K-k+1): the ``matrix`` kernel.
 
-    C is the companion of g's unit in :func:`_integer_ring`; A is d^(k-1)
+    C is the companion of g's int unit (:func:`_integer_unit`); A is d^(k-1)
     times the matrix of G in the g-basis, and each product is divided
     exactly by d^(k-1), a row at a time.
     """
     triples, d, scaled, order_lcm, top = lift
-    unit, rescale = _integer_ring(scaled)
-    e, s = d ** (len(triples) - 1), d ** (order_lcm - len(triples) + 1)
+    k = len(triples)
+    e, s = d ** (k - 1), d ** (order_lcm - k + 1)
 
     def rescaled(a: Mat3, num: int, den: int) -> Mat3:
-        return a._new(tuple([tuple(rescale(row, num, den)) for row in a.rows]))
+        return a._new(tuple([tuple([x * num // den for x in row]) for row in a.rows]))
 
     product = (lambda x, y: rescaled(x * y, 1, e)) if e > 1 else mul  # d = 1 divides nothing
-    column = power(rescaled(unit.companion() ** order_lcm, top, s), m, None, product)
-    ps, qs, _ = zip(*map(_triple, column.column(0)))
-    return ps, qs
+    companion = Unit(tuple(p for p, _ in scaled)).companion()
+    column = power(rescaled(companion ** order_lcm, top, s), m, None, product)
+    return column.column(0), [0] * k
 
 
 def _companion_power(unit: Unit, n: int) -> tuple[Any, ...]:
     """The first column of ``unit.companion() ** n``: the ``matrix`` route."""
-    triples = _exact_triples(unit.coeffs)
+    triples = _real_triples(unit.coeffs)
     if triples is None:
         return (unit.companion() ** n).column(0)
     return _lifted_power(triples, n, _kind(unit.coeffs), _companion_lift)
@@ -494,15 +488,6 @@ class Surd(Element):
             negative = False
         sign, q = ("-", -self.q) if negative else ("+", self.q)
         return f"{self.p} {sign} {q}*sqrt({self.delta})"
-
-
-def _real_triples(values: Sequence[Any]) -> list | None:
-    """The (p, 0, d) of each value if all are exact real scalars, else None.
-
-    A GaussianRational with no imaginary part is as real as a Fraction.
-    """
-    triples = _exact_triples(values)
-    return None if triples is None or any(q for _, q, _ in triples) else triples
 
 
 def _real(value: Any) -> Fraction:

@@ -699,6 +699,27 @@ def test_a_decimal_exponent_within_the_digit_cap_parses(capsys):
     assert (code, err) == (0, "") and "0" * 49990 in out
 
 
+@pytest.mark.parametrize("text", ["3", "-1/4", "0.5", "1e-3", "x - x + 2/3", "(1/2)*(4)"])
+def test_a_constant_coefficient_is_read_as_a_fraction(text):
+    # The polynomial grammar has no imaginary literal, so every unit the CLI
+    # builds is real or polynomial: no complex unit reaches gcn's generic path.
+    assert type(cli._scalar_or_poly(text, ("x",))) is Fraction
+
+
+def test_each_coefficient_has_its_digits_checked_once(capsys, monkeypatch):
+    checked = []
+    check_digits = cli._check_digits
+
+    def recording(text):
+        checked.append(text)
+        check_digits(text)
+
+    monkeypatch.setattr(cli, "_check_digits", recording)
+    reply = _reply(capsys, ("gcn", "power", "--a", "1/2", "--b", "x + 1", "--n", "3"))
+    assert reply[0] == 0
+    assert checked == ["1/2", "x + 1"]
+
+
 def test_numeric_roots_are_printed_correctly_rounded(capsys):
     # The float formula (b - sqrt(b^2 + 4a))/2 printed -1.000000082740371e-10.
     args = ("gcn", "roots", "--a", "1/10000000000", "--b", "1", "--numeric")

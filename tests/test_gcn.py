@@ -350,6 +350,45 @@ def test_matrix_route_matches_generic_companion_power(coeffs):
         _same(power_coeffs(unit, n, "matrix"), generic, n)
 
 
+# Exact units with an imaginary part never enter the integer lift: both routes
+# raise them as an Element and as a companion matrix of Gaussian rationals.
+# Real exact units, Gaussian ones with no imaginary part included, take the
+# lift, one call per route.
+COMPLEX_UNITS = list(dict.fromkeys(
+    c for c in EXACT_COEFFS + GAUSSIAN_UNITS if any(q for _, q, _ in _exact_triples(c))
+))
+
+
+@pytest.mark.parametrize("coeffs", COMPLEX_UNITS)
+def test_a_complex_unit_is_raised_without_the_integer_lift(monkeypatch, coeffs):
+    def refused(*args):
+        raise AssertionError("a complex unit entered the integer lift")
+
+    monkeypatch.setattr(gcn, "_lift", refused)
+    unit = Unit(coeffs)
+    for n, expected in enumerate(islice(unit_powers(coeffs), 65)):
+        _same(unit_power(coeffs, n), expected, n)
+        _same(_companion_power(unit, n), expected, n)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [(3, -5), (Fraction(11, 13), Fraction(7, 5)), (_g(1, 0), _g(Fraction(1, 2), 0))]
+)
+def test_a_real_exact_unit_is_raised_through_the_integer_lift(monkeypatch, coeffs):
+    kernels = []
+    lift = gcn._lift
+
+    def spy(triples, n, kernel):
+        kernels.append(kernel)
+        return lift(triples, n, kernel)
+
+    monkeypatch.setattr(gcn, "_lift", spy)
+    expected = next(islice(unit_powers(coeffs), 97, None))
+    _same(unit_power(coeffs, 97), expected, 97)
+    _same(_companion_power(Unit(coeffs), 97), expected, 97)
+    assert kernels == [gcn._element_lift, gcn._companion_lift]
+
+
 @pytest.mark.parametrize("coeffs", RATIONAL_UNITS)
 def test_binet_route_matches_generic_surd_power(coeffs):
     unit = GcnUnit(*coeffs)
