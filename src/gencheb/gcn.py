@@ -46,7 +46,9 @@ excess (d^K/L)^m that raising g would.  Each route gives the lift its own
 kernel for G^m, so the routes still check one another.  ``recurrence`` and
 ``matrix`` multiply ints, over g's unit: ``recurrence`` multiplies with
 ``_product``, the product of every :class:`Element`, and ``matrix`` raises
-L*C^K / d^(K-k+1) for C the companion.  ``binet`` raises G's root, and
+L*C^K / d^(K-k+1) for C the companion.  Each squares with fewer products
+than it multiplies: ``_product`` in k(k+1)/2 coefficient products, and a
+2x2 companion in 5 entry products.  ``binet`` raises G's root, and
 :mod:`gencheb.pauli` multiplies Gaussian int 4-tuples of its own.
 ``_lifted_power`` builds each coefficient once, in the walk's own type, with
 no gcd taken with its denominator.  A unit with an imaginary part or
@@ -162,24 +164,46 @@ def _product(xs: tuple, ys: tuple, unit: tuple) -> tuple:
     starts from its first term, never from an added zero, and the fold
     skips the unit's zero coefficients, so no time goes to adding zeros or
     multiplying by them; on polynomial coefficients each such step is a
-    pass over a polynomial.
+    pass over a polynomial.  A square (``xs is ys``) takes each cross
+    product x_i*x_j, i < j, once, as 2x_i times x_j: k(k+1)/2 coefficient
+    products instead of k^2.
     """
     k = len(xs)
-    full = list(map(mul, repeat(xs[0]), ys))
-    y_init, y_last = ys[:-1], ys[-1]
-    for i in range(1, k):
-        x = xs[i]
-        m = i
-        for y in y_init:
-            full[m] += x * y
-            m += 1
-        full.append(x * y_last)
+    if xs is ys:
+        full = _square_terms(xs)
+    else:
+        full = list(map(mul, repeat(xs[0]), ys))
+        y_init, y_last = ys[:-1], ys[-1]
+        for i in range(1, k):
+            x = xs[i]
+            m = i
+            for y in y_init:
+                full[m] += x * y
+                m += 1
+            full.append(x * y_last)
     for m in range(k - 2, -1, -1):
         top = full.pop()
         for i, c in enumerate(unit, m):
             if c:
                 full[i] += c * top
     return tuple(full)
+
+
+def _square_terms(xs: tuple) -> list:
+    """The 2k - 1 coefficients of (sum x_i h^i)^2, before the unit's fold.
+
+    Row i puts x_i^2 and each 2x_i*x_j, j > i, at h^(2i) .. h^(i+k-1),
+    adding to a place that a row above started and starting the others.
+    """
+    full = []
+    for i, x in enumerate(xs):
+        row = [x * x, *map(mul, repeat(x + x), xs[i + 1 :])]
+        for m, z in enumerate(row, 2 * i):
+            if m < len(full):
+                full[m] += z
+            else:
+                full.append(z)
+    return full
 
 
 @dataclass(eq=False, slots=True)

@@ -7,7 +7,9 @@ and a determinant.  Results keep the operand's type, and a scalar operand of
 only need ``+``, ``-`` and ``*`` among themselves and with ints; Fraction,
 GaussianRational and MultiPoly all qualify.  Powers go through the library's
 one square-and-multiply loop :func:`gencheb.scalars.power`, and identities
-are built on :func:`gencheb.scalars.zero_of` of the entries.
+are built on :func:`gencheb.scalars.zero_of` of the entries.  A 2x2 matrix
+times itself is squared as [[a^2 + bc, b(a+d)], [c(a+d), d^2 + bc]], with 5
+entry products instead of 8; this needs the entries to commute.
 """
 from __future__ import annotations
 
@@ -92,6 +94,10 @@ class Mat3:
         if not isinstance(other, Mat3):
             return self._new(tuple([tuple([x * other for x in r]) for r in self.rows]))
         self._check_size(len(other.rows))
+        if other is self and len(self.rows) == 2:  # a square: 5 entry products, not 8
+            (a, b), (c, d) = self.rows
+            bc, trace = b * c, a + d
+            return self._new(((a * a + bc, b * trace), (c * trace, d * d + bc)))
         cols = tuple(zip(*other.rows))
         return self._new(tuple([tuple([_dot(r, c) for c in cols]) for r in self.rows]))
 

@@ -16,6 +16,9 @@ nonzero, and ``int``/``Fraction`` otherwise.
 Floats are deliberately rejected everywhere in this module.  Numeric
 evaluation happens in the consumers, never in the exact core.
 
+A GaussianRational times itself is squared as ((p+q)(p-q) + 2pq*i)/d^2,
+two products of numerators instead of four.
+
 Two ring-generic helpers live here, at the bottom layer, so that every
 other type uses them: :func:`power` is the library's one square-and-multiply
 loop (every ``**`` and ``gcn.unit_power``) and its one refusal of n < 0,
@@ -49,6 +52,10 @@ def power(base, n: int, one, _mul=mul):
     for one held in plain data; ``one`` is its identity and is what ``n = 0``
     returns.  The bits of ``n`` are read from the top down, so every
     multiply is by ``base`` itself, usually far smaller than the result.
+    The square step passes one operand twice, ``_mul(result, result)``, and
+    the library's exact products notice that and square with fewer
+    products: a 2x2 matrix, a GaussianRational, an :class:`~gencheb.gcn.Element`
+    and :mod:`gencheb.pauli`'s kernel.
     """
     if n < 0:
         raise ValueError("power index must be non-negative")
@@ -255,6 +262,9 @@ class GaussianRational:
         return _unchecked(-p, -q, d)
 
     def __mul__(self, other: object) -> "GaussianRational":
+        if other is self:  # a square: 2 products of numerators, not 4
+            p, q, d = self._t
+            return _unchecked((p + q) * (p - q), (p * q) << 1, d * d)
         triple = _triple(other)
         if triple is None:
             return NotImplemented

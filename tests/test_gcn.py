@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from gencheb.gcn import (
     _companion_power,
     _exact_triples,
     _integer_unit,
+    _product,
     conjugate_roots,
     power_coeff_sequence,
     power_coeffs,
@@ -79,6 +81,34 @@ def test_products_never_multiply_by_a_zero_unit_coefficient():
         y = Element(unit, tuple(range(-k, 0)))
         (x * y) ** 5
     assert calls == []
+
+
+def test_element_square_matches_the_general_product_of_a_copy():
+    # _product(xs, xs, c) takes the square's k(k+1)/2 coefficient products;
+    # a copy of xs, equal but another tuple of other objects, the general
+    # product.  Units of order 1-4 with a zero coefficient and without, over
+    # ints, Fractions, Gaussian rationals and polynomials.
+    rng = random.Random(36)
+    draws = (
+        lambda: rng.randint(-9, 9),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        lambda: _g(Fraction(rng.randint(-4, 4), 3), Fraction(rng.randint(-4, 4), 2)),
+        lambda: rng.randint(-3, 3) * X ** rng.randint(0, 3) + Fraction(rng.randint(-3, 3), 2),
+    )
+    for k in range(1, 5):
+        for draw in draws:
+            for trial in range(12):
+                coeffs = [draw() for _ in range(k)]
+                if trial % 2:
+                    coeffs[rng.randrange(k)] *= 0
+                unit = Unit(tuple(coeffs))
+                x = Element(unit, tuple(draw() for _ in range(k)))
+                twin = tuple(map(copy.copy, x.coeffs))
+                assert twin is not x.coeffs and twin == x.coeffs
+                square = _product(x.coeffs, x.coeffs, unit.coeffs)
+                assert square == _product(x.coeffs, twin, unit.coeffs)
+                assert (x * x).coeffs == square == (x * Element(unit, twin)).coeffs
+                assert x ** 5 == x * x * x * x * x
 
 
 def test_powers_of_i():
@@ -345,9 +375,17 @@ def _same(got, want, n):
 def test_matrix_route_matches_generic_companion_power(coeffs):
     unit = GcnUnit(*coeffs)
     companion = unit.companion()
-    for n in ROUTE_INDICES:
-        generic = power(companion, n, companion.identity_like()).column(0)
-        _same(power_coeffs(unit, n, "matrix"), generic, n)
+    indices = ROUTE_INDICES
+    if any(q for _, q, _ in _exact_triples(coeffs)):
+        # The matrix route raises a unit with an imaginary part as this very
+        # companion power, so the walk is its reference instead, to n = 1025:
+        # the walk's Gaussian rationals take seconds to reach 4097.
+        indices = [n for n in ROUTE_INDICES if n <= 1025]
+        reference = list(islice(unit_powers(coeffs), indices[-1] + 1)).__getitem__
+    else:
+        reference = lambda n: power(companion, n, companion.identity_like()).column(0)
+    for n in indices:
+        _same(power_coeffs(unit, n, "matrix"), reference(n), n)
 
 
 # Exact units with an imaginary part never enter the integer lift: both routes

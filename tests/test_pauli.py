@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from operator import add, mul, sub
@@ -19,7 +20,8 @@ from gencheb.pauli import (
     pauli_recompose,
     quadratic_residual,
 )
-from gencheb.scalars import GaussianRational
+from gencheb.poly import gens
+from gencheb.scalars import GaussianRational, power
 
 ZERO_MAT = IDENTITY * 0
 
@@ -250,6 +252,104 @@ def test_mat2_view_matches_written_out_formulas():
         big.apply((1, 1))
     with pytest.raises(ValueError, match="2x2.*length 3"):
         small.apply((1, 1, 1))
+
+
+def _copied(m: Mat2) -> Mat2:
+    """An equal matrix that is not m, over copies of its entries.
+
+    A GaussianRational or MultiPoly entry copies to another object; an int
+    or Fraction copies to itself, and neither has a square of its own.
+    """
+    return Mat2(*map(copy.copy, m.entries()))
+
+
+def test_mat2_square_matches_the_general_product_of_a_copy():
+    # m * m takes the 2x2 square formula, and a Gaussian entry times itself
+    # the Gaussian square; m * copy takes the general product on both levels.
+    rng = random.Random(36)
+    x, y = gens("x", "y")
+
+    def poly():
+        return sum(
+            (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * x ** i * y ** j
+             for i in range(3) for j in range(2)),
+            rng.randint(-2, 2),
+        )
+
+    draws = (
+        lambda: rng.randint(-9, 9),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        lambda: rand_gauss(rng),
+        poly,
+    )
+    for draw in draws:
+        for _ in range(25):
+            m = Mat2(*(draw() for _ in range(4)))
+            twin = _copied(m)
+            assert twin is not m and twin == m
+            square = m * m
+            assert type(square) is Mat2
+            assert square.entries() == (m * twin).entries() == _mul2(m.entries(), twin.entries())
+            assert [type(v) for v in square.entries()] == [type(v) for v in (m * twin).entries()]
+    gaussian = rand_gauss(rng)
+    assert _copied(Mat2(gaussian, 0, 0, 0)).m11 is not gaussian
+
+
+class _Counted:
+    """An int entry that counts the products it takes part in."""
+
+    products = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return _Counted(self.value * other.value)
+
+    def __add__(self, other):
+        return _Counted(self.value + other.value)
+
+
+@pytest.mark.parametrize("j", [1, 2, 5, 9])
+def test_mat2_power_of_two_takes_five_entry_products_a_square(monkeypatch, j):
+    monkeypatch.setattr(_Counted, "products", 0)
+    m = Mat2(*map(_Counted, (2, 1, 1, 1)))
+    got = m ** (2 ** j)
+    assert _Counted.products == 5 * j
+    want = mat_power(Mat2(2, 1, 1, 1), 2 ** j, "chebyshev")
+    assert tuple(v.value for v in got.entries()) == want.entries()
+
+
+def test_pauli_kernel_square_matches_its_general_product(monkeypatch):
+    # Every square the kernel takes is checked against its general product
+    # of a copy, for d = 1 (int and Gaussian-int units) and d > 1.
+    squares = []
+
+    def checked(base, n, one, product):
+        def both(a, b):
+            got = product(a, b)
+            if a is b:
+                twin = tuple(list(b))
+                assert twin is not a and got == product(a, twin)
+                squares.append(a)
+            return got
+
+        return power(base, n, one, both)
+
+    monkeypatch.setattr(pauli, "power", checked)
+    cases = {
+        "int, d = 1": Mat2(3, -2, 5, 4),
+        "gaussian int, d = 1": Mat2(_gauss(1, 1), 2, 3, _gauss(1, -1)),
+        "fraction, d > 1": Mat2(_F(1, 2), _F(3, 4), _F(-2, 3), _F(5, 7)),
+        "gaussian, d > 1": EXACT_MATRICES["gauss-det-not-1"],
+        "det prime, d > 1": EXACT_MATRICES["gauss-det-prime"],
+    }
+    for name, m in cases.items():
+        for n in (4, 5, 64, 65, 257):
+            before = len(squares)
+            assert mat_power(m, n, "general_recurrence") == m ** n, (name, n)
+            assert len(squares) > before, (name, n)
 
 
 def _gauss(re, im=0):

@@ -355,3 +355,31 @@ def test_gcd_free_builder_matches_the_checked_constructors():
     zero = _from_coprime(Fraction, 0, 0, 1)
     assert (zero.numerator, zero.denominator) == (0, 1) and zero == 0 and hash(zero) == 0
     assert type(_from_coprime(int, -5, 0, 1)) is int
+
+
+def test_gaussian_square_matches_the_general_product_of_a_copy():
+    # z * z takes the square (p^2 - q^2 + 2pq*i)/d^2; z * copy(z) takes the
+    # general product, since the copy is an equal value but another object.
+    rng = random.Random(36)
+    half = Fraction(1, 2)
+    values = [
+        GaussianRational(Fraction(5, 6)),  # q = 0
+        GaussianRational(-3),
+        GaussianRational(0, Fraction(-7, 3)),  # p = 0
+        GaussianRational(0, 1),
+        GaussianRational(Fraction(-3, 4), Fraction(-5, 2)),  # both parts negative
+        GaussianRational(half, half),  # ((1+i)/2)^2 = i/2: the 2 cancels
+        GaussianRational(half, -half),
+        GaussianRational(),
+        GaussianRational(2 ** 80 + 1, -(3 ** 50)),
+    ]
+    values += [GaussianRational(random_part(rng), random_part(rng)) for _ in range(200)]
+    for z in values:
+        twin = copy.copy(z)
+        assert twin is not z and twin == z
+        square, product = z * z, z * twin
+        assert square._t == product._t
+        p, q, d = square._t
+        assert d > 0 and math.gcd(p, q, d) == 1
+        assert_matches(square, ref_mul(ref_pair(z), ref_pair(z)))
+    assert (GaussianRational(half, half) * GaussianRational(half, half))._t == (0, 1, 2)
