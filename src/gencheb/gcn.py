@@ -23,8 +23,8 @@ always agree:
                             a_n = (h+ * h-^n - h- * h+^n) / (h+ - h-)
 
 Both recurrence forms are written once, for a unit of any order.
-:func:`unit_powers` is the walk: it multiplies h^n by h, shifting the
-coefficients up one place and feeding the top one back through the unit.
+:func:`unit_powers` is the walk: its step ``_times_h`` multiplies h^n by h,
+shifting the coefficients up and feeding the top one back through the unit.
 Readers of a whole sequence use it through ``power_coeff_sequence``, the
 one list reader for every order (behind ``verify.suite_gcn`` and the cubic
 unit's sequences in :mod:`gencheb.higher`); the tests read the Chebyshev
@@ -43,20 +43,21 @@ coefficients as well.  Every exact power, pauli's included, is read off one
 lift, ``_lift``: h^n = G^m h^r / L^m (m = n // K, r = n % K) over the
 denominator L^m d^(k-1+r-i) that its integers need, so none carries the
 excess (d^K/L)^m that raising g would.  Each route gives the lift its own
-kernel for G^m, so the routes still check one another.  ``recurrence`` and
-``matrix`` multiply ints, over g's unit: ``recurrence`` multiplies with
-``_product``, the product of every :class:`Element`, and ``matrix`` raises
-L*C^K / d^(K-k+1) for C the companion.  Each squares with fewer products
-than it multiplies: ``_product`` in k(k+1)/2 coefficient products, and a
-2x2 companion in 5 entry products.  ``binet`` raises G's root, and
-:mod:`gencheb.pauli` multiplies Gaussian int 4-tuples of its own.
-``_lifted_power`` builds each coefficient once, in the walk's own type, with
-no gcd taken with its denominator.  A unit with an imaginary part or
-polynomial coefficients is raised as an :class:`Element`, and its companion
-as a matrix of its scalars.  On bivariate polynomial coefficients such as
-the cubic unit's the walk wins even for one power: each of its steps
-multiplies by the small unit coefficients, while a squaring multiplies two
-large ones.
+kernel, so the routes still check one another; it raises d^(k-1)*G^m in
+its own ring (at m = 0 the ring's one, d^(k-1)) and hands the lift the
+ring's step x -> x*g for the r steps.  The int kernels step by the walk's
+``_times_h`` over g's unit: ``recurrence`` multiplies with ``_product``, the
+product of every :class:`Element`, ``matrix`` raises L*C^K / d^(K-k+1) for
+C the companion, and ``binet`` raises G's root.  The first two square with
+fewer products than they multiply: ``_product`` in k(k+1)/2, a 2x2
+companion in 5.  :mod:`gencheb.pauli` multiplies Gaussian int 4-tuples of
+its own.  ``_lifted_power`` builds each coefficient once, in the walk's own
+type, with no gcd taken with its denominator.  A unit with an imaginary
+part or polynomial coefficients is raised as an :class:`Element`, and its
+companion as a matrix of its scalars.  On bivariate polynomial
+coefficients such as the cubic unit's the walk wins even for one power:
+each of its steps multiplies by the small unit coefficients, while a
+squaring multiplies two large ones.
 
 The exact closed form needs a rational unit.  G = L*h^2 = L*a + L*b*h is
 the root of the integer unit (-N, T) with T = L(b^2 + 2a) and N = (L*a)^2,
@@ -313,17 +314,20 @@ def unit_powers(coeffs: Sequence[Any]) -> Iterator[tuple[Any, ...]]:
     """Power coefficients of the unit h^k = c_0 + c_1*h + ... + c_{k-1}*h^{k-1}.
 
     ``coeffs`` is (c_0, ..., c_{k-1}).  The n-th tuple yielded is
-    (x_0, ..., x_{k-1}) with h^n = x_0 + x_1*h + ... + x_{k-1}*h^{k-1}; the
-    next one is x_0' = c_0*x_{k-1} and x_i' = x_{i-1} + c_i*x_{k-1}.  The
-    sequence is endless; callers slice it.
+    (x_0, ..., x_{k-1}) with h^n = x_0 + x_1*h + ... + x_{k-1}*h^{k-1}, and
+    :func:`_times_h` steps to the next.  The sequence is endless; callers slice it.
     """
-    c_0, *c_rest = coeffs
     zero = zero_of(*coeffs)
-    powers = (zero + 1,) + (zero,) * len(c_rest)
+    powers = (zero + 1,) + (zero,) * (len(coeffs) - 1)
     while True:
         yield powers
-        top = powers[-1]
-        powers = (c_0 * top, *[x + c * top for x, c in zip(powers, c_rest)])
+        powers = _times_h(powers, coeffs)
+
+
+def _times_h(xs: Sequence[Any], coeffs: Sequence[Any]) -> tuple[Any, ...]:
+    """h times sum x_i h^i: x_0' = c_0*x_{k-1} and x_i' = x_{i-1} + c_i*x_{k-1}."""
+    top = xs[-1]
+    return (coeffs[0] * top, *[x + c * top for x, c in zip(xs, coeffs[1:])])
 
 
 def unit_power(coeffs: Sequence[Any], n: int) -> tuple[Any, ...]:
@@ -386,10 +390,10 @@ def _lifted_power(triples: list, n: int, kind: type, kernel) -> tuple:
     round that finds no common factor with the base proves the fraction
     reduced.  Each x_i is built once, with no further gcd, as a ``kind``.
     """
-    ps, _, d, scale, e = _lift(triples, n, kernel)
+    ys, d, scale, e = _lift(triples, n, kernel)
     xs = []
-    for i, p in enumerate(ps):
-        den, base = scale * d ** max(e - i, 0), d  # W_i = 0 where this clips
+    for i, p in enumerate(ys):
+        den, base = scale * d ** (e - i), d
         while True:
             base = math.gcd(den, base)
             g = math.gcd(p, base)
@@ -402,32 +406,24 @@ def _lifted_power(triples: list, n: int, kind: type, kernel) -> tuple:
 
 
 def _lift(triples: list, n: int, kernel) -> tuple:
-    """(ps, qs, d, scale, e) with x_i of h^n = (ps[i] + qs[i]*i) / (scale * d^(e-i)), unreduced.
+    """(ys, d, scale, e) with x_i of h^n = ys[i] / (scale * d^(e-i)), unreduced.
 
     ``kernel((triples, d, scaled, K, L), m)`` returns d^(k-1)*G^m, G = L*h^K,
-    in the basis of g = d*h (:func:`_integer_unit`).  G is integral: a prime p
-    divides the denominator of x_i of h^w at most (w - i) * max_j v_p(d_j)/(k-j)
-    times.  Times g^r, by r walk steps (a shift and a fold), over L^m d^(k-1+r),
-    that is h^n; for m = 0 no kernel runs, and g^r is over d^r.
+    in its own ring over the basis of g = d*h (:func:`_integer_unit`), and
+    that ring's step x -> x*g.  G is integral: a prime p divides the
+    denominator of x_i of h^w at most (w - i) * max_j v_p(d_j)/(k-j) times.
+    Times g^r, by r steps, over L^m d^(k-1+r), that is h^n.
     """
     k = len(triples)
     d, scaled = _integer_unit(triples)
     order_lcm = math.lcm(*range(1, k + 1))
     m, r = divmod(n, order_lcm)
-    if m:
-        tops = (d_j ** (order_lcm // (k - j)) for j, (_, _, d_j) in enumerate(triples))
-        top = math.lcm(*tops) if d > 1 else 1
-        ps, qs = kernel((triples, d, scaled, order_lcm, top), m)
-        scale, e = top ** m, k - 1 + r
-    else:
-        ps, qs, scale, e = [1] + [0] * (k - 1), [0] * k, 1, r
+    tops = (d_j ** (order_lcm // (k - j)) for j, (_, _, d_j) in enumerate(triples))
+    top = math.lcm(*tops) if d > 1 else 1
+    ys, step = kernel((triples, d, scaled, order_lcm, top), m)
     for _ in range(r):
-        ps, qs = [0, *ps], [0, *qs]
-        tp, tq = ps.pop(), qs.pop()
-        for i, (cp, cq) in enumerate(scaled):
-            ps[i] += cp * tp - cq * tq
-            qs[i] += cp * tq + cq * tp
-    return ps, qs, d, scale, e
+        ys = step(ys)
+    return ys, d, top ** m, k - 1 + r
 
 
 def _element_lift(lift: tuple, m: int) -> tuple:
@@ -444,7 +440,7 @@ def _element_lift(lift: tuple, m: int) -> tuple:
     plain = lambda x, y: _product(x, y, unit)
     product = (lambda x, y: [z // e for z in _product(x, y, unit)]) if e > 1 else plain
     start = [x * top // s for x in power(unit, order_lcm // k, None, plain)]
-    return power(start, m, None, product), [0] * k
+    return power(start, m, [e] + [0] * (k - 1), product), lambda ys: _times_h(ys, unit)
 
 
 def _companion_lift(lift: tuple, m: int) -> tuple:
@@ -456,15 +452,16 @@ def _companion_lift(lift: tuple, m: int) -> tuple:
     """
     triples, d, scaled, order_lcm, top = lift
     k = len(triples)
+    unit = tuple(p for p, _ in scaled)
     e, s = d ** (k - 1), d ** (order_lcm - k + 1)
 
     def rescaled(a: Mat3, num: int, den: int) -> Mat3:
         return a._new(tuple([tuple([x * num // den for x in row]) for row in a.rows]))
 
     product = (lambda x, y: rescaled(x * y, 1, e)) if e > 1 else mul  # d = 1 divides nothing
-    companion = Unit(tuple(p for p, _ in scaled)).companion()
-    column = power(rescaled(companion ** order_lcm, top, s), m, None, product)
-    return column.column(0), [0] * k
+    a = rescaled(Unit(unit).companion() ** order_lcm, top, s)
+    one = None if m else a._new(tuple(tuple(e * (i == j) for j in range(k)) for i in range(k)))
+    return power(a, m, one, product).column(0), lambda ys: _times_h(ys, unit)
 
 
 def _companion_power(unit: Unit, n: int) -> tuple[Any, ...]:
@@ -612,7 +609,7 @@ def _binet_lift(lift: tuple, m: int) -> tuple:
     (P1 + Q1)(P2 + Q2) - P1 P2 - Q1 Q2, so a squaring costs three large
     products, not four.
     """
-    ((a, _, d_a), (b, _, d_b)), d, _, _, top = lift
+    ((a, _, d_a), (b, _, d_b)), d, scaled, _, top = lift
     la, lb = top // d_a * a, top // d_b * b  # d_b^2 divides L, so L*b^2 = lb*b/d_b
     t = lb * b // d_b + 2 * la
     e = t * t - 4 * la * la
@@ -622,8 +619,9 @@ def _binet_lift(lift: tuple, m: int) -> tuple:
         pp, qq = p1 * p2, q1 * q2
         return (pp + qq * e) >> 1, ((p1 + q1) * (p2 + q2) - pp - qq) >> 1
 
-    p, q = power((t, 1), m, None, surd_product)
-    return [d * (((p - t * q) >> 1) + q * la), q * lb], [0, 0]
+    p, q = power((t, 1), m, (2, 0), surd_product)  # G+^0 = 1 is the pair (2, 0)
+    step = lambda ys: _times_h(ys, [c for c, _ in scaled])
+    return [d * (((p - t * q) >> 1) + q * la), q * lb], step
 
 
 def float_unit(unit: GcnUnit) -> tuple[float, float]:

@@ -22,10 +22,11 @@ The Pauli coordinates are Gaussian rationals, so the beta2 component of a
 real matrix is exact (s2 itself has imaginary entries).  The powers take
 any entries that the ring operations take.  When all four are exact
 scalars (int, Fraction or GaussianRational), the ``chebyshev`` and
-``general_recurrence`` routes read h^n off gcn's lift of G = L*h^2
-(``gcn._lift``) with a product of their own, and build each entry of M^n
-once, with no a_n, b_n or matrix pass in between.  Any other entry, such
-as a polynomial, takes ``m * b_n + a_n`` from :func:`gencheb.gcn.unit_power`.
+``general_recurrence`` routes raise G = L*h^2 on Gaussian int 4-tuples in
+gcn's lift (``gcn._lift``), whose step x -> x*g is their product by d*g,
+and build each entry of M^n once, with no a_n, b_n or matrix pass in
+between.  Any other entry, such as a polynomial, takes ``m * b_n + a_n``
+from :func:`gencheb.gcn.unit_power`.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def _exact_power(m: Mat2, triples: list, det: tuple, trace: tuple, n: int) -> Ma
     *reduced* det and trace; unreduced ones would inflate them.
     """
     p, q, e = det
-    (y0p, y1p), (y0q, y1q), d, scale, exponent = _lift([(-p, -q, e), trace], n, _lift_kernel)
+    (y0p, y0q, y1p, y1q), d, scale, exponent = _lift([(-p, -q, e), trace], n, _lift_kernel)
     y1p, y1q, den = y1p * d, y1q * d, scale * d ** exponent
     kind = _kind(m.entries())
     entries = []
@@ -174,7 +175,8 @@ def _lift_kernel(lift: tuple, m: int) -> tuple:
     product (a + b*g)(c + e*g) = (ac - Q*be) + (ae + bc + P*be)*g is written
     out and divided exactly by d.  A square is (a^2 - Q*b^2) + (2ab + P*b^2)*g,
     from a^2 and b^2, two products each as (x+y)(x-y) + 2xy*i, and ab: 8
-    large products instead of the general product's 16.
+    large products instead of the general product's 16.  The step x -> x*g
+    is the product by d*g, exact as (a + b*g)(d*g) is divisible by d.
     """
     _, d, ((c0p, c0q), (c1p, c1q)), _, top = lift
     s = top // d
@@ -197,8 +199,8 @@ def _lift_kernel(lift: tuple, m: int) -> tuple:
             return y0r, y0i, y1r, y1i
         return y0r // d, y0i // d, y1r // d, y1i // d
 
-    y0p, y0q, y1p, y1q = power((c0p * s, c0q * s, c1p * s, c1q * s), m, None, product)
-    return [y0p, y1p], [y0q, y1q]
+    start = (c0p * s, c0q * s, c1p * s, c1q * s)
+    return power(start, m, (d, 0, 0, 0), product), lambda x: product(x, (0, 0, d, 0))
 
 
 def coeff_bits(m: Mat2) -> int:

@@ -66,11 +66,13 @@ Text format
 
     expr     := term (('+'|'-') term)*
     term     := factor ('*' factor)*
-    factor   := rational | symbol ('^' uint)? | '(' expr ')'
-    rational := int ('/' uint)?
+    factor   := '-'* (rational | symbol ('^' uint)? | '(' expr ')')
+    rational := uint ('/' uint)?
 
 with insignificant whitespace and parentheses nested at most
 ``MAX_NESTING`` deep, so that no input exhausts the parser's recursion.
+A leading minus negates the whole factor, so ``-x^2`` is -(x^2), and a run
+of them is read in a loop.
 Rendering emits terms in graded-lexicographic order (higher total degree
 first; ties broken by the exponent tuple, so the first-listed variable is
 the most significant) and always stays inside the grammar, so output
@@ -748,7 +750,16 @@ class _Parser:
                 return value
 
     def factor(self) -> MultiPoly:
+        negative = False
         self.skip_ws()
+        while self.peek() == "-":  # a loop: no run of signs exhausts the stack
+            negative = not negative
+            self.pos += 1
+            self.skip_ws()
+        value = self.unsigned_factor()
+        return -value if negative else value
+
+    def unsigned_factor(self) -> MultiPoly:
         ch = self.peek()
         if ch == "(":
             if self.depth == MAX_NESTING:
@@ -762,7 +773,7 @@ class _Parser:
             self.pos += 1
             self.depth -= 1
             return value
-        if ch == "-" or ch.isdecimal():
+        if ch.isdecimal():
             return MultiPoly.constant(self.variables, self.rational())
         if ch.isalpha() or ch == "_":
             start = self.pos
@@ -779,11 +790,6 @@ class _Parser:
         raise AssertionError("unreachable")
 
     def rational(self) -> Fraction:
-        negative = False
-        if self.peek() == "-":
-            negative = True
-            self.pos += 1
-            self.skip_ws()
         numerator = self.uint()
         self.skip_ws()
         if self.peek() == "/":
@@ -795,8 +801,7 @@ class _Parser:
                 self.fail("zero denominator", at)
         else:
             denominator = 1
-        value = Fraction(numerator, denominator)
-        return -value if negative else value
+        return Fraction(numerator, denominator)
 
     def uint(self) -> int:
         self.skip_ws()

@@ -313,6 +313,13 @@ def test_fast_closed_forms_print_what_the_slow_routes_print(capsys):
     assert chebyshev == _in_process(capsys, *matrix, "--method", "squaring")
 
 
+def test_a_leading_minus_polynomial_prints_what_its_zero_minus_form_prints(capsys):
+    unit = ("--b", "1", "--n", "3")
+    minus = _in_process(capsys, "gcn", "power", "--a=-x", *unit)
+    assert "a_n = -1*x" in minus
+    assert minus == _in_process(capsys, "gcn", "power", "--a=0-x", *unit)
+
+
 def test_results_past_the_default_digit_limit(capsys):
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     unit = ("gcn", "power", "--a", "11/13", "--b", "7/5")

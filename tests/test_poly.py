@@ -119,6 +119,29 @@ def test_parse_refuses_digits_that_int_does_not_read():
     assert parse_poly("x^\u0661", ("x",)) == X
 
 
+def test_a_leading_minus_negates_any_factor():
+    assert parse_poly("-x", ("x",)) == -X
+    assert parse_poly("-(x + 1)", ("x",)) == -X - 1
+    assert parse_poly("2*-x", ("x",)) == -2 * X
+    assert parse_poly("- -x", ("x",)) == X
+    assert parse_poly("1 - -x", ("x",)) == X + 1
+    # The sign takes the whole factor, power included.
+    assert parse_poly("-x^2", ("x",)) == -(X ** 2)
+    assert parse_poly("-x^2", ("x",)).render() == "-1*x^2"
+
+
+def test_a_run_of_signs_is_read_without_recursion():
+    assert parse_poly("-" * 100_000 + "x", ("x",)) == X
+    assert parse_poly("-" * 100_001 + "x", ("x",)) == -X
+
+
+def test_a_sign_before_no_factor_is_refused_with_its_offset():
+    with pytest.raises(PolyParseError) as info:
+        parse_poly("-²", ("x",))
+    assert info.value.position == 1
+    assert str(info.value) == "expected a factor (offset 1)"
+
+
 def test_parse_refuses_duplicate_variable_names():
     for text in ("x + 1", "1"):
         with pytest.raises(ValueError) as info:

@@ -10,6 +10,7 @@ references is checked here against the running product it replaced, and
 a wrong library power at nmax must still fail its case.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -347,3 +348,30 @@ def test_each_refuses_sequences_of_unequal_length():
     # A family whose sides differ in length would drop cases without notice.
     with pytest.raises(ValueError):
         verify._Recorder("each").each("n{}", [1, 2, 3], [1, 2])
+
+
+def test_close_passes_at_its_bound_and_fails_just_past_it():
+    rec = verify._Recorder("close")
+    bound = 1e-12
+    rec.close("at", bound, bound)
+    rec.close("past", math.nextafter(bound, math.inf), bound)
+    assert rec.cases == 2
+    assert _failed_cases(rec.report()) == {"past"}
+
+
+def test_cheb_numeric_evaluates_50_thetas_from_0_1_to_3_0(monkeypatch):
+    points = []
+    evaluate = MultiPoly.evaluate_exact
+
+    def spy(self, values):
+        points.append(values["x"])
+        return evaluate(self, values)
+
+    monkeypatch.setattr(MultiPoly, "evaluate_exact", spy)
+    nmax = 2
+    verify.suite_cheb_numeric(nmax=nmax)
+    # U_n and T_n at each theta, for n = 0 .. nmax.
+    assert len(points) == (nmax + 1) * 2 * 50
+    assert len(set(points)) == 50
+    assert points[0] == Fraction(math.cos(0.1))
+    assert points[-1] == Fraction(math.cos(3.0))
