@@ -7,10 +7,11 @@ request writes nothing to stdout.
 
 Exit codes: 0 success, 1 at least one verification failure, 2 usage or
 parse error or a request the library refuses (a ValueError and the like,
-printed as ``error:`` without a traceback).  Text output carries no timing
-so identical invocations are byte-identical; JSON verification reports
-include a ``millis`` field (the one intentionally non-deterministic value,
-required by the report schema).
+printed as ``error:`` without a traceback).  Identical invocations print
+byte-identical output, with two timing-dependent exceptions: the
+``millis`` field of JSON verification reports (required by the report
+schema), and ``median_ns`` in every format of ``mat bench``, which
+measures time.
 
 The command line is declared once, in the table ``_LEAVES``: each leaf
 parser's command words, its handler and its options.  ``build_parser``
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 from . import cheby, euler, gcn, higher, pauli, verify
 from .matrices import Mat2
-from .poly import MultiPoly, PolyParseError, parse_poly
+from .poly import PolyParseError, parse_poly
 from .scalars import GaussianRational
 
 SCHEMA = 1
@@ -153,12 +154,6 @@ def _parse_matrix(text: str) -> Mat2:
     return Mat2(*entries)
 
 
-def _show(value) -> str:
-    if isinstance(value, MultiPoly):
-        return value.render()
-    return str(value)
-
-
 class Answer(NamedTuple):
     """A command's result, before any of it is printed."""
 
@@ -220,8 +215,8 @@ def _cmd_gcn(args: argparse.Namespace) -> Answer:
                 "op": "gcn-power",
                 "method": args.method,
                 "n": args.n,
-                "a_n": _show(a_n),
-                "b_n": _show(b_n),
+                "a_n": str(a_n),
+                "b_n": str(b_n),
             }
         )
     roots = gcn.conjugate_roots(unit)

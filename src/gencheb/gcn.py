@@ -43,21 +43,21 @@ coefficients as well.  Every exact power, pauli's included, is read off one
 lift, ``_lift``: h^n = G^m h^r / L^m (m = n // K, r = n % K) over the
 denominator L^m d^(k-1+r-i) that its integers need, so none carries the
 excess (d^K/L)^m that raising g would.  Each route gives the lift its own
-kernel, so the routes still check one another; it raises d^(k-1)*G^m in
-its own ring (at m = 0 the ring's one, d^(k-1)) and hands the lift the
-ring's step x -> x*g for the r steps.  The int kernels step by the walk's
-``_times_h`` over g's unit: ``recurrence`` multiplies with ``_product``, the
-product of every :class:`Element`, ``matrix`` raises L*C^K / d^(K-k+1) for
-C the companion, and ``binet`` raises G's root.  The first two square with
-fewer products than they multiply: ``_product`` in k(k+1)/2, a 2x2
-companion in 5.  :mod:`gencheb.pauli` multiplies Gaussian int 4-tuples of
-its own.  ``_lifted_power`` builds each coefficient once, in the walk's own
-type, with no gcd taken with its denominator.  A unit with an imaginary
-part or polynomial coefficients is raised as an :class:`Element`, and its
-companion as a matrix of its scalars.  On bivariate polynomial
-coefficients such as the cubic unit's the walk wins even for one power:
-each of its steps multiplies by the small unit coefficients, while a
-squaring multiplies two large ones.
+kernel, so the routes still check one another.  Each takes g's int unit, d,
+K and L, and hands the lift d^(k-1)*G^m in its own ring with the ring's
+step x -> x*g for the r steps; gcn's build nothing at m = 0, where they
+return the ring's one, d^(k-1).  ``recurrence`` multiplies with
+``_product``, the product of every :class:`Element`, and ``matrix`` with
+the companion's; each divides its one product exactly by d^(k-1) and builds
+with it its start (L/d^K)*(d^(k-1)*g)^K.  ``binet`` raises G's root.  The
+int kernels step by the walk's ``_times_h``; :mod:`gencheb.pauli`
+multiplies Gaussian int 4-tuples of its own.  ``_lifted_power`` builds each
+coefficient once, in the walk's own type, with no gcd taken with its
+denominator.  A unit with an imaginary part or polynomial coefficients is
+raised as an :class:`Element`, and its companion as a matrix of its
+scalars.  On bivariate polynomial coefficients such as the cubic unit's the
+walk wins even for one power: each of its steps multiplies by the small
+unit coefficients, while a squaring multiplies two large ones.
 
 The exact closed form needs a rational unit.  G = L*h^2 = L*a + L*b*h is
 the root of the integer unit (-N, T) with T = L(b^2 + 2a) and N = (L*a)^2,
@@ -135,11 +135,9 @@ class Unit:
         """
         k = len(self.coeffs)
         zero = zero_of(*self.coeffs)
-        one = zero + 1
-        rows = tuple(
-            tuple(one if j == i - 1 else zero for j in range(k - 1)) + (c,)
-            for i, c in enumerate(self.coeffs)
-        )
+        rows = [[zero] * (k - 1) + [c] for c in self.coeffs]
+        for i in range(1, k):
+            rows[i][i - 1] = zero + 1
         return Mat2(*rows[0], *rows[1]) if k == 2 else Mat3(rows)
 
 
@@ -408,19 +406,18 @@ def _lifted_power(triples: list, n: int, kind: type, kernel) -> tuple:
 def _lift(triples: list, n: int, kernel) -> tuple:
     """(ys, d, scale, e) with x_i of h^n = ys[i] / (scale * d^(e-i)), unreduced.
 
-    ``kernel((triples, d, scaled, K, L), m)`` returns d^(k-1)*G^m, G = L*h^K,
-    in its own ring over the basis of g = d*h (:func:`_integer_unit`), and
-    that ring's step x -> x*g.  G is integral: a prime p divides the
-    denominator of x_i of h^w at most (w - i) * max_j v_p(d_j)/(k-j) times.
-    Times g^r, by r steps, over L^m d^(k-1+r), that is h^n.
+    ``kernel((scaled, d, K, L), m)`` gets g = d*h's int unit
+    (:func:`_integer_unit`) and returns d^(k-1)*G^m, G = L*h^K, in its own
+    ring over the g-basis (at m = 0 the ring's one) with the step x -> x*g.
+    G is integral: a prime p divides the denominator of x_i of h^w at most
+    (w - i) * max_j v_p(d_j)/(k-j) times.  Times g^r over L^m d^(k-1+r): h^n.
     """
     k = len(triples)
     d, scaled = _integer_unit(triples)
     order_lcm = math.lcm(*range(1, k + 1))
     m, r = divmod(n, order_lcm)
-    tops = (d_j ** (order_lcm // (k - j)) for j, (_, _, d_j) in enumerate(triples))
-    top = math.lcm(*tops) if d > 1 else 1
-    ys, step = kernel((triples, d, scaled, order_lcm, top), m)
+    top = math.lcm(*(d_j ** (order_lcm // (k - j)) for j, (_, _, d_j) in enumerate(triples)))
+    ys, step = kernel((scaled, d, order_lcm, top), m)
     for _ in range(r):
         ys = step(ys)
     return ys, d, top ** m, k - 1 + r
@@ -429,39 +426,39 @@ def _lift(triples: list, n: int, kernel) -> tuple:
 def _element_lift(lift: tuple, m: int) -> tuple:
     """d^(k-1)*G^m by :func:`power` with :func:`_product`: the ``recurrence`` kernel.
 
-    It starts from (L / d^(K-k+1))*g^K, g^K = (g^k)^(K/k) with g^k read off
-    g's int unit (:func:`_integer_unit`), and divides each product exactly by
-    d^(k-1) when d > 1.
+    Each product is divided exactly by e = d^(k-1); the start (L/d^K)*e*g^K
+    raises the element e*g^k, read off g's int unit, to K/k.
     """
-    triples, d, scaled, order_lcm, top = lift
-    k = len(triples)
+    scaled, d, order_lcm, top = lift
     unit = tuple(p for p, _ in scaled)
-    e, s = d ** (k - 1), d ** (order_lcm - k + 1)
-    plain = lambda x, y: _product(x, y, unit)
-    product = (lambda x, y: [z // e for z in _product(x, y, unit)]) if e > 1 else plain
-    start = [x * top // s for x in power(unit, order_lcm // k, None, plain)]
-    return power(start, m, [e] + [0] * (k - 1), product), lambda ys: _times_h(ys, unit)
+    e = d ** (len(unit) - 1)
+    step = lambda ys: _times_h(ys, unit)
+    if not m:
+        return [e] + [0] * (len(unit) - 1), step
+    product = lambda x, y: [z // e for z in _product(x, y, unit)]
+    g_k = power([c * e for c in unit], order_lcm // len(unit), None, product)
+    return power([x * top // d ** order_lcm for x in g_k], m, None, product), step
 
 
 def _companion_lift(lift: tuple, m: int) -> tuple:
     """d^(k-1)*G^m as the first column of A^m, A = L*C^K / d^(K-k+1): the ``matrix`` kernel.
 
-    C is the companion of g's int unit (:func:`_integer_unit`); A is d^(k-1)
-    times the matrix of G in the g-basis, and each product is divided
-    exactly by d^(k-1), a row at a time.
+    C is the companion of g's int unit; A = (L/d^K)*(e*C)^K is e = d^(k-1)
+    times G's matrix in the g-basis.  Each product is divided by e, exactly.
     """
-    triples, d, scaled, order_lcm, top = lift
-    k = len(triples)
+    scaled, d, order_lcm, top = lift
     unit = tuple(p for p, _ in scaled)
-    e, s = d ** (k - 1), d ** (order_lcm - k + 1)
+    e = d ** (len(unit) - 1)
+    step = lambda ys: _times_h(ys, unit)
+    if not m:
+        return [e] + [0] * (len(unit) - 1), step
 
     def rescaled(a: Mat3, num: int, den: int) -> Mat3:
         return a._new(tuple([tuple([x * num // den for x in row]) for row in a.rows]))
 
-    product = (lambda x, y: rescaled(x * y, 1, e)) if e > 1 else mul  # d = 1 divides nothing
-    a = rescaled(Unit(unit).companion() ** order_lcm, top, s)
-    one = None if m else a._new(tuple(tuple(e * (i == j) for j in range(k)) for i in range(k)))
-    return power(a, m, one, product).column(0), lambda ys: _times_h(ys, unit)
+    product = lambda x, y: rescaled(x * y, 1, e)
+    c_k = power(rescaled(Unit(unit).companion(), e, 1), order_lcm, None, product)
+    return power(rescaled(c_k, top, d ** order_lcm), m, None, product).column(0), step
 
 
 def _companion_power(unit: Unit, n: int) -> tuple[Any, ...]:
@@ -601,6 +598,7 @@ def _binet_exact(unit: GcnUnit, n: int) -> tuple[Fraction, Fraction]:
 def _binet_lift(lift: tuple, m: int) -> tuple:
     """d*G^m through the root G+ = (T + sqrt(E))/2 of G = L*h^2: the ``binet`` kernel.
 
+    L*a = L*c_0/d^2 and L*b = L*c_1/d are read off g's int unit (c_0, c_1).
     G+ is held as the int pair (P, Q) of (P + Q*sqrt(E))/2, and a product of
     two pairs is ((P1 P2 + Q1 Q2 E)/2, (P1 Q2 + Q1 P2)/2).  Both halvings are
     exact: each power is s + t*G+, so P = 2s + t*T = Q*T modulo 2, and
@@ -609,9 +607,12 @@ def _binet_lift(lift: tuple, m: int) -> tuple:
     (P1 + Q1)(P2 + Q2) - P1 P2 - Q1 Q2, so a squaring costs three large
     products, not four.
     """
-    ((a, _, d_a), (b, _, d_b)), d, scaled, _, top = lift
-    la, lb = top // d_a * a, top // d_b * b  # d_b^2 divides L, so L*b^2 = lb*b/d_b
-    t = lb * b // d_b + 2 * la
+    ((c0, _), (c1, _)), d, _, top = lift
+    step = lambda ys: _times_h(ys, (c0, c1))
+    if not m:
+        return [d, 0], step
+    la, lb = top * c0 // (d * d), top * c1 // d
+    t = lb * c1 // d + 2 * la  # L*b^2 = lb*c_1/d, an integer as d_b^2 divides L
     e = t * t - 4 * la * la
 
     def surd_product(x: tuple, y: tuple) -> tuple:
@@ -619,8 +620,7 @@ def _binet_lift(lift: tuple, m: int) -> tuple:
         pp, qq = p1 * p2, q1 * q2
         return (pp + qq * e) >> 1, ((p1 + q1) * (p2 + q2) - pp - qq) >> 1
 
-    p, q = power((t, 1), m, (2, 0), surd_product)  # G+^0 = 1 is the pair (2, 0)
-    step = lambda ys: _times_h(ys, [c for c, _ in scaled])
+    p, q = power((t, 1), m, None, surd_product)
     return [d * (((p - t * q) >> 1) + q * la), q * lb], step
 
 

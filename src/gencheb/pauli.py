@@ -178,7 +178,7 @@ def _lift_kernel(lift: tuple, m: int) -> tuple:
     large products instead of the general product's 16.  The step x -> x*g
     is the product by d*g, exact as (a + b*g)(d*g) is divisible by d.
     """
-    _, d, ((c0p, c0q), (c1p, c1q)), _, top = lift
+    ((c0p, c0q), (c1p, c1q)), d, _, top = lift
     s = top // d
 
     def product(x, y):

@@ -427,6 +427,34 @@ def test_a_real_exact_unit_is_raised_through_the_integer_lift(monkeypatch, coeff
     assert kernels == [gcn._element_lift, gcn._companion_lift]
 
 
+# Below the lift's period K, m = n // K is 0 and every kernel returns its
+# ring's one with no start built: no element product and no companion
+# matrix.  (2/5, -3/4) and (3, -5) have K = 2, the order-3 unit K = 6.
+@pytest.mark.parametrize(
+    "coeffs, indices",
+    [
+        ((Fraction(2, 5), Fraction(-3, 4)), range(2)),
+        ((3, -5), range(2)),
+        ((Fraction(1, 13), Fraction(2, 5), Fraction(3, 7)), range(6)),
+    ],
+)
+def test_below_the_period_no_kernel_multiplies(monkeypatch, coeffs, indices):
+    def refused(*args):
+        raise AssertionError("a kernel built its start below the period")
+
+    walk = list(islice(unit_powers(coeffs), len(indices)))
+    monkeypatch.setattr(gcn, "_product", refused)
+    monkeypatch.setattr(gcn.Unit, "companion", refused)
+    for n in indices:
+        routes = [unit_power(coeffs, n), _companion_power(Unit(coeffs), n)]
+        if len(coeffs) == 2:
+            unit = GcnUnit(*coeffs)
+            routes += [power_coeffs(unit, n, m) for m in ("recurrence", "matrix")]
+            assert power_coeffs(unit, n, "binet") == walk[n], n
+        for got in routes:
+            _same(got, walk[n], n)
+
+
 @pytest.mark.parametrize("coeffs", RATIONAL_UNITS)
 def test_binet_route_matches_generic_surd_power(coeffs):
     unit = GcnUnit(*coeffs)
