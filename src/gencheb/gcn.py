@@ -81,7 +81,7 @@ from operator import add, mul, neg
 from typing import Any, Iterator, Sequence
 
 from .matrices import Mat2, Mat3
-from .scalars import _from_coprime, _kind, _triple, power, zero_of
+from .scalars import _kind, _stripped, _triple, power, zero_of
 
 __all__ = [
     "ConjugateRoots",
@@ -383,24 +383,14 @@ def _integer_unit(triples: list) -> tuple[int, list]:
 def _lifted_power(triples: list, n: int, kind: type, kernel) -> tuple:
     """h^n for a unit of real exact scalars: :func:`_lift`, then each x_i stripped.
 
-    What is left to cancel is stripped against a base that starts at d and
-    is squared each round; every prime of the denominator divides d, so a
-    round that finds no common factor with the base proves the fraction
-    reduced.  Each x_i is built once, with no further gcd, as a ``kind``.
+    Every prime of each denominator divides d, so :func:`scalars._stripped`
+    reduces each x_i with small gcds only, against d and then the square of
+    each factor it divides out, and builds it once as a ``kind``.
     """
     ys, d, scale, e = _lift(triples, n, kernel)
-    xs = []
-    for i, p in enumerate(ys):
-        den, base = scale * d ** (e - i), d
-        while True:
-            base = math.gcd(den, base)
-            g = math.gcd(p, base)
-            if g == 1:
-                break
-            p, den = p // g, den // g
-            base *= base
-        xs.append(_from_coprime(kind, p, 0, den))
-    return tuple(xs)
+    return tuple(
+        _stripped(kind, p, 0, scale * d ** (e - i), d) for i, p in enumerate(ys)
+    )
 
 
 def _lift(triples: list, n: int, kernel) -> tuple:

@@ -10,12 +10,9 @@ is stored in one canonical form: an ``int`` when the value is integral, a
 polynomial of the paper has rational coefficients, so the ring operations
 run on native ``int``/``Fraction`` arithmetic; the accessors ``terms``,
 ``coefficient``, ``constant_value`` and ``evaluate_exact`` still return
-``GaussianRational`` values.  ``evaluate_exact`` sums on integer
-numerators over one denominator fixed in advance, so a point with a large
-denominator, such as a binary64 ``cos theta``, costs one gcd in all.  Zero
-coefficients are never stored, so the zero polynomial has an empty term
-map, and since the form is canonical, equality is plain structural
-comparison.  Values are immutable after
+``GaussianRational`` values.  Zero coefficients are never stored, so the
+zero polynomial has an empty term map, and since the form is canonical,
+equality is plain structural comparison.  Values are immutable after
 construction; every operation returns a new polynomial.
 
 The public constructor validates its input; the ring operations build
@@ -53,7 +50,14 @@ outermost, ties in declared order.  Every product then has an image as one
 operand, so it costs one pass over the running sum per term of the image
 and takes the kernels above unchanged: ``H3_18`` into three 3-term images
 is 160 products and 6,690 pairs of terms, against 22,795 pairs for tables
-of image powers multiplied term by term.
+of image powers multiplied term by term.  ``evaluate_exact`` runs the same
+walk on integer numerators: a point (p + q*i)/d steps ``acc = acc *
+(p + q*i) + inner * d^j``, d^j the running power of d, so the sum lies
+over L * prod d^D, with L the lcm of the coefficients' denominators and D
+each variable's top exponent.  At a real point with real coefficients, as
+at each binary64 ``cos theta`` of ``verify``, the sum is one int and a step
+one int product; otherwise a Gaussian int pair.  Every prime of the sum's
+denominator divides L * prod d, the base of ``scalars._stripped``'s gcds.
 
 Two polynomials only combine when their variable tuples are identical.
 Mixing different variable lists raises instead of silently capturing symbols;
@@ -261,33 +265,43 @@ def _constant(variables: tuple[str, ...], value: ScalarLike) -> "MultiPoly":
     return _unchecked(variables, {(0,) * len(variables): value} if value else {})
 
 
-def _horner(
-    terms: list[tuple[Exponents, ScalarLike]],
-    order: list[int],
-    images: list["MultiPoly"],
-    target: tuple[str, ...],
-) -> "MultiPoly":
-    """The sum of c * prod images[i]^e[i] over nonempty ``terms``, by Horner's rule.
+def _horner(terms, order: list[int], points: list, tops: list[int]):
+    """The sum of c * prod z_i^e_i * d_i^(D_i - e_i) over nonempty ``terms``.
 
-    The terms are grouped by the exponent of the outermost variable
-    ``order[0]``, and ``acc = acc * image + inner`` runs from its top
-    exponent down to 0, where ``inner`` is the same walk over the group,
-    with the remaining variables, and a leaf is one term's coefficient.
+    ``points[i]`` is (z_i, d_i) and D_i is ``tops[i]``.  The terms are grouped
+    by the exponent of the outermost variable ``order[0]``, and ``acc = acc *
+    z + inner * d^j`` runs from the group's top exponent down to 0, where
+    ``inner`` is the same walk over the group with the remaining variables
+    and a leaf is one term's coefficient.  An int pair (p, q) is p + q*i.
+    d = 1, as for every image of ``substitute``, skips the scaling.
     """
-    if not order:
-        ((_, coeff),) = terms
-        return _constant(target, coeff)
     outer, rest = order[0], order[1:]
-    groups: dict[int, list[tuple[Exponents, ScalarLike]]] = {}
-    for term in terms:
-        groups.setdefault(term[0][outer], []).append(term)
-    image = images[outer]
-    top = max(groups)
-    acc = _horner(groups[top], rest, images, target)
+    if rest:
+        groups: dict[int, list] = {}
+        for term in terms:
+            groups.setdefault(term[0][outer], []).append(term)
+        inner = {e: _horner(group, rest, points, tops) for e, group in groups.items()}
+    else:
+        inner = {exps[outer]: c for exps, c in terms}
+    z, d = points[outer]
+    top = max(inner)
+    scale = d ** (tops[outer] - top)
+    if type(z) is tuple:
+        (p, q), (x, y) = z, inner[top]
+        x, y = x * scale, y * scale
+        for e in range(top - 1, -1, -1):
+            x, y = x * p - y * q, x * q + y * p
+            scale *= d
+            if e in inner:
+                u, v = inner[e]
+                x, y = x + u * scale, y + v * scale
+        return x, y
+    acc = inner[top] * scale if d > 1 else inner[top]
     for e in range(top - 1, -1, -1):
-        acc = acc * image
-        if e in groups:
-            acc = acc + _horner(groups[e], rest, images, target)
+        acc = acc * z
+        scale *= d
+        if e in inner:
+            acc = acc + (inner[e] * scale if d > 1 else inner[e])
     return acc
 
 
@@ -573,17 +587,18 @@ class MultiPoly:
                     )
         if target is None:
             target = ()
-        images = [
-            value if isinstance(value, MultiPoly) else MultiPoly.constant(target, value)
-            for value in map(mapping.__getitem__, self._variables)
+        points = [
+            (v if isinstance(v, MultiPoly) else MultiPoly.constant(target, v), 1)
+            for v in map(mapping.__getitem__, self._variables)
         ]
         if not self._terms:
             return _unchecked(target, {})
         # The variable with the largest top exponent goes outermost; sorted
         # is stable, so ties keep the declared order.
         tops = [max(column) for column in zip(*self._terms)]
-        order = sorted(range(len(tops)), key=lambda i: -tops[i])
-        return _horner(list(self._terms.items()), order, images, target)
+        order = sorted(range(len(tops)), key=tops.__getitem__, reverse=True)
+        terms = [(exps, _constant(target, c)) for exps, c in self._terms.items()]
+        return _horner(terms, order, points, tops) if order else terms[0][1]
 
     # -- evaluation ----------------------------------------------------------
 
@@ -592,42 +607,37 @@ class MultiPoly:
     ) -> GaussianRational:
         """Evaluate at exact scalars; the result is an exact GaussianRational.
 
-        The sum runs on Gaussian integers, as int pairs (p, q) for p + q*i,
-        over one denominator known in advance.  A point (p + q*i)/d of a
-        variable whose top exponent is D enters as the table of
-        (p + q*i)^e * d^(D-e), so every monomial lies over prod d^D, and the
-        coefficients are scaled to the lcm L of their denominators.  The
-        result is built once over L * prod d^D, with one gcd.
+        The sum runs by Horner's rule on integer numerators over L * prod d^D
+        (module docstring): one int product per step when the points and
+        coefficients are real, an int pair otherwise; ``scalars._stripped``
+        reduces it with gcds against L * prod d.
         """
         missing = [v for v in self._variables if v not in values]
         if missing:
             raise ValueError(f"evaluation is missing variables {missing}")
-        denominator = 1
-        tables: list[list[tuple[int, int]]] = []
-        for i, v in enumerate(self._variables):
-            p, q, d = scalars._triple(_as_coeff(values[v]))
-            top = max((exps[i] for exps in self._terms), default=0)
-            z_powers, d_powers = [(1, 0)], [1]
-            for _ in range(top):
-                x, y = z_powers[-1]
-                z_powers.append((x * p - y * q, x * q + y * p))
-                d_powers.append(d_powers[-1] * d)
-            d_powers.reverse()
-            tables.append([(x * s, y * s) for (x, y), s in zip(z_powers, d_powers)])
-            denominator *= d_powers[0]
-        coeffs = [scalars._triple(c) for c in self._terms.values()]
-        lcm = math.lcm(*(d for _, _, d in coeffs))
-        re = im = 0
-        for exps, (x, y, d) in zip(self._terms, coeffs):
-            factor = lcm // d
-            x *= factor
-            y *= factor
-            for table, e in zip(tables, exps):
-                p, q = table[e]
-                x, y = x * p - y * q, x * q + y * p
-            re += x
-            im += y
-        return scalars._unchecked(re, im, lcm * denominator)
+        points = [scalars._triple(_as_coeff(values[v])) for v in self._variables]
+        terms, den = self._terms, 1
+        if not terms:
+            return GaussianRational()
+        kinds = set(map(type, terms.values()))
+        real = GaussianRational not in kinds and not any(q for _, q, _ in points)
+        if not real or kinds != {int}:
+            coeffs = list(map(scalars._triple, terms.values()))
+            den = math.lcm(*[d for _, _, d in coeffs])
+            terms = {
+                e: x * (den // d) if real else (x * (den // d), y * (den // d))
+                for e, (x, y, d) in zip(terms, coeffs)
+            }
+        tops = [max(column) for column in zip(*terms)]
+        base = den
+        for (_, _, d), top in zip(points, tops):
+            den *= d**top
+            base *= d
+        order = sorted(range(len(tops)), key=tops.__getitem__, reverse=True)
+        zs = [(p, d) if real else ((p, q), d) for p, q, d in points]
+        acc = _horner(terms.items(), order, zs, tops) if order else terms[()]
+        x, y = (acc, 0) if real else acc
+        return scalars._stripped(GaussianRational, x, y, den, base)
 
     def evaluate_float(self, values: Mapping[str, float | complex]):
         """Evaluate at floating-point values (complex when needed)."""

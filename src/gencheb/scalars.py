@@ -23,6 +23,10 @@ Two ring-generic helpers live here, at the bottom layer, so that every
 other type uses them: :func:`power` is the library's one square-and-multiply
 loop (every ``**`` and ``gcn.unit_power``) and its one refusal of n < 0,
 and :func:`zero_of` the zero of whatever ring some values live in.
+:func:`_stripped` is the one reduction of ``(p + q*i)/den`` when every
+prime of ``den`` divides a small base: ``gcn``'s lift and
+``MultiPoly.evaluate_exact`` build their large denominators so, and reduce
+by gcds against the base, never one of two large ints.
 """
 
 from __future__ import annotations
@@ -125,6 +129,24 @@ def _from_coprime(kind: type, p: int, q: int, d: int):
         x._denominator = d
         return x
     return p
+
+
+def _stripped(kind: type, p: int, q: int, den: int, base: int):
+    """``(p + q*i)/den`` in lowest terms as a :func:`_kind`, for ``den > 0``.
+
+    Every prime of ``den`` must divide ``base``.  Each round divides out
+    g = gcd(base, p, q, den), taken in that order so that each gcd is
+    against a small int, never one of two large ones; g = 1 proves the
+    value reduced.  What is left to cancel is made of primes of g, so the
+    next round's base is g squared.  The result is built once, by
+    :func:`_from_coprime`.
+    """
+    while True:
+        g = gcd(base, p, q, den)
+        if g == 1:
+            return _from_coprime(kind, p, q, den)
+        p, q, den = p // g, q // g, den // g
+        base = g * g
 
 
 def _unchecked(p: int, q: int, d: int) -> "GaussianRational":

@@ -752,3 +752,32 @@ def test_numeric_roots_are_correctly_rounded():
     assert conjugate_roots(GcnUnit(-Fraction(10**400), Fraction(0))).numeric() == (1e200j, -1e200j)
     with pytest.raises(ValueError, match="beyond the float range"):
         conjugate_roots(GcnUnit(Fraction(10**800), Fraction(0))).numeric()
+
+
+def _isqrt_rounded(p: Fraction, q: Fraction, delta: Fraction, k: int = 4096) -> float:
+    """p + q*sqrt(delta) rounded from an isqrt bracket of width 2^-k; both ends must agree."""
+    d = delta.denominator
+    s = math.isqrt(delta.numerator * d << (2 * k))
+    low, high = (float(p + q * Fraction(r, d << k)) for r in (s, s + 1))
+    assert low == high
+    return low
+
+
+def test_rounded_surd_widens_a_bracket_that_straddles_a_midpoint():
+    # p + q*sqrt(2) exceeds 1 + 2^-53, the midpoint of 1 and its successor,
+    # by about 4.9e-23: far inside the first bracket, k = 64, whose width is
+    # q*2^-64, about 7.7e-18.  Its ends round to 1 and 1 + 2^-52, so the
+    # loop must widen k.  p is the convergent of the continued fraction of
+    # (1 + 2^-53) - q*sqrt(2) that first lands that close above it; q's
+    # numerator and p's denominator both exceed 1, so the upper end
+    # base + c*b of the bracket differs from base + c + b, which would stop
+    # at k = 64 on 1.0.  Negated, the bracket runs down from base.
+    p = Fraction(-26927373516147, 133946701235)
+    q = Fraction(1000, 7)
+    gap = p + q * Fraction(math.isqrt(2 << 8192), 1 << 4096) - (1 + Fraction(1, 2**53))
+    assert 0 < gap < q / 2**64 / 10**4
+    for sign in (1, -1):
+        want = _isqrt_rounded(sign * p, sign * q, Fraction(2))
+        assert want == sign * math.nextafter(1.0, 2.0)
+        assert Surd(sign * p, sign * q, Fraction(2)).numeric() == want
+        _assert_nearest(want, sign * p, sign * q, Fraction(2))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gencheb import gcn, poly
+from gencheb import cheby, gcn, poly
 from gencheb.higher import XYZ, CubicUnit, hermite3, u2_by_series
 from gencheb.poly import MAX_NESTING, MultiPoly, PolyParseError, gens, parse_poly
 from gencheb.scalars import GaussianRational
@@ -388,6 +388,81 @@ def assert_evaluates_as_reference(p, names, point):
     assert denominator > 0
     assert math.gcd(numerator_re, numerator_im, denominator) == 1
     assert value == ref_evaluate(p.terms, point)
+
+
+def _parts(value):
+    """(re, im) of an exact scalar, as two Fractions."""
+    if isinstance(value, GaussianRational):
+        return value.re, value.im
+    return Fraction(value), Fraction(0)
+
+
+def fraction_sum(terms, point):
+    """The sum of c * prod v^e, on (re, im) pairs of Fractions, term by term."""
+    re = im = Fraction(0)
+    for exps, c in terms.items():
+        x, y = _parts(c)
+        for value, e in zip(point, exps):
+            a, b = _parts(value)
+            if b:
+                for _ in range(e):
+                    x, y = x * a - y * b, x * b + y * a
+            else:
+                x, y = x * a**e, y * a**e
+        re, im = re + x, im + y
+    return re, im
+
+
+def assert_evaluates_as_fraction_sum(p, point):
+    value = p.evaluate_exact(dict(zip(p.variables, point)))
+    x, y, d = value._t
+    assert d > 0 and math.gcd(x, y, d) == 1
+    assert (value.re, value.im) == fraction_sum(p.terms, point)
+
+
+def test_evaluate_exact_matches_a_plain_fraction_sum():
+    rng = random.Random(20261020)
+    coefficient_kinds = {
+        "int": lambda: rng.choice([-3, -1, 1, 2, 7]),
+        "fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        "gaussian": lambda: random_coeff(rng),
+    }
+    point_kinds = [
+        lambda: 0,
+        lambda: rng.randint(-3, 3),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        # binary64 values, one with a denominator of 2^1074
+        lambda: Fraction(math.cos(rng.uniform(0.1, 3.0))),
+        lambda: Fraction(rng.choice([5e-324, -7e-300, 1e-100])),
+        lambda: GaussianRational(Fraction(rng.randint(-5, 5), 3), Fraction(rng.randint(1, 5), 4)),
+    ]
+    for width in range(4):
+        names = ("x", "y", "z")[:width]
+        for kind, coeff in coefficient_kinds.items():
+            polys = [
+                MultiPoly.zero(names),
+                MultiPoly.constant(names, coeff()),
+            ] + [
+                MultiPoly(names, {
+                    tuple(rng.randint(0, 6) for _ in names): coeff()
+                    for _ in range(rng.randint(1, 8))
+                })
+                for _ in range(12)
+            ]
+            for p in polys:
+                for _ in range(6):
+                    point = [rng.choice(point_kinds)() for _ in names]
+                    assert_evaluates_as_fraction_sum(p, point)
+                assert_evaluates_as_fraction_sum(p, [0] * width)
+
+
+def test_chebyshev_values_at_the_cheb_numeric_points_match_a_fraction_sum():
+    thetas = [0.1 + (3.0 - 0.1) * k / 49 for k in range(50)]
+    points = [Fraction(math.cos(theta)) for theta in thetas]
+    for n in range(33):
+        for p in (cheby.cheb_U(n).poly, cheby.cheb_T(n).poly):
+            for x in points:
+                assert_evaluates_as_fraction_sum(p, [x])
 
 
 def test_canonical_forms_and_identity_scaling():

@@ -19,6 +19,7 @@ from gencheb.scalars import (
     GaussianRational,
     _from_coprime,
     _kind,
+    _stripped,
     _unchecked,
     zero_of,
 )
@@ -355,6 +356,28 @@ def test_gcd_free_builder_matches_the_checked_constructors():
     zero = _from_coprime(Fraction, 0, 0, 1)
     assert (zero.numerator, zero.denominator) == (0, 1) and zero == 0 and hash(zero) == 0
     assert type(_from_coprime(int, -5, 0, 1)) is int
+
+
+def test_stripped_reduces_as_one_gcd_does():
+    # The base need only hold every prime of den: here a product of small
+    # primes, possibly with primes den lacks, and factors of den cancel with
+    # powers of 2, 3, 5 and 7 that the base holds only once.
+    rng = random.Random(20261020)
+    primes = [2, 3, 5, 7]
+    for _ in range(300):
+        used = [r for r in primes if rng.random() < 0.6] or [2]
+        den = math.prod(r ** rng.randint(0, 300) for r in used)
+        base = math.prod(used) * rng.choice([1, 11, 13])
+        common = math.prod(r ** rng.randint(0, 300) for r in used)
+        p, q = (rng.choice([0, rng.randint(-10**30, 10**30)]) * common for _ in range(2))
+        want = _unchecked(p, q, den)._t
+        assert _stripped(GaussianRational, p, q, den, base)._t == want
+        if q == 0:
+            for kind in (Fraction, int):
+                got = _stripped(kind, p, 0, den, base)
+                if kind is int and want[2] != 1:
+                    continue
+                assert type(got) is kind and got == Fraction(p, den)
 
 
 def test_gaussian_square_matches_the_general_product_of_a_copy():

@@ -344,6 +344,23 @@ def test_each_names_one_case_per_n_from_first():
     assert _failed_cases(rec.report()) == {"n2/x"}
 
 
+def test_each_records_a_failing_case_with_its_name_and_texts():
+    formatted = []
+
+    class Template(str):
+        def format(self, *args):
+            formatted.append(args)
+            return super().format(*args)
+
+    x = MultiPoly.variable("x", "x")
+    rec = verify._Recorder("each")
+    rec.each(Template("u/n{}"), [Fraction(1, 2), 3, x], [Fraction(1, 2), Fraction(7, 3), x], first=4)
+    assert rec.cases == 3
+    assert rec.report().failures == [verify.Failure("u/n5", "3", "7/3")]
+    # Only the failing case's name is formatted.
+    assert formatted == [(5,)]
+
+
 def test_each_refuses_sequences_of_unequal_length():
     # A family whose sides differ in length would drop cases without notice.
     with pytest.raises(ValueError):
