@@ -53,11 +53,35 @@ with it its start (L/d^K)*(d^(k-1)*g)^K.  ``binet`` raises G's root.  The
 int kernels step by the walk's ``_times_h``; :mod:`gencheb.pauli`
 multiplies Gaussian int 4-tuples of its own.  ``_lifted_power`` builds each
 coefficient once, in the walk's own type, with no gcd taken with its
-denominator.  A unit with an imaginary part or polynomial coefficients is
-raised as an :class:`Element`, and its companion as a matrix of its
-scalars.  On bivariate polynomial coefficients such as the cubic unit's the
-walk wins even for one power: each of its steps multiplies by the small
-unit coefficients, while a squaring multiplies two large ones.
+denominator.
+
+A unit of integer polynomials over one variable tuple, with ints or
+Fractions of denominator 1 beside them, rides the same lift as one packed
+int unit (Kronecker substitution; Harvey, J. Symb. Comp. 44, 2009):
+:func:`gencheb.poly.packed_unit_power` evaluates each c_j at
+x_v = 256^(W*stride_v), so that every monomial of a box has a slot of W
+bytes, ``_packed_power`` raises that int unit through ``_lift`` with the
+route's own kernel and d = 1, and each x_i is read back from its slots.
+Evaluation at a power of 256 is a ring homomorphism, so only h^n's own
+coefficients must fit, and no intermediate value can spoil them.  The
+layout is predicted from the unit and n alone.  The box has
+floor(n * max_j deg_v(c_j)/(k - j)) + 1 slots for variable v: by induction
+on the walk x'_i = x_{i-1} + c_i*x_{k-1}, x_i of h^n has degree at most
+(n - i) * max_j deg_v(c_j)/(k - j).  A slot holds the height
+max_i x_i(N^n), N = (|c_0|_1, ..., |c_{k-1}|_1) the norm unit, with a sign
+bit to spare: along the same walk the triangle inequality and
+|pq|_1 <= |p|_1 |q|_1 bound |x_i|_1 of h^n by x_i(N^n), and a coefficient
+by its polynomial's |.|_1.  A predicate on the layout, in :mod:`gencheb.poly`,
+keeps the Element path where packing loses: below n = 16, where x_i can
+have few terms, where the box is sparse, and where a slot is taller than
+512 bits, as for (-10^40, 2x).  The routes still check one another through
+their kernels, and the walk, which never packs, is the tests' reference.
+Every other unit, with an imaginary part or other polynomial
+coefficients, is raised as an :class:`Element`, and its companion as a
+matrix of its scalars.  On bivariate polynomial coefficients such as the
+cubic unit's the walk wins over the Element even for one power: each of
+its steps multiplies by the small unit coefficients, while a squaring
+multiplies two large ones.
 
 The exact closed form needs a rational unit.  G = L*h^2 = L*a + L*b*h is
 the root of the integer unit (-N, T) with T = L(b^2 + 2a) and N = (L*a)^2,
@@ -81,6 +105,7 @@ from operator import add, mul, neg
 from typing import Any, Iterator, Sequence
 
 from .matrices import Mat2, Mat3
+from .poly import packed_unit_power
 from .scalars import _kind, _stripped, _triple, power, zero_of
 
 __all__ = [
@@ -337,13 +362,17 @@ def unit_power(coeffs: Sequence[Any], n: int) -> tuple[Any, ...]:
     GaussianRational with no imaginary part) is raised on integer
     numerators, through :func:`_element_lift` and :func:`_lifted_power`,
     and its result has the walk's type: int for an int unit, Fraction for a
-    rational one and GaussianRational otherwise.  Any other unit, one with
-    an imaginary part or a polynomial coefficient, is raised as an
-    :class:`Element`.
+    rational one and GaussianRational otherwise.  A unit of integer
+    polynomials is raised packed, through :func:`_packed_power`, where its
+    layout says packing wins.  Any other unit, one with an imaginary part
+    or a polynomial coefficient, is raised as an :class:`Element`.
     """
     triples = _real_triples(coeffs)
     if triples is not None:  # an empty unit is refused below
         return _lifted_power(triples, n, _kind(coeffs), _element_lift)
+    packed = _packed_power(coeffs, n, _element_lift)
+    if packed is not None:
+        return packed
     unit = Unit(coeffs)
     h = unit.companion().column(0)  # the column of h^1; it is c_0 for k = 1
     return (Element(unit, h) ** n).coeffs
@@ -454,9 +483,20 @@ def _companion_lift(lift: tuple, m: int) -> tuple:
 def _companion_power(unit: Unit, n: int) -> tuple[Any, ...]:
     """The first column of ``unit.companion() ** n``: the ``matrix`` route."""
     triples = _real_triples(unit.coeffs)
-    if triples is None:
-        return (unit.companion() ** n).column(0)
-    return _lifted_power(triples, n, _kind(unit.coeffs), _companion_lift)
+    if triples is not None:
+        return _lifted_power(triples, n, _kind(unit.coeffs), _companion_lift)
+    packed = _packed_power(unit.coeffs, n, _companion_lift)
+    return (unit.companion() ** n).column(0) if packed is None else packed
+
+
+def _packed_power(coeffs: Sequence[Any], n: int, kernel) -> tuple | None:
+    """h^n of a unit of integer polynomials through :func:`_lift` on packed ints, else None.
+
+    :func:`poly.packed_unit_power` packs the unit and reads h^n back; each
+    int unit it raises, d = 1, goes through the lift with ``kernel``.
+    """
+    lift = lambda ints: _lift([(c, 0, 1) for c in ints], n, kernel)[0]
+    return packed_unit_power(coeffs, n, lift)
 
 
 class Surd(Element):

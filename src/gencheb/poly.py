@@ -41,6 +41,14 @@ for two (``U2_n``), because building each sum tuple with ``map`` costs
 several times the coefficient arithmetic of a term; other widths share one
 generic form.
 
+Kronecker substitution also raises a whole unit of integer polynomials
+(:func:`packed_unit_power`, the integer lift of :mod:`gencheb.gcn`): each
+c_j is packed once in the box and slot width that h^n's coefficients need,
+predicted from the unit and n alone (``_unit_layout``), the caller raises
+the int unit, and the slots of each x_i are read back by ``_unpacked``,
+the one slot reader, which the product shares.  Packing loses on few
+terms, sparse boxes and tall slots, and there the layout is refused.
+
 Substitution runs Horner's rule (Knuth, TAOCP vol. 2, section 4.6.4), one
 variable inside another: the terms are grouped by the exponent of the
 outermost variable, and ``acc = acc * image + inner`` runs from its top
@@ -95,7 +103,7 @@ from typing import Iterable, Mapping
 from . import scalars
 from .scalars import GaussianRational, power
 
-__all__ = ["MultiPoly", "PolyParseError", "gens", "parse_poly"]
+__all__ = ["MultiPoly", "PolyParseError", "gens", "packed_unit_power", "parse_poly"]
 
 Exponents = tuple[int, ...]
 
@@ -108,6 +116,23 @@ MAX_NESTING = 100
 # one- and two-variable products).
 _PACKED_PAIRS = 256
 _PACKED_DENSITY = 4
+
+# A unit of integer polynomials is raised packed (packed_unit_power) to a
+# power n of at least _UNIT_MIN_N when a coefficient of h^n can have at
+# least _UNIT_TERMS terms, its box has at most _UNIT_SPARSITY slots per
+# such term, and its slots hold at most _UNIT_BITS bits.  Packed against
+# the Element path, in-process, by recurrence / matrix: (3x^3 + 2x,
+# 2x^2 + 1) reads 0.85x / 0.56x at n = 4, where the packed path's two lifts
+# cost what the whole power does, and 4x at n = 28; (-1, 2x), about n/2
+# terms, 1.2x / 0.83x at n = 12 and 1.6x / 1.2x at 24; (x^2 - 1, 0), about
+# n/4, 0.90x / 0.67x at n = 16 and 1.3x / 1.4x at 48; (u, v), n/2 terms in
+# n^2/2 slots, 0.76x / 0.63x at n = 16; (-10^40, 2x), 1,860-bit slots at
+# n = 28, 0.23x / 0.18x; and (3x^3 + 2x, 2x^2 + 1) at n = 301, 623-bit
+# slots, 0.96x / 0.94x.
+_UNIT_MIN_N = 16
+_UNIT_TERMS = 10
+_UNIT_SPARSITY = 8
+_UNIT_BITS = 512
 
 _SCALARS = (int, Fraction, GaussianRational)
 ScalarLike = int | Fraction | GaussianRational
@@ -190,32 +215,31 @@ def _packed_product(
     """The product of two integer term maps by Kronecker substitution.
 
     Each map becomes one int with a slot of ``width`` bytes per monomial of
-    the exponent box with extents ``sizes`` (the last variable has stride
-    one slot), so one int product, done in C, forms every coefficient.  A
-    product coefficient is at most ``bound`` in size, and
-    ``half = 2^(8*width - 1)`` exceeds it, so adding ``half`` to every slot
-    makes each slot's content nonnegative and below ``2^(8*width)``: the
-    slots read back exactly, with no borrow between them.
+    the exponent box with extents ``sizes``, so one int product, done in C,
+    forms every coefficient.  A product coefficient is at most ``bound`` in
+    size, and ``width`` holds it with a sign bit to spare, so
+    :func:`_unpacked` reads every slot back exactly.
     """
     bound = min(len(left), len(right))
     bound *= max(map(abs, left.values())) * max(map(abs, right.values()))
     width = (bound.bit_length() + 8) // 8
+    strides, size = _strides(sizes, width)
+    packed = _pack(left, strides, width, size) * _pack(right, strides, width, size)
+    return _unpacked(packed, sizes, width)
+
+
+def _strides(sizes: list[int], width: int) -> tuple[list[int], int]:
+    """The byte offset of one step in each exponent of the box ``sizes``, and the box's bytes.
+
+    The last variable has stride one slot of ``width`` bytes.
+    """
     strides = []
     size = width
     for extent in reversed(sizes):
         strides.append(size)
         size *= extent
     strides.reverse()
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * (size // width), "little")
-    packed = _pack(left, strides, width, size) * _pack(right, strides, width, size)
-    data = (packed + bias).to_bytes(size, "little")
-    from_bytes = int.from_bytes
-    return {
-        exps: c
-        for exps, at in zip(itertools.product(*map(range, sizes)), range(0, size, width))
-        if (c := from_bytes(data[at : at + width], "little") - half)
-    }
+    return strides, size
 
 
 def _pack(
@@ -230,6 +254,27 @@ def _pack(
         else:
             negative[at : at + width] = (-c).to_bytes(width, "little")
     return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+
+
+def _unpacked(packed: int, sizes: list[int], width: int) -> dict[Exponents, int]:
+    """The nonzero slots of ``packed``, keyed by their exponents in the box ``sizes``.
+
+    ``packed`` is the sum of c * 256^offset(e), offsets as :func:`_strides`
+    lays them out, and each |c| is below ``half = 2^(8*width - 1)``.  Adding
+    ``half`` to every slot makes each slot's content positive and below
+    ``2^(8*width)``, so the slots read back through ``int.to_bytes``
+    exactly, with no borrow between them.
+    """
+    size = width * math.prod(sizes)
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * (size // width), "little")
+    data = (packed + bias).to_bytes(size, "little")
+    from_bytes = int.from_bytes
+    return {
+        exps: c
+        for exps, at in zip(itertools.product(*map(range, sizes)), range(0, size, width))
+        if (c := from_bytes(data[at : at + width], "little") - half)
+    }
 
 
 def _term_product(
@@ -323,6 +368,17 @@ class MultiPoly:
         width = len(names)
         cleaned: dict[Exponents, ScalarLike] = {}
         for exps, raw in (terms or {}).items():
+            # A tuple of int exponents with an int coefficient is stored as
+            # given; any other term takes the full checks, which accept or
+            # refuse it.
+            if type(exps) is tuple and len(exps) == width and type(raw) is int:
+                for e in exps:
+                    if type(e) is not int or e < 0:
+                        break
+                else:
+                    if raw:
+                        cleaned[exps] = raw
+                    continue
             exps = tuple(exps)
             if len(exps) != width:
                 raise ValueError(
@@ -704,6 +760,86 @@ class MultiPoly:
 def gens(*names: str) -> tuple[MultiPoly, ...]:
     """Generator polynomials for the given variable tuple, in order."""
     return tuple(MultiPoly.variable(name, names) for name in names)
+
+
+def packed_unit_power(coeffs, n: int, power) -> tuple[MultiPoly, ...] | None:
+    """h^n of a unit of integer polynomials, raised as one packed int unit; else None.
+
+    ``coeffs`` is (c_0, ..., c_{k-1}); ``power(ints)`` raises the int unit
+    ``ints`` to the n and returns its (x_0, ..., x_{k-1}).  Each c_j is
+    evaluated at x_v = 256^stride_v in the layout of :func:`_unit_layout`,
+    the packed unit is raised by ``power``, and each x_i is read back from
+    its slots (module docstring).  None where the layout is None.
+    """
+    layout = _unit_layout(coeffs, n, power)
+    if layout is None:
+        return None
+    variables, units, sizes, width = layout
+    strides, size = _strides(sizes, width)
+    packed = power([_pack(terms, strides, width, size) for terms in units])
+    return tuple(_unchecked(variables, _unpacked(x, sizes, width)) for x in packed)
+
+
+def _unit_layout(coeffs, n: int, power) -> tuple | None:
+    """(variables, term maps, box, slot width) of h^n's coefficients; None where packing loses.
+
+    The unit must be integer polynomials over one variable tuple, with ints
+    or Fractions of denominator 1 beside them.  Each term of x_i is a
+    product of the unit's T terms, term t of c_j taken a_t times with
+    sum a_t (k - j) = n - i, so x_i has at most about
+    ``terms`` = n^(T-1) / ((T-1)! prod (k - j)) terms.  The box has
+    floor(n * max_j deg_v(c_j)/(k - j)) + 1 slots for variable v.  A slot
+    holds, with a sign bit to spare and in whole bytes, the height
+    max_i x_i(N^n), N the unit of the norms |c_j|_1, and each |c_j|_1, as
+    the c_j are packed too (module docstring).  The predicate keeps few
+    terms, a sparse box or a tall slot on the path of an Element; each
+    test is made before the next, dearer one.
+    """
+    if n < _UNIT_MIN_N:
+        return None
+    variables = None
+    for c in coeffs:
+        if isinstance(c, MultiPoly):
+            if variables not in (None, c._variables):
+                return None
+            variables = c._variables
+        elif type(c) is not int and not (type(c) is Fraction and c.denominator == 1):
+            return None
+    if variables is None:
+        return None
+    origin = (0,) * len(variables)
+    units = [
+        c._terms if isinstance(c, MultiPoly) else {origin: int(c)} if c else {}
+        for c in coeffs
+    ]
+    if not set(map(type, itertools.chain.from_iterable(map(dict.values, units)))) <= {int}:
+        return None
+    k = len(units)
+    lengths = list(map(len, units))
+    count = sum(lengths) - 1
+    if count < 0:
+        return None
+    weight = math.prod(map(pow, range(k, 0, -1), lengths))
+    terms = n**count // (math.factorial(count) * weight) + 1
+    if terms < _UNIT_TERMS:
+        return None
+    norms = [sum(map(abs, c.values())) for c in units]
+    # N_j^((n - j) // (k - j)) is a coefficient of the power of the unit
+    # N_j*h^j, which N bounds, so it bounds the height from below with no
+    # power taken.
+    for j, c in enumerate(norms):
+        if (n - j) // (k - j) * (c.bit_length() - 1) >= _UNIT_BITS:
+            return None
+    sizes = [1] * len(variables)
+    for j, c in enumerate(units):
+        for v, top in enumerate(map(max, zip(*c))):
+            sizes[v] = max(sizes[v], n * top // (k - j) + 1)
+    if math.prod(sizes) > _UNIT_SPARSITY * terms:
+        return None
+    height = max(*power(norms), *norms).bit_length()
+    if height > _UNIT_BITS:
+        return None
+    return variables, units, sizes, (height + 8) // 8
 
 
 class _Parser:

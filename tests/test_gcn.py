@@ -6,7 +6,7 @@ from itertools import islice
 
 import pytest
 
-from gencheb import gcn
+from gencheb import gcn, poly
 from gencheb.gcn import (
     Element,
     GcnElement,
@@ -29,6 +29,7 @@ from gencheb.poly import MultiPoly, gens
 from gencheb.scalars import GaussianRational, _from_numerators, _kind, power, zero_of
 
 X, = gens("x")
+U, V = gens("u", "v")
 
 
 def test_imaginary_unit_multiplication():
@@ -781,3 +782,174 @@ def test_rounded_surd_widens_a_bracket_that_straddles_a_midpoint():
         assert want == sign * math.nextafter(1.0, 2.0)
         assert Surd(sign * p, sign * q, Fraction(2)).numeric() == want
         _assert_nearest(want, sign * p, sign * q, Fraction(2))
+
+
+# -- integer polynomial units raised as packed ints -------------------------------
+
+
+def _force_packing(monkeypatch):
+    """Every unit of integer polynomials whose box is not sparse packs, at every n."""
+    for name, value in (("_UNIT_MIN_N", 0), ("_UNIT_TERMS", 0), ("_UNIT_BITS", 10**9)):
+        monkeypatch.setattr(poly, name, value)
+
+
+def _element_power(coeffs, n):
+    """h^n as an Element raised by squaring: the path of every other polynomial unit."""
+    unit = Unit(coeffs)
+    return (Element(unit, unit.companion().column(0)) ** n).coeffs
+
+
+def _random_integer_coefficient(rng, names):
+    """An int, a Fraction with denominator 1, or an integer polynomial, any of them zero."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.randint(-3, 3)
+    if kind == 1:
+        return Fraction(rng.randint(-3, 3))
+    top = 0 if kind == 2 else 2 if len(names) == 1 else 1
+    terms = {
+        tuple(rng.randint(0, top) for _ in names): rng.choice((-3, -2, -1, 1, 2, 3))
+        for _ in range(rng.randint(0 if kind == 3 else 1, 2))
+    }
+    return MultiPoly(names, terms)
+
+
+def _random_integer_units(seed):
+    """Units of orders 1-4 in one and two variables, each with a nonconstant polynomial.
+
+    The draws include negative and zero coefficients, a zero c_0 in the
+    first unit of each order from 2 to 4, and ints, Fractions and constant polynomials beside the
+    polynomials.
+    """
+    rng = random.Random(seed)
+    units = []
+    for names, count in ((("x",), 3), (("u", "v"), 2)):
+        for k in range(1, 5):
+            for i in range(count):
+                while True:
+                    coeffs = [_random_integer_coefficient(rng, names) for _ in range(k)]
+                    if i == 0 and k > 1:
+                        coeffs[0] = rng.choice((0, Fraction(0), MultiPoly.zero(names)))
+                    if any(isinstance(c, MultiPoly) and not c.is_constant() for c in coeffs):
+                        units.append(tuple(coeffs))
+                        break
+    return units
+
+
+# One-variable units; two-variable ones take n = 0..32 and 64, as a dense
+# one of order 3 or 4 takes seconds over n = 33..63 on the matrix route.
+PACKED_INDICES = [*range(65), 97, 301]
+PACKED_INDICES_UV = [*range(33), 64]
+
+
+@pytest.mark.parametrize("coeffs", _random_integer_units(20261020), ids=str)
+def test_packed_routes_match_the_walk_and_the_element_power(monkeypatch, coeffs):
+    _force_packing(monkeypatch)
+    packed = []
+    pack = gcn.packed_unit_power
+
+    def spy(*args):
+        got = pack(*args)
+        packed.append(got is not None)
+        return got
+
+    monkeypatch.setattr(gcn, "packed_unit_power", spy)
+    one_variable = len(next(c for c in coeffs if isinstance(c, MultiPoly)).variables) == 1
+    walk = list(islice(unit_powers(coeffs), 302 if one_variable else 65))
+    unit = Unit(coeffs)
+    for n in PACKED_INDICES if one_variable else PACKED_INDICES_UV:
+        want = walk[n] if n < len(walk) else _element_power(coeffs, n)
+        if n >= 64:
+            _same(_element_power(coeffs, n), want, n)
+        _same(unit_power(coeffs, n), want, n)
+        _same(_companion_power(unit, n), want, n)
+    # Both routes pack at least at n = 0 and 1, where no box is sparse yet.
+    assert packed[:4] == [True] * 4
+
+
+@pytest.mark.parametrize(
+    "coeffs, n",
+    [
+        # h = x*h' with h'^2 = 3 + 2h': each x_i of h^n is x^(n-i) times
+        # x_i of N^n, N = (3, 2), and the larger one is the height.
+        ((3 * X**2, 2 * X), 31),
+        ((3 * X**2, 2 * X), 36),
+        # h = uv*h' with h'^2 = 2 - 3h': x_1 of h^40 is -u^39 v^39 times
+        # x_1 of N^40, N = (2, 3).
+        ((2 * U**2 * V**2, -3 * U * V), 40),
+        # h^n = (-3)^n x^(2n): a coefficient -3^n at odd n.
+        ((-3 * X**2,), 5),
+        ((-3 * X**2,), 15),
+    ],
+)
+def test_a_coefficient_at_the_predicted_height_reads_back(monkeypatch, coeffs, n):
+    # Each height has a bit length that is a multiple of 8, so a slot one
+    # bit narrower would lose a whole byte and could not hold it.  These
+    # boxes are sparse: each x_i is one monomial.
+    _force_packing(monkeypatch)
+    monkeypatch.setattr(poly, "_UNIT_SPARSITY", 10**9)
+    norms = [abs(c) if isinstance(c, int) else sum(map(abs, c._terms.values())) for c in coeffs]
+    height = max(unit_power(norms, n))
+    assert height.bit_length() % 8 == 0
+    want = next(islice(unit_powers(coeffs), n, None))
+    assert max(abs(c) for x in want for c in x._terms.values()) == height
+    for kernel in (gcn._element_lift, gcn._companion_lift):
+        _same(gcn._packed_power(coeffs, n, kernel), want, n)
+
+
+def test_a_nonnegative_unit_reaches_the_norm_bound(monkeypatch):
+    # Every coefficient of (x + 1, x + 1) is nonnegative, so each x_i of h^n
+    # at x = 1 is the norm bound x_i(N^n), N = (2, 2).
+    _force_packing(monkeypatch)
+    coeffs = (X + 1, X + 1)
+    for n in (16, 40, 63):
+        want = next(islice(unit_powers(coeffs), n, None))
+        bound = unit_power((2, 2), n)
+        assert tuple(x.evaluate_exact({"x": 1}) for x in want) == bound
+        for kernel in (gcn._element_lift, gcn._companion_lift):
+            _same(gcn._packed_power(coeffs, n, kernel), want, n)
+
+
+POLY_BIG_UNIT = (3 * X**3 + 2 * X, 2 * X**2 + 1)
+
+
+@pytest.mark.parametrize(
+    "coeffs, n",
+    [
+        ((-1, 2 * X), 8),  # a tiny box
+        ((X * X - 1, 0), 24),  # few terms
+        ((-10**40, 2 * X), 28),  # tall slots
+        ((U, V), 200),  # a sparse box: about 100 terms in 101 x 201 slots
+        ((X * X - 1, Fraction(1, 2)), 64),  # a Fraction coefficient
+    ],
+)
+def test_units_where_packing_loses_keep_the_element_path(monkeypatch, coeffs, n):
+    def refused(*args):
+        raise AssertionError("packed")
+
+    monkeypatch.setattr(poly, "_pack", refused)
+    want = next(islice(unit_powers(coeffs), n, None))
+    _same(unit_power(coeffs, n), want, n)
+    _same(_companion_power(Unit(coeffs), n), want, n)
+
+
+def test_poly_big_unit_takes_the_packed_path(monkeypatch):
+    def refused(*args):
+        raise AssertionError("packed")
+
+    monkeypatch.setattr(poly, "_pack", refused)
+    with pytest.raises(AssertionError, match="packed"):
+        unit_power(POLY_BIG_UNIT, 28)
+    with pytest.raises(AssertionError, match="packed"):
+        _companion_power(Unit(POLY_BIG_UNIT), 28)
+
+
+def test_packed_slots_hold_the_units_own_coefficients(monkeypatch):
+    # Below n = k, h^n is h^n itself and its height is 1, but the packed
+    # unit carries each c_j, so the slots must hold |c_j|_1 as well.
+    _force_packing(monkeypatch)
+    coeffs = (1000 * X**2 - 7, 300 * X)
+    walk = list(islice(unit_powers(coeffs), 4))
+    for n, want in enumerate(walk):
+        for kernel in (gcn._element_lift, gcn._companion_lift):
+            _same(gcn._packed_power(coeffs, n, kernel), want, n)

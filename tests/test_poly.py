@@ -790,3 +790,79 @@ def test_hermite_substitution_multiplies_only_by_small_images(monkeypatch):
     point = {"u": Fraction(2, 7), "v": Fraction(-5, 3)}
     inner = {v: images[v].evaluate_exact(point) for v in XYZ}
     assert got.evaluate_exact(point) == h.evaluate_exact(inner)
+
+
+@WIDTHS
+def test_packed_product_reads_both_signs_at_its_bound(names, monkeypatch):
+    # c times a full box, times +-c times the same box: the central
+    # coefficient is +-count * c^2, exactly the bound the slots are sized
+    # for.  Its bit length is a multiple of 8, so a slot one bit narrower
+    # loses a byte and cannot hold it, whichever its sign.
+    side = PACKED_SIDES[len(names)]
+    count = side ** len(names)
+    reads = []
+    real = poly._unpacked
+
+    def spy(packed, sizes, width):
+        reads.append(width)
+        return real(packed, sizes, width)
+
+    monkeypatch.setattr(poly, "_unpacked", spy)
+    for bits in (16, 64, 608):
+        c = math.isqrt(((1 << bits) - 1) // count)
+        assert (count * c * c).bit_length() == bits
+        box = full_box(names, side, lambda e: c)
+        for left, right in ((box, -box), (-box, box), (-box, -box), (box, box)):
+            got = left * right
+            assert got._terms == schoolbook(left._terms, right._terms)
+            centre = (side - 1,) * len(names)
+            assert abs(got._terms[centre]) == count * c * c
+    assert reads == [(bits + 8) // 8 for bits in (16, 64, 608) for _ in range(4)]
+
+
+class _ItemsOnly:
+    """A mapping stand-in whose keys are lists, which no dict can hold."""
+
+    def __init__(self, items):
+        self._items = items
+
+    def items(self):
+        return self._items
+
+
+def test_constructor_accepts_and_refuses_as_its_checks_say():
+    # Tuple keys of int exponents with int coefficients are stored as
+    # given; every other term takes the full checks.  Each case is the
+    # outcome of those checks: the stored terms or the error raised.
+    accepted = [
+        (("x",), {(2,): 3, (0,): 0}, {(2,): 3}),
+        (("x", "y"), {(1, 0): -7, (0, 2): 10**40}, {(1, 0): -7, (0, 2): 10**40}),
+        ((), {(): 5}, {(): 5}),
+        (["x"], {(True,): 2}, {(1,): 2}),  # a bool exponent is an int
+        (("x",), {(1,): True}, {(1,): 1}),  # so is a bool coefficient
+        (("x",), {(1,): Fraction(4, 2)}, {(1,): 2}),
+        (("x",), {(1,): Fraction(1, 2)}, {(1,): Fraction(1, 2)}),
+        (("x",), {range(1, 2): 3}, {(1,): 3}),
+        (("x",), _ItemsOnly([([1], 3), ([0], 0)]), {(1,): 3}),
+        (("x",), None, {}),
+    ]
+    for names, terms, stored in accepted:
+        p = MultiPoly(names, terms)
+        assert p._terms == stored
+        assert all(type(e) is tuple for e in p._terms)
+        assert all(type(c) in (int, Fraction) for c in p._terms.values())
+    refused = [
+        ("xy", {}, TypeError, "variables must be a sequence of names, not a string"),
+        (("x", "x"), {}, ValueError, "duplicate variable names"),
+        (("x", "y"), {(1,): 1}, ValueError, "does not match 2 variable"),
+        (("x",), {(1, 0): 1}, ValueError, "does not match 1 variable"),
+        (("x",), {(-1,): 1}, ValueError, "non-negative ints"),
+        (("x",), {(1.0,): 1}, ValueError, "non-negative ints"),
+        (("x",), {(1,): 1.5}, TypeError, "cannot use float as a coefficient"),
+        (("x",), {(1,): "1"}, TypeError, "cannot use str as a coefficient"),
+        (("x",), _ItemsOnly([([1, 2], 3)]), ValueError, "does not match 1 variable"),
+        (("x",), _ItemsOnly([([-1], 3)]), ValueError, "non-negative ints"),
+    ]
+    for names, terms, error, message in refused:
+        with pytest.raises(error, match=message):
+            MultiPoly(names, terms)
