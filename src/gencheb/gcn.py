@@ -72,9 +72,10 @@ max_i x_i(N^n), N = (|c_0|_1, ..., |c_{k-1}|_1) the norm unit, with a sign
 bit to spare: along the same walk the triangle inequality and
 |pq|_1 <= |p|_1 |q|_1 bound |x_i|_1 of h^n by x_i(N^n), and a coefficient
 by its polynomial's |.|_1.  A predicate on the layout, in :mod:`gencheb.poly`,
-keeps the Element path where packing loses: below n = 16, where x_i can
-have few terms, where the box is sparse, and where a slot is taller than
-512 bits, as for (-10^40, 2x).  The routes still check one another through
+keeps the Element path where packing loses: where x_i can have fewer than
+10 terms (a box of fewer than 10 slots among them), where the box is
+sparse, and where the box spends more than 48 bytes per term, as tall
+slots do for (-10^40, 2x).  The routes still check one another through
 their kernels, and the walk, which never packs, is the tests' reference.
 Every other unit, with an imaginary part or other polynomial
 coefficients, is raised as an :class:`Element`, and its companion as a

@@ -47,7 +47,8 @@ c_j is packed once in the box and slot width that h^n's coefficients need,
 predicted from the unit and n alone (``_unit_layout``), the caller raises
 the int unit, and the slots of each x_i are read back by ``_unpacked``,
 the one slot reader, which the product shares.  Packing loses on few
-terms, sparse boxes and tall slots, and there the layout is refused.
+terms, sparse boxes and many bytes per term (tall slots), and there the
+layout is refused.
 
 Substitution runs Horner's rule (Knuth, TAOCP vol. 2, section 4.6.4), one
 variable inside another: the terms are grouped by the exponent of the
@@ -117,22 +118,26 @@ MAX_NESTING = 100
 _PACKED_PAIRS = 256
 _PACKED_DENSITY = 4
 
-# A unit of integer polynomials is raised packed (packed_unit_power) to a
-# power n of at least _UNIT_MIN_N when a coefficient of h^n can have at
-# least _UNIT_TERMS terms, its box has at most _UNIT_SPARSITY slots per
-# such term, and its slots hold at most _UNIT_BITS bits.  Packed against
-# the Element path, in-process, by recurrence / matrix: (3x^3 + 2x,
-# 2x^2 + 1) reads 0.85x / 0.56x at n = 4, where the packed path's two lifts
-# cost what the whole power does, and 4x at n = 28; (-1, 2x), about n/2
-# terms, 1.2x / 0.83x at n = 12 and 1.6x / 1.2x at 24; (x^2 - 1, 0), about
-# n/4, 0.90x / 0.67x at n = 16 and 1.3x / 1.4x at 48; (u, v), n/2 terms in
-# n^2/2 slots, 0.76x / 0.63x at n = 16; (-10^40, 2x), 1,860-bit slots at
-# n = 28, 0.23x / 0.18x; and (3x^3 + 2x, 2x^2 + 1) at n = 301, 623-bit
-# slots, 0.96x / 0.94x.
-_UNIT_MIN_N = 16
+# A unit of integer polynomials is raised packed (packed_unit_power) when
+# a coefficient of h^n can have at least _UNIT_TERMS terms (so its box has
+# at least as many slots), its box has at most _UNIT_SPARSITY slots per
+# such term, and the box's bytes number at most _UNIT_BYTES per such term.
+# Forced packing against the Element path, in-process, recurrence / matrix:
+# cli-requests' (3x^2 + 2, 2x + 1) reads 1.2-1.7x / 0.60-0.93x at n = 6
+# (7 slots) and 1.4-2.3x / 0.83-1.12x at n = 8 (9 slots), against
+# 1.7-1.9x / 1.3-1.7x at n = 9..12; (3x^3 + 2x, 2x^2 + 1) 0.84x / 0.57x at
+# n = 4 (9 slots) and 4x at n = 28.  (u, v), n/2 terms in n^2/2 slots,
+# reads 0.74x / 0.66x at n = 16 and 0.29x / 0.25x at 40.  Bytes per term
+# stand for the height: (0, 2, v + 3uv) reads 1.04-1.6x / 1.4-3.0x at
+# n = 18..40 (up to 46 bytes per term), but 0.91x / 1.13x at n = 44 (50
+# bytes) and 0.83x / 1.03x at 56 (62 bytes); the tall (-10^40, 2x) at
+# n = 28 (450 bytes) 0.29x / 0.20x, and (3x^3 + 2x, 2x^2 + 1) at n = 301
+# (78 bytes) 1.01x / 0.97x.  The bound gives up one-variable wins above
+# it: (-1, 2x) at n = 301 (96 bytes) 1.28x / 1.18x, (x^2 - 1, 0) at 301
+# (76 bytes) 1.97x / 1.88x.
 _UNIT_TERMS = 10
 _UNIT_SPARSITY = 8
-_UNIT_BITS = 512
+_UNIT_BYTES = 48
 
 _SCALARS = (int, Fraction, GaussianRational)
 ScalarLike = int | Fraction | GaussianRational
@@ -263,17 +268,21 @@ def _unpacked(packed: int, sizes: list[int], width: int) -> dict[Exponents, int]
     lays them out, and each |c| is below ``half = 2^(8*width - 1)``.  Adding
     ``half`` to every slot makes each slot's content positive and below
     ``2^(8*width)``, so the slots read back through ``int.to_bytes``
-    exactly, with no borrow between them.
+    exactly, with no borrow between them; a slot that holds ``half``'s
+    bytes holds 0 and is skipped with no int built.
     """
+    if not packed:
+        return {}
     size = width * math.prod(sizes)
     half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * (size // width), "little")
-    data = (packed + bias).to_bytes(size, "little")
+    zero = half.to_bytes(width, "little")
+    data = (packed + int.from_bytes(zero * (size // width), "little")).to_bytes(size, "little")
+    slots = [data[at : at + width] for at in range(0, size, width)]
     from_bytes = int.from_bytes
     return {
-        exps: c
-        for exps, at in zip(itertools.product(*map(range, sizes)), range(0, size, width))
-        if (c := from_bytes(data[at : at + width], "little") - half)
+        exps: from_bytes(slot, "little") - half
+        for exps, slot in zip(itertools.product(*map(range, sizes)), slots)
+        if slot != zero
     }
 
 
@@ -784,19 +793,17 @@ def _unit_layout(coeffs, n: int, power) -> tuple | None:
     """(variables, term maps, box, slot width) of h^n's coefficients; None where packing loses.
 
     The unit must be integer polynomials over one variable tuple, with ints
-    or Fractions of denominator 1 beside them.  Each term of x_i is a
-    product of the unit's T terms, term t of c_j taken a_t times with
-    sum a_t (k - j) = n - i, so x_i has at most about
-    ``terms`` = n^(T-1) / ((T-1)! prod (k - j)) terms.  The box has
-    floor(n * max_j deg_v(c_j)/(k - j)) + 1 slots for variable v.  A slot
-    holds, with a sign bit to spare and in whole bytes, the height
-    max_i x_i(N^n), N the unit of the norms |c_j|_1, and each |c_j|_1, as
-    the c_j are packed too (module docstring).  The predicate keeps few
-    terms, a sparse box or a tall slot on the path of an Element; each
-    test is made before the next, dearer one.
+    or Fractions of denominator 1 beside them.  The box has
+    floor(n * max_j deg_v(c_j)/(k - j)) + 1 slots for variable v.  Each
+    term of x_i is a product of the unit's T terms, term t of c_j taken a_t
+    times with sum a_t (k - j) = n - i, so x_i has at most about
+    ``terms`` = n^(T-1) / ((T-1)! prod (k - j)) terms, and at most one per
+    slot.  A slot holds, with a sign bit to spare and in whole bytes, the
+    height max_i x_i(N^n), N the unit of the norms |c_j|_1, and each
+    |c_j|_1, as the c_j are packed too (module docstring).  The predicate
+    keeps few terms, a sparse box or many bytes per term on the path of an
+    Element; each test is made before the next, dearer one.
     """
-    if n < _UNIT_MIN_N:
-        return None
     variables = None
     for c in coeffs:
         if isinstance(c, MultiPoly):
@@ -807,39 +814,41 @@ def _unit_layout(coeffs, n: int, power) -> tuple | None:
             return None
     if variables is None:
         return None
+    k = len(coeffs)
+    sizes = [1] * len(variables)
+    for j, c in enumerate(coeffs):
+        if isinstance(c, MultiPoly):
+            for v, top in enumerate(map(max, zip(*c._terms))):
+                sizes[v] = max(sizes[v], n * top // (k - j) + 1)
+    slots = math.prod(sizes)
+    if slots < _UNIT_TERMS:
+        return None
     origin = (0,) * len(variables)
     units = [
         c._terms if isinstance(c, MultiPoly) else {origin: int(c)} if c else {}
         for c in coeffs
     ]
-    if not set(map(type, itertools.chain.from_iterable(map(dict.values, units)))) <= {int}:
-        return None
-    k = len(units)
     lengths = list(map(len, units))
     count = sum(lengths) - 1
     if count < 0:
         return None
     weight = math.prod(map(pow, range(k, 0, -1), lengths))
-    terms = n**count // (math.factorial(count) * weight) + 1
-    if terms < _UNIT_TERMS:
+    terms = min(n**count // (math.factorial(count) * weight) + 1, slots)
+    if terms < _UNIT_TERMS or slots > _UNIT_SPARSITY * terms:
+        return None
+    if not set(map(type, itertools.chain.from_iterable(map(dict.values, units)))) <= {int}:
         return None
     norms = [sum(map(abs, c.values())) for c in units]
     # N_j^((n - j) // (k - j)) is a coefficient of the power of the unit
     # N_j*h^j, which N bounds, so it bounds the height from below with no
     # power taken.
-    for j, c in enumerate(norms):
-        if (n - j) // (k - j) * (c.bit_length() - 1) >= _UNIT_BITS:
-            return None
-    sizes = [1] * len(variables)
-    for j, c in enumerate(units):
-        for v, top in enumerate(map(max, zip(*c))):
-            sizes[v] = max(sizes[v], n * top // (k - j) + 1)
-    if math.prod(sizes) > _UNIT_SPARSITY * terms:
+    low = max((n - j) // (k - j) * (c.bit_length() - 1) for j, c in enumerate(norms))
+    if slots * ((low + 9) // 8) > _UNIT_BYTES * terms:
         return None
-    height = max(*power(norms), *norms).bit_length()
-    if height > _UNIT_BITS:
+    width = (max(*power(norms), *norms).bit_length() + 8) // 8
+    if slots * width > _UNIT_BYTES * terms:
         return None
-    return variables, units, sizes, (height + 8) // 8
+    return variables, units, sizes, width
 
 
 class _Parser:

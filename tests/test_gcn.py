@@ -789,7 +789,7 @@ def test_rounded_surd_widens_a_bracket_that_straddles_a_midpoint():
 
 def _force_packing(monkeypatch):
     """Every unit of integer polynomials whose box is not sparse packs, at every n."""
-    for name, value in (("_UNIT_MIN_N", 0), ("_UNIT_TERMS", 0), ("_UNIT_BITS", 10**9)):
+    for name, value in (("_UNIT_TERMS", 0), ("_UNIT_BYTES", 10**9)):
         monkeypatch.setattr(poly, name, value)
 
 
@@ -913,35 +913,50 @@ def test_a_nonnegative_unit_reaches_the_norm_bound(monkeypatch):
 POLY_BIG_UNIT = (3 * X**3 + 2 * X, 2 * X**2 + 1)
 
 
+def _routes_packed(monkeypatch, coeffs, n):
+    """Whether ``recurrence`` and then ``matrix`` raise h^n packed; each must equal the walk."""
+    packed = []
+    pack = gcn.packed_unit_power
+
+    def spy(*args):
+        got = pack(*args)
+        packed.append(got is not None)
+        return got
+
+    monkeypatch.setattr(gcn, "packed_unit_power", spy)
+    want = next(islice(unit_powers(coeffs), n, None))
+    _same(unit_power(coeffs, n), want, n)
+    _same(_companion_power(Unit(coeffs), n), want, n)
+    return packed
+
+
 @pytest.mark.parametrize(
     "coeffs, n",
     [
         ((-1, 2 * X), 8),  # a tiny box
+        ((3 * X**2 + 2, 2 * X + 1), 8),  # a box of nine slots
         ((X * X - 1, 0), 24),  # few terms
         ((-10**40, 2 * X), 28),  # tall slots
+        ((0, 2, V + 3 * U * V), 48),  # 54 bytes per term: 4.2 slots of 13 bytes
         ((U, V), 200),  # a sparse box: about 100 terms in 101 x 201 slots
         ((X * X - 1, Fraction(1, 2)), 64),  # a Fraction coefficient
     ],
 )
 def test_units_where_packing_loses_keep_the_element_path(monkeypatch, coeffs, n):
-    def refused(*args):
-        raise AssertionError("packed")
-
-    monkeypatch.setattr(poly, "_pack", refused)
-    want = next(islice(unit_powers(coeffs), n, None))
-    _same(unit_power(coeffs, n), want, n)
-    _same(_companion_power(Unit(coeffs), n), want, n)
+    assert _routes_packed(monkeypatch, coeffs, n) == [False, False]
 
 
-def test_poly_big_unit_takes_the_packed_path(monkeypatch):
-    def refused(*args):
-        raise AssertionError("packed")
-
-    monkeypatch.setattr(poly, "_pack", refused)
-    with pytest.raises(AssertionError, match="packed"):
-        unit_power(POLY_BIG_UNIT, 28)
-    with pytest.raises(AssertionError, match="packed"):
-        _companion_power(Unit(POLY_BIG_UNIT), 28)
+@pytest.mark.parametrize(
+    "coeffs, n",
+    [
+        (POLY_BIG_UNIT, 28),
+        ((3 * X**2 + 2, 2 * X + 1), 10),  # cli-requests' unit, 11 slots
+        ((-1, 2 * X), 64),  # CI's cheb ab comparison
+        ((U * V - 1, U + V), 40),  # CI's two-variable comparison
+    ],
+)
+def test_units_where_packing_wins_take_the_packed_path(monkeypatch, coeffs, n):
+    assert _routes_packed(monkeypatch, coeffs, n) == [True, True]
 
 
 def test_packed_slots_hold_the_units_own_coefficients(monkeypatch):

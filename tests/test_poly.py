@@ -820,6 +820,25 @@ def test_packed_product_reads_both_signs_at_its_bound(names, monkeypatch):
     assert reads == [(bits + 8) // 8 for bits in (16, 64, 608) for _ in range(4)]
 
 
+def test_slot_reader_returns_each_nonzero_slot_at_its_exponents():
+    # Slots hold every value in (-half, half), zeros among them, so the
+    # reader must skip exactly the slots that hold 0 and read the rest.
+    rng = random.Random(20261020)
+    for width in (1, 2, 3, 9):
+        half = 1 << (8 * width - 1)
+        sizes = [3, 4]
+        strides, size = poly._strides(sizes, width)
+        for _ in range(20):
+            terms = {
+                e: rng.choice((1 - half, -1, 1, half - 1, rng.randrange(1 - half, half)))
+                for e in itertools.product(range(3), range(4))
+                if rng.random() < 0.5
+            }
+            terms = {e: c for e, c in terms.items() if c}
+            assert poly._unpacked(poly._pack(terms, strides, width, size), sizes, width) == terms
+    assert poly._unpacked(0, [5], 2) == {}
+
+
 class _ItemsOnly:
     """A mapping stand-in whose keys are lists, which no dict can hold."""
 
