@@ -277,7 +277,7 @@ def _unpacked(packed: int, sizes: list[int], width: int) -> dict[Exponents, int]
     half = 1 << (8 * width - 1)
     zero = half.to_bytes(width, "little")
     data = (packed + int.from_bytes(zero * (size // width), "little")).to_bytes(size, "little")
-    slots = [data[at : at + width] for at in range(0, size, width)]
+    slots = (data[at : at + width] for at in range(0, size, width))
     from_bytes = int.from_bytes
     return {
         exps: from_bytes(slot, "little") - half
