@@ -119,22 +119,14 @@ _PACKED_PAIRS = 256
 _PACKED_DENSITY = 4
 
 # A unit of integer polynomials is raised packed (packed_unit_power) when
-# a coefficient of h^n can have at least _UNIT_TERMS terms (so its box has
-# at least as many slots), its box has at most _UNIT_SPARSITY slots per
-# such term, and the box's bytes number at most _UNIT_BYTES per such term.
-# Forced packing against the Element path, in-process, recurrence / matrix:
-# cli-requests' (3x^2 + 2, 2x + 1) reads 1.2-1.7x / 0.60-0.93x at n = 6
-# (7 slots) and 1.4-2.3x / 0.83-1.12x at n = 8 (9 slots), against
-# 1.7-1.9x / 1.3-1.7x at n = 9..12; (3x^3 + 2x, 2x^2 + 1) 0.84x / 0.57x at
-# n = 4 (9 slots) and 4x at n = 28.  (u, v), n/2 terms in n^2/2 slots,
-# reads 0.74x / 0.66x at n = 16 and 0.29x / 0.25x at 40.  Bytes per term
-# stand for the height: (0, 2, v + 3uv) reads 1.04-1.6x / 1.4-3.0x at
-# n = 18..40 (up to 46 bytes per term), but 0.91x / 1.13x at n = 44 (50
-# bytes) and 0.83x / 1.03x at 56 (62 bytes); the tall (-10^40, 2x) at
-# n = 28 (450 bytes) 0.29x / 0.20x, and (3x^3 + 2x, 2x^2 + 1) at n = 301
-# (78 bytes) 1.01x / 0.97x.  The bound gives up one-variable wins above
-# it: (-1, 2x) at n = 301 (96 bytes) 1.28x / 1.18x, (x^2 - 1, 0) at 301
-# (76 bytes) 1.97x / 1.88x.
+# a coefficient of h^n can have at least _UNIT_TERMS terms, and its box
+# has at most _UNIT_SPARSITY slots and _UNIT_BYTES bytes per such term.
+# Forced packing against the Element path, recurrence / matrix: a box of 7
+# or 9 slots reads 0.84-2.3x / 0.57-1.12x, one of 10-13 slots 1.7-1.9x /
+# 1.3-1.7x; (u, v), n^2/2 slots for n/2 terms, 0.74x / 0.66x at n = 16.
+# Bytes per term stand for the height: (0, 2, v + 3uv) reads 1.04-1.6x /
+# 1.4-3.0x up to 46 bytes per term, and 0.83-0.91x by recurrence at 50-62;
+# (-10^40, 2x) at 450 bytes 0.29x / 0.20x.
 _UNIT_TERMS = 10
 _UNIT_SPARSITY = 8
 _UNIT_BYTES = 48

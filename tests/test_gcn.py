@@ -937,7 +937,10 @@ def _routes_packed(monkeypatch, coeffs, n):
         ((3 * X**2 + 2, 2 * X + 1), 8),  # a box of nine slots
         ((X * X - 1, 0), 24),  # few terms
         ((-10**40, 2 * X), 28),  # tall slots
+        ((0, 2, V + 3 * U * V), 44),  # 50 bytes per term, where the lower bound reads 46
         ((0, 2, V + 3 * U * V), 48),  # 54 bytes per term: 4.2 slots of 13 bytes
+        (POLY_BIG_UNIT, 301),  # 78 bytes per term; the term estimate exceeds the box
+        ((U, V), 18),  # a sparse box: 19 slots per term, 38 bytes per term
         ((U, V), 200),  # a sparse box: about 100 terms in 101 x 201 slots
         ((X * X - 1, Fraction(1, 2)), 64),  # a Fraction coefficient
     ],
@@ -948,9 +951,20 @@ def test_units_where_packing_loses_keep_the_element_path(monkeypatch, coeffs, n)
 
 @pytest.mark.parametrize(
     "coeffs, n",
+    [((0, 2, V + 3 * U * V), 48), ((-10**40, 2 * X), 28), ((-10**308, 2 * X), 300)],
+)
+def test_a_lower_bound_on_the_height_refuses_before_the_norm_power(coeffs, n):
+    def power(norms):
+        raise AssertionError("the norm unit was raised")
+
+    assert poly._unit_layout(coeffs, n, power) is None
+
+
+@pytest.mark.parametrize(
+    "coeffs, n",
     [
         (POLY_BIG_UNIT, 28),
-        ((3 * X**2 + 2, 2 * X + 1), 10),  # cli-requests' unit, 11 slots
+        ((3 * X**2 + 2, 2 * X + 1), 9),  # cli-requests' unit: 10 slots, the fewest that pack
         ((-1, 2 * X), 64),  # CI's cheb ab comparison
         ((U * V - 1, U + V), 40),  # CI's two-variable comparison
     ],
