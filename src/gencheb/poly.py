@@ -48,25 +48,39 @@ predicted from the unit and n alone (``_unit_layout``), the caller raises
 the int unit, and the slots of each x_i are read back by ``_unpacked``,
 the one slot reader, which the product shares.  Packing loses on few
 terms, sparse boxes and many bytes per term (tall slots), and there the
-layout is refused.
+layout is refused by ``_packs``, the one predicate of unit powers and
+compositions.
 
 Substitution runs Horner's rule (Knuth, TAOCP vol. 2, section 4.6.4), one
 variable inside another: the terms are grouped by the exponent of the
 outermost variable, and ``acc = acc * image + inner`` runs from its top
 exponent down to 0, where ``inner`` is the same walk over the group with
 the remaining variables.  The variable with the largest top exponent is
-outermost, ties in declared order.  Every product then has an image as one
-operand, so it costs one pass over the running sum per term of the image
-and takes the kernels above unchanged: ``H3_18`` into three 3-term images
-is 160 products and 6,690 pairs of terms, against 22,795 pairs for tables
-of image powers multiplied term by term.  ``evaluate_exact`` runs the same
-walk on integer numerators: a point (p + q*i)/d steps ``acc = acc *
-(p + q*i) + inner * d^j``, d^j the running power of d, so the sum lies
-over L * prod d^D, with L the lcm of the coefficients' denominators and D
-each variable's top exponent.  At a real point with real coefficients, as
-at each binary64 ``cos theta`` of ``verify``, the sum is one int and a step
-one int product; otherwise a Gaussian int pair.  Every prime of the sum's
-denominator divides L * prod d, the base of ``scalars._stripped``'s gcds.
+outermost, ties in declared order.  A composition of integer polynomials
+runs the walk on ints: evaluation at x_w = 256^(W*stride_w) is a ring
+homomorphism, so p(q_1, ..., q_m) is the walk at the packed images, read
+back once by ``_unpacked``.  The box and slot width are predicted from p
+and the images without expanding (``_composition_layout``), and each step
+multiplies by an image of t terms as t shifted copies of the running sum,
+acc * q = sum c * (acc << s), s the bit offset of c's slot: t passes over
+the sum, where one int product would cost the sum's length times the
+image's, which is a whole stride long.
+``H3_18`` into poly-big's three linear (u, v) images reads back 190 terms
+from 361 slots of 9 bytes.  Every other composition, with ``Fraction`` or
+``GaussianRational`` coefficients or images, scalar images only, or a box
+that ``_packs`` refuses, runs the walk on polynomials: every product then
+has an image as one operand, so it costs one pass over the running sum per
+term of the image and takes the kernels above unchanged, and ``H3_18``
+into three 3-term images is 160 products and 6,690 pairs of terms, against
+22,795 pairs for tables of image powers multiplied term by term.
+``evaluate_exact`` runs the same walk on integer numerators: a point (p +
+q*i)/d steps ``acc = acc * (p + q*i) + inner * d^j``, d^j the running
+power of d, so the sum lies over L * prod d^D, with L the lcm of the
+coefficients' denominators and D each variable's top exponent.  At a real
+point with real coefficients, as at each binary64 ``cos theta`` of
+``verify``, the sum is one int and a step one int product; otherwise a
+Gaussian int pair.  Every prime of the sum's denominator divides L * prod
+d, the base of ``scalars._stripped``'s gcds.
 
 Two polynomials only combine when their variable tuples are identical.
 Mixing different variable lists raises instead of silently capturing symbols;
@@ -118,18 +132,24 @@ MAX_NESTING = 100
 _PACKED_PAIRS = 256
 _PACKED_DENSITY = 4
 
-# A unit of integer polynomials is raised packed (packed_unit_power) when
-# a coefficient of h^n can have at least _UNIT_TERMS terms, and its box
-# has at most _UNIT_SPARSITY slots and _UNIT_BYTES bytes per such term.
+# A unit of integer polynomials is raised packed (packed_unit_power), and a
+# composition of integer polynomials is evaluated packed (substitute), when
+# the result can have at least _PACKED_TERMS terms, and its box has at most
+# _PACKED_SPARSITY slots and _PACKED_BYTES bytes per such term (_packs).
 # Forced packing against the Element path, recurrence / matrix: a box of 7
 # or 9 slots reads 0.84-2.3x / 0.57-1.12x, one of 10-13 slots 1.7-1.9x /
 # 1.3-1.7x; (u, v), n^2/2 slots for n/2 terms, 0.74x / 0.66x at n = 16.
 # Bytes per term stand for the height: (0, 2, v + 3uv) reads 1.04-1.6x /
 # 1.4-3.0x up to 46 bytes per term, and 0.83-0.91x by recurrence at 50-62;
-# (-10^40, 2x) at 450 bytes 0.29x / 0.20x.
-_UNIT_TERMS = 10
-_UNIT_SPARSITY = 8
-_UNIT_BYTES = 48
+# (-10^40, 2x) at 450 bytes 0.29x / 0.20x.  Compositions take the same
+# limits: forced packing against the term path, H3_n into three linear
+# (u, v) images reads 1.3x at n = 6, 3.1-5.0x at 12-30, 1.8x at 60 and 1.3x
+# at 72 (45 bytes per term); from n = 78 (50 bytes) it is refused, where
+# forced packing reads 1.3x, 1.0x at 90 and 0.69x at 120.  Small packed
+# compositions, 8-30 terms out, read 0.7-0.8x (5-15 us more).
+_PACKED_TERMS = 10
+_PACKED_SPARSITY = 8
+_PACKED_BYTES = 48
 
 _SCALARS = (int, Fraction, GaussianRational)
 ScalarLike = int | Fraction | GaussianRational
@@ -219,10 +239,28 @@ def _packed_product(
     """
     bound = min(len(left), len(right))
     bound *= max(map(abs, left.values())) * max(map(abs, right.values()))
-    width = (bound.bit_length() + 8) // 8
+    width = _slot_width(bound)
     strides, size = _strides(sizes, width)
     packed = _pack(left, strides, width, size) * _pack(right, strides, width, size)
     return _unpacked(packed, sizes, width)
+
+
+def _slot_width(bound: int) -> int:
+    """The bytes of a slot that holds every int of size at most ``bound``, with a sign bit to spare."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _packs(slots: int, terms: int, width: int) -> bool:
+    """Whether a box of ``slots`` slots of ``width`` bytes, for about ``terms`` terms, packs.
+
+    Packing loses on few terms, a sparse box and many bytes per term
+    (module docstring); the constants above set each limit.
+    """
+    return (
+        terms >= _PACKED_TERMS
+        and slots <= _PACKED_SPARSITY * terms
+        and slots * width <= _PACKED_BYTES * terms
+    )
 
 
 def _strides(sizes: list[int], width: int) -> tuple[list[int], int]:
@@ -342,6 +380,15 @@ def _horner(terms, order: list[int], points: list, tops: list[int]):
                 u, v = inner[e]
                 x, y = x + u * scale, y + v * scale
         return x, y
+    if type(z) is list:
+        # A packed image of substitute: acc * z is the sum of c * acc << s
+        # over z's terms (s, c), shifts in bits (module docstring).
+        acc = inner[top]
+        for e in range(top - 1, -1, -1):
+            acc = sum([c * acc << s for s, c in z])
+            if e in inner:
+                acc += inner[e]
+        return acc
     acc = inner[top] * scale if d > 1 else inner[top]
     for e in range(top - 1, -1, -1):
         acc = acc * z
@@ -625,9 +672,12 @@ class MultiPoly:
         All values that are polynomials must share one variable tuple, which
         becomes the variable tuple of the result; with scalars only it is
         ``()``.  The sum is built by Horner's rule (module docstring), the
-        variable with the largest top exponent outermost, so each product
-        multiplies the running sum by one image: one product per exponent
-        step of each group, none between two powers of the images.
+        variable with the largest top exponent outermost, so each step
+        multiplies the running sum by one image: one step per exponent step
+        of each group, none between two powers of the images.  With integer
+        coefficients and images in a box that ``_packs`` accepts, the walk
+        runs on packed ints and each step is a sum of shifted copies;
+        otherwise each step is a product of polynomials.
         """
         missing = [v for v in self._variables if v not in mapping]
         if missing:
@@ -654,6 +704,17 @@ class MultiPoly:
         # is stable, so ties keep the declared order.
         tops = [max(column) for column in zip(*self._terms)]
         order = sorted(range(len(tops)), key=tops.__getitem__, reverse=True)
+        images = [image._terms for image, _ in points]
+        layout = _composition_layout(self._terms, images, len(target)) if target else None
+        if layout:
+            sizes, width = layout
+            strides, _ = _strides(sizes, width)
+            shifts = [
+                ([(8 * sum(map(mul, e, strides)), c) for e, c in image.items()], 1)
+                for image in images
+            ]
+            packed = _horner(self._terms.items(), order, shifts, tops)
+            return _unchecked(target, _unpacked(packed, sizes, width))
         terms = [(exps, _constant(target, c)) for exps, c in self._terms.items()]
         return _horner(terms, order, points, tops) if order else terms[0][1]
 
@@ -813,7 +874,8 @@ def _unit_layout(coeffs, n: int, power) -> tuple | None:
             for v, top in enumerate(map(max, zip(*c._terms))):
                 sizes[v] = max(sizes[v], n * top // (k - j) + 1)
     slots = math.prod(sizes)
-    if slots < _UNIT_TERMS:
+    # A coefficient has at most one term per slot, each of at least a byte.
+    if not _packs(slots, slots, 1):
         return None
     origin = (0,) * len(variables)
     units = [
@@ -826,24 +888,72 @@ def _unit_layout(coeffs, n: int, power) -> tuple | None:
         return None
     weight = math.prod(map(pow, range(k, 0, -1), lengths))
     terms = min(n**count // (math.factorial(count) * weight) + 1, slots)
-    if terms < _UNIT_TERMS or slots > _UNIT_SPARSITY * terms:
+    if not _packs(slots, terms, 1):
         return None
     if not set(map(type, itertools.chain.from_iterable(map(dict.values, units)))) <= {int}:
         return None
     norms = [sum(map(abs, c.values())) for c in units]
     # N_j^((n - j) // (k - j)) is a coefficient of the power of the unit
     # N_j*h^j, which N bounds, so it bounds the height from below with no
-    # power taken.
+    # power taken; 1 << low is the least int of its bit length.
     low = max((n - j) // (k - j) * (c.bit_length() - 1) for j, c in enumerate(norms))
-    if slots * ((low + 9) // 8) > _UNIT_BYTES * terms:
+    if not _packs(slots, terms, _slot_width(1 << low)):
         return None
-    width = (max(*power(norms), *norms).bit_length() + 8) // 8
-    if slots * width > _UNIT_BYTES * terms:
+    width = _slot_width(max(*power(norms), *norms))
+    if not _packs(slots, terms, width):
         return None
     return variables, units, sizes, width
 
 
+def _composition_layout(terms, images, targets: int) -> tuple[list[int], int] | None:
+    """(box, slot width) of p(q_1, ..., q_m); None where packing loses.
+
+    ``terms`` is p's term map and ``images`` the q_i's, over ``targets``
+    variables; every coefficient must be an int.  The box has max_e sum_i
+    e_i deg_w(q_i) + 1 slots for variable w.  The term e of p expands to at
+    most prod_i C(e_i + t_i - 1, e_i) terms, t_i the terms of q_i (at least
+    1), and their sum over p, capped at the box, is the estimate of the
+    terms that :func:`_packs` judges.  A slot holds the height bound sum_e |c_e| prod_i
+    |q_i|_1^e_i.  Each test is made before the next, dearer one, and each
+    sum over p runs down its columns of exponents, one per q_i.
+    """
+    kinds = set(map(type, terms.values()))
+    for image in images:
+        kinds.update(map(type, image.values()))
+    if kinds != {int}:
+        return None
+    columns = list(zip(*terms))
+    reach = [(0,) * len(terms)] * targets
+    for column, image in zip(columns, images):
+        for w, degree in enumerate(map(max, zip(*image))):
+            if degree:
+                reach[w] = list(map(add, reach[w], map(mul, column, itertools.repeat(degree))))
+    sizes = [max(r) + 1 for r in reach]
+    slots = math.prod(sizes)
+    # The result has at most one term per slot, each of at least a byte.
+    if not _packs(slots, slots, 1):
+        return None
+    estimate = [1] * len(terms)
+    for column, image in zip(columns, images):
+        if len(image) > 1:
+            t = len(image) - 1
+            counts = {e: math.comb(e + t, e) for e in set(column)}
+            estimate = list(map(mul, estimate, map(counts.__getitem__, column)))
+    estimate = min(sum(estimate), slots)
+    if not _packs(slots, estimate, 1):
+        return None
+    bound = list(map(abs, terms.values()))
+    for column, image in zip(columns, images):
+        norm = sum(map(abs, image.values()))
+        if norm != 1:
+            powers = {e: norm**e for e in set(column)}
+            bound = list(map(mul, bound, map(powers.__getitem__, column)))
+    slot = _slot_width(sum(bound))
+    return (sizes, slot) if _packs(slots, estimate, slot) else None
+
+
 class _Parser:
+
     def __init__(self, text: str, variables: tuple[str, ...]):
         self.text = text
         self.pos = 0

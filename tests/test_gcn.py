@@ -789,7 +789,7 @@ def test_rounded_surd_widens_a_bracket_that_straddles_a_midpoint():
 
 def _force_packing(monkeypatch):
     """Every unit of integer polynomials whose box is not sparse packs, at every n."""
-    for name, value in (("_UNIT_TERMS", 0), ("_UNIT_BYTES", 10**9)):
+    for name, value in (("_PACKED_TERMS", 0), ("_PACKED_BYTES", 10**9)):
         monkeypatch.setattr(poly, name, value)
 
 
@@ -887,7 +887,7 @@ def test_a_coefficient_at_the_predicted_height_reads_back(monkeypatch, coeffs, n
     # bit narrower would lose a whole byte and could not hold it.  These
     # boxes are sparse: each x_i is one monomial.
     _force_packing(monkeypatch)
-    monkeypatch.setattr(poly, "_UNIT_SPARSITY", 10**9)
+    monkeypatch.setattr(poly, "_PACKED_SPARSITY", 10**9)
     norms = [abs(c) if isinstance(c, int) else sum(map(abs, c._terms.values())) for c in coeffs]
     height = max(unit_power(norms, n))
     assert height.bit_length() % 8 == 0
@@ -967,6 +967,10 @@ def test_a_lower_bound_on_the_height_refuses_before_the_norm_power(coeffs, n):
         ((3 * X**2 + 2, 2 * X + 1), 9),  # cli-requests' unit: 10 slots, the fewest that pack
         ((-1, 2 * X), 64),  # CI's cheb ab comparison
         ((U * V - 1, U + V), 40),  # CI's two-variable comparison
+        # The lower bound on the height sits one bit below a byte boundary:
+        # a slot one byte wider per term would refuse these.
+        ((2 * U**2 + 2, 0), 94),
+        ((2 * U**2 + 2, 0), 95),
     ],
 )
 def test_units_where_packing_wins_take_the_packed_path(monkeypatch, coeffs, n):

@@ -765,10 +765,43 @@ def test_substitute_ignores_the_declared_variable_order(names):
         assert p.aligned(names[::-1]).substitute(images) == p.substitute(images)
 
 
+# H3_18 into three linear (u, v) images, as poly-big substitutes it.
+HERMITE_IMAGES = {
+    "x": MultiPoly(("u", "v"), {(1, 0): 2, (0, 1): -3, (0, 0): 1}),
+    "y": MultiPoly(("u", "v"), {(1, 0): -2, (0, 1): 3, (0, 0): 1}),
+    "z": MultiPoly(("u", "v"), {(1, 0): 2, (0, 1): 3, (0, 0): -1}),
+}
+
+
+def _packing(monkeypatch, packs):
+    """Every composition of integer polynomials packs (``packs``), or none does."""
+    if packs:
+        for name, value in (("_PACKED_TERMS", 0), ("_PACKED_SPARSITY", 10**9), ("_PACKED_BYTES", 10**9)):
+            monkeypatch.setattr(poly, name, value)
+    else:
+        monkeypatch.setattr(poly, "_PACKED_TERMS", 10**9)
+
+
+def _packed_compositions(monkeypatch):
+    """A list that records, for each composition, whether it takes the packed path."""
+    packed = []
+    real = poly._composition_layout
+
+    def spy(*args):
+        layout = real(*args)
+        packed.append(layout is not None)
+        return layout
+
+    monkeypatch.setattr(poly, "_composition_layout", spy)
+    return packed
+
+
 def test_hermite_substitution_multiplies_only_by_small_images(monkeypatch):
     # Horner's rule multiplies the running sum by one image at each step, so
     # no product has two operands of more than 3 terms; power tables of the
-    # images multiply two dense polynomials 37 times.
+    # images multiply two dense polynomials 37 times.  This is the term
+    # path, so packing is refused.
+    _packing(monkeypatch, False)
     sizes = []
     real_mul = MultiPoly.__mul__
 
@@ -780,16 +813,159 @@ def test_hermite_substitution_multiplies_only_by_small_images(monkeypatch):
     monkeypatch.setattr(MultiPoly, "__mul__", mul)
     monkeypatch.setattr(MultiPoly, "__rmul__", mul)
     h = hermite3(18).poly
-    images = {
-        "x": MultiPoly(("u", "v"), {(1, 0): 2, (0, 1): -3, (0, 0): 1}),
-        "y": MultiPoly(("u", "v"), {(1, 0): -2, (0, 1): 3, (0, 0): 1}),
-        "z": MultiPoly(("u", "v"), {(1, 0): 2, (0, 1): 3, (0, 0): -1}),
-    }
+    images = HERMITE_IMAGES
     got = h.substitute(images)
     assert sizes and all(min(pair) <= 3 for pair in sizes), max(map(min, sizes))
     point = {"u": Fraction(2, 7), "v": Fraction(-5, 3)}
     inner = {v: images[v].evaluate_exact(point) for v in XYZ}
     assert got.evaluate_exact(point) == h.evaluate_exact(inner)
+
+
+def test_hermite_substitution_packs(monkeypatch):
+    # By default the same composition is one Horner walk on packed ints: it
+    # multiplies no two polynomials and stores the term path's int terms.
+    h = hermite3(18).poly
+    products = []
+    real_mul = MultiPoly.__mul__
+
+    def mul(self, other):
+        products.append(other)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", mul)
+    monkeypatch.setattr(MultiPoly, "__rmul__", mul)
+    packed = _packed_compositions(monkeypatch)
+    got = h.substitute(HERMITE_IMAGES)
+    assert packed == [True] and not products
+    _packing(monkeypatch, False)
+    want = h.substitute(HERMITE_IMAGES)
+    assert packed == [True, False] and products
+    assert got._terms == want._terms and len(got._terms) == 190
+    assert all(type(c) is int for c in got._terms.values())
+
+
+def _image_terms(image, target):
+    """The reference's term map of a polynomial or scalar image."""
+    if isinstance(image, MultiPoly):
+        return image.terms
+    return {(0,) * len(target): GaussianRational._coerce(image)} if image else {}
+
+
+def integer_compositions(names):
+    """(p, images) with int coefficients of both signs, over 1, 2 and 3 target variables.
+
+    A draw of 0 drops its term.  Beside random images come a constant, a
+    zero and a scalar image, and a sum that cancels to the zero polynomial.
+    """
+    rng = random.Random(20261021)
+
+    def draw(variables, degree, terms):
+        exps = [tuple(rng.randint(0, degree) for _ in variables) for _ in range(terms)]
+        return MultiPoly(variables, {e: rng.randint(-9, 9) for e in exps})
+
+    first, last = gens(*names)[0], gens(*names)[-1]
+    cases = []
+    for target in (("s",), ("s", "t"), ("s", "t", "r")):
+        for _ in range(10):
+            p = draw(names, 4, rng.randint(1, 8))
+            cases.append((p, [draw(target, 2, rng.randint(1, 4)) for _ in names]))
+        p, images = cases[-1]
+        q = images[0]
+        cases.append((p, [MultiPoly.constant(target, -3), *images[1:]]))
+        cases.append((p, [MultiPoly.zero(target), *images[1:]]))
+        cases.append((p, [*images[:-1], -2] if len(names) > 1 else [q]))
+        cases.append((p, [q, *[0] * (len(names) - 1)]))
+        # p(q, ..., q) = 0: every slot reads 0.
+        if len(names) > 1:
+            cases.append((first**2 - last**2 + 3 * first - 3 * last, [q] * len(names)))
+        else:
+            cases.append((first**2 - 1, [MultiPoly.constant(target, -1)]))
+    return cases
+
+
+@WIDTHS
+@pytest.mark.parametrize("packs", [True, False], ids=["packed", "terms"])
+def test_integer_compositions_match_the_reference_packed_and_by_terms(names, packs, monkeypatch):
+    _packing(monkeypatch, packs)
+    packed = _packed_compositions(monkeypatch)
+    cases = integer_compositions(names)
+    for p, images in cases:
+        target = next(image.variables for image in images if isinstance(image, MultiPoly))
+        got = p.substitute(dict(zip(names, images)))
+        want = ref_substitute(p.terms, [_image_terms(i, target) for i in images], len(target))
+        assert got.variables == target
+        assert got.terms == want
+        assert all(type(c) is int for c in got._terms.values())
+    assert packed == [packs] * sum(1 for p, _ in cases if p)
+
+
+@pytest.mark.parametrize("target", [("s",), ("s", "t"), ("s", "t", "r")], ids="-".join)
+def test_a_composition_coefficient_at_the_height_bound_reads_back(target, monkeypatch):
+    # p = a*x^2 - b*y at x = -3m and y = -5m^2, m the product of the target
+    # variables, is (9a + 5b)*m^2: both terms land on one monomial with the
+    # same sign, so the coefficient is the height bound sum |c_e| prod
+    # |q_i|_1^e_i.  Its bit length is a multiple of 8, so a slot one bit
+    # narrower would lose a byte and could not hold it, whichever its sign.
+    _packing(monkeypatch, True)
+    reads = []
+    real = poly._unpacked
+
+    def spy(packed, sizes, width):
+        reads.append(width)
+        return real(packed, sizes, width)
+
+    monkeypatch.setattr(poly, "_unpacked", spy)
+    m = math.prod(gens(*target))
+    x, y = gens("x", "y")
+    images = {"x": -3 * m, "y": -5 * m**2}
+    for bits in (16, 64, 608):
+        height = (1 << bits) - 1
+        b = height * 2 % 9 or 9  # 5 * 2 = 1 mod 9
+        a = (height - 5 * b) // 9
+        assert 9 * a + 5 * b == height and a > 0
+        for sign in (1, -1):
+            got = (sign * (a * x**2 - b * y)).substitute(images)
+            assert got._terms == {(2,) * len(target): sign * height}
+    assert reads == [(bits + 8) // 8 for bits in (16, 64, 608) for _ in range(2)]
+
+
+_H3_6 = hermite3(6).poly
+
+
+@pytest.mark.parametrize(
+    "p, images",
+    [
+        # A sparse box: 200,001 slots for an estimate of 2 terms.
+        pytest.param(X**2 + 1, {"x": MultiPoly(("u",), {(100000,): 1})}, id="sparse-box"),
+        # Few terms: a box of 3 slots.
+        pytest.param(X * X - X, {"x": U + 1}, id="few-terms"),
+        # Tall slots: 168 bytes per term.
+        pytest.param(_H3_6, {**HERMITE_IMAGES, "z": U * 10**200 + 1}, id="tall-slots"),
+        pytest.param(_H3_6 + Fraction(1, 2), HERMITE_IMAGES, id="fraction-coefficient"),
+        pytest.param(
+            _H3_6, {**HERMITE_IMAGES, "z": U + GaussianRational(Fraction(0), Fraction(1))}, id="gaussian-image"
+        ),
+        pytest.param(_H3_6, {"x": 2, "y": Fraction(-1, 3), "z": 5}, id="scalar-images"),
+    ],
+)
+def test_compositions_where_packing_loses_keep_the_term_path(monkeypatch, p, images):
+    # Each is refused before any box is laid out or allocated.  H3_6 into
+    # the integer images alone packs, so each row refuses for what it names.
+    hermite_images = [q._terms for q in HERMITE_IMAGES.values()]
+    assert poly._composition_layout(_H3_6._terms, hermite_images, 2)
+
+    def refuse(*_):
+        raise AssertionError("a box was laid out")
+
+    for name in ("_strides", "_pack", "_unpacked"):
+        monkeypatch.setattr(poly, name, refuse)
+    packed = _packed_compositions(monkeypatch)
+    got = p.substitute(images)
+    assert not any(packed)
+    target = next((i.variables for i in images.values() if isinstance(i, MultiPoly)), ())
+    names = p.variables
+    want = ref_substitute(p.terms, [_image_terms(images[v], target) for v in names], len(target))
+    assert got.terms == want
 
 
 @WIDTHS
