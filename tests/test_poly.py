@@ -776,7 +776,8 @@ HERMITE_IMAGES = {
 def _packing(monkeypatch, packs):
     """Every composition of integer polynomials packs (``packs``), or none does."""
     if packs:
-        for name, value in (("_PACKED_TERMS", 0), ("_PACKED_SPARSITY", 10**9), ("_PACKED_BYTES", 10**9)):
+        limits = (("_PACKED_TERMS", 0), ("_PACKED_SPARSITY", 10**9), ("_PACKED_BYTES", 10**9))
+        for name, value in limits:
             monkeypatch.setattr(poly, name, value)
     else:
         monkeypatch.setattr(poly, "_PACKED_TERMS", 10**9)
@@ -873,10 +874,10 @@ def integer_compositions(names):
         q = images[0]
         cases.append((p, [MultiPoly.constant(target, -3), *images[1:]]))
         cases.append((p, [MultiPoly.zero(target), *images[1:]]))
-        cases.append((p, [*images[:-1], -2] if len(names) > 1 else [q]))
-        cases.append((p, [q, *[0] * (len(names) - 1)]))
-        # p(q, ..., q) = 0: every slot reads 0.
+        # p(q, ..., q) = 0 and p(-1) = 0: every slot reads 0.
         if len(names) > 1:
+            cases.append((p, [*images[:-1], -2]))
+            cases.append((p, [q, *[0] * (len(names) - 1)]))
             cases.append((first**2 - last**2 + 3 * first - 3 * last, [q] * len(names)))
         else:
             cases.append((first**2 - 1, [MultiPoly.constant(target, -1)]))
@@ -943,7 +944,9 @@ _H3_6 = hermite3(6).poly
         pytest.param(_H3_6, {**HERMITE_IMAGES, "z": U * 10**200 + 1}, id="tall-slots"),
         pytest.param(_H3_6 + Fraction(1, 2), HERMITE_IMAGES, id="fraction-coefficient"),
         pytest.param(
-            _H3_6, {**HERMITE_IMAGES, "z": U + GaussianRational(Fraction(0), Fraction(1))}, id="gaussian-image"
+            _H3_6,
+            {**HERMITE_IMAGES, "z": U + GaussianRational(Fraction(0), Fraction(1))},
+            id="gaussian-image",
         ),
         pytest.param(_H3_6, {"x": 2, "y": Fraction(-1, 3), "z": 5}, id="scalar-images"),
     ],
@@ -963,8 +966,8 @@ def test_compositions_where_packing_loses_keep_the_term_path(monkeypatch, p, ima
     got = p.substitute(images)
     assert not any(packed)
     target = next((i.variables for i in images.values() if isinstance(i, MultiPoly)), ())
-    names = p.variables
-    want = ref_substitute(p.terms, [_image_terms(images[v], target) for v in names], len(target))
+    terms = [_image_terms(images[v], target) for v in p.variables]
+    want = ref_substitute(p.terms, terms, len(target))
     assert got.terms == want
 
 
