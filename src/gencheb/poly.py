@@ -65,7 +65,7 @@ multiplies by an image of t terms as t shifted copies of the running sum,
 acc * q = sum c * (acc << s), s the bit offset of c's slot: t passes over
 the sum, where one int product would cost the sum's length times the
 image's, which is a whole stride long.
-``H3_18`` into poly-big's three linear (u, v) images reads back 190 terms
+``H3_18`` into three linear (u, v) images reads back 190 terms
 from 361 slots of 9 bytes.  Every other composition, with ``Fraction`` or
 ``GaussianRational`` coefficients or images, scalar images only, or a box
 that ``_packs`` refuses, runs the walk on polynomials: every product then
