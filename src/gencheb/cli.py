@@ -528,7 +528,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PolyParseError, ValueError, TypeError, ZeroDivisionError) as exc:
         message = str(exc)
         if "set_int_max_str_digits" in message:
-            message = f"{_TOO_LONG}; choose a smaller --n"
+            message = _TOO_LONG
+            if "n" in vars(args):  # only a leaf with --n can be asked for a smaller one
+                message += "; choose a smaller --n"
         print(f"error: {message}", file=sys.stderr)
         return 2
     finally:

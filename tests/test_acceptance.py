@@ -10,9 +10,10 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
-from gencheb import verify
+from gencheb import cli, verify
 from gencheb.gcn import GcnUnit, power_coeff_sequence, power_coeffs
 from gencheb.pauli import gaussian_mat, mat_power
 from gencheb.scalars import GaussianRational
@@ -150,3 +151,16 @@ def test_criterion_8_cli():
     )
     payload = json.loads(as_json.stdout)
     assert payload["schema"] == 1 and payload["failures"] == []
+
+
+def test_verify_all_at_nmax_96_is_pinned(capsys):
+    start = time.perf_counter()
+    code = cli.main(["verify", "all", "--nmax", "96"])
+    seconds = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "63c91c3f148c1f7d96a35933271b0755d8454075badc060942fb1cece2475cb6"
+    )
+    # About a second; a suite whose cost is not linear in nmax would take minutes.
+    assert seconds < 120

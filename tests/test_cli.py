@@ -4,10 +4,12 @@ import itertools
 import json
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -105,11 +107,13 @@ def test_hermite3_output():
     assert result.stdout.strip() == "x^3 + 6*x*y + 6*z"
 
 
-def test_verify_subsets_pass():
-    result = run_cli("cheb", "verify", "--nmax", "6")
-    assert result.returncode == 0
-    result = run_cli("u2", "verify", "--nmax", "6")
-    assert result.returncode == 0
+def test_verify_subsets_pass(capsys):
+    # At nmax 32 cheb-numeric evaluates U_32 and T_32 exactly at each of its
+    # 50 binary64 points.
+    for suite, nmax in (("cheb", "6"), ("u2", "6"), ("cheb", "32")):
+        assert cli.main([suite, "verify", "--nmax", nmax]) == 0, (suite, nmax)
+        out, _ = capsys.readouterr()
+        assert re.fullmatch(r"TOTAL \d+ cases, 0 failures", out.splitlines()[-1]), out
 
 
 def test_verify_all_small_and_deterministic():
@@ -144,9 +148,9 @@ def test_failed_verification_exits_one():
 
 
 def test_seed_changes_random_draws_but_not_status():
-    a = run_cli("verify", "all", "--nmax", "6", "--seed", "1")
-    b = run_cli("verify", "all", "--nmax", "6", "--seed", "2")
-    assert a.returncode == 0 and b.returncode == 0
+    for nmax, seeds in (("6", "12"), ("32", "123")):
+        for seed in seeds:
+            assert cli.main(["verify", "all", "--nmax", nmax, "--seed", seed]) == 0, (nmax, seed)
 
 
 def test_bench_csv_header():
@@ -300,24 +304,82 @@ def _in_process(capsys, *args):
     return [line for line in out.splitlines() if not line.startswith("method =")]
 
 
-def test_fast_closed_forms_print_what_the_slow_routes_print(capsys):
+_AB = r"^(a_n|b_n) = "
+_ENTRIES = r"^m[12][12] = "
+_EVERY_LINE = ""
+_EXACT = ("recurrence", "matrix")
+
+
+def _gcn_powers(a, b, n, methods=(*_EXACT, "binet")):
+    return [("gcn", "power", f"--a={a}", f"--b={b}", "--n", str(n), "--method", method)
+            for method in methods]
+
+
+def _cheb_ab_and_gcn_powers(n, methods):
+    """``cheb ab``, from U's explicit coefficients, and ``gcn power`` of its unit (-1, 2x)."""
+    return [("cheb", "ab", "--n", str(n)), *_gcn_powers(-1, "2*x", n, methods)]
+
+
+def _mat_powers(entries, n, methods=("squaring", "general_recurrence")):
+    return [("mat", "pow", "--entries", entries, "--n", str(n), "--method", method)
+            for method in methods]
+
+
+# Requests whose lines selected by the row's regex must be identical.  A route
+# that a library test already compares on the same input has no row: the CLI
+# reads every scalar as a Fraction and every matrix entry as a GaussianRational,
+# so a library test of an int unit or of a Fraction matrix is not that input.
+_SAME_LINES = [
+    # d = 20: recurrence and matrix divide each product exactly by d.
+    pytest.param(_gcn_powers("2/5", "-3/4", 24), _AB, id="gcn-d20-n24"),
+    pytest.param(_gcn_powers("2/5", "-3/4", 25), _AB, id="gcn-d20-n25"),
+    # d = 1: at 4097 each route ends with one product by g = d*h; below the
+    # period K = 2 each kernel returns its ring's one, and n = 1 takes one step.
+    pytest.param(_gcn_powers(3, -5, 4097), _AB, id="gcn-int-n4097"),
+    pytest.param(_gcn_powers(3, -5, 0), _AB, id="gcn-int-n0"),
+    pytest.param(_gcn_powers(3, -5, 1), _AB, id="gcn-int-n1"),
+    # The int kernels' product skips the zero c_0; E = T^2 is a square for binet.
+    pytest.param(_gcn_powers(0, "2/3", 4097), _AB, id="gcn-zero-c0-n4097"),
     # n = 2048 keeps this quick; test_results_past_the_default_digit_limit
     # prints n = 4096, whose numbers pass Python's default 4300-digit limit.
-    unit = ("gcn", "power", "--a", "11/13", "--b", "7/5", "--n", "2048")
-    recurrence = _in_process(capsys, *unit, "--method", "recurrence")
-    assert any(line.startswith("b_n = ") for line in recurrence)
-    assert recurrence == _in_process(capsys, *unit, "--method", "matrix")
-    matrix = ("mat", "pow", "--entries", "2:1,1;1,4/5:-2/5", "--n", "1024")
-    chebyshev = _in_process(capsys, *matrix, "--method", "chebyshev")
-    assert any(line.startswith("m22 = ") for line in chebyshev)
-    assert chebyshev == _in_process(capsys, *matrix, "--method", "squaring")
+    pytest.param(_gcn_powers("11/13", "7/5", 2048, _EXACT), _AB, id="gcn-fraction-n2048"),
+    # Packed, with a zero coefficient that the element product skips; binet
+    # refuses polynomial units.
+    pytest.param(_gcn_powers("x^2 - 1", 0, 41, _EXACT), _AB, id="gcn-poly-n41"),
+    # A leading minus negates any factor.
+    pytest.param([("gcn", "power", a, "--b=1", "--n", "3") for a in ("--a=-x", "--a=0-x")],
+                 _EVERY_LINE, id="leading-minus"),
+    # Both gcn routes pack at 64 and 65, and neither does at 1024 and 1025.
+    pytest.param(_cheb_ab_and_gcn_powers(64, _EXACT), _AB, id="cheb-ab-n64"),
+    pytest.param(_cheb_ab_and_gcn_powers(65, _EXACT), _AB, id="cheb-ab-n65"),
+    pytest.param(_cheb_ab_and_gcn_powers(1024, ("recurrence",)), _AB, id="cheb-ab-n1024"),
+    pytest.param(_cheb_ab_and_gcn_powers(1025, ("recurrence",)), _AB, id="cheb-ab-n1025"),
+    # Gaussian matrices, det 1 and det -4.  At 4097 a multiply follows the
+    # squares: squaring's square is the 2x2 formula, general_recurrence's
+    # that of pauli's kernel.
+    pytest.param(_mat_powers("1:1,1;0:1,1", 4096, ("squaring", "chebyshev", "general_recurrence")),
+                 _ENTRIES, id="mat-det1-n4096"),
+    pytest.param(_mat_powers("1:1,1;0:1,1", 4097), _ENTRIES, id="mat-det1-n4097"),
+    pytest.param(_mat_powers("1:1,2;3,1:-1", 4096), _ENTRIES, id="mat-det-4-n4096"),
+    pytest.param(_mat_powers("1:1,2;3,1:-1", 4097), _ENTRIES, id="mat-det-4-n4097"),
+    pytest.param(_mat_powers("2:1,1;1,4/5:-2/5", 1024, ("chebyshev", "squaring")), _ENTRIES,
+                 id="mat-chebyshev-n1024"),
+    # det has the denominator 13, which the trace lacks.  At 0 pauli's kernel
+    # returns its one, (d, 0, 0, 0); at 1 it takes its step, the product by d*g.
+    *(pytest.param(_mat_powers("0,1/13;-1,1", n), _ENTRIES, id=f"mat-det-prime-n{n}")
+      for n in (4096, 4097, 0, 1)),
+]
 
 
-def test_a_leading_minus_polynomial_prints_what_its_zero_minus_form_prints(capsys):
-    unit = ("--b", "1", "--n", "3")
-    minus = _in_process(capsys, "gcn", "power", "--a=-x", *unit)
-    assert "a_n = -1*x" in minus
-    assert minus == _in_process(capsys, "gcn", "power", "--a=0-x", *unit)
+@pytest.mark.parametrize("argvs, pattern", _SAME_LINES)
+def test_routes_print_the_same_lines(capsys, argvs, pattern):
+    first, *others = (
+        [line for line in _in_process(capsys, *argv) if re.match(pattern, line)]
+        for argv in argvs
+    )
+    assert first, argvs[0]  # else two routes that print nothing would agree
+    for argv, lines in zip(argvs[1:], others):
+        assert lines == first, argv
 
 
 def test_results_past_the_default_digit_limit(capsys):
@@ -336,6 +398,16 @@ def test_results_past_the_default_digit_limit(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def test_a_result_past_the_digit_cap_names_no_option_its_command_lacks(capsys):
+    # The exact roots print the radicand b^2 + 4a, of 60,001 digits; gcn roots has no --n.
+    assert _reply(capsys, ("gcn", "roots", "--a", "1e30000", "--b", "1e30000")) == (
+        2,
+        "",
+        f"error: a number has more than {cli.MAX_DIGITS} decimal digits, the "
+        "most this program reads or prints\n",
+    )
+
+
 # Every command's whole stdout, once per format it offers.  The floats need
 # no libm transcendental (the series and closed form use + * / and exp(0),
 # the roots sqrt), so every supported Python prints them alike.  Timings are
@@ -352,6 +424,16 @@ _WHOLE_OUTPUTS = [
         "json": (
             '{"schema": 1, "op": "gcn-power", "method": "recurrence", "n": 3, '
             '"a_n": "-2*x", "b_n": "4*x^2 - 1"}\n'
+        ),
+    }),
+    # The value behind the leading-minus row of test_routes_print_the_same_lines.
+    (("gcn", "power", "--a=-x", "--b", "1", "--n", "3"), {
+        "text": (
+            "op = gcn-power\n"
+            "method = recurrence\n"
+            "n = 3\n"
+            "a_n = -1*x\n"
+            "b_n = -1*x + 1\n"
         ),
     }),
     (("gcn", "roots", "--a", "1", "--b", "1", "--numeric"), {
@@ -594,6 +676,15 @@ def test_every_command_prints_its_whole_output(capsys):
             code = cli.main([*args, "--format", fmt])
             out, err = capsys.readouterr()
             assert (code, _untimed(out), err) == (0, expected, ""), (args, fmt)
+
+
+def test_every_command_of_the_readme_cli_block_exits_zero():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert commands and all(words[0] == "gencheb" for words in commands)
+    for words in commands:
+        assert cli.main(words[1:]) == 0, words
 
 
 # One parser is built per process and shared by every cli.main call; these
