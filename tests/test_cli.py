@@ -5,7 +5,6 @@ import json
 import random
 import re
 import shlex
-import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -15,169 +14,137 @@ import pytest
 
 from gencheb import cli, gcn, pauli
 
-CMD = [sys.executable, "-m", "gencheb"]
+
+def _reply(capsys, args):
+    """``cli.main(args)`` in this process: its exit code, stdout and stderr.
+
+    argparse's ``SystemExit`` becomes the exit code; any other exception
+    escapes and fails the test, as a traceback would.
+    """
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
-def run_cli(*args):
-    return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, timeout=300
+def test_cheb_t_json(capsys):
+    assert _reply(capsys, ("cheb", "t", "--n", "2", "--format", "json")) == (
+        0, '{"schema": 1, "op": "cheb-t", "n": 2, "poly": "2*x^2 - 1"}\n', ""
     )
 
 
-def test_cheb_u_prints_polynomial_text():
-    result = run_cli("cheb", "u", "--n", "3")
-    assert result.returncode == 0
-    assert result.stdout == "8*x^3 - 4*x\n"
+_USAGE_ERROR = (
+    "usage: gencheb cheb u [-h] --n N [--format {text,json}]\n"
+    "gencheb cheb u: error: argument --n: value must be non-negative\n"
+)
 
 
-def test_cheb_t_json():
-    result = run_cli("cheb", "t", "--n", "2", "--format", "json")
-    assert result.returncode == 0
-    payload = json.loads(result.stdout)
-    assert payload == {"schema": 1, "op": "cheb-t", "n": 2, "poly": "2*x^2 - 1"}
+def test_negative_index_is_usage_error(capsys):
+    assert _reply(capsys, ("cheb", "u", "--n", "-1")) == (2, "", _USAGE_ERROR)
 
 
-def test_negative_index_is_usage_error():
-    result = run_cli("cheb", "u", "--n", "-1")
-    assert result.returncode == 2
+def test_unknown_subcommand_is_usage_error(capsys):
+    code, out, err = _reply(capsys, ("frobnicate",))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: gencheb [-h] ")
+    assert "gencheb: error: argument command: invalid choice: 'frobnicate'" in err
 
 
-def test_unknown_subcommand_is_usage_error():
-    result = run_cli("frobnicate")
-    assert result.returncode == 2
-
-
-def test_malformed_polynomial_is_usage_error():
-    result = run_cli("gcn", "power", "--a", "x +", "--b", "1", "--n", "2")
-    assert result.returncode == 2
-    assert "error" in result.stderr
-
-
-def test_superscript_digit_is_refused_with_its_offset():
-    result = run_cli("gcn", "power", "--a", "x^²", "--b", "1", "--n", "2")
-    assert result.returncode == 2
-    assert result.stderr == "error: expected digits (offset 2)\n"
-
-
-def test_gcn_power_symbolic():
-    result = run_cli("gcn", "power", "--a", "-1", "--b", "2*x", "--n", "3")
-    assert result.returncode == 0
-    assert "a_n = -2*x" in result.stdout
-    assert "b_n = 4*x^2 - 1" in result.stdout
-
-
-def test_gcn_roots_json():
-    result = run_cli("gcn", "roots", "--a", "1", "--b", "1", "--format", "json")
-    payload = json.loads(result.stdout)
-    assert payload["h_plus"] == "1/2 + 1/2*sqrt(5)"
-    assert payload["degenerate"] is False
-
-
-def test_euler_series_matches_cosine():
-    result = run_cli("euler", "series", "--a", "-1", "--b", "0", "--phi", "0")
-    assert result.returncode == 0
-    assert "c = 1.0" in result.stdout
-    assert "s = 0.0" in result.stdout
-
-
-def test_mat_pow_requires_unimodular_for_chebyshev():
-    result = run_cli(
-        "mat", "pow", "--entries", "1,1;0,2", "--n", "3", "--method", "chebyshev"
+def test_malformed_polynomial_is_usage_error(capsys):
+    assert _reply(capsys, ("gcn", "power", "--a", "x +", "--b", "1", "--n", "2")) == (
+        2, "", "error: expected a factor (offset 3)\n"
     )
-    assert result.returncode == 2
-    assert "determinant" in result.stderr
 
 
-def test_mat_decompose_complex_entries():
-    result = run_cli("mat", "decompose", "--entries", "0,0:-1;0:1,0")
-    assert result.returncode == 0
-    assert "beta2 = 1" in result.stdout
+def test_superscript_digit_is_refused_with_its_offset(capsys):
+    assert _reply(capsys, ("gcn", "power", "--a", "x^²", "--b", "1", "--n", "2")) == (
+        2, "", "error: expected digits (offset 2)\n"
+    )
 
 
-def test_u2_series_listing():
-    result = run_cli("u2", "series", "--nmax", "4")
-    assert result.returncode == 0
-    lines = result.stdout.splitlines()
-    assert lines[0] == "U2_0 = 0"
-    assert lines[-1] == "U2_4 = u^3 - 2*u*v + 1"
+def test_gcn_roots_json(capsys):
+    assert _reply(capsys, ("gcn", "roots", "--a", "1", "--b", "1", "--format", "json")) == (
+        0,
+        '{"schema": 1, "op": "gcn-roots", "h_plus": "1/2 + 1/2*sqrt(5)", '
+        '"h_minus": "1/2 - 1/2*sqrt(5)", "degenerate": false}\n',
+        "",
+    )
 
 
-def test_hermite3_output():
-    result = run_cli("hermite3", "--n", "3")
-    assert result.stdout.strip() == "x^3 + 6*x*y + 6*z"
+def test_euler_series_matches_cosine(capsys):
+    assert _reply(capsys, ("euler", "series", "--a", "-1", "--b", "0", "--phi", "0")) == (
+        0, "op = euler-series\nphi = 0.0\nc = 1.0\ns = 0.0\nterms = 1\n", ""
+    )
+
+
+def test_mat_pow_requires_unimodular_for_chebyshev(capsys):
+    args = ("mat", "pow", "--entries", "1,1;0,2", "--n", "3", "--method", "chebyshev")
+    assert _reply(capsys, args) == (
+        2, "", "error: the Chebyshev closed form needs determinant 1, got 2\n"
+    )
+
+
+def test_mat_decompose_complex_entries(capsys):
+    assert _reply(capsys, ("mat", "decompose", "--entries", "0,0:-1;0:1,0")) == (
+        0,
+        "op = mat-decompose\nalpha = 0\nbeta1 = 0\nbeta2 = 1\nbeta3 = 0\ngamma = 1\n",
+        "",
+    )
+
+
+def test_u2_series_listing(capsys):
+    assert _reply(capsys, ("u2", "series", "--nmax", "4")) == (
+        0, "U2_0 = 0\nU2_1 = 1\nU2_2 = u\nU2_3 = u^2 - v\nU2_4 = u^3 - 2*u*v + 1\n", ""
+    )
 
 
 def test_verify_subsets_pass(capsys):
     # At nmax 32 cheb-numeric evaluates U_32 and T_32 exactly at each of its
     # 50 binary64 points.
     for suite, nmax in (("cheb", "6"), ("u2", "6"), ("cheb", "32")):
-        assert cli.main([suite, "verify", "--nmax", nmax]) == 0, (suite, nmax)
-        out, _ = capsys.readouterr()
+        code, out, err = _reply(capsys, (suite, "verify", "--nmax", nmax))
+        assert (code, err) == (0, ""), (suite, nmax)
         assert re.fullmatch(r"TOTAL \d+ cases, 0 failures", out.splitlines()[-1]), out
 
 
-def test_verify_all_small_and_deterministic():
-    first = run_cli("verify", "all", "--nmax", "6")
-    second = run_cli("verify", "all", "--nmax", "6")
-    assert first.returncode == 0
-    assert first.stdout == second.stdout
-    assert "0 failures" in first.stdout
+# test_criterion_8_cli pins the same through two interpreter launches.
+def test_verify_all_small_and_deterministic(capsys):
+    first = _reply(capsys, ("verify", "all", "--nmax", "6"))
+    assert first[0] == 0 and first[2] == ""
+    assert first[1].endswith(" cases, 0 failures\n")
+    assert _reply(capsys, ("verify", "all", "--nmax", "6")) == first
 
 
-def test_verify_json_schema():
-    result = run_cli("verify", "all", "--nmax", "6", "--format", "json")
-    payload = json.loads(result.stdout)
+def test_verify_json_schema(capsys):
+    code, out, err = _reply(capsys, ("verify", "all", "--nmax", "6", "--format", "json"))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
     assert payload["schema"] == 1
     assert payload["suite"] == "all"
     assert payload["failures"] == []
     assert isinstance(payload["millis"], int)
 
 
-def test_failed_verification_exits_one():
+def test_failed_verification_exits_one(capsys):
     # An impossible tolerance forces numeric-suite failures.
-    result = run_cli("verify", "all", "--nmax", "6", "--tol", "1e-30")
-    assert result.returncode == 1
-    assert "FAIL" in result.stdout
-    payload = json.loads(
-        run_cli(
-            "verify", "all", "--nmax", "6", "--tol", "1e-30", "--format", "json"
-        ).stdout
-    )
+    request = ("verify", "all", "--nmax", "6", "--tol", "1e-30")
+    code, out, err = _reply(capsys, request)
+    assert (code, err) == (1, "")
+    assert "FAIL" in out
+    code, out, err = _reply(capsys, (*request, "--format", "json"))
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
     assert payload["failures"]
     assert {"case", "expected", "actual"} == set(payload["failures"][0])
 
 
-def test_seed_changes_random_draws_but_not_status():
+def test_seed_changes_random_draws_but_not_status(capsys):
     for nmax, seeds in (("6", "12"), ("32", "123")):
         for seed in seeds:
-            assert cli.main(["verify", "all", "--nmax", nmax, "--seed", seed]) == 0, (nmax, seed)
-
-
-def test_bench_csv_header():
-    result = run_cli(
-        "mat", "bench", "--n-list", "4,8", "--trials", "1", "--format", "csv"
-    )
-    assert result.returncode == 0
-    lines = result.stdout.splitlines()
-    assert lines[0] == "method,n,median_ns,max_coeff_bits"
-    assert len(lines) == 5
-
-
-def test_bench_json_records():
-    result = run_cli(
-        "mat", "bench", "--n-list", "4,8", "--trials", "1", "--format", "json"
-    )
-    assert result.returncode == 0
-    payload = json.loads(result.stdout)
-    assert payload["schema"] == 1
-    assert payload["op"] == "mat-bench"
-    assert [(r["method"], r["n"]) for r in payload["records"]] == [
-        ("chebyshev", 4), ("squaring", 4), ("chebyshev", 8), ("squaring", 8)
-    ]
-    assert all(
-        set(r) == {"method", "n", "median_ns", "max_coeff_bits"}
-        for r in payload["records"]
-    )
+            code = _reply(capsys, ("verify", "all", "--nmax", nmax, "--seed", seed))[0]
+            assert code == 0, (nmax, seed)
 
 
 @pytest.mark.parametrize(
@@ -204,13 +171,12 @@ def test_bench_json_records():
          "--points", "3"),
     ],
 )
-def test_unanswerable_requests_are_refused(args):
-    result = run_cli(*args)
-    assert result.returncode == 2
-    assert "error:" in result.stderr
-    assert "Traceback" not in result.stderr
+def test_unanswerable_requests_are_refused(capsys, args):
+    code, out, err = _reply(capsys, args)
+    assert (code, out) == (2, "")
+    assert "error:" in err and "Traceback" not in err
     if "--points" in args and int(args[args.index("--points") + 1]) < 3:
-        assert "need at least 3 grid points" in result.stderr
+        assert "need at least 3 grid points" in err
 
 
 _EXTREMES = ("0", "-1", "1e-400", "1e300", "1e400", "-1e400")
@@ -235,8 +201,7 @@ def _extreme_requests():
 def test_extreme_scalars_are_answered_finite_or_refused(capsys):
     # Exit 0 with finite floats or exit 2 with a message; accuracy is not checked.
     for args in _extreme_requests():
-        code = cli.main([*args, "--format", "json"])
-        out, err = capsys.readouterr()
+        code, out, err = _reply(capsys, (*args, "--format", "json"))
         assert code in (0, 2), args
         if code == 2:
             assert err.startswith("error:"), args
@@ -285,22 +250,16 @@ def _sweep_requests():
 
 
 def test_sweep_exits_zero_or_refuses(capsys):
-    # Usage errors from argparse raise SystemExit(2); anything else escaping
-    # cli.main is a traceback and fails the test.
     for args in _sweep_requests():
-        try:
-            code = cli.main(list(args))
-        except SystemExit as exc:
-            code = exc.code
-        _, err = capsys.readouterr()
+        code, _, err = _reply(capsys, args)
         assert code in (0, 2), args
         if code == 2:
             assert "error:" in err, args
 
 
 def _in_process(capsys, *args):
-    assert cli.main(list(args)) == 0
-    out, _ = capsys.readouterr()
+    code, out, err = _reply(capsys, args)
+    assert (code, err) == (0, ""), args
     return [line for line in out.splitlines() if not line.startswith("method =")]
 
 
@@ -390,8 +349,7 @@ def test_results_past_the_default_digit_limit(capsys):
     assert max(map(len, digits)) > 4300
     assert recurrence == _in_process(capsys, *unit, "--n", "4096", "--method", "matrix")
     # At n = 40000 the largest numerator has about 61,000 digits, over the cap.
-    code = cli.main([*unit, "--n", "40000", "--method", "recurrence"])
-    out, err = capsys.readouterr()
+    code, out, err = _reply(capsys, (*unit, "--n", "40000", "--method", "recurrence"))
     assert code == 2 and out == ""
     assert err.startswith("error:") and f"{cli.MAX_DIGITS} decimal digits" in err
     assert "--n" in err and "set_int_max_str_digits" not in err
@@ -671,33 +629,28 @@ def _untimed(text):
 
 
 def test_every_command_prints_its_whole_output(capsys):
+    rows = [args for args, _ in _WHOLE_OUTPUTS]
+    assert [
+        words for words in cli.build_parser().leaves
+        if not any(args[:len(words)] == words for args in rows)
+    ] == []  # a leaf without a row
     for args, outputs in _WHOLE_OUTPUTS:
         for fmt, expected in outputs.items():
-            code = cli.main([*args, "--format", fmt])
-            out, err = capsys.readouterr()
+            code, out, err = _reply(capsys, (*args, "--format", fmt))
             assert (code, _untimed(out), err) == (0, expected, ""), (args, fmt)
 
 
-def test_every_command_of_the_readme_cli_block_exits_zero():
+def test_every_command_of_the_readme_cli_block_exits_zero(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line, comments=True) for line in block.splitlines()]
     assert commands and all(words[0] == "gencheb" for words in commands)
     for words in commands:
-        assert cli.main(words[1:]) == 0, words
+        assert _reply(capsys, words[1:])[0] == 0, words
 
 
 # One parser is built per process and shared by every cli.main call; these
 # tests pin that a request answers as it would from a fresh parser.
-
-
-def _reply(capsys, args):
-    try:
-        code = cli.main(list(args))
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
-    return code, out, err
 
 
 _ROOTS_TEXT = (
@@ -707,10 +660,6 @@ _ROOTS_TEXT = (
     "degenerate = False\n"
 )
 _ODE_TEXT = "op = euler-ode\npoints = {}\nmax_c_residual = 0.0\nmax_s_residual = 0.0\n"
-_USAGE_ERROR = (
-    "usage: gencheb cheb u [-h] --n N [--format {text,json}]\n"
-    "gencheb cheb u: error: argument --n: value must be non-negative\n"
-)
 
 
 def test_shared_parser_holds_no_state_between_requests(capsys):

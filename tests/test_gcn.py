@@ -2,7 +2,7 @@ import copy
 import math
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, zip_longest
 
 import pytest
 
@@ -367,9 +367,30 @@ GAUSSIAN_UNITS = [
 ROUTE_INDICES = [*range(71), *(2 ** j + s for j in range(6, 13) for s in (-1, 0, 1))]
 
 
-def _same(got, want, n):
-    assert got == want, n
-    assert list(map(type, got)) == list(map(type, want)), n
+def _same(got, want, n, route):
+    """Assert that ``route`` gave h^n's coefficients in their types and stored forms.
+
+    A mismatch is told by index, type and bit lengths: past n = 4096 the
+    coefficients have more digits than Python converts to text.
+    """
+    if type(got) is not type(want):
+        pytest.fail(f"{route} at n = {n}: a {type(got).__name__}, expected a "
+                    f"{type(want).__name__}", pytrace=False)
+    for i, (x, y) in enumerate(zip_longest(got, want)):
+        if type(x) is not type(y) or _stored(x) != _stored(y):
+            pytest.fail(
+                f"{route} at n = {n}: coefficient {i} is {_shape(x)}, expected {_shape(y)}",
+                pytrace=False,
+            )
+
+
+def _shape(x):
+    """``x``'s type and the bit lengths of its stored ints, never its digits."""
+    stored = _stored(x)
+    ints = stored if type(stored) is tuple else (stored,)
+    if not all(type(v) is int for v in ints):
+        return type(x).__name__
+    return f"{type(x).__name__} of {'/'.join(str(v.bit_length()) for v in ints)} bits"
 
 
 @pytest.mark.parametrize("coeffs", RATIONAL_UNITS + GAUSSIAN_UNITS)
@@ -386,7 +407,7 @@ def test_matrix_route_matches_generic_companion_power(coeffs):
     else:
         reference = lambda n: power(companion, n, companion.identity_like()).column(0)
     for n in indices:
-        _same(power_coeffs(unit, n, "matrix"), reference(n), n)
+        _same(power_coeffs(unit, n, "matrix"), reference(n), n, "matrix")
 
 
 # Exact units with an imaginary part never enter the integer lift: both routes
@@ -406,8 +427,8 @@ def test_a_complex_unit_is_raised_without_the_integer_lift(monkeypatch, coeffs):
     monkeypatch.setattr(gcn, "_lift", refused)
     unit = Unit(coeffs)
     for n, expected in enumerate(islice(unit_powers(coeffs), 65)):
-        _same(unit_power(coeffs, n), expected, n)
-        _same(_companion_power(unit, n), expected, n)
+        _same(unit_power(coeffs, n), expected, n, "unit_power")
+        _same(_companion_power(unit, n), expected, n, "companion")
 
 
 @pytest.mark.parametrize(
@@ -423,8 +444,8 @@ def test_a_real_exact_unit_is_raised_through_the_integer_lift(monkeypatch, coeff
 
     monkeypatch.setattr(gcn, "_lift", spy)
     expected = next(islice(unit_powers(coeffs), 97, None))
-    _same(unit_power(coeffs, 97), expected, 97)
-    _same(_companion_power(Unit(coeffs), 97), expected, 97)
+    _same(unit_power(coeffs, 97), expected, 97, "unit_power")
+    _same(_companion_power(Unit(coeffs), 97), expected, 97, "companion")
     assert kernels == [gcn._element_lift, gcn._companion_lift]
 
 
@@ -447,13 +468,14 @@ def test_below_the_period_no_kernel_multiplies(monkeypatch, coeffs, indices):
     monkeypatch.setattr(gcn, "_product", refused)
     monkeypatch.setattr(gcn.Unit, "companion", refused)
     for n in indices:
-        routes = [unit_power(coeffs, n), _companion_power(Unit(coeffs), n)]
+        routes = {"unit_power": unit_power(coeffs, n),
+                  "companion": _companion_power(Unit(coeffs), n)}
         if len(coeffs) == 2:
             unit = GcnUnit(*coeffs)
-            routes += [power_coeffs(unit, n, m) for m in ("recurrence", "matrix")]
+            routes.update((m, power_coeffs(unit, n, m)) for m in ("recurrence", "matrix"))
             assert power_coeffs(unit, n, "binet") == walk[n], n
-        for got in routes:
-            _same(got, walk[n], n)
+        for route, got in routes.items():
+            _same(got, walk[n], n, route)
 
 
 @pytest.mark.parametrize("coeffs", RATIONAL_UNITS)
@@ -463,7 +485,7 @@ def test_binet_route_matches_generic_surd_power(coeffs):
     for n in ROUTE_INDICES:
         root_n = power(h_plus, n, h_plus ** 0)
         generic = (root_n.p - unit.b * root_n.q, 2 * root_n.q)
-        _same(power_coeffs(unit, n, "binet"), generic, n)
+        _same(power_coeffs(unit, n, "binet"), generic, n, "binet")
     # Each route returns the walk's values; binet returns Fractions even for
     # an int unit.
     assert power_coeffs(unit, 5, "binet") == power_coeff_sequence(unit, 5)[5]
@@ -551,15 +573,11 @@ def _pinned_indices(coeffs):
 def test_exact_routes_match_the_gcd_reference_in_stored_form(coeffs):
     for n in _pinned_indices(coeffs):
         want = _reference(coeffs, n, _kind(coeffs))
-        routes = [unit_power(coeffs, n), _companion_power(Unit(coeffs), n)]
-        for got in routes:
-            _same(got, want, n)
-            assert list(map(_stored, got)) == list(map(_stored, want)), n
+        _same(unit_power(coeffs, n), want, n, "unit_power")
+        _same(_companion_power(Unit(coeffs), n), want, n, "companion")
         if len(coeffs) == 2 and _kind(coeffs) is not GaussianRational:
             want = _reference(coeffs, n, Fraction)
-            got = power_coeffs(GcnUnit(*coeffs), n, "binet")
-            _same(got, want, n)
-            assert list(map(_stored, got)) == list(map(_stored, want)), n
+            _same(power_coeffs(GcnUnit(*coeffs), n, "binet"), want, n, "binet")
 
 
 def test_exact_routes_keep_zero_and_int_results_canonical():
@@ -590,7 +608,7 @@ def test_exact_routes_build_no_fraction_over_a_large_denominator(monkeypatch, me
     got = power_coeffs(unit, 4096, method)
     monkeypatch.undo()
     assert large == []
-    _same(got, _reference(unit.coeffs, 4096, Fraction), 4096)
+    _same(got, _reference(unit.coeffs, 4096, Fraction), 4096, method)
 
 
 @pytest.mark.parametrize("method", ["recurrence", "binet"])
@@ -617,7 +635,7 @@ def test_exact_routes_raise_no_integer_beyond_the_reduced_numerators(monkeypatch
     monkeypatch.setattr(gcn, "power", recording)
     got = power_coeffs(unit, 4096, method)
     monkeypatch.undo()
-    _same(got, power_coeffs(unit, 4096, "matrix"), 4096)
+    _same(got, power_coeffs(unit, 4096, "matrix"), 4096, method)
     numerator_bits = max(x.numerator.bit_length() for x in got)
     assert numerator_bits == 20737
     assert max(bits) <= numerator_bits + 64
@@ -860,9 +878,9 @@ def test_packed_routes_match_the_walk_and_the_element_power(monkeypatch, coeffs)
     for n in PACKED_INDICES if one_variable else PACKED_INDICES_UV:
         want = walk[n] if n < len(walk) else _element_power(coeffs, n)
         if n >= 64:
-            _same(_element_power(coeffs, n), want, n)
-        _same(unit_power(coeffs, n), want, n)
-        _same(_companion_power(unit, n), want, n)
+            _same(_element_power(coeffs, n), want, n, "_element_power")
+        _same(unit_power(coeffs, n), want, n, "unit_power")
+        _same(_companion_power(unit, n), want, n, "companion")
     # Both routes pack at least at n = 0 and 1, where no box is sparse yet.
     assert packed[:4] == [True] * 4
 
@@ -894,7 +912,7 @@ def test_a_coefficient_at_the_predicted_height_reads_back(monkeypatch, coeffs, n
     want = next(islice(unit_powers(coeffs), n, None))
     assert max(abs(c) for x in want for c in x._terms.values()) == height
     for kernel in (gcn._element_lift, gcn._companion_lift):
-        _same(gcn._packed_power(coeffs, n, kernel), want, n)
+        _same(gcn._packed_power(coeffs, n, kernel), want, n, kernel.__name__)
 
 
 def test_a_nonnegative_unit_reaches_the_norm_bound(monkeypatch):
@@ -907,7 +925,7 @@ def test_a_nonnegative_unit_reaches_the_norm_bound(monkeypatch):
         bound = unit_power((2, 2), n)
         assert tuple(x.evaluate_exact({"x": 1}) for x in want) == bound
         for kernel in (gcn._element_lift, gcn._companion_lift):
-            _same(gcn._packed_power(coeffs, n, kernel), want, n)
+            _same(gcn._packed_power(coeffs, n, kernel), want, n, kernel.__name__)
 
 
 POLY_BIG_UNIT = (3 * X**3 + 2 * X, 2 * X**2 + 1)
@@ -925,8 +943,8 @@ def _routes_packed(monkeypatch, coeffs, n):
 
     monkeypatch.setattr(gcn, "packed_unit_power", spy)
     want = next(islice(unit_powers(coeffs), n, None))
-    _same(unit_power(coeffs, n), want, n)
-    _same(_companion_power(Unit(coeffs), n), want, n)
+    _same(unit_power(coeffs, n), want, n, "unit_power")
+    _same(_companion_power(Unit(coeffs), n), want, n, "companion")
     return packed
 
 
@@ -985,4 +1003,4 @@ def test_packed_slots_hold_the_units_own_coefficients(monkeypatch):
     walk = list(islice(unit_powers(coeffs), 4))
     for n, want in enumerate(walk):
         for kernel in (gcn._element_lift, gcn._companion_lift):
-            _same(gcn._packed_power(coeffs, n, kernel), want, n)
+            _same(gcn._packed_power(coeffs, n, kernel), want, n, kernel.__name__)
