@@ -18,10 +18,13 @@ parser's command words, its handler and its options.  ``build_parser``
 builds the argparse tree and its ``leaves`` index from that table in one
 loop, on its first call; every later ``main`` call shares the tree, and
 callers must not mutate it.  Parsing leaves it unchanged, so a request
-answers as it would from a fresh parser.  A request that names a leaf parser
-(``cheb u``, ``hermite3``, ``verify all``, ...) is parsed once, by that leaf
-alone.  The full tree parses only the rest: top-level help, usage errors
-above the leaves (no command, an unknown one) and leftover arguments.
+answers as it would from a fresh parser.  A well-formed request to a leaf
+(``cheb u --n 3``, ``euler series --a=-1 --b 0 --phi 0.5``, ...: exact
+flags, each once, values that pass their option's type and choices) is read
+through that leaf's argparse actions, with no argparse pass.  argparse parses
+every other request through the whole tree, which stays the only source of
+help, usage and error text.  On either route an option written ``--flag=--``
+is read as the text ``--``, as argparse reads it from 3.13 on.
 """
 
 from __future__ import annotations
@@ -73,9 +76,12 @@ def _positive_int(text: str) -> int:
     return _int_from(text, 1, "positive")
 
 
-def _int_list(text: str) -> list[int]:
-    """Comma-separated non-negative ints; empty parts are skipped."""
-    return [_nonneg_int(part) for part in text.split(",") if part]
+def _int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated non-negative ints; empty parts are skipped.
+
+    A tuple, since a list value is argparse's reading of ``--flag=--`` (see ``_parse``).
+    """
+    return tuple(_nonneg_int(part) for part in text.split(",") if part)
 
 
 def _symbols(text: str) -> tuple[str, ...]:
@@ -144,7 +150,7 @@ def _gaussian_entry(text: str) -> GaussianRational:
 def _parse_matrix(text: str) -> Mat2:
     rows = text.split(";")
     if len(rows) != 2:
-        raise ValueError("matrix text must be 'a,b;c,d' (use re:im for complex)")
+        raise ValueError("--entries must be a matrix 'a,b;c,d' (use re:im for complex)")
     entries = []
     for row in rows:
         cells = row.split(",")
@@ -462,6 +468,14 @@ _LEAVES = {
 }
 
 
+class _Leaf(NamedTuple):
+    """A leaf parser, with what ``_parse`` reads a well-formed request by."""
+
+    parser: argparse.ArgumentParser
+    actions: dict[str, argparse.Action]  # by flag, as ``add_argument`` returned them
+    defaults: dict  # what ``set_defaults`` gave the leaf
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built from ``_LEAVES`` on the first call and then shared.
@@ -469,8 +483,11 @@ def build_parser() -> argparse.ArgumentParser:
     Every call returns the same parser, so callers must not mutate it.
     ``main`` looks this function up by name on each request.  The parser's
     ``leaves`` attribute maps the command words of every leaf parser, such
-    as ``("cheb", "u")`` or ``("hermite3",)``, to that leaf; the loop that
-    adds each leaf to the tree records it there, so the two always agree.
+    as ``("cheb", "u")`` or ``("hermite3",)``, to a ``_Leaf``: that parser,
+    the ``Action`` each of its options returned, by flag, and the values it
+    sets by default.  The loop that adds each leaf to the tree records it
+    there, so the two always agree; ``_parse`` reads well-formed requests
+    through that index.
     """
     parser = argparse.ArgumentParser(
         prog="gencheb",
@@ -492,29 +509,104 @@ def build_parser() -> argparse.ArgumentParser:
                 child = commands.add_parser(command, help=_COMMANDS[command])
                 groups[command] = child.add_subparsers(dest=dests[1], required=True)
             leaf = groups[command].add_parser(*action)
-        for flag, settings in options:
-            leaf.add_argument(flag, **settings)
-        # What the tree sets on its way to the leaf, so that the leaf alone parses alike.
-        leaf.set_defaults(func=handler, **dict(zip(dests, words)))
-        parser.leaves[words] = leaf
+        actions = {flag: leaf.add_argument(flag, **settings) for flag, settings in options}
+        # The handler, and the words the tree sets on its way to the leaf; _read sets them too.
+        defaults = dict(func=handler, **dict(zip(dests, words)))
+        leaf.set_defaults(**defaults)
+        parser.leaves[words] = _Leaf(leaf, actions, defaults)
     return parser
 
 
-def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)``, by one pass of the leaf that argv names.
+def _value(action: argparse.Action, text: str):
+    """``text`` as argparse reads an option's value: by the option's type, then
+    checked against its choices.  A refusal raises the ``ArgumentError``, with
+    the message, that argparse raises for it."""
+    try:
+        value = text if action.type is None else action.type(text)
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentError(action, str(exc)) from None
+    except (TypeError, ValueError):
+        raise argparse.ArgumentError(
+            action, f"invalid {action.type.__name__} value: {text!r}"
+        ) from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
+    return value
 
-    The tree's parsers above a leaf pass everything after the command words
-    to it unread, so the leaf's own pass is the tree's last one.  A request
-    that names no leaf, or leaves arguments over, goes through the whole
-    tree, which gives its usage text and errors.
+
+def _read(leaf: _Leaf, tokens: list[str]) -> argparse.Namespace | None:
+    """The Namespace the whole tree parses from a well-formed request to ``leaf``.
+
+    Well-formed means: every token is an exact ``--flag value``, ``--flag=value``
+    or bare switch of the leaf; a separate value does not start with ``-``; an
+    ``=`` value is not empty and has no ``=``; no flag repeats; each value
+    passes its option's type and choices; every required option is there.
+    Options not given take their defaults as argparse sets them, a text default
+    read by its option's type.  Any other request gives None.
+    """
+    given = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        flag, sep, text = token.partition("=")
+        action = leaf.actions.get(flag)
+        if action is None or flag in given:
+            return None
+        if action.nargs == 0:  # a switch: argparse hands its action no values
+            if sep:
+                return None
+            given[flag] = []
+            continue
+        if not sep:
+            text = next(tokens, "-")  # a flag last, with no value, is handed on too
+            if text.startswith("-"):
+                return None
+        elif not text or "=" in text:
+            return None
+        try:
+            given[flag] = _value(action, text)
+        except argparse.ArgumentError:
+            return None
+    args = argparse.Namespace(**leaf.defaults)
+    for flag, action in leaf.actions.items():
+        if flag in given:
+            action(leaf.parser, args, given[flag], flag)
+        elif action.required:
+            return None
+        else:
+            default = action.default
+            if isinstance(default, str) and action.type is not None:
+                default = action.type(default)
+            setattr(args, action.dest, default)
+    return args
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, read through the leaf's index where it can be.
+
+    A well-formed request to a leaf (see ``_read``) is read through the
+    actions of the leaf that argv names, with no argparse pass.  Every other
+    request goes through the whole tree, which gives its help, usage text and
+    errors.  argparse 3.10-3.12 hand an option given as ``--flag=--`` to the
+    command as an empty list, where 3.13 reads the text ``--``; no option's
+    type gives a list, so an empty list is read again here as ``--``, or
+    refused with the message 3.13 gives.
     """
     words = tuple(argv[:2]) if tuple(argv[:2]) in parser.leaves else tuple(argv[:1])
     leaf = parser.leaves.get(words)
     if leaf is not None:
-        args, rest = leaf.parse_known_args(argv[len(words):])
-        if not rest:
+        args = _read(leaf, argv[len(words):])
+        if args is not None:
             return args
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if leaf is not None:
+        for action in leaf.actions.values():
+            if getattr(args, action.dest) == []:
+                try:
+                    setattr(args, action.dest, _value(action, "--"))
+                except argparse.ArgumentError as exc:
+                    leaf.parser.error(str(exc))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
