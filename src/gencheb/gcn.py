@@ -697,7 +697,9 @@ def power_coeffs(unit: GcnUnit, n: int, method: str = "recurrence"):
 
     ``method`` is one of ``recurrence``, ``matrix``, ``binet`` (exact surd
     arithmetic, rational units only) or ``binet_float`` (:func:`at_roots`
-    with f(z) = z^n, flagged by its float return type).
+    with f(z) = z^n, flagged by its float return type).  ``recurrence`` and
+    ``matrix`` take a :class:`Unit` of any order, such as the cubic unit of
+    :mod:`gencheb.higher`, and return its k coefficients of h^n.
     """
     if n < 0:
         raise ValueError("power index must be non-negative")

@@ -9,8 +9,10 @@ with the recurrence (obtained by multiplying by Y and reducing)
 
 which is :func:`gencheb.gcn.unit_powers` of :class:`CubicUnit`, the order-3
 :class:`gencheb.gcn.Unit` (1, -v, u); the ``matrix`` route of
-:func:`cubic_power` raises that unit's 3x3 companion instead.  gamma_n
-equals the two-variable Chebyshev polynomial of index n - 1.
+:func:`cubic_power` is gcn's ``matrix`` route of ``power_coeffs`` on that
+unit, which lifts or packs it where that wins and otherwise raises its 3x3
+companion.  gamma_n equals the two-variable Chebyshev polynomial of index
+n - 1.
 The family U2_n(u, v) is produced by three independent exact routes that all
 must agree:
 
@@ -37,7 +39,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Any
 
-from .gcn import Unit, power_coeff_sequence
+from .gcn import Unit, power_coeff_sequence, power_coeffs
 from .poly import MultiPoly, gens
 from .series import TruncatedSeries
 
@@ -109,15 +111,13 @@ def cubic_power_sequence(u, v, n_max: int) -> list[CubicPowerCoeffs]:
 def cubic_power(u, v, n: int, method: str = "reduction") -> CubicPowerCoeffs:
     """Coefficients (alpha_n, beta_n, gamma_n) of Y^n.
 
-    ``reduction`` iterates the coefficient recurrence; ``matrix`` raises the
-    3x3 companion matrix to the n-th power and reads its first column.
+    ``reduction`` iterates the coefficient recurrence; ``matrix`` is the
+    cubic unit's :func:`gencheb.gcn.power_coeffs` by the companion matrix.
     """
     if method == "reduction":
         return cubic_power_sequence(u, v, n)[-1]
     if method == "matrix":
-        power = CubicUnit(u, v).companion() ** n
-        alpha, beta, gamma = power.column(0)
-        return CubicPowerCoeffs(n, alpha, beta, gamma)
+        return CubicPowerCoeffs(n, *power_coeffs(CubicUnit(u, v), n, "matrix"))
     raise ValueError(f"unknown method {method!r}; expected reduction or matrix")
 
 

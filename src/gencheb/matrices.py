@@ -122,7 +122,8 @@ class Mat2(Mat3):
     """The 2x2 view of :class:`Mat3`, with named entries [[m11, m12], [m21, m22]]."""
 
     def __init__(self, m11: Any, m12: Any, m21: Any, m22: Any):
-        super().__init__(((m11, m12), (m21, m22)))
+        # Four named entries are a square grid: Mat3's check is skipped.
+        object.__setattr__(self, "rows", ((m11, m12), (m21, m22)))
 
     m11 = property(lambda self: self.rows[0][0])
     m12 = property(lambda self: self.rows[0][1])

@@ -73,14 +73,15 @@ has an image as one operand, so it costs one pass over the running sum per
 term of the image and takes the kernels above unchanged, and ``H3_18``
 into three 3-term images is 160 products and 6,690 pairs of terms, against
 22,795 pairs for tables of image powers multiplied term by term.
-``evaluate_exact`` runs the same walk on integer numerators: a point (p +
-q*i)/d steps ``acc = acc * (p + q*i) + inner * d^j``, d^j the running
-power of d, so the sum lies over L * prod d^D, with L the lcm of the
-coefficients' denominators and D each variable's top exponent.  At a real
+``evaluate_exact`` runs the same walk on integer numerators at a real
 point with real coefficients, as at each binary64 ``cos theta`` of
-``verify``, the sum is one int and a step one int product; otherwise a
-Gaussian int pair.  Every prime of the sum's denominator divides L * prod
-d, the base of ``scalars._stripped``'s gcds.
+``verify``: a point p/d steps ``acc = acc * p + inner * d^j``, d^j the
+running power of d, so the sum is one int over L * prod d^D, with L the
+lcm of the coefficients' denominators and D each variable's top exponent,
+and a step is one int product.  Every prime of that denominator divides
+L * prod d, the base of ``scalars._stripped``'s gcds.  With a Gaussian
+coefficient or point the walk runs on the exact scalars, as the term walk
+of ``substitute`` does.
 
 Two polynomials only combine when their variable tuples are identical.
 Mixing different variable lists raises instead of silently capturing symbols;
@@ -357,9 +358,10 @@ def _horner(terms, order: list[int], points: list, tops: list[int]):
     by the exponent of the outermost variable ``order[0]``, and ``acc = acc *
     z + inner * d^j`` runs from the group's top exponent down to 0, where
     ``inner`` is the same walk over the group with the remaining variables
-    and a leaf is one term's coefficient.  An int pair (p, q) is p + q*i,
-    and a list of (bit offset s, c) pairs is the packed image sum c * 2^s.
-    d = 1, as for every image of ``substitute``, skips the scaling.
+    and a leaf is one term's coefficient.  A list of (bit offset s, c) pairs
+    is the packed image sum c * 2^s.  d = 1, as for every image of
+    ``substitute`` and every Gaussian point of ``evaluate_exact``, skips the
+    scaling.
     """
     outer, rest = order[0], order[1:]
     if rest:
@@ -372,16 +374,6 @@ def _horner(terms, order: list[int], points: list, tops: list[int]):
     z, d = points[outer]
     top = max(inner)
     scale = d ** (tops[outer] - top)
-    if type(z) is tuple:
-        (p, q), (x, y) = z, inner[top]
-        x, y = x * scale, y * scale
-        for e in range(top - 1, -1, -1):
-            x, y = x * p - y * q, x * q + y * p
-            scale *= d
-            if e in inner:
-                u, v = inner[e]
-                x, y = x + u * scale, y + v * scale
-        return x, y
     if type(z) is list:
         # acc * z as a sum of shifted copies of acc (module docstring).
         acc = inner[top]
@@ -726,37 +718,35 @@ class MultiPoly:
     ) -> GaussianRational:
         """Evaluate at exact scalars; the result is an exact GaussianRational.
 
-        The sum runs by Horner's rule on integer numerators over L * prod d^D
-        (module docstring): one int product per step when the points and
-        coefficients are real, an int pair otherwise; ``scalars._stripped``
-        reduces it with gcds against L * prod d.
+        The sum runs by Horner's rule (module docstring).  At a real point
+        with real coefficients it runs on integer numerators over
+        L * prod d^D, one int product per step, and ``scalars._stripped``
+        reduces it with gcds against L * prod d; with a Gaussian coefficient
+        or point it runs on the exact scalars themselves.
         """
         missing = [v for v in self._variables if v not in values]
         if missing:
             raise ValueError(f"evaluation is missing variables {missing}")
-        points = [scalars._triple(_as_coeff(values[v])) for v in self._variables]
+        points = [_as_coeff(values[v]) for v in self._variables]
         terms, den = self._terms, 1
         if not terms:
             return GaussianRational()
-        kinds = set(map(type, terms.values()))
-        real = GaussianRational not in kinds and not any(q for _, q, _ in points)
-        if not real or kinds != {int}:
-            coeffs = list(map(scalars._triple, terms.values()))
-            den = math.lcm(*[d for _, _, d in coeffs])
-            terms = {
-                e: x * (den // d) if real else (x * (den // d), y * (den // d))
-                for e, (x, y, d) in zip(terms, coeffs)
-            }
         tops = [max(column) for column in zip(*terms)]
-        base = den
-        for (_, _, d), top in zip(points, tops):
-            den *= d**top
-            base *= d
         order = sorted(range(len(tops)), key=tops.__getitem__, reverse=True)
-        zs = [(p, d) if real else ((p, q), d) for p, q, d in points]
+        kinds = set(map(type, terms.values()))
+        if GaussianRational in kinds or GaussianRational in map(type, points):
+            zs = [(z, 1) for z in points]
+            return _gaussian(_horner(terms.items(), order, zs, tops) if order else terms[()])
+        if kinds != {int}:
+            den = math.lcm(*[c.denominator for c in terms.values()])
+            terms = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        base = den
+        for z, top in zip(points, tops):
+            den *= z.denominator**top
+            base *= z.denominator
+        zs = [(z.numerator, z.denominator) for z in points]
         acc = _horner(terms.items(), order, zs, tops) if order else terms[()]
-        x, y = (acc, 0) if real else acc
-        return scalars._stripped(GaussianRational, x, y, den, base)
+        return scalars._stripped(GaussianRational, acc, 0, den, base)
 
     def evaluate_float(self, values: Mapping[str, float | complex]):
         """Evaluate at floating-point values (complex when needed)."""

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gencheb import gcn
 from gencheb.higher import (
     UV,
     CubicUnit,
@@ -121,6 +122,21 @@ def test_cubic_power_methods_agree():
         cubic_power(U, V, -1)
     with pytest.raises(ValueError):
         cubic_power(U, V, 2, "banana")
+
+
+def test_the_matrix_route_is_gcns_and_packs_the_cubic_unit(monkeypatch):
+    layouts = []
+    packed_unit_power = gcn.packed_unit_power
+
+    def spy(coeffs, n, power):
+        out = packed_unit_power(coeffs, n, power)
+        layouts.append(out is not None)
+        return out
+
+    monkeypatch.setattr(gcn, "packed_unit_power", spy)
+    matrix = cubic_power(U, V, 24, "matrix")
+    assert layouts == [True]
+    assert matrix == cubic_power(U, V, 24, "reduction")
 
 
 def test_gamma_tracks_two_variable_chebyshev():

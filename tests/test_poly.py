@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gencheb import cheby, gcn, poly
+from gencheb import cheby, gcn, poly, scalars
 from gencheb.higher import XYZ, CubicUnit, hermite3, u2_by_series
 from gencheb.poly import MAX_NESTING, MultiPoly, PolyParseError, gens, parse_poly
 from gencheb.scalars import GaussianRational
@@ -454,6 +454,29 @@ def test_evaluate_exact_matches_a_plain_fraction_sum():
                     point = [rng.choice(point_kinds)() for _ in names]
                     assert_evaluates_as_fraction_sum(p, point)
                 assert_evaluates_as_fraction_sum(p, [0] * width)
+
+
+def test_evaluate_exact_strips_only_the_integer_walk(monkeypatch):
+    calls = []
+    stripped = scalars._stripped
+
+    def spy(*args):
+        calls.append(args)
+        return stripped(*args)
+
+    monkeypatch.setattr(scalars, "_stripped", spy)
+    real = cheby.cheb_U(24).poly
+    gaussian = real + MultiPoly.constant(("x",), GaussianRational(1, 2))
+    cases = [
+        (gaussian, Fraction(math.cos(0.7)), 0),
+        (real, GaussianRational(Fraction(1, 3), 2), 0),
+        (real, Fraction(math.cos(0.7)), 1),
+        (real, 3, 1),
+    ]
+    for p, x, strips in cases:
+        calls.clear()
+        assert_evaluates_as_fraction_sum(p, [x])
+        assert len(calls) == strips
 
 
 def test_chebyshev_values_at_the_cheb_numeric_points_match_a_fraction_sum():
