@@ -47,9 +47,9 @@ from .scalars import GaussianRational
 SCHEMA = 1
 
 # Exact results are printed in full.  The interpreter refuses to turn an int
-# of more than 4300 digits into text by default; a command may print up to
-# this many digits per number (50,000 digits convert in tens of ms), and
-# anything longer is refused with exit 2.
+# of more than 4300 digits into text by default; main raises that limit to
+# this many digits per number (50,000 digits convert in tens of ms) and
+# restores it on return, and anything longer is refused with exit 2.
 MAX_DIGITS = 50_000
 _TOO_LONG = f"a number has more than {MAX_DIGITS} decimal digits, the most this program reads or prints"
 # A decimal with an exponent, as Fraction reads it: (mantissa, exponent).
@@ -611,10 +611,8 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse(build_parser(), sys.argv[1:] if argv is None else list(argv))
-    limited = hasattr(sys, "set_int_max_str_digits")  # Python 3.10.7+
-    if limited:
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(MAX_DIGITS)
+    saved = sys.get_int_max_str_digits()  # Python 3.10.7+, as requires-python says
+    sys.set_int_max_str_digits(MAX_DIGITS)
     try:
         return _print_answer(args.func(args), args.format)
     except (PolyParseError, ValueError, TypeError, ZeroDivisionError) as exc:
@@ -626,8 +624,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 2
     finally:
-        if limited:
-            sys.set_int_max_str_digits(saved)
+        sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -56,10 +56,7 @@ __all__ = [
 ]
 
 POWER_METHODS = ("chebyshev", "squaring", "general_recurrence")
-
-
-def _g(re, im=0) -> GaussianRational:
-    return GaussianRational(Fraction(re), Fraction(im))
+_I = GaussianRational(0, 1)
 
 
 def gaussian_mat(entries: Sequence[Sequence]) -> Mat2:
@@ -79,7 +76,7 @@ def _lifted(values: Iterable) -> list[GaussianRational]:
 IDENTITY = gaussian_mat(((1, 0), (0, 1)))
 PAULI = (
     gaussian_mat(((0, 1), (1, 0))),
-    Mat2(_g(0), _g(0, -1), _g(0, 1), _g(0)),
+    gaussian_mat(((0, -_I), (_I, 0))),
     gaussian_mat(((1, 0), (0, -1))),
 )
 
@@ -100,7 +97,7 @@ def pauli_decompose(m: Mat2) -> PauliCoords:
     alpha = (m.m11 + m.m22) * half
     beta3 = (m.m11 - m.m22) * half
     beta1 = (m.m12 + m.m21) * half
-    beta2 = (m.m12 - m.m21) * half * _g(0, 1)
+    beta2 = (m.m12 - m.m21) * half * _I
     gamma = -(alpha * alpha) + beta1 * beta1 + beta2 * beta2 + beta3 * beta3
     return PauliCoords(alpha, beta1, beta2, beta3, gamma)
 

@@ -875,8 +875,6 @@ def _unit_layout(coeffs, n: int, power) -> tuple | None:
     ]
     lengths = list(map(len, units))
     count = sum(lengths) - 1
-    if count < 0:
-        return None
     weight = math.prod(map(pow, range(k, 0, -1), lengths))
     terms = min(n**count // (math.factorial(count) * weight) + 1, slots)
     if not _packs(slots, terms, 1):

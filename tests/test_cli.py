@@ -342,7 +342,7 @@ def test_routes_print_the_same_lines(capsys, argvs, pattern):
 
 
 def test_results_past_the_default_digit_limit(capsys):
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    limit = sys.get_int_max_str_digits()
     unit = ("gcn", "power", "--a", "11/13", "--b", "7/5")
     recurrence = _in_process(capsys, *unit, "--n", "4096", "--method", "recurrence")
     digits = re.findall(r"\d+", "\n".join(recurrence))
@@ -353,7 +353,7 @@ def test_results_past_the_default_digit_limit(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and f"{cli.MAX_DIGITS} decimal digits" in err
     assert "--n" in err and "set_int_max_str_digits" not in err
-    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_a_result_past_the_digit_cap_names_no_option_its_command_lacks(capsys):

@@ -961,6 +961,7 @@ def _routes_packed(monkeypatch, coeffs, n):
         ((U, V), 18),  # a sparse box: 19 slots per term, 38 bytes per term
         ((U, V), 200),  # a sparse box: about 100 terms in 101 x 201 slots
         ((X * X - 1, Fraction(1, 2)), 64),  # a Fraction coefficient
+        ((-1, X * Fraction(1, 2) + 1), 40),  # a polynomial coefficient with a Fraction
     ],
 )
 def test_units_where_packing_loses_keep_the_element_path(monkeypatch, coeffs, n):
