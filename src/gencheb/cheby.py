@@ -22,7 +22,7 @@ import functools
 from dataclasses import dataclass
 
 from . import gcn
-from .poly import MultiPoly
+from .poly import MultiPoly, add_product
 
 __all__ = [
     "ChebCoeffPair",
@@ -111,7 +111,7 @@ def cheb_AB(n: int) -> ChebCoeffPair:
 def cheb_T(n: int) -> ChebPoly:
     """First-kind Chebyshev polynomial T_n = A_n + x*B_n."""
     a_n, b_n = _ab(n)
-    return ChebPoly("first", n, a_n + X * b_n)
+    return ChebPoly("first", n, add_product(a_n, X, b_n))
 
 
 def ode_apply(poly: MultiPoly, constant) -> MultiPoly:

@@ -106,7 +106,7 @@ from operator import add, mul, neg
 from typing import Any, Iterator, Sequence
 
 from .matrices import Mat2, Mat3
-from .poly import packed_unit_power
+from .poly import MultiPoly, add_product, packed_unit_power
 from .scalars import _kind, _stripped, _triple, power, zero_of
 
 __all__ = [
@@ -349,8 +349,15 @@ def unit_powers(coeffs: Sequence[Any]) -> Iterator[tuple[Any, ...]]:
 
 
 def _times_h(xs: Sequence[Any], coeffs: Sequence[Any]) -> tuple[Any, ...]:
-    """h times sum x_i h^i: x_0' = c_0*x_{k-1} and x_i' = x_{i-1} + c_i*x_{k-1}."""
+    """h times sum x_i h^i: x_0' = c_0*x_{k-1} and x_i' = x_{i-1} + c_i*x_{k-1}.
+
+    On polynomials each x_i' is one :func:`gencheb.poly.add_product`, one
+    pass over x_{k-1}'s terms; scalars, the int kernels' among them, take
+    ``+`` and ``*`` with no call per coefficient.
+    """
     top = xs[-1]
+    if isinstance(top, MultiPoly):
+        return (coeffs[0] * top, *map(add_product, xs, coeffs[1:], repeat(top)))
     return (coeffs[0] * top, *[x + c * top for x, c in zip(xs, coeffs[1:])])
 
 

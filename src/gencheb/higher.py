@@ -147,8 +147,8 @@ def u2_by_recurrence(n_max: int) -> list[TwoVarCheb]:
     return [TwoVarCheb(n, gamma) for n, (_, _, gamma) in enumerate(powers)]
 
 
-def hermite3(n: int) -> Hermite3:
-    """Third-order Hermite polynomial by the exact triple sum."""
+def _hermite3_terms(n: int) -> dict[tuple[int, int, int], int]:
+    """H3_n's term map by the exact triple sum: n!/(p! q! r!) at x^p y^q z^r, p + 2q + 3r = n."""
     if n < 0:
         raise ValueError("index must be non-negative")
     terms: dict[tuple[int, int, int], int] = {}
@@ -157,7 +157,12 @@ def hermite3(n: int) -> Hermite3:
         for q in range((n - 3 * r) // 2 + 1):
             p = n - 2 * q - 3 * r
             terms[(p, q, r)] = n_fact // math.prod(map(math.factorial, (p, q, r)))
-    return Hermite3(n, MultiPoly(XYZ, terms))
+    return terms
+
+
+def hermite3(n: int) -> Hermite3:
+    """Third-order Hermite polynomial by the exact triple sum."""
+    return Hermite3(n, MultiPoly(XYZ, _hermite3_terms(n)))
 
 
 def hermite3_generating_series(order: int) -> TruncatedSeries:
@@ -177,10 +182,9 @@ def u2_by_laplace(n: int) -> TwoVarCheb:
     coefficient of u^p v^q is the integer multinomial (-1)^q m!/(p! q! r!).
     As p + 2q + 3r = n, (p, q) fixes r, so no two terms land on one monomial.
     """
-    h3 = hermite3(n).poly.terms
     fact = list(accumulate(range(1, n + 1), mul, initial=1))
     terms = {}
-    for p, q, r in h3:
+    for p, q, r in _hermite3_terms(n):
         c = fact[p + q + r] // (fact[p] * fact[q] * fact[r])
         terms[(p, q)] = -c if q % 2 else c
     return TwoVarCheb(n + 1, MultiPoly(UV, terms))

@@ -22,24 +22,33 @@ their terms are canonical by construction.
 A product has three kernels, after a constant operand has scaled the
 other.  When either operand has one term c*x^m, each term of the other is
 relabelled in one pass, a*x^e -> (a*c)*x^(e+m): no two terms meet and none
-cancels, so nothing is accumulated.  Every step of the unit walk of
-``U2_n``, whose unit coefficients have one term, and of the series inverse
-multiplies this way, as does x*B_n in ``T_n``.  A dense product of
+cancels, so nothing is accumulated.  A sum x + c*y with such a c is one
+pass too, :func:`add_product`: x's term map is copied, in C, and each term
+of y is relabelled, scaled and added into the copy by the sum's rules
+(canonical coefficients, cancelled terms dropped), with no map built for
+c*y.  Every step of the unit walk, x_i' = x_{i-1} + c_i*x_{k-1} with the
+one-term c_i of ``U_n`` and ``U2_n``, every term of the series solver's
+sums, and A_n + x*B_n in ``T_n`` take it.  Neither U2 route's independent
+check does: ``verify`` compares the series with its written-out recurrence
+(``series-vs-rec``) and with the Laplace route (``series-vs-laplace``), and
+the walk with the series.  A dense product of
 integer polynomials is done by Kronecker substitution (Harvey, J. Symb.
 Comp. 44, 2009): each operand is packed into one int, with a slot of fixed
 width per monomial of the product's exponent box, the two ints are
 multiplied once, in C, and the slots are read back through
-``int.to_bytes``.  It applies when every coefficient is an ``int``, the
+``int.to_bytes``: on a little-endian machine a slot of 1, 2, 4 or 8 bytes
+is read as one item of ``memoryview.cast``, and any other by a byte slice
+and ``int.from_bytes``.  It applies when every coefficient is an ``int``, the
 operands have at least ``_PACKED_PAIRS`` pairs of terms, and there are at
 least ``_PACKED_DENSITY`` pairs per monomial of the box, so the box never
 outgrows the work of the term loop (``(x^1000000 + 1)^2`` keeps the loop).
 Every other product, with ``Fraction`` or ``GaussianRational``
 coefficients or small or sparse operands, runs the term loop, one Python
-step per pair of terms.  The loop and the one-term kernel write out the
-exponent sums for one variable (x*B_n in ``T_n``, the ODE residuals) and
-for two (``U2_n``), because building each sum tuple with ``map`` costs
-several times the coefficient arithmetic of a term; other widths share one
-generic form.
+step per pair of terms.  The loop, the one-term kernel and
+:func:`add_product` write out the exponent sums for one variable (``T_n``,
+the ODE residuals) and for two (``U2_n``), because building each sum tuple
+with ``map`` costs several times the coefficient arithmetic of a term;
+other widths share one generic form.
 
 Kronecker substitution also raises a whole unit of integer polynomials
 (:func:`packed_unit_power`, the integer lift of :mod:`gencheb.gcn`): each
@@ -112,6 +121,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
+import sys
 from fractions import Fraction
 from operator import add, mul
 from typing import Iterable, Mapping
@@ -119,7 +130,14 @@ from typing import Iterable, Mapping
 from . import scalars
 from .scalars import GaussianRational, power
 
-__all__ = ["MultiPoly", "PolyParseError", "gens", "packed_unit_power", "parse_poly"]
+__all__ = [
+    "MultiPoly",
+    "PolyParseError",
+    "add_product",
+    "gens",
+    "packed_unit_power",
+    "parse_poly",
+]
 
 Exponents = tuple[int, ...]
 
@@ -152,6 +170,13 @@ _PACKED_DENSITY = 4
 _PACKED_TERMS = 10
 _PACKED_SPARSITY = 8
 _PACKED_BYTES = 48
+
+# The unsigned native codes whose items are 1, 2, 4 or 8 bytes, by width,
+# through which ``_unpacked`` reads whole slots in C; a big-endian machine
+# reads every width by byte slices.
+_SLOT_CODES = (
+    {struct.calcsize(code): code for code in "BHIQ"} if sys.byteorder == "little" else {}
+)
 
 _SCALARS = (int, Fraction, GaussianRational)
 ScalarLike = int | Fraction | GaussianRational
@@ -209,6 +234,51 @@ def _fold_into(
             out[exps] = total if type(total) is int else _canonical(total)
         else:
             out.pop(exps, None)
+
+
+def _fold_product(
+    out: dict[Exponents, ScalarLike],
+    terms: Mapping[Exponents, ScalarLike],
+    shift: Exponents,
+    factor: ScalarLike,
+) -> None:
+    """Add ``terms`` times factor*x^shift into ``out`` in place, in one pass.
+
+    ``factor`` is a nonzero canonical scalar.  Each sum follows
+    :func:`_fold_into`'s rules; only a key already in ``out`` can cancel,
+    as a product of nonzero exact scalars is nonzero.  One and two
+    variables write the shifted exponents out (module docstring), and a
+    zero shift keeps the keys as they are.
+    """
+    get = out.get
+    width = len(shift) if any(shift) else 0
+    if width == 1:
+        (m0,) = shift
+        for (x,), a in terms.items():
+            exps = (x + m0,)
+            total = get(exps, 0) + a * factor
+            if total:
+                out[exps] = total if type(total) is int else _canonical(total)
+            else:
+                del out[exps]
+    elif width == 2:
+        m0, m1 = shift
+        for (x0, x1), a in terms.items():
+            exps = (x0 + m0, x1 + m1)
+            total = get(exps, 0) + a * factor
+            if total:
+                out[exps] = total if type(total) is int else _canonical(total)
+            else:
+                del out[exps]
+    else:
+        for exps, a in terms.items():
+            if width:
+                exps = tuple(map(add, exps, shift))
+            total = get(exps, 0) + a * factor
+            if total:
+                out[exps] = total if type(total) is int else _canonical(total)
+            else:
+                del out[exps]
 
 
 def _packed_box(
@@ -299,21 +369,28 @@ def _unpacked(packed: int, sizes: list[int], width: int) -> dict[Exponents, int]
     ``packed`` is the sum of c * 256^offset(e), offsets as :func:`_strides`
     lays them out, and each |c| is below ``half = 2^(8*width - 1)``.  Adding
     ``half`` to every slot makes each slot's content positive and below
-    ``2^(8*width)``, so the slots read back through ``int.to_bytes``
-    exactly, with no borrow between them; a slot that holds ``half``'s
-    bytes holds 0 and is skipped with no int built.
+    ``2^(8*width)``, so the slots read back exactly, with no borrow between
+    them, and a slot that holds ``half`` holds 0 and is skipped.  Slots of
+    a width in ``_SLOT_CODES`` are read in C, through ``memoryview.cast``;
+    any other width is read by byte slices and ``int.from_bytes``, and a
+    slice equal to ``half``'s bytes is skipped with no int built.
     """
     if not packed:
         return {}
-    size = width * math.prod(sizes)
+    count = math.prod(sizes)
     half = 1 << (8 * width - 1)
     zero = half.to_bytes(width, "little")
-    data = (packed + int.from_bytes(zero * (size // width), "little")).to_bytes(size, "little")
-    slots = (data[at : at + width] for at in range(0, size, width))
+    data = (packed + int.from_bytes(zero * count, "little")).to_bytes(width * count, "little")
+    boxes = itertools.product(*map(range, sizes))
+    code = _SLOT_CODES.get(width)
+    if code:
+        slots = memoryview(data).cast(code)
+        return {exps: slot - half for exps, slot in zip(boxes, slots) if slot != half}
+    slots = (data[at : at + width] for at in range(0, len(data), width))
     from_bytes = int.from_bytes
     return {
         exps: from_bytes(slot, "little") - half
-        for exps, slot in zip(itertools.product(*map(range, sizes)), slots)
+        for exps, slot in zip(boxes, slots)
         if slot != zero
     }
 
@@ -527,11 +604,9 @@ class MultiPoly:
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        # Values are immutable, so a zero operand returns the other one (the
-        # series solver's first partial sum 0 + w*e).  Otherwise the left map
-        # is copied: a walk's x_{i-1} + c*top then shares its older operand's
-        # key tuples, so ``higher.u2_by_recurrence(200)`` keeps 18.7 MB (by
-        # tracemalloc) against 30.1 MB when the larger map is copied.
+        # Values are immutable, so a zero operand returns the other one.
+        # Otherwise the left map is copied, as add_product copies x: a sum
+        # then shares its older operand's key tuples.
         if not rhs._terms:
             return self
         if not self._terms:
@@ -813,6 +888,32 @@ class MultiPoly:
 def gens(*names: str) -> tuple[MultiPoly, ...]:
     """Generator polynomials for the given variable tuple, in order."""
     return tuple(MultiPoly.variable(name, names) for name in names)
+
+
+def add_product(x, c, y):
+    """x + c*y, in one pass over y's terms where the operands allow it.
+
+    When x and y are polynomials over one variable tuple and c is a nonzero
+    scalar or a one-term polynomial over it, x's term map is copied once
+    and each term of y, relabelled by c's monomial and scaled by its
+    coefficient, is added into the copy (``_fold_product``): no map is
+    built for c*y.  A zero x returns c*y, which is y itself for c = 1, and
+    a zero y returns x.  Any other operands give ``x + c * y``, with its
+    checks: mismatched variable lists raise ``ValueError``.
+    """
+    if isinstance(x, MultiPoly) and isinstance(y, MultiPoly) and x._variables == y._variables:
+        if isinstance(c, _SCALARS):
+            c = _constant(y._variables, _canonical(c))
+        if isinstance(c, MultiPoly) and c._variables == y._variables and len(c._terms) == 1:
+            if not y._terms:
+                return x
+            if not x._terms:
+                return c * y
+            ((shift, factor),) = c._terms.items()
+            out = dict(x._terms)
+            _fold_product(out, y._terms, shift, factor)
+            return _unchecked(x._variables, out)
+    return x + c * y
 
 
 def packed_unit_power(coeffs, n: int, power) -> tuple[MultiPoly, ...] | None:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .gcn import Element, Unit
-from .poly import MultiPoly, ScalarLike
+from .poly import MultiPoly, ScalarLike, add_product
 
 __all__ = ["SingularSeriesError", "TruncatedSeries"]
 
@@ -76,18 +76,27 @@ class TruncatedSeries(Element):
         self,
         weights: Sequence[MultiPoly],
         head: ScalarLike,
-        scale: Callable[[int], ScalarLike],
+        scale: Callable[[int], ScalarLike] | None = None,
     ) -> "TruncatedSeries":
-        """The series e_0 = head, e_n = scale(n) * (w_1 e_{n-1} + ... + w_n e_0)."""
-        terms = [(k, w) for k, w in enumerate(weights) if k and not w.is_zero]
+        """The series e_0 = head, e_n = scale(n) * (w_n e_0 + ... + w_1 e_{n-1}).
+
+        The sum runs from the highest weight index down, each term one
+        :func:`gencheb.poly.add_product`, a pass over e_{n-k}'s terms; the
+        first term is e_{n-k} itself when its weight is 1, as the weight of
+        t^3 is in the inverse of U2's denominator.  No ``scale`` leaves the
+        sum as it is.  U2 read off this inverse still meets two checks that
+        take no ``add_product``: ``verify``'s written-out recurrence
+        (``series-vs-rec``) and the Laplace route (``series-vs-laplace``).
+        """
+        terms = [(k, w) for k, w in enumerate(weights) if k and w][::-1]
+        zero = MultiPoly.zero(self.variables)
         out = [MultiPoly.constant(self.variables, head)]
         for n in range(1, len(weights)):
-            acc = MultiPoly.zero(self.variables)
+            acc = zero
             for k, w in terms:
-                if k > n:
-                    break
-                acc = acc + w * out[n - k]
-            out.append(acc * scale(n))
+                if k <= n:
+                    acc = add_product(acc, w, out[n - k])
+            out.append(acc * scale(n) if scale else acc)
         return self._new(tuple(out))
 
     def inverse(self) -> "TruncatedSeries":
@@ -95,7 +104,8 @@ class TruncatedSeries(Element):
 
         Requires the constant coefficient to be a nonzero scalar (a unit of
         the coefficient ring); otherwise raises :class:`SingularSeriesError`.
-        Solves c_0 e_n = -(c_1 e_{n-1} + ... + c_n e_0) term by term.
+        Solves c_0 e_n = -(c_1 e_{n-1} + ... + c_n e_0) term by term, with
+        the weights -c_k/c_0 formed once.
         """
         head = self.coeffs[0]
         if not head.is_constant() or head.is_zero:
@@ -104,7 +114,7 @@ class TruncatedSeries(Element):
                 f"got {head!s}"
             )
         inv_head = head.constant_value().inverse()
-        return self._solve(self.coeffs, inv_head, lambda n: -inv_head)
+        return self._solve([c * -inv_head for c in self.coeffs], inv_head)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term, exactly truncated.

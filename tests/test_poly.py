@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from gencheb import cheby, gcn, poly, scalars
+from gencheb import cheby, gcn, poly, scalars, series
 from gencheb.higher import XYZ, CubicUnit, hermite3, u2_by_series
 from gencheb.poly import MAX_NESTING, MultiPoly, PolyParseError, gens, parse_poly
 from gencheb.scalars import GaussianRational
@@ -665,41 +666,108 @@ def test_one_term_products_store_canonical_coefficients():
     assert_canonical(got)
 
 
-def test_walk_steps_never_run_the_pair_loop(monkeypatch):
-    # Every product of the Chebyshev walk, the cubic walk and the series
-    # inverse has a constant or one-term operand.
-    counts = {"mul": 0, "scaled": 0, "term": 0}
-    real_mul, real_scaled, real_term = MultiPoly.__mul__, MultiPoly._scaled, poly._term_product
+# -- add_product: x + c*y in one pass over y's terms ---------------------------
 
-    def mul(self, other):
-        counts["mul"] += 1
-        return real_mul(self, other)
 
-    def scaled(self, factor):
-        counts["scaled"] += 1
-        return real_scaled(self, factor)
+@pytest.mark.parametrize("names", [("u",), ("u", "v"), ("u", "v", "w")], ids="-".join)
+def test_add_product_matches_the_sum_of_the_product(names):
+    rng = random.Random(20261022)
+    zero = MultiPoly.zero(names)
+    draws = [
+        lambda: rng.choice((-1, 1)) * rng.randint(1, 2**70),
+        lambda: Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 9)),
+        lambda: random_coeff(rng),
+    ]
+    for draw in draws * 15:
+        x, y = (
+            MultiPoly(names, {tuple(rng.randint(0, 3) for _ in names): draw() for _ in range(8)})
+            for _ in range(2)
+        )
+        monomial = MultiPoly(names, {tuple(rng.randint(0, 2) for _ in names): draw()})
+        many = random_mixed_poly(rng, names)
+        for c in (draw(), monomial, many, 1, MultiPoly.one(names), 0, zero):
+            for a in (x, zero, -y):
+                got = poly.add_product(a, c, y)
+                assert got == a + c * y
+                assert_canonical(got)
+        assert poly.add_product(zero, 1, y) is y
+        assert poly.add_product(x, monomial, zero) is x
+        # x = z - c*y, so every term of c*y meets one of x's, and each sum
+        # either cancels or leaves z's canonical coefficient.
+        for c in (draw(), monomial):
+            z = random_mixed_poly(rng, names)
+            got = poly.add_product(z - c * y, c, y)
+            assert got._terms == z._terms
+            assert_canonical(got)
+    assert poly.add_product(2, 3, 4) == 14
 
-    def term(terms, monomial):
-        counts["term"] += 1
-        return real_term(terms, monomial)
 
-    monkeypatch.setattr(MultiPoly, "__mul__", mul)
-    monkeypatch.setattr(MultiPoly, "__rmul__", mul)
-    monkeypatch.setattr(MultiPoly, "_scaled", scaled)
-    monkeypatch.setattr(poly, "_term_product", term)
-    walks = {
-        "chebyshev": lambda: list(itertools.islice(gcn.unit_powers((-1, 2 * X)), 51)),
-        "cubic": lambda: list(itertools.islice(gcn.unit_powers(CubicUnit(U, V).coeffs), 51)),
-        "series": lambda: u2_by_series(50),
-    }
-    for name, walk in walks.items():
-        for key in counts:
-            counts[key] = 0
+def test_add_product_refuses_mismatched_variables_as_sums_do():
+    u, v = gens("u", "v")
+    (w,) = gens("w")
+    for x, c, y in ((u, 2, w), (w, 2, u), (u + v, w, u), (u, w * w + 1, v)):
+        with pytest.raises(ValueError):
+            x + c * y
+        with pytest.raises(ValueError):
+            poly.add_product(x, c, y)
+
+
+WALKS = {
+    "chebyshev": lambda: list(itertools.islice(gcn.unit_powers((-1, 2 * X)), 51)),
+    "cubic": lambda: list(itertools.islice(gcn.unit_powers(CubicUnit(U, V).coeffs), 51)),
+    "series": lambda: u2_by_series(50),
+}
+
+
+def walk_census(walk, fallback):
+    """Calls of add_product's one-pass fold, of ``+``'s fold and of each product kind in ``walk``.
+
+    With ``fallback`` every add_product of the walks is ``x + c * y``.
+    """
+    counts = dict.fromkeys(("fused", "fold", "mul", "scaled", "term"), 0)
+
+    def counted(key, real):
+        def spy(*args):
+            counts[key] += 1
+            return real(*args)
+
+        return spy
+
+    with pytest.MonkeyPatch.context() as m:
+        if fallback:
+            for module in (gcn, series):
+                m.setattr(module, "add_product", lambda x, c, y: x + c * y)
+        m.setattr(poly, "_fold_product", counted("fused", poly._fold_product))
+        m.setattr(poly, "_fold_into", counted("fold", poly._fold_into))
+        m.setattr(poly, "_term_product", counted("term", poly._term_product))
+        mul = counted("mul", MultiPoly.__mul__)
+        m.setattr(MultiPoly, "__mul__", mul)
+        m.setattr(MultiPoly, "__rmul__", mul)
+        m.setattr(MultiPoly, "_scaled", counted("scaled", MultiPoly._scaled))
         walk()
-        # Past its first two steps, whose polynomials are constants, each
-        # step multiplies by a one-term coefficient at least once.
-        assert counts["term"] >= 48, (name, counts)
-        assert counts["mul"] == counts["scaled"] + counts["term"], (name, counts)
+    return counts
+
+
+def steps_are_fused(counts):
+    # Past its first steps, whose polynomials are constants, each step adds
+    # a product into a copy in one pass at least once; no sum folds a
+    # product map built first into a copy, and every product has a constant
+    # or one-term operand, so the pair loop never runs.
+    return (
+        counts["fused"] >= 48
+        and counts["fold"] == 0
+        and counts["mul"] == counts["scaled"] + counts["term"]
+    )
+
+
+def test_walk_steps_never_run_the_pair_loop():
+    for name, walk in WALKS.items():
+        counts = walk_census(walk, fallback=False)
+        assert steps_are_fused(counts), (name, counts)
+        # The census sees a step that falls back to x + c*y.
+        counts = walk_census(walk, fallback=True)
+        assert not steps_are_fused(counts), (name, counts)
+        assert counts["fused"] == 0 and counts["fold"] >= 48, (name, counts)
 
 
 @WIDTHS
@@ -1039,6 +1107,40 @@ def test_slot_reader_returns_each_nonzero_slot_at_its_exponents():
             terms = {e: c for e, c in terms.items() if c}
             assert poly._unpacked(poly._pack(terms, strides, width, size), sizes, width) == terms
     assert poly._unpacked(0, [5], 2) == {}
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_slot_reader_reads_signed_slots_by_cast_and_by_slices(width, monkeypatch):
+    # On a little-endian machine slots of 1, 2, 4 and 8 bytes are read
+    # through memoryview.cast; with the codes taken away every width is read
+    # by byte slices, and both read the same slots.
+    rng = random.Random(width)
+    half = 1 << (8 * width - 1)
+    sizes = [5, 7]
+    strides, size = poly._strides(sizes, width)
+    casts = []
+
+    def view(data):
+        casts.append(width)
+        return memoryview(data)
+
+    monkeypatch.setattr(poly, "memoryview", view, raising=False)
+    codes = poly._SLOT_CODES
+    if sys.byteorder == "little":
+        assert (width in codes) == (width in (1, 2, 4, 8))
+    edges = [0, 0, 1, -1, half - 1, 1 - half]
+    for _ in range(10):
+        slots = {
+            e: rng.choice(edges + [rng.randrange(1 - half, half)] * 4)
+            for e in itertools.product(*map(range, sizes))
+        }
+        terms = {e: c for e, c in slots.items() if c}
+        packed = poly._pack(terms, strides, width, size)
+        for path in (codes, {}):
+            monkeypatch.setattr(poly, "_SLOT_CODES", path)
+            casts.clear()
+            assert poly._unpacked(packed, sizes, width) == terms
+            assert casts == ([width] if width in path and packed else [])
 
 
 class _ItemsOnly:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gencheb.poly import MultiPoly, gens
+from gencheb.scalars import GaussianRational
 from gencheb.series import SingularSeriesError, TruncatedSeries
 
 U, V = gens("u", "v")
@@ -46,6 +47,44 @@ def test_inverse_times_self_is_one_random():
             coeffs.append(Fraction(rng.randint(-5, 5), rng.randint(1, 5)))
         s = TruncatedSeries(("x",), coeffs, order)
         assert s * s.inverse() == TruncatedSeries.one(("x",), order)
+
+
+def recurrence_inverse(s):
+    """e_0 = 1/c_0 and e_n = -(c_1 e_{n-1} + ... + c_n e_0)/c_0, term by term."""
+    c = s.coeffs
+    inv = c[0].constant_value().inverse()
+    e = [MultiPoly.constant(s.variables, inv)]
+    for n in range(1, len(c)):
+        acc = MultiPoly.zero(s.variables)
+        for k in range(1, n + 1):
+            acc = acc + c[k] * e[n - k]
+        e.append(acc * -inv)
+    return tuple(e)
+
+
+@pytest.mark.parametrize(
+    "head",
+    [3, Fraction(1, 3), GaussianRational(Fraction(1, 5), Fraction(2, 5))],
+    ids=["3", "1/3", "(1+2i)/5"],
+)
+def test_inverse_matches_the_written_out_recurrence(head):
+    # The solver forms the weights -c_k/c_0 once and sums from the highest
+    # index down; the reference divides each sum by c_0 as it goes.
+    rng = random.Random(20261021)
+    for order in range(9):
+        coeffs = [head]
+        for _ in range(order):
+            terms = {
+                (rng.randint(0, 2), rng.randint(0, 2)): Fraction(
+                    rng.randint(-4, 4), rng.randint(1, 3)
+                )
+                for _ in range(rng.randint(0, 3))
+            }
+            coeffs.append(MultiPoly(("u", "v"), terms))
+        s = TruncatedSeries(("u", "v"), coeffs, order)
+        inverse = s.inverse()
+        assert s * inverse == TruncatedSeries.one(("u", "v"), order)
+        assert inverse.coeffs == recurrence_inverse(s)
 
 
 def test_arithmetic_and_order_checks():
