@@ -130,14 +130,7 @@ from typing import Iterable, Mapping
 from . import scalars
 from .scalars import GaussianRational, power
 
-__all__ = [
-    "MultiPoly",
-    "PolyParseError",
-    "add_product",
-    "gens",
-    "packed_unit_power",
-    "parse_poly",
-]
+__all__ = ["MultiPoly", "PolyParseError", "add_product", "gens", "packed_unit_power", "parse_poly"]
 
 Exponents = tuple[int, ...]
 
