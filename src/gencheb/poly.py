@@ -19,14 +19,14 @@ The public constructor validates its input; the ring operations build
 their results through an unchecked internal constructor instead, since
 their terms are canonical by construction.
 
-A product has three kernels, after a constant operand has scaled the
-other.  When either operand has one term c*x^m, each term of the other is
-relabelled in one pass, a*x^e -> (a*c)*x^(e+m): no two terms meet and none
-cancels, so nothing is accumulated.  A sum x + c*y with such a c is one
-pass too, :func:`add_product`: x's term map is copied, in C, and each term
-of y is relabelled, scaled and added into the copy by the sum's rules
-(canonical coefficients, cancelled terms dropped), with no map built for
-c*y.  Every step of the unit walk, x_i' = x_{i-1} + c_i*x_{k-1} with the
+After a constant operand has scaled the other, a product is a fold: for
+each term c*x^m of the shorter operand, :func:`_fold_product` relabels and
+scales every term of the longer, a*x^e -> (a*c)*x^(e+m), and adds it into
+one map by the sum's rules (canonical coefficients, cancelled terms
+dropped).  With a one-term operand that is one pass, in which no two terms
+meet.  A sum x + c*y with such a c is one pass too, :func:`add_product`:
+the fold starts from a copy of x's term map, made in C, and no map is built
+for c*y.  Every step of the unit walk, x_i' = x_{i-1} + c_i*x_{k-1} with the
 one-term c_i of ``U_n`` and ``U2_n``, every term of the series solver's
 sums, and A_n + x*B_n in ``T_n`` take it.  Neither U2 route's independent
 check does: ``verify`` compares the series with its written-out recurrence
@@ -41,14 +41,16 @@ is read as one item of ``memoryview.cast``, and any other by a byte slice
 and ``int.from_bytes``.  It applies when every coefficient is an ``int``, the
 operands have at least ``_PACKED_PAIRS`` pairs of terms, and there are at
 least ``_PACKED_DENSITY`` pairs per monomial of the box, so the box never
-outgrows the work of the term loop (``(x^1000000 + 1)^2`` keeps the loop).
-Every other product, with ``Fraction`` or ``GaussianRational``
-coefficients or small or sparse operands, runs the term loop, one Python
-step per pair of terms.  The loop, the one-term kernel and
-:func:`add_product` write out the exponent sums for one variable (``T_n``,
-the ODE residuals) and for two (``U2_n``), because building each sum tuple
-with ``map`` costs several times the coefficient arithmetic of a term;
-other widths share one generic form.
+outgrows the work of the fold (``(x^1000000 + 1)^2`` keeps the fold).  The
+box holds a shift of every term of the longer operand, so both operands
+then have ``_PACKED_DENSITY`` terms at least, and a one-term product never
+builds the box.  Every other product, with ``Fraction`` or
+``GaussianRational`` coefficients or small or sparse operands, folds, one
+Python step per pair of terms.  The fold writes out the exponent sums for
+one variable (``T_n``, the ODE residuals) and for two (``U2_n``), because
+building each sum tuple with ``map`` costs several times the coefficient
+arithmetic of a term; other widths, and a zero shift, share one generic
+form.
 
 Kronecker substitution also raises a whole unit of integer polynomials
 (:func:`packed_unit_power`, the integer lift of :mod:`gencheb.gcn`): each
@@ -79,7 +81,7 @@ from 361 slots of 9 bytes.  Every other composition, with ``Fraction`` or
 ``GaussianRational`` coefficients or images, scalar images only, or a box
 that ``_packs`` refuses, runs the walk on polynomials: every product then
 has an image as one operand, so it costs one pass over the running sum per
-term of the image and takes the kernels above unchanged, and ``H3_18``
+term of the image and takes the fold above unchanged, and ``H3_18``
 into three 3-term images is 160 products and 6,690 pairs of terms, against
 22,795 pairs for tables of image powers multiplied term by term.
 ``evaluate_exact`` runs the same walk on integer numerators at a real
@@ -138,9 +140,9 @@ MAX_NESTING = 100
 
 # An integer product takes the packed path (module docstring) when it has
 # at least _PACKED_PAIRS pairs of terms and at least _PACKED_DENSITY pairs
-# per monomial of its exponent box.  Below either, the packing and reading
-# back of the box cost more than the term loop saves (measured on dense
-# one- and two-variable products).
+# per monomial of its exponent box.  Below either, packing and reading back
+# the box cost more than folding the terms (measured on dense one- and
+# two-variable products).
 _PACKED_PAIRS = 256
 _PACKED_DENSITY = 4
 
@@ -241,7 +243,9 @@ def _fold_product(
     :func:`_fold_into`'s rules; only a key already in ``out`` can cancel,
     as a product of nonzero exact scalars is nonzero.  One and two
     variables write the shifted exponents out (module docstring), and a
-    zero shift keeps the keys as they are.
+    zero shift keeps the keys as they are.  ``MultiPoly.__mul__`` folds
+    the longer operand once per term of the shorter into one map, from
+    empty, and :func:`add_product` folds y once into a copy of x.
     """
     get = out.get
     width = len(shift) if any(shift) else 0
@@ -279,7 +283,7 @@ def _packed_box(
 ) -> list[int] | None:
     """The extents of the product's exponent box, if it takes the packed path.
 
-    None (use the term loop) unless every coefficient is an int and the
+    None (fold the terms) unless every coefficient is an int and the
     ``pairs`` pairs of terms number at least ``_PACKED_DENSITY`` times the
     box, which also bounds the packed size by ``pairs``.
     """
@@ -385,35 +389,6 @@ def _unpacked(packed: int, sizes: list[int], width: int) -> dict[Exponents, int]
         exps: from_bytes(slot, "little") - half
         for exps, slot in zip(boxes, slots)
         if slot != zero
-    }
-
-
-def _term_product(
-    terms: dict[Exponents, ScalarLike], monomial: dict[Exponents, ScalarLike]
-) -> dict[Exponents, ScalarLike]:
-    """``terms`` times the one term c*x^m of ``monomial``, in one pass.
-
-    Adding m maps distinct monomials to distinct monomials, and a product
-    of nonzero exact scalars is nonzero, so no two terms meet and none
-    cancels: each term is relabelled and scaled, with no accumulation.
-    """
-    ((m, c),) = monomial.items()
-    width = len(m)
-    if width == 1:
-        (m0,) = m
-        return {
-            (x + m0,): p if type(p := a * c) is int else _canonical(p)
-            for (x,), a in terms.items()
-        }
-    if width == 2:
-        m0, m1 = m
-        return {
-            (x0 + m0, x1 + m1): p if type(p := a * c) is int else _canonical(p)
-            for (x0, x1), a in terms.items()
-        }
-    return {
-        tuple(map(add, e, m)): p if type(p := a * c) is int else _canonical(p)
-        for e, a in terms.items()
     }
 
 
@@ -636,41 +611,19 @@ class MultiPoly:
             return self._scaled(next(iter(rhs._terms.values()), 0))
         if self.is_constant():
             return rhs._scaled(next(iter(self._terms.values()), 0))
-        # A one-term operand relabels the other's terms (module docstring).
-        if len(rhs._terms) == 1:
-            return _unchecked(self._variables, _term_product(self._terms, rhs._terms))
-        if len(self._terms) == 1:
-            return _unchecked(self._variables, _term_product(rhs._terms, self._terms))
-        pairs = len(self._terms) * len(rhs._terms)
-        if pairs >= _PACKED_PAIRS:
-            sizes = _packed_box(self._terms, rhs._terms, pairs)
+        short, long = self._terms, rhs._terms
+        if len(long) < len(short):
+            short, long = long, short
+        # Packing needs _PACKED_DENSITY terms on each side (module docstring).
+        pairs = len(short) * len(long)
+        if len(short) >= _PACKED_DENSITY and pairs >= _PACKED_PAIRS:
+            sizes = _packed_box(short, long, pairs)
             if sizes:
-                packed = _packed_product(self._terms, rhs._terms, sizes)
-                return _unchecked(self._variables, packed)
+                return _unchecked(self._variables, _packed_product(short, long, sizes))
         out: dict[Exponents, ScalarLike] = {}
-        get = out.get
-        right = list(rhs._terms.items())
-        width = len(self._variables)
-        # One and two variables add their exponents inline (module docstring).
-        if width == 1:
-            for (x,), c1 in self._terms.items():
-                for (y,), c2 in right:
-                    exps = (x + y,)
-                    out[exps] = get(exps, 0) + c1 * c2
-        elif width == 2:
-            for (x0, x1), c1 in self._terms.items():
-                for (y0, y1), c2 in right:
-                    exps = (x0 + y0, x1 + y1)
-                    out[exps] = get(exps, 0) + c1 * c2
-        else:
-            for e1, c1 in self._terms.items():
-                for e2, c2 in right:
-                    exps = tuple(map(add, e1, e2))
-                    out[exps] = get(exps, 0) + c1 * c2
-        return _unchecked(
-            self._variables,
-            {e: c if type(c) is int else _canonical(c) for e, c in out.items() if c},
-        )
+        for exps, coeff in short.items():
+            _fold_product(out, long, exps, coeff)
+        return _unchecked(self._variables, out)
 
     __rmul__ = __mul__
 

@@ -23,8 +23,8 @@ def random_poly(rng, variables, max_degree=4, max_terms=5):
     return MultiPoly(variables, terms)
 
 
-# The product has a loop of its own for one and two variables and a generic
-# one for more, so the ring checks run at every width up to four.
+# The product's fold has a form of its own for one and two variables and a
+# generic one for more, so the ring checks run at every width up to four.
 WIDTHS = pytest.mark.parametrize(
     "names", [("u",), ("u", "v"), ("u", "v", "w"), ("u", "v", "w", "z")], ids="-".join
 )
@@ -598,8 +598,7 @@ def test_products_the_packed_path_refuses_use_the_term_loop(monkeypatch):
     )
     x_big = MultiPoly(("x",), {(10**6,): 1, (0,): 1})
     assert (x_big * x_big)._terms == {(2 * 10**6,): 1, (10**6,): 2, (0,): 1}
-    # A one-term operand takes the one-term kernel and small operands the
-    # term loop; neither packs.
+    # A one-term operand and small operands fold term by term; neither packs.
     dense = full_box(("u", "v"), 20, lambda e: e[0] - e[1] + 1)
     monomial = MultiPoly(("u", "v"), {(3, 1): -5})
     assert (monomial * dense)._terms == schoolbook(monomial._terms, dense._terms)
@@ -614,42 +613,105 @@ def test_products_the_packed_path_refuses_use_the_term_loop(monkeypatch):
         assert_canonical(mixed * dense)
 
 
-# -- one-term kernel: a monomial operand relabels the other's terms -------------
+# -- one fold per term of the shorter operand -----------------------------------
 
 
 @pytest.mark.parametrize("names", [("u",), ("u", "v"), ("u", "v", "w")], ids="-".join)
 def test_one_term_products_match_the_references(names, monkeypatch):
     rng = random.Random(20261020)
     calls = []
-    real = poly._term_product
+    real = poly._fold_product
 
-    def spy(terms, monomial):
+    def spy(out, terms, shift, factor):
         calls.append(len(terms))
-        return real(terms, monomial)
+        return real(out, terms, shift, factor)
 
-    monkeypatch.setattr(poly, "_term_product", spy)
+    def refuse(*_):
+        raise AssertionError("a one-term product built the packed box")
+
+    monkeypatch.setattr(poly, "_fold_product", spy)
+    monkeypatch.setattr(poly, "_packed_box", refuse)
     draws = [
         lambda: rng.choice((-1, 1)) * rng.randint(1, 2**70),
         lambda: Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 9)),
         lambda: random_coeff(rng),
     ]
+    # A full box of integer terms has enough pairs with a monomial to reach
+    # _PACKED_PAIRS, but a one-term operand never packs.
+    side = {1: 300, 2: 17, 3: 7}[len(names)]
+    full = full_box(names, side, lambda e: sum(e) + 1)
     products = 0
     for draw in draws * 10:
         exps = tuple(rng.randint(0, 5) for _ in names)
         if not any(exps):
             exps = (1,) + exps[1:]
         monomial = MultiPoly(names, {exps: draw()})
-        other = MultiPoly(
-            names,
-            {tuple(rng.randint(0, 6) for _ in names): draw() for _ in range(12)},
+        small = MultiPoly(
+            names, {tuple(rng.randint(0, 6) for _ in names): draw() for _ in range(12)}
         )
-        for got in (monomial * other, other * monomial):
-            products += 1
-            assert got.terms == ref_mul(monomial.terms, other.terms)
-            assert_canonical(got)
-            if all(type(c) is int for c in (*monomial._terms.values(), *other._terms.values())):
-                assert got._terms == schoolbook(monomial._terms, other._terms)
+        for other in (full, small):
+            for got in (monomial * other, other * monomial):
+                products += 1
+                assert calls[-1] == len(other._terms)
+                assert got.terms == ref_mul(monomial.terms, other.terms)
+                assert_canonical(got)
+                if all(type(c) is int for c in (*monomial._terms.values(), *other._terms.values())):
+                    assert got._terms == schoolbook(monomial._terms, other._terms)
     assert len(calls) == products
+
+
+# Partial sums at one key of short * long, after each term of short.
+# long's terms (a, b, c[, d]) step through x^0..x^3 in the first variable
+# and short's (s0, s1, s2) through x^0..x^2, each times a fixed monomial of
+# the other variables, so the key two steps above both starts sums s0*c,
+# then + s1*b, then + s2*a.
+I = GaussianRational(Fraction(0), Fraction(1))
+PARTIAL_SUMS = {
+    # The key cancels after the second term and returns after the third.
+    "cancels": ((3, 2, 2, 5), (1, -1, 1), (2, None, 3)),
+    # A Fraction partial sum that is integral partway through.
+    "fraction": (
+        (Fraction(1, 2), Fraction(2, 3), Fraction(1, 3), 5),
+        (1, 1, 1),
+        (Fraction(1, 3), 1, Fraction(3, 2)),
+    ),
+    # A Gaussian partial sum that is real partway through.
+    "gaussian": ((I, -I, 1 + I, 5), (1, 1, 1), (1 + I, 1, 1 + I)),
+}
+
+
+@pytest.mark.parametrize("names", [("u",), ("u", "v"), ("u", "v", "w")], ids="-".join)
+@pytest.mark.parametrize("case", PARTIAL_SUMS)
+# offset 0: short's first term is a constant, a zero shift; equal: long
+# has as many terms as short.
+@pytest.mark.parametrize("offset, equal", [(0, False), (1, False), (0, True), (1, True)])
+def test_products_whose_partial_sums_cancel_and_return(names, case, offset, equal, monkeypatch):
+    def at(e, rest):
+        return (e,) + (rest,) * (len(names) - 1)
+
+    long_coeffs, short_coeffs, partials = PARTIAL_SUMS[case]
+    if equal:
+        long_coeffs = long_coeffs[:3]
+    long = MultiPoly(names, {at(e, 1): c for e, c in enumerate(long_coeffs)})
+    short = MultiPoly(names, {at(e + offset, offset): c for e, c in enumerate(short_coeffs)})
+    key = at(2 + offset, 1 + offset)
+    seen = []
+    real = poly._fold_product
+
+    def spy(out, terms, shift, factor):
+        real(out, terms, shift, factor)
+        seen.append(out.get(key))
+
+    monkeypatch.setattr(poly, "_fold_product", spy)
+    got = short * long
+    assert seen == list(partials)
+    assert [type(c) for c in seen] == [type(c) for c in partials]
+    for got in (got, long * short):
+        assert got.terms == ref_mul(short.terms, long.terms)
+        assert_canonical(got)
+        if case == "cancels":
+            assert got._terms == schoolbook(short._terms, long._terms)
+        assert got._terms[key] == partials[-1]
 
 
 def test_one_term_products_store_canonical_coefficients():
@@ -720,30 +782,38 @@ WALKS = {
 
 
 def walk_census(walk, fallback):
-    """Calls of add_product's one-pass fold, of ``+``'s fold and of each product kind in ``walk``.
+    """Folds of a product into a copy of x, of ``+``'s fold and of wide products in ``walk``.
 
-    With ``fallback`` every add_product of the walks is ``x + c * y``.
+    add_product folds c*y into a copy of a nonzero x, and a product folds
+    into an empty map until its second fold, which only a wide product, of
+    two operands of more than one term, makes.  With ``fallback`` every
+    add_product of the walks is ``x + c * y``.
     """
-    counts = dict.fromkeys(("fused", "fold", "mul", "scaled", "term"), 0)
+    counts = dict.fromkeys(("fused", "fold", "wide"), 0)
 
-    def counted(key, real):
-        def spy(*args):
-            counts[key] += 1
-            return real(*args)
+    def fused(out, *args):
+        counts["fused"] += bool(out)
+        return real_fold_product(out, *args)
 
-        return spy
+    def fold(*args):
+        counts["fold"] += 1
+        return real_fold_into(*args)
 
+    def mul(self, other):
+        if isinstance(other, MultiPoly) and min(len(self._terms), len(other._terms)) > 1:
+            counts["wide"] += 1
+        return real_mul(self, other)
+
+    real_fold_product, real_fold_into = poly._fold_product, poly._fold_into
+    real_mul = MultiPoly.__mul__
     with pytest.MonkeyPatch.context() as m:
         if fallback:
             for module in (gcn, series):
                 m.setattr(module, "add_product", lambda x, c, y: x + c * y)
-        m.setattr(poly, "_fold_product", counted("fused", poly._fold_product))
-        m.setattr(poly, "_fold_into", counted("fold", poly._fold_into))
-        m.setattr(poly, "_term_product", counted("term", poly._term_product))
-        mul = counted("mul", MultiPoly.__mul__)
+        m.setattr(poly, "_fold_product", fused)
+        m.setattr(poly, "_fold_into", fold)
         m.setattr(MultiPoly, "__mul__", mul)
         m.setattr(MultiPoly, "__rmul__", mul)
-        m.setattr(MultiPoly, "_scaled", counted("scaled", MultiPoly._scaled))
         walk()
     return counts
 
@@ -751,13 +821,9 @@ def walk_census(walk, fallback):
 def steps_are_fused(counts):
     # Past its first steps, whose polynomials are constants, each step adds
     # a product into a copy in one pass at least once; no sum folds a
-    # product map built first into a copy, and every product has a constant
-    # or one-term operand, so the pair loop never runs.
-    return (
-        counts["fused"] >= 48
-        and counts["fold"] == 0
-        and counts["mul"] == counts["scaled"] + counts["term"]
-    )
+    # product map built first into a copy, and every product has a scalar,
+    # constant or one-term operand, so none folds many terms of each side.
+    return counts["fused"] >= 48 and counts["fold"] == 0 and counts["wide"] == 0
 
 
 def test_walk_steps_never_run_the_pair_loop():
