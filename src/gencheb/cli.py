@@ -21,10 +21,14 @@ callers must not mutate it.  Parsing leaves it unchanged, so a request
 answers as it would from a fresh parser.  A well-formed request to a leaf
 (``cheb u --n 3``, ``euler series --a=-1 --b 0 --phi 0.5``, ...: exact
 flags, each once, values that pass their option's type and choices) is read
-through that leaf's argparse actions, with no argparse pass.  argparse parses
-every other request through the whole tree, which stays the only source of
-help, usage and error text.  On either route an option written ``--flag=--``
-is read as the text ``--``, as argparse reads it from 3.13 on.
+through that leaf's argparse actions, with no argparse pass.  If its only
+fault is a value that the option's own type function refuses (``cheb u
+--n=-3``), the leaf parser refuses it, as argparse would, again with no pass.
+argparse parses every other request through the whole tree, which stays the
+only source of help and usage text and of the errors that argparse words.
+Each parser formats its usage text once per terminal width.  On either route
+an option written ``--flag=--`` is read as the text ``--``, as argparse reads
+it from 3.13 on.
 """
 
 from __future__ import annotations
@@ -109,7 +113,11 @@ def _tolerance(text: str) -> float:
 def _check_digits(text: str) -> None:
     """Refuse a number of more than MAX_DIGITS digits in the text, and a
     decimal whose digits plus |exponent| exceed it, which ``Fraction`` would
-    expand into 10**exponent before any digit limit."""
+    expand into 10**exponent before any digit limit.  Text of at most
+    MAX_DIGITS characters with no exponent can meet neither, and is passed
+    without a scan."""
+    if len(text) <= MAX_DIGITS and "e" not in text and "E" not in text:
+        return
     match = _EXPONENT_FORM.fullmatch(text)
     if match and sum(map(str.isdigit, match[1])) + abs(int(match[2])) > MAX_DIGITS:
         raise ValueError(_TOO_LONG)
@@ -468,12 +476,36 @@ _LEAVES = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that formats its usage text once per terminal width.
+
+    The usage of a parser of the built tree depends only on the width that
+    argparse reads from the terminal, so the text is kept by that width.  A
+    parser that may colour its text (``color``, from Python 3.14) formats it
+    on every call, as argparse does.
+    """
+
+    def format_usage(self) -> str:
+        if getattr(self, "color", False):
+            return super().format_usage()
+        import shutil  # argparse's own source of the width, and imported by it
+
+        usages = vars(self).setdefault("usages", {})
+        width = shutil.get_terminal_size().columns
+        if width not in usages:
+            usages[width] = super().format_usage()
+        return usages[width]
+
+
 class _Leaf(NamedTuple):
     """A leaf parser, with what ``_parse`` reads a well-formed request by."""
 
     parser: argparse.ArgumentParser
     actions: dict[str, argparse.Action]  # by flag, as ``add_argument`` returned them
-    defaults: dict  # what ``set_defaults`` gave the leaf
+    # What a request starts from: the values set_defaults gives the leaf, and
+    # the default of each option that is not required, a text one read by its
+    # option's type.
+    defaults: dict
 
 
 @functools.cache
@@ -489,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     there, so the two always agree; ``_parse`` reads well-formed requests
     through that index.
     """
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="gencheb",
         description=(
             "Exact generalized-complex-number and Chebyshev algebra with "
@@ -513,18 +545,29 @@ def build_parser() -> argparse.ArgumentParser:
         # The handler, and the words the tree sets on its way to the leaf; _read sets them too.
         defaults = dict(func=handler, **dict(zip(dests, words)))
         leaf.set_defaults(**defaults)
+        for action in actions.values():
+            if not action.required:
+                default = action.default
+                if isinstance(default, str) and action.type is not None:
+                    default = action.type(default)
+                defaults[action.dest] = default
         parser.leaves[words] = _Leaf(leaf, actions, defaults)
     return parser
+
+
+class _Refusal(argparse.ArgumentError):
+    """A value that its option's own type function refuses, in that function's words."""
 
 
 def _value(action: argparse.Action, text: str):
     """``text`` as argparse reads an option's value: by the option's type, then
     checked against its choices.  A refusal raises the ``ArgumentError``, with
-    the message, that argparse raises for it."""
+    the message, that argparse raises for it: a ``_Refusal`` where the type
+    function raised ``ArgumentTypeError``."""
     try:
         value = text if action.type is None else action.type(text)
     except argparse.ArgumentTypeError as exc:
-        raise argparse.ArgumentError(action, str(exc)) from None
+        raise _Refusal(action, str(exc)) from None
     except (TypeError, ValueError):
         raise argparse.ArgumentError(
             action, f"invalid {action.type.__name__} value: {text!r}"
@@ -542,10 +585,14 @@ def _read(leaf: _Leaf, tokens: list[str]) -> argparse.Namespace | None:
     or bare switch of the leaf; a separate value does not start with ``-``; an
     ``=`` value is not empty and has no ``=``; no flag repeats; each value
     passes its option's type and choices; every required option is there.
-    Options not given take their defaults as argparse sets them, a text default
-    read by its option's type.  Any other request gives None.
+    Options not given take their defaults as argparse sets them (``_Leaf``).
+    A request whose tokens are all well-formed but whose values include some
+    that their option's own type function refuses raises the first such
+    ``_Refusal``: argparse reads the options in order, and reports that
+    refusal before any missing option.  Any other request gives None.
     """
     given = {}
+    refusal = None
     tokens = iter(tokens)
     for token in tokens:
         flag, sep, text = token.partition("=")
@@ -565,19 +612,19 @@ def _read(leaf: _Leaf, tokens: list[str]) -> argparse.Namespace | None:
             return None
         try:
             given[flag] = _value(action, text)
+        except _Refusal as exc:
+            given[flag] = None
+            refusal = refusal or exc
         except argparse.ArgumentError:
             return None
+    if refusal:
+        raise refusal
     args = argparse.Namespace(**leaf.defaults)
     for flag, action in leaf.actions.items():
         if flag in given:
             action(leaf.parser, args, given[flag], flag)
         elif action.required:
             return None
-        else:
-            default = action.default
-            if isinstance(default, str) and action.type is not None:
-                default = action.type(default)
-            setattr(args, action.dest, default)
     return args
 
 
@@ -585,17 +632,23 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
     """``parser.parse_args(argv)``, read through the leaf's index where it can be.
 
     A well-formed request to a leaf (see ``_read``) is read through the
-    actions of the leaf that argv names, with no argparse pass.  Every other
-    request goes through the whole tree, which gives its help, usage text and
-    errors.  argparse 3.10-3.12 hand an option given as ``--flag=--`` to the
-    command as an empty list, where 3.13 reads the text ``--``; no option's
-    type gives a list, so an empty list is read again here as ``--``, or
-    refused with the message 3.13 gives.
+    actions of the leaf that argv names, with no argparse pass.  One that is
+    well-formed but for values their options' own type functions refuse is
+    refused as argparse refuses it: the leaf parser's ``error`` with the
+    first refusal, the call argparse makes for it.  Every other request goes
+    through the whole tree, which gives its help, usage text and the errors
+    that argparse words.  argparse 3.10-3.12 hand an option given as
+    ``--flag=--`` to the command as an empty list, where 3.13 reads the text
+    ``--``; no option's type gives a list, so an empty list is read again
+    here as ``--``, or refused with the message 3.13 gives.
     """
     words = tuple(argv[:2]) if tuple(argv[:2]) in parser.leaves else tuple(argv[:1])
     leaf = parser.leaves.get(words)
     if leaf is not None:
-        args = _read(leaf, argv[len(words):])
+        try:
+            args = _read(leaf, argv[len(words):])
+        except _Refusal as exc:
+            leaf.parser.error(str(exc))
         if args is not None:
             return args
     args = parser.parse_args(argv)

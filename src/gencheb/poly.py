@@ -111,7 +111,10 @@ Text format
 with insignificant whitespace and parentheses nested at most
 ``MAX_NESTING`` deep, so that no input exhausts the parser's recursion.
 A leading minus negates the whole factor, so ``-x^2`` is -(x^2), and a run
-of them is read in a loop.
+of them is read in a loop.  The parser reads each term straight into its
+coefficient and exponent vector, as its factors are scanned, and adds it
+into the expression's term map; only a parenthesised factor is built as a
+polynomial and multiplied in.
 Rendering emits terms in graded-lexicographic order (higher total degree
 first; ties broken by the exponent tuple, so the first-listed variable is
 the most significant) and always stays inside the grammar, so output
@@ -186,9 +189,16 @@ class PolyParseError(ValueError):
 
 
 def _canonical(value: ScalarLike) -> ScalarLike:
-    """The stored form of an exact scalar: int, else Fraction, else GaussianRational."""
-    if type(value) is int:
+    """The stored form of an exact scalar: int, else Fraction, else GaussianRational.
+
+    A Fraction, the coefficient of every rational polynomial that is not an
+    int, is told by its type before the GaussianRational test.
+    """
+    kind = type(value)
+    if kind is int:
         return value
+    if kind is Fraction:
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, GaussianRational):
         if not value.is_real:
             return value
@@ -989,15 +999,21 @@ def _composition_layout(terms, images, targets: int) -> tuple[list[int], int] | 
 
 
 class _Parser:
+    """The grammar of the module docstring, read straight into term maps.
+
+    A term is a coefficient times an exponent vector, built up as its
+    factors are read; only a parenthesised factor becomes a
+    :class:`MultiPoly`, which ``__mul__`` multiplies in.
+    """
 
     def __init__(self, text: str, variables: tuple[str, ...]):
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"duplicate variable names in {variables}")
         self.text = text
         self.pos = 0
         self.depth = 0
         self.variables = variables
-        self.generators = {
-            name: MultiPoly.variable(name, variables) for name in variables
-        }
+        self.index = {name: i for i, name in enumerate(variables)}
 
     def fail(self, message: str, position: int | None = None) -> None:
         raise PolyParseError(
@@ -1012,88 +1028,88 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def parse(self) -> MultiPoly:
-        value = self.expr()
+        terms = self.expr()
         self.skip_ws()
         if self.pos != len(self.text):
             self.fail(f"unexpected {self.peek()!r}")
-        return value
+        return _unchecked(self.variables, terms)
 
-    def expr(self) -> MultiPoly:
-        value = self.term()
+    def expr(self) -> dict[Exponents, ScalarLike]:
+        """The expression's terms, added into one map by :func:`_fold_into`'s rules."""
+        out: dict[Exponents, ScalarLike] = {}
+        coeff = 1
         while True:
-            self.skip_ws()
+            exps = [0] * len(self.variables)
+            group = None  # the product of the term's parenthesised factors
+            while True:
+                value = self.factor(exps)
+                if type(value) is MultiPoly:
+                    group = value if group is None else group * value
+                else:
+                    coeff *= value
+                self.skip_ws()
+                if self.peek() != "*":
+                    break
+                self.pos += 1
+            if coeff:
+                term = _unchecked(self.variables, {tuple(exps): _canonical(coeff)})
+                _fold_into(out, (term if group is None else group * term)._terms)
             ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                value = value + self.term()
-            elif ch == "-":
-                self.pos += 1
-                value = value - self.term()
-            else:
-                return value
+            if ch != "+" and ch != "-":
+                return out
+            self.pos += 1
+            coeff = -1 if ch == "-" else 1
 
-    def term(self) -> MultiPoly:
-        value = self.factor()
-        while True:
-            self.skip_ws()
-            if self.peek() == "*":
-                self.pos += 1
-                value = value * self.factor()
-            else:
-                return value
-
-    def factor(self) -> MultiPoly:
-        negative = False
+    def factor(self, exps: list[int]):
+        """The next factor: a parenthesised one as a polynomial, a rational as
+        itself, and a symbol's power added into ``exps``, giving 1; each
+        leading minus negates it."""
+        sign = 1
         self.skip_ws()
         while self.peek() == "-":  # a loop: no run of signs exhausts the stack
-            negative = not negative
+            sign = -sign
             self.pos += 1
             self.skip_ws()
-        value = self.unsigned_factor()
-        return -value if negative else value
-
-    def unsigned_factor(self) -> MultiPoly:
         ch = self.peek()
         if ch == "(":
             if self.depth == MAX_NESTING:
                 self.fail(f"parentheses nested deeper than {MAX_NESTING}")
             self.depth += 1
             self.pos += 1
-            value = self.expr()
+            value = _unchecked(self.variables, self.expr())
             self.skip_ws()
             if self.peek() != ")":
                 self.fail("expected ')'")
             self.pos += 1
             self.depth -= 1
-            return value
+            return value if sign == 1 else -value
         if ch.isdecimal():
-            return MultiPoly.constant(self.variables, self.rational())
+            return sign * self.rational()
         if ch.isalpha() or ch == "_":
             start = self.pos
             name = self.symbol()
-            if name not in self.generators:
+            if name not in self.index:
                 self.fail(f"unknown symbol {name!r}", start)
-            value = self.generators[name]
             self.skip_ws()
             if self.peek() == "^":
                 self.pos += 1
-                return value ** self.uint()
-            return value
+                exps[self.index[name]] += self.uint()
+            else:
+                exps[self.index[name]] += 1
+            return sign
         self.fail("expected a factor")
-        raise AssertionError("unreachable")
 
-    def rational(self) -> Fraction:
+    def rational(self) -> int | Fraction:
         numerator = self.uint()
         self.skip_ws()
-        if self.peek() == "/":
-            self.pos += 1
-            self.skip_ws()
-            at = self.pos
-            denominator = self.uint()
-            if denominator == 0:
-                self.fail("zero denominator", at)
-        else:
-            denominator = 1
+        if self.peek() != "/":
+            return numerator
+        self.pos += 1
+        self.skip_ws()
+        at = self.pos
+        denominator = self.uint()
+        if denominator == 0:
+            self.fail("zero denominator", at)
         return Fraction(numerator, denominator)
 
     def uint(self) -> int:
@@ -1117,8 +1133,9 @@ class _Parser:
 def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     """Parse polynomial text over the given variables.
 
+    The text is read in one pass into a term map (module docstring).
     Raises :class:`PolyParseError` (with ``.position``) on syntax errors,
-    unknown symbols, or zero denominators, and ValueError, from
-    :class:`MultiPoly`, on duplicate variable names.
+    unknown symbols, or zero denominators, and ValueError on duplicate
+    variable names, as :class:`MultiPoly` words it, before any text is read.
     """
     return _Parser(text, tuple(variables)).parse()

@@ -165,6 +165,12 @@ def _unchecked(p: int, q: int, d: int) -> "GaussianRational":
     return z
 
 
+def _part(n: int, d: int) -> str:
+    """``n/d`` as its ``Fraction`` prints, for ``d > 0``, reduced by one gcd."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def _quotient(a: tuple[int, int, int], b: tuple[int, int, int]) -> "GaussianRational":
     """``a / b`` as ``d_b (p_a + q_a i)(p_b - q_b i) / (d_a (p_b^2 + q_b^2))``."""
     pa, qa, da = a
@@ -337,14 +343,13 @@ class GaussianRational:
         return p / d
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        imag = "i" if abs(im) == 1 else f"{abs(im)}i"
-        sign = "-" if im < 0 else ("+" if re != 0 else "")
-        if re == 0:
-            return f"{sign}{imag}"
-        return f"{re}{sign if sign else '+'}{imag}"
+        p, q, d = self._t
+        if q == 0:
+            return _part(p, d)
+        imag = "i" if abs(q) == d else f"{_part(abs(q), d)}i"
+        if p == 0:
+            return f"-{imag}" if q < 0 else imag
+        return f"{_part(p, d)}{'-' if q < 0 else '+'}{imag}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"

@@ -939,8 +939,9 @@ def test_power_lists_skip_empty_parts_and_refuse_an_empty_list(capsys):
 
 
 # A well-formed request to a leaf is read through that leaf's actions, with no
-# argparse pass; every other request goes through the whole tree.  Both routes
-# must answer alike.
+# argparse pass, and one whose only fault is a value its option's own type
+# function refuses is refused by the leaf parser; every other request goes
+# through the whole tree.  Both routes must answer alike.
 
 _LEAF_REQUESTS = {
     ("gcn", "power"): ("--a=-1", "--b", "2*x", "--n", "3"),
@@ -972,7 +973,10 @@ _HANDED_ON = [
     ("cheb", "u", "--n=3=4"),
     ("cheb", "u", "--", "--n", "3"),
     ("mat", "pow", "--entries", "2,1;1,1", "--n", "3", "--method", "bogus"),
-    ("cheb", "u", "--n", "abc"),
+    ("cheb", "u", "--n", "abc", "--n", "3"),  # a refused value, then a repeat
+    # a refused value beside one that argparse words the refusal of, either first
+    ("euler", "ode", "--a=-1", "--b", "0", "--lo", "x", "--points", "0"),
+    ("euler", "ode", "--a=-1", "--b", "0", "--points", "0", "--lo", "x"),
     ("cheb", "u", "--format", "json"),  # --n missing
     ("cheb", "u", "--n", "-3"),  # a bad value
     ("cheb", "u", "-h"),
@@ -983,9 +987,20 @@ _HANDED_ON = [
     ("cheb", "t", "--n", "2", "--for", "json"),  # an abbreviated option
     ("verify", "all", "--nmax", "2", "--format", "xml"),
 ]
+# Requests to a leaf, well-formed but for values that their options' own type
+# functions refuse: the leaf refuses the first of them, as argparse does.
+_REFUSED = [
+    ("cheb", "u", "--n", "abc"),
+    ("cheb", "u", "--n=-3", "--format", "json"),
+    ("euler", "series", "--a=-1", "--b", "0", "--phi", "1", "--tol", "0"),
+    ("euler", "ode", "--points", "0", "--tol=-1"),  # two refusals, and --a and --b missing
+    ("mat", "bench", "--n-list=4,-1"),
+    ("gcn", "roots", "--a", "1", "--b", "1", "--vars", "x,x"),
+]
 _ROUTE_CORPUS = [
     *((*words, *rest) for words, rest in _LEAF_REQUESTS.items()),
     *_HANDED_ON,
+    *_REFUSED,
     ("cheb", "--n", "3", "u"),  # an option before the action word
     (),
     ("cheb",),
@@ -1008,11 +1023,18 @@ def _routed_reply(capsys, monkeypatch, args):
     return code, _untimed(out), err, parsed
 
 
+def _leaf_and_tokens(parser, args):
+    words = args[:2] if args[:2] in parser.leaves else args[:1]
+    return parser.leaves[words], list(args[len(words):])
+
+
 def test_leaf_route_answers_as_the_whole_tree(capsys, monkeypatch):
     parser = cli.build_parser()
     for args in _HANDED_ON:
-        words = args[:2] if args[:2] in parser.leaves else args[:1]
-        assert cli._read(parser.leaves[words], list(args[len(words):])) is None, args
+        assert cli._read(*_leaf_and_tokens(parser, args)) is None, args
+    for args in _REFUSED:
+        with pytest.raises(cli._Refusal):
+            cli._read(*_leaf_and_tokens(parser, args))
     by_leaf = [_routed_reply(capsys, monkeypatch, args) for args in _ROUTE_CORPUS]
     monkeypatch.setattr(parser, "leaves", {})
     by_tree = [_routed_reply(capsys, monkeypatch, args) for args in _ROUTE_CORPUS]
@@ -1020,6 +1042,7 @@ def test_leaf_route_answers_as_the_whole_tree(capsys, monkeypatch):
         assert one == other, args
     codes = {args: reply[0] for args, reply in zip(_ROUTE_CORPUS, by_leaf)}
     assert [codes[(*words, *rest)] for words, rest in _LEAF_REQUESTS.items()] == [0] * 18
+    assert [codes[args] for args in _REFUSED] == [2] * len(_REFUSED)
     assert codes[("cheb", "u", "-h")] == 0
     assert codes[("euler", "series", "--a=-1", "--b", "0", "--phi", "-1.5")] == 0
     leftover = by_leaf[_ROUTE_CORPUS.index(("cheb", "u", "--n", "3", "extra"))]
@@ -1092,13 +1115,81 @@ def _parsed(capsys, parse, argv):
 
 def test_generated_requests_parse_alike_by_table_and_tree(capsys):
     parser = cli.build_parser()
-    read = 0
+    read = refused = 0
     for words, tokens in _generated_requests(2000, 4401):
         argv = [*words, *tokens]
         by_route = _parsed(capsys, lambda argv: cli._parse(parser, argv), argv)
         assert by_route == _parsed(capsys, parser.parse_args, argv), argv
-        read += cli._read(parser.leaves[words], tokens) is not None
-    assert 400 < read < 1600  # both routes are well exercised
+        try:
+            read += cli._read(parser.leaves[words], tokens) is not None
+        except cli._Refusal:
+            refused += 1
+    # every route is well exercised
+    assert 400 < read < 1600
+    assert 50 < refused < 400
+
+
+# A value that each of gencheb's own type functions refuses.
+_REFUSED_VALUES = {
+    cli._nonneg_int: "-3",
+    cli._positive_int: "0",
+    cli._symbols: "x,x",
+    cli._tolerance: "0",
+    cli._int_list: "1,abc",
+}
+
+
+def _without(tokens, flag):
+    """``tokens`` with the option ``flag`` and its value left out."""
+    kept = []
+    tokens = iter(tokens)
+    for token in tokens:
+        if token == flag:
+            next(tokens)
+        elif not token.startswith(f"{flag}="):
+            kept.append(token)
+    return kept
+
+
+def test_a_refused_value_is_refused_by_its_leaf_as_by_the_tree(capsys, monkeypatch):
+    parser = cli.build_parser()
+    calls, formatted = [], []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    format_usage = argparse.ArgumentParser.format_usage
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    def counted_usage(self):
+        formatted.append(self.prog)
+        return format_usage(self)
+
+    checked = 0
+    for words, leaf in parser.leaves.items():
+        for flag, action in leaf.actions.items():
+            if action.type not in _REFUSED_VALUES:
+                continue
+            value = _REFUSED_VALUES[action.type]
+            args = (*words, *_without(_LEAF_REQUESTS[words], flag), f"{flag}={value}")
+            for columns in ("80", "44"):  # argparse wraps usage to the terminal
+                monkeypatch.setenv("COLUMNS", columns)
+                with monkeypatch.context() as patch:
+                    patch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+                    patch.setattr(argparse.ArgumentParser, "format_usage", counted_usage)
+                    by_leaf = _reply(capsys, args)
+                    formatted.clear()
+                    assert _reply(capsys, args) == by_leaf
+                assert (calls, formatted) == ([], []), args
+                with monkeypatch.context() as patch:
+                    patch.setattr(parser, "leaves", {})
+                    assert _reply(capsys, args) == by_leaf, args
+                message = f"{leaf.parser.prog}: error: argument {flag}: "
+                usage = format_usage(leaf.parser)
+                assert by_leaf[:2] == (2, "")
+                assert by_leaf[2].startswith(usage + message), args
+            checked += 1
+    assert checked == 21
 
 
 _ENTRIES_REFUSAL = "error: --entries must be a matrix 'a,b;c,d' (use re:im for complex)"

@@ -1255,3 +1255,226 @@ def test_constructor_accepts_and_refuses_as_its_checks_say():
     for names, terms, error, message in refused:
         with pytest.raises(error, match=message):
             MultiPoly(names, terms)
+
+
+def test_canonical_keeps_each_stored_form():
+    real = GaussianRational(Fraction(3, 2))
+    imaginary = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
+    for value, stored in (
+        (7, 7),
+        (Fraction(6, 3), 2),
+        (Fraction(-2, 3), Fraction(-2, 3)),
+        (real, Fraction(3, 2)),
+        (GaussianRational(4), 4),
+        (imaginary, imaginary),
+    ):
+        got = poly._canonical(value)
+        assert (type(got), got) == (type(stored), stored), value
+    assert poly._canonical(imaginary) is imaginary
+
+
+# -- the parser against a reference built from ring operations --------------------
+
+
+class RefParser:
+    """The grammar of ``poly``'s module docstring, each value built by ``MultiPoly``
+    ring operations: a generator for each symbol, ``**`` for a power, and ``+``,
+    ``-`` and ``*`` as the text spells them."""
+
+    def __init__(self, text, variables):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+        self.variables = variables
+        self.generators = {name: MultiPoly.variable(name, variables) for name in variables}
+
+    def fail(self, message, position=None):
+        raise PolyParseError(message, self.pos if position is None else position)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def parse(self):
+        value = self.expr()
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.fail(f"unexpected {self.peek()!r}")
+        return value
+
+    def expr(self):
+        value = self.term()
+        while True:
+            self.skip_ws()
+            ch = self.peek()
+            if ch == "+":
+                self.pos += 1
+                value = value + self.term()
+            elif ch == "-":
+                self.pos += 1
+                value = value - self.term()
+            else:
+                return value
+
+    def term(self):
+        value = self.factor()
+        while True:
+            self.skip_ws()
+            if self.peek() == "*":
+                self.pos += 1
+                value = value * self.factor()
+            else:
+                return value
+
+    def factor(self):
+        negative = False
+        self.skip_ws()
+        while self.peek() == "-":
+            negative = not negative
+            self.pos += 1
+            self.skip_ws()
+        value = self.unsigned_factor()
+        return -value if negative else value
+
+    def unsigned_factor(self):
+        ch = self.peek()
+        if ch == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING}")
+            self.depth += 1
+            self.pos += 1
+            value = self.expr()
+            self.skip_ws()
+            if self.peek() != ")":
+                self.fail("expected ')'")
+            self.pos += 1
+            self.depth -= 1
+            return value
+        if ch.isdecimal():
+            return MultiPoly.constant(self.variables, self.rational())
+        if ch.isalpha() or ch == "_":
+            start = self.pos
+            name = self.symbol()
+            if name not in self.generators:
+                self.fail(f"unknown symbol {name!r}", start)
+            value = self.generators[name]
+            self.skip_ws()
+            if self.peek() == "^":
+                self.pos += 1
+                return value ** self.uint()
+            return value
+        self.fail("expected a factor")
+
+    def rational(self):
+        numerator = self.uint()
+        self.skip_ws()
+        denominator = 1
+        if self.peek() == "/":
+            self.pos += 1
+            self.skip_ws()
+            at = self.pos
+            denominator = self.uint()
+            if denominator == 0:
+                self.fail("zero denominator", at)
+        return Fraction(numerator, denominator)
+
+    def uint(self):
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == start:
+            self.fail("expected digits")
+        return int(self.text[start : self.pos])
+
+    def symbol(self):
+        start = self.pos
+        while self.pos < len(self.text) and (
+            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+        ):
+            self.pos += 1
+        return self.text[start : self.pos]
+
+
+_NAMES = (("x",), ("x", "y"), ("u", "v_1", "é"))
+
+
+def _space(rng):
+    return rng.choice(("", "", "", " ", "  ", "\t"))
+
+
+def _grammar_text(rng, names, depth=0):
+    """A text of the grammar: rationals p/q, powers ^0 and up, runs of "-",
+    whitespace, and parentheses nested at most 3 deep."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            signs = "-" * rng.choice((0, 0, 0, 1, 2, 3)) + _space(rng)
+            kind = rng.random()
+            if kind < 0.15 and depth < 3:
+                factor = f"({_space(rng)}{_grammar_text(rng, names, depth + 1)}{_space(rng)})"
+            elif kind < 0.5:
+                factor = str(rng.randint(0, 12))
+                if rng.random() < 0.4:
+                    factor += f"{_space(rng)}/{_space(rng)}{rng.randint(1, 12)}"
+            else:
+                factor = rng.choice(names)
+                if rng.random() < 0.6:
+                    factor += f"{_space(rng)}^{_space(rng)}{rng.randint(0, 4)}"
+            factors.append(signs + factor)
+        terms.append(f"{_space(rng)}*{_space(rng)}".join(factors))
+    text = terms[0]
+    for term in terms[1:]:
+        text += f"{_space(rng)}{rng.choice('+-')}{_space(rng)}{term}"
+    return text
+
+
+def _parsed_by(parse, text, names):
+    """The polynomial ``parse`` reads from ``text``, or its error's words and offset."""
+    try:
+        return parse(text, names)
+    except PolyParseError as exc:
+        return str(exc), exc.position
+
+
+def _ref_parse(text, names):
+    return RefParser(text, names).parse()
+
+
+def test_parser_matches_the_ring_operation_reference():
+    rng = random.Random(5001)
+    for _ in range(2000):
+        names = rng.choice(_NAMES)
+        text = _grammar_text(rng, names)
+        got = parse_poly(text, names)
+        assert got == _ref_parse(text, names), text
+        assert_canonical(got)
+        assert parse_poly(got.render(), names) == got
+
+
+def test_parser_refuses_broken_text_as_the_reference_does():
+    rng = random.Random(5002)
+    refused = 0
+    for _ in range(2000):
+        names = rng.choice(_NAMES)
+        text = _grammar_text(rng, names)
+        at = rng.randint(0, len(text))
+        edit = rng.random()
+        if edit < 0.3:
+            text = text[:at]
+        elif edit < 0.65:
+            text = text[:at] + rng.choice("+-*/^()0 w_x²#") + text[at + 1 :]
+        else:
+            text = text[:at] + rng.choice("+-*/^()0 w_x²#") + text[at:]
+        got = _parsed_by(parse_poly, text, names)
+        want = _parsed_by(_ref_parse, text, names)
+        assert got == want, text
+        if isinstance(got, MultiPoly):
+            assert_canonical(got)
+        else:
+            refused += 1
+    assert 500 < refused < 1900  # both outcomes are well exercised

@@ -5,10 +5,12 @@ import math
 import operator
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from gencheb import cli
 from gencheb.gcn import GcnElement, GcnUnit, Surd, power_coeffs, unit_power
 from gencheb.higher import cubic_power
 from gencheb.matrices import Mat2, Mat3
@@ -406,3 +408,61 @@ def test_gaussian_square_matches_the_general_product_of_a_copy():
         assert d > 0 and math.gcd(p, q, d) == 1
         assert_matches(square, ref_mul(ref_pair(z), ref_pair(z)))
     assert (GaussianRational(half, half) * GaussianRational(half, half))._t == (0, 1, 2)
+
+
+def fraction_str(z):
+    """``str`` of a GaussianRational as its two Fraction parts print it."""
+    re, im = z.re, z.im
+    if im == 0:
+        return str(re)
+    imag = "i" if abs(im) == 1 else f"{abs(im)}i"
+    sign = "-" if im < 0 else ("+" if re != 0 else "")
+    if re == 0:
+        return f"{sign}{imag}"
+    return f"{re}{sign if sign else '+'}{imag}"
+
+
+def _text_or_error(show, z):
+    try:
+        return show(z)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_text_matches_the_fraction_parts():
+    rng = random.Random(5003)
+    values = []
+    for p, q in itertools.product((-4, -2, -1, 0, 1, 2, 4, 6), repeat=2):
+        for d in (1, 2, 3, 6):
+            values.append(_unchecked(p, q, d))  # (2 + 4i)/6 and the like reduce
+    for _ in range(3000):
+        bits = rng.choice((4, 20, 80))
+        p, q = (rng.randint(-(1 << bits), 1 << bits) for _ in range(2))
+        values.append(_unchecked(p, q, rng.randint(1, 1 << bits)))
+    for z in values:
+        assert str(z) == fraction_str(z), z._t
+    assert [str(_unchecked(*t)) for t in ((0, 1, 1), (0, -1, 1), (3, -3, 3), (0, 4, 6), (2, 4, 6))] == [
+        "i", "-i", "1-i", "2/3i", "1/3+2/3i"
+    ]
+
+
+def test_text_past_the_default_digit_limit():
+    big = 10**4400 + 1
+    values = [
+        _unchecked(big, 1, 3),
+        _unchecked(1, big, 7),
+        _unchecked(0, -big, 1),
+        _unchecked(1, 0, big),
+        _unchecked(2, 3, big),
+    ]
+    for z in values:
+        got = _text_or_error(str, z)
+        assert got == _text_or_error(fraction_str, z)
+        assert got[0] is ValueError
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(cli.MAX_DIGITS)
+    try:
+        for z in values:
+            assert str(z) == fraction_str(z)
+    finally:
+        sys.set_int_max_str_digits(saved)
